@@ -2,7 +2,12 @@
 G = I - 2*delta*(A - F*B)/<B>, realized as a linear combination of Pauli
 unitaries.  Includes the exact two-dimensional line search for the step
 size, a relative residual diagnostic, and depolarizing-style statevector
-noise injection."""
+noise injection.
+
+``run_fqge`` applies A and B once each per iterate and steps the state as
+psi + delta*direction, which equals G|psi>; the explicit combination
+(``build_lcu`` / ``apply_g``) is kept as a public oracle, and the LCU size
+reported per step comes from the same coefficient table."""
 
 from __future__ import annotations
 
@@ -12,12 +17,12 @@ from typing import Optional
 
 import numpy as np
 
-from .pauli import PauliString, PauliSum, apply_string, apply_sum
-from .statevector import StateVector, inner, norm, normalize
+from .pauli import PauliString, apply_string, apply_sum
+from .statevector import StateVector, inner, normalize
+from .vqge import check_b, rayleigh_quotient
 
 _DIRECTION_FLOOR = 1e-10
 _DELTA_CAP = 1e12
-_B_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -30,6 +35,9 @@ class FqgeConfig:
     seed: Optional[int] = None
 
     def __post_init__(self):
+        for name in ("delta", "epsilon", "noise_sigma"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be positive, got {self.max_iters}")
         if self.noise_sigma < 0:
@@ -70,53 +78,47 @@ class FqgeResult:
     state: StateVector
 
 
+def _apply_pencil(state: StateVector, pencil):
+    """(A psi, B psi, F, <B>): raw amplitudes, the checked Rayleigh
+    quotient and its denominator."""
+    a_psi = apply_sum(pencil.A, state).amps
+    b_psi = apply_sum(pencil.B, state).amps
+    b = float(np.vdot(state.amps, b_psi).real)
+    f = rayleigh_quotient(float(np.vdot(state.amps, a_psi).real), b)
+    return a_psi, b_psi, f, b
+
+
+def _relative_residual(a_psi, b_psi, f: float) -> float:
+    num = float(np.linalg.norm(a_psi - f * b_psi))
+    den = float(np.linalg.norm(a_psi)) + abs(f) * float(np.linalg.norm(b_psi))
+    if den == 0.0:
+        return 0.0
+    return num / den
+
+
 def loss_state(state: StateVector, pencil) -> float:
     """Rayleigh quotient <psi|A|psi>/<psi|B|psi> on an explicit state."""
-    a = inner(state, apply_sum(pencil.A, state)).real
-    b = inner(state, apply_sum(pencil.B, state)).real
-    if b <= _B_FLOOR:
-        raise ValueError(
-            f"<B> = {b:.3e} at the evaluated state; B is not positive definite"
-        )
-    return a / b
+    return _apply_pencil(state, pencil)[2]
 
 
 def gradient_direction(state: StateVector, pencil, f_value: float) -> StateVector:
     """Unnormalized steepest-descent direction -(2/<B>)(A - F B)|psi>;
     exactly orthogonal to |psi> when f_value is the Rayleigh quotient."""
-    a_psi = apply_sum(pencil.A, state)
-    b_psi = apply_sum(pencil.B, state)
-    b = inner(state, b_psi).real
-    if b <= _B_FLOOR:
-        raise ValueError(
-            f"<B> = {b:.3e} at the evaluated state; B is not positive definite"
-        )
-    amps = -(2.0 / b) * (a_psi.amps - f_value * b_psi.amps)
+    a_psi, b_psi, _, b = _apply_pencil(state, pencil)
+    amps = -(2.0 / b) * (a_psi - f_value * b_psi)
     return StateVector(state.n, amps, normalized=False)
 
 
 def residual(state: StateVector, pencil) -> float:
     """Relative residual ||(A - F B)psi|| / (||A psi|| + |F| ||B psi||),
     bounded in [0, 1]."""
-    f = loss_state(state, pencil)
-    a_psi = apply_sum(pencil.A, state)
-    b_psi = apply_sum(pencil.B, state)
-    num = float(np.linalg.norm(a_psi.amps - f * b_psi.amps))
-    den = float(np.linalg.norm(a_psi.amps)) + abs(f) * float(np.linalg.norm(b_psi.amps))
-    if den == 0.0:
-        return 0.0
-    return num / den
+    a_psi, b_psi, f, _ = _apply_pencil(state, pencil)
+    return _relative_residual(a_psi, b_psi, f)
 
 
-def build_lcu(state: StateVector, pencil, delta: complex, f_value: float) -> LcuOperator:
-    """Expand G = I - 2*delta*(A - F B)/<B> over Pauli strings, merging
-    duplicates and dropping exact zeros."""
-    b = inner(state, apply_sum(pencil.B, state)).real
-    if b <= _B_FLOOR:
-        raise ValueError(
-            f"<B> = {b:.3e} at the evaluated state; B is not positive definite"
-        )
-    n = pencil.n
+def _lcu_table(pencil, delta: complex, f_value: float, b: float) -> list:
+    """Sorted ((x_mask, z_mask), g) pairs of G = I - 2*delta*(A - F B)/<B>
+    with duplicate strings merged and exact zeros dropped."""
     table: dict = {}
 
     def add(key, g):
@@ -127,16 +129,23 @@ def build_lcu(state: StateVector, pencil, delta: complex, f_value: float) -> Lcu
         add((ps.x_mask, ps.z_mask), -2.0 * delta * alpha / b)
     for beta, ps in pencil.B.terms:
         add((ps.x_mask, ps.z_mask), 2.0 * delta * f_value * beta / b)
+    return [(key, complex(g)) for key, g in sorted(table.items()) if g != 0]
 
-    coeffs = []
-    strings = []
-    for (x, z), g in sorted(table.items()):
-        if g == 0:
-            continue
-        coeffs.append(complex(g))
-        strings.append(PauliString(n, x, z))
-    norm_c = float(np.sqrt(sum(abs(g) ** 2 for g in coeffs)))
-    return LcuOperator(tuple(coeffs), tuple(strings), norm_c, len(coeffs))
+
+def _lcu_size(table: list):
+    """(C, d) of a coefficient table: C = sqrt(sum |g_j|^2), d = term count."""
+    return float(np.sqrt(sum(abs(g) ** 2 for _, g in table))), len(table)
+
+
+def build_lcu(state: StateVector, pencil, delta: complex, f_value: float) -> LcuOperator:
+    """Expand G = I - 2*delta*(A - F B)/<B> over Pauli strings, merging
+    duplicates and dropping exact zeros."""
+    b = check_b(inner(state, apply_sum(pencil.B, state)).real)
+    table = _lcu_table(pencil, delta, f_value, b)
+    norm_c, d = _lcu_size(table)
+    coeffs = tuple(g for _, g in table)
+    strings = tuple(PauliString(pencil.n, x, z) for (x, z), _ in table)
+    return LcuOperator(coeffs, strings, norm_c, d)
 
 
 def apply_g(lcu: LcuOperator, state: StateVector):
@@ -160,22 +169,29 @@ def line_search(state: StateVector, direction: StateVector, pencil):
     leading component caps |delta| at 1e12 with a warning.
     """
     psi = state if state.normalized else normalize(state)
-    w = direction.amps - inner(psi, direction) * psi.amps
+    a_psi = apply_sum(pencil.A, psi).amps
+    b_psi = apply_sum(pencil.B, psi).amps
+    return _line_search(psi, direction.amps, a_psi, b_psi, pencil)
+
+
+def _line_search(psi: StateVector, direction, a_psi, b_psi, pencil):
+    """line_search for a normalized psi, with the direction, A psi and
+    B psi given as raw amplitudes; applies the pencil only to the part of
+    the direction orthogonal to psi."""
+    w = direction - np.vdot(psi.amps, direction) * psi.amps
     wn = float(np.linalg.norm(w))
+    a00 = np.vdot(psi.amps, a_psi).real
+    b00 = np.vdot(psi.amps, b_psi).real
     if wn < 1e-14:
-        return 0.0 + 0.0j, loss_state(psi, pencil)
+        return 0.0 + 0.0j, rayleigh_quotient(a00, b00)
     tilde = StateVector(psi.n, w / wn, normalized=True)
 
-    a_psi = apply_sum(pencil.A, psi)
-    b_psi = apply_sum(pencil.B, psi)
-    a_til = apply_sum(pencil.A, tilde)
-    b_til = apply_sum(pencil.B, tilde)
-    a00 = inner(psi, a_psi).real
-    a11 = inner(tilde, a_til).real
-    a01 = inner(psi, a_til)
-    b00 = inner(psi, b_psi).real
-    b11 = inner(tilde, b_til).real
-    b01 = inner(psi, b_til)
+    a_til = apply_sum(pencil.A, tilde).amps
+    b_til = apply_sum(pencil.B, tilde).amps
+    a11 = np.vdot(tilde.amps, a_til).real
+    a01 = np.vdot(psi.amps, a_til)
+    b11 = np.vdot(tilde.amps, b_til).real
+    b01 = np.vdot(psi.amps, b_til)
 
     c2 = b00 * b11 - abs(b01) ** 2
     c1 = a00 * b11 + a11 * b00 - 2.0 * (a01 * np.conj(b01)).real
@@ -238,7 +254,9 @@ def run_fqge(pencil, initial: StateVector, cfg: FqgeConfig = FqgeConfig()) -> Fq
     to cfg.epsilon or cfg.max_iters updates have been applied.
 
     Each iterate row holds the state as evaluated (before that row's
-    update); the final row is terminal with a zero step.
+    update); the final row is terminal with a zero step.  A psi and B psi
+    are computed once per iterate and give the quotient, the residual, the
+    direction and the step G psi = psi + delta*direction.
     """
     rng = np.random.default_rng(cfg.seed)
     state = initial if initial.normalized else normalize(initial)
@@ -246,8 +264,8 @@ def run_fqge(pencil, initial: StateVector, cfg: FqgeConfig = FqgeConfig()) -> Fq
     s = 1
     status = "max_iters"
     while True:
-        value = loss_state(state, pencil)
-        res = residual(state, pencil)
+        a_psi, b_psi, value, b = _apply_pencil(state, pencil)
+        res = _relative_residual(a_psi, b_psi, value)
         if res <= cfg.epsilon:
             rows.append(_trivial_row(s, state, value, res))
             status = "converged"
@@ -256,26 +274,29 @@ def run_fqge(pencil, initial: StateVector, cfg: FqgeConfig = FqgeConfig()) -> Fq
             rows.append(_trivial_row(s, state, value, res))
             status = "max_iters"
             break
-        direction = gradient_direction(state, pencil, value)
-        if norm(direction) < _DIRECTION_FLOOR:
+        direction = -(2.0 / b) * (a_psi - value * b_psi)
+        if np.linalg.norm(direction) < _DIRECTION_FLOOR:
             rows.append(_trivial_row(s, state, value, res))
             status = "converged"
             break
         if cfg.line_search:
-            delta, _ = line_search(state, direction, pencil)
+            delta, _ = _line_search(state, direction, a_psi, b_psi, pencil)
             if delta == 0:
                 rows.append(_trivial_row(s, state, value, res))
                 status = "converged"
                 break
         else:
             delta = complex(cfg.delta)
-        lcu = build_lcu(state, pencil, delta, value)
-        try:
-            raw, success = apply_g(lcu, state)
-        except RuntimeError as exc:
-            raise RuntimeError(f"step {s}: {exc}") from exc
-        rows.append(FqgeIterate(s, state, value, res, delta, success, lcu.norm_c, lcu.d))
-        state = normalize(raw)
+        norm_c, d = _lcu_size(_lcu_table(pencil, delta, value, b))
+        raw = state.amps + delta * direction
+        out_norm = float(np.linalg.norm(raw))
+        if out_norm == 0.0:
+            raise RuntimeError(
+                f"step {s}: LCU output has zero norm; the state is annihilated by G"
+            )
+        success = out_norm**2 / (norm_c**2 * d)
+        rows.append(FqgeIterate(s, state, value, res, delta, success, norm_c, d))
+        state = StateVector(state.n, raw / out_norm)
         if cfg.noise_sigma > 0:
             state = noise_inject(state, cfg.noise_sigma, rng)
         s += 1

@@ -4,12 +4,18 @@ and decomposition of Hermitian matrices into real-weighted Pauli sums.
 A string is stored as X/Z bitmasks over basis-index space.  Text form "ZX"
 means qubit 0 = Z, and qubit 0 is the leftmost tensor factor (most
 significant index bit), so mask bit ``n-1-q`` belongs to qubit ``q``.
+
+A sum is compiled on its first application into one diagonal vector per
+distinct X-mask, so that it acts as ``out[i] = sum_x diag_x[i] v[i ^ x]``.
+The compiled form is cached on the instance and costs 2^n floats per
+distinct mask (complex only where a mask carries an odd number of Y
+factors).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -145,6 +151,27 @@ class PauliSum:
     def __len__(self) -> int:
         return len(self.terms)
 
+    @cached_property
+    def _action(self) -> tuple:
+        """(index, ((x_mask, diag), ...)): the compiled action of the sum,
+        built on first use.  A diagonal is stored as float64 when its
+        imaginary part is zero, as for every term with an even number of Y
+        factors."""
+        index = np.arange(2**self.n, dtype=np.int64)
+        diags: dict = {}
+        for coeff, string in self.terms:
+            # P|j> = (1j)^n_y (-1)^parity(j & z) |j ^ x>, read at i = j ^ x
+            src = index ^ string.x_mask
+            signs = 1.0 - 2.0 * _parity(src & string.z_mask)
+            term = (coeff * (1j) ** string.n_y) * signs
+            diags[string.x_mask] = diags.get(string.x_mask, 0.0) + term
+        compiled = []
+        for x_mask, diag in sorted(diags.items()):
+            if not diag.imag.any():
+                diag = diag.real.copy()
+            compiled.append((x_mask, diag))
+        return index, tuple(compiled)
+
     def __str__(self) -> str:
         if not self.terms:
             return "0"
@@ -189,12 +216,14 @@ def apply_string(p: PauliString, v: StateVector) -> StateVector:
 
 
 def apply_sum(s: PauliSum, v: StateVector) -> StateVector:
-    """(sum_k c_k P_k)|v>; output flagged unnormalized."""
+    """(sum_k c_k P_k)|v> through the compiled per-X-mask form; output
+    flagged unnormalized."""
     if s.n != v.n:
         raise ValueError(f"qubit counts differ: operator {s.n}, state {v.n}")
+    index, compiled = s._action
     out = np.zeros_like(v.amps)
-    for coeff, string in s.terms:
-        out += coeff * _string_action(string, v.amps)
+    for x_mask, diag in compiled:
+        out += diag * (v.amps[index ^ x_mask] if x_mask else v.amps)
     return StateVector(v.n, out, normalized=False)
 
 

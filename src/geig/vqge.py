@@ -36,6 +36,21 @@ class Pencil:
         return self.A.n
 
 
+def check_b(b: float) -> float:
+    """Return <B> after checking that it is positive, as it is for every
+    state when B is positive definite."""
+    if b <= _B_FLOOR:
+        raise ValueError(
+            f"<B> = {b:.3e} at the evaluated state; B is not positive definite"
+        )
+    return b
+
+
+def rayleigh_quotient(a: float, b: float) -> float:
+    """F = <A>/<B>, after the <B> positivity check."""
+    return a / check_b(b)
+
+
 @dataclass(frozen=True)
 class DeflationRecord:
     """One previously found eigenpair used as a deflation penalty.
@@ -93,6 +108,14 @@ class SolveConfig:
     opt: OptConfig = field(default_factory=OptConfig)
     shots: int = 0
 
+    def __post_init__(self):
+        if self.layers < 1:
+            raise ValueError(f"layers must be >= 1, got {self.layers}")
+        if self.restarts < 1:
+            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
+        if self.shots < 0:
+            raise ValueError(f"shots must be >= 0, got {self.shots}")
+
 
 @dataclass(frozen=True)
 class SpectrumLevel:
@@ -122,14 +145,6 @@ def _expect(s: PauliSum, v: StateVector, shots: int, rng) -> float:
     )
 
 
-def _check_b(b: float) -> float:
-    if b <= _B_FLOOR:
-        raise ValueError(
-            f"<B> = {b:.3e} at the evaluated state; B is not positive definite"
-        )
-    return b
-
-
 def _b_bracket(x: StateVector, psi: StateVector, b_sum: PauliSum, shots, rng) -> complex:
     """<x|B|psi>, exact or estimated term by term."""
     if shots == 0:
@@ -150,8 +165,7 @@ def loss_f(
     [lambda_1, lambda_r]."""
     psi = _prepare(p, pencil, v_in, entangler)
     a = _expect(pencil.A, psi, shots, rng)
-    b = _check_b(_expect(pencil.B, psi, shots, rng))
-    return a / b
+    return rayleigh_quotient(a, _expect(pencil.B, psi, shots, rng))
 
 
 def overlap_sq(
@@ -190,8 +204,8 @@ def loss_fj(
     """
     psi = _prepare(p, pencil, v_in, entangler)
     a = _expect(pencil.A, psi, shots, rng)
-    b = _check_b(_expect(pencil.B, psi, shots, rng))
-    value = a / b
+    b = _expect(pencil.B, psi, shots, rng)
+    value = rayleigh_quotient(a, b)
     for rec in records:
         bx = apply_sum(pencil.B, rec.state)
         m = inner(rec.state, bx).real
@@ -220,7 +234,7 @@ def _gradient(
     else:
         a = _expect(pencil.A, psi, shots, rng)
         b = _expect(pencil.B, psi, shots, rng)
-    _check_b(b)
+    check_b(b)
 
     rec_data = []
     for rec in records:

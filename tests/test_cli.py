@@ -306,6 +306,19 @@ class TestErrorContract:
         assert payload["error"] == "ValueError"
         assert "exactly one of" in payload["message"]
 
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            (["fqge", "--delta", "nan"], "delta"),
+            (["fqge", "--epsilon", "nan"], "epsilon"),
+            (["vqge", "--restarts", "0"], "restarts"),
+        ],
+    )
+    def test_invalid_config_values(self, capsys, argv, name):
+        payload = error_of(capsys, argv)
+        assert payload["error"] == "ValueError"
+        assert name in payload["message"]
+
     def test_usage_errors_exit_two(self):
         with pytest.raises(SystemExit) as info:
             main(["--bogus"])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_pencil, random_state, two_qubit_pencil
+from geig.ansatz import random_params
 from geig.fqge import (
     FqgeConfig,
     LcuOperator,
@@ -18,7 +19,7 @@ from geig.fqge import (
 from geig.pauli import PauliString, PauliSum, decompose, dense_matrix
 from geig.reference import generalized_eig
 from geig.statevector import StateVector, basis_state, inner, norm, normalize
-from geig.vqge import Pencil
+from geig.vqge import Pencil, loss_f
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +44,23 @@ def g_dense(pencil, state, delta, f):
     ad, bd = dense_matrix(pencil.A), dense_matrix(pencil.B)
     b = inner(state, StateVector(state.n, bd @ state.amps, normalized=False)).real
     return np.eye(2**pencil.n) - 2 * delta * (ad - f * bd) / b
+
+
+class TestBPositivity:
+    def test_every_entry_point_reports_the_same_error(self):
+        pencil = Pencil(PauliSum.identity(1, 1.0), PauliSum.identity(1, -1.0))
+        s = basis_state(1, 0)
+        calls = [
+            lambda: loss_state(s, pencil),
+            lambda: residual(s, pencil),
+            lambda: gradient_direction(s, pencil, 1.0),
+            lambda: build_lcu(s, pencil, 0.1, 1.0),
+            lambda: run_fqge(pencil, s),
+            lambda: loss_f(random_params(1, 1, np.random.default_rng(0)), pencil),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=r"<B> = .*; B is not positive definite"):
+                call()
 
 
 class TestLossState:
@@ -362,6 +380,12 @@ class TestRunFqge:
         with pytest.raises(ValueError):
             FqgeConfig(max_iters=0)
 
+    @pytest.mark.parametrize("field", ["delta", "epsilon", "noise_sigma"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_config_rejects_nonfinite(self, field, bad):
+        with pytest.raises(ValueError, match=field):
+            FqgeConfig(**{field: bad})
+
     def test_random_pencils_converge_or_stop_cleanly(self):
         rng = np.random.default_rng(12)
         for _ in range(5):
@@ -373,3 +397,47 @@ class TestRunFqge:
             if result.status == "converged" and result.iterates[-1].residual <= 1e-8:
                 err = min(abs(result.eigenvalue - lam) for lam in ref.eigenvalues)
                 assert err < 1e-6
+
+
+def close(x, y, tol=1e-12):
+    return abs(x - y) <= tol * max(1.0, abs(y))
+
+
+class TestRunFqgeMatchesExplicitLcu:
+    """run_fqge steps psi + delta*direction; each row must match the explicit
+    build_lcu + apply_g + normalize path taken from that row's state."""
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            FqgeConfig(delta=0.05, epsilon=1e-15, max_iters=12),
+            FqgeConfig(line_search=True, epsilon=1e-15, max_iters=12),
+        ],
+        ids=["fixed", "line-search"],
+    )
+    def test_rows_match_explicit_path(self, cfg):
+        rng = np.random.default_rng(2021)
+        pencil, _, _ = random_pencil(rng, 4)
+        result = run_fqge(pencil, random_state(rng, 4), cfg)
+        rows = result.iterates
+        assert len(rows) >= 3
+        for row, nxt in zip(rows, rows[1:]):
+            state = row.state
+            value = loss_state(state, pencil)
+            assert close(row.value, value)
+            assert close(row.residual, residual(state, pencil))
+            if cfg.line_search:
+                direction = gradient_direction(state, pencil, value)
+                delta, _ = line_search(state, direction, pencil)
+            else:
+                delta = complex(cfg.delta)
+            assert close(row.delta_used, delta)
+            lcu = build_lcu(state, pencil, delta, value)
+            raw, success = apply_g(lcu, state)
+            assert close(row.success_prob, success)
+            assert close(row.lcu_norm_c, lcu.norm_c)
+            assert row.lcu_terms == lcu.d
+            assert np.max(np.abs(nxt.state.amps - normalize(raw).amps)) <= 1e-12
+        last = rows[-1]
+        assert close(last.value, loss_state(last.state, pencil))
+        assert close(last.residual, residual(last.state, pencil))

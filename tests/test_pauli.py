@@ -5,6 +5,7 @@ from conftest import A_TERMS, B_TERMS, DENSE_A, random_hermitian
 from geig.pauli import (
     PauliString,
     PauliSum,
+    _string_action,
     apply_string,
     apply_sum,
     decompose,
@@ -163,6 +164,63 @@ class TestApplySum:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             apply_sum(PauliSum.identity(2, 1.0), basis_state(3, 0))
+
+
+def random_sum(rng, n, count=8):
+    """Random real-weighted sum with the identity, odd-Y strings (complex
+    diagonals) and several strings per X-mask."""
+    terms = [(rng.normal(), "I" * n)]
+    for _ in range(count):
+        ops = "".join(rng.choice(list("IXYZ"), size=n))
+        terms.append((rng.normal(), ops))
+        # same X-mask, one factor swapped Z<->I or X<->Y
+        q = int(rng.integers(n))
+        swap = {"I": "Z", "Z": "I", "X": "Y", "Y": "X"}[ops[q]]
+        terms.append((rng.normal(), ops[:q] + swap + ops[q + 1 :]))
+    return PauliSum(n, terms)
+
+
+class TestCompiledApplySum:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_dense_and_per_string_sum(self, n):
+        rng = np.random.default_rng(100 + n)
+        for _ in range(3):
+            s = random_sum(rng, n)
+            v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+            state = StateVector(n, v / np.linalg.norm(v))
+            got = apply_sum(s, state).amps
+            dense = dense_matrix(s) @ state.amps
+            per_string = sum(c * _string_action(p, state.amps) for c, p in s.terms)
+            assert np.max(np.abs(got - dense)) <= 1e-12
+            assert np.max(np.abs(got - per_string)) <= 1e-12
+
+    def test_random_sums_cover_odd_y_and_shared_masks(self):
+        s = random_sum(np.random.default_rng(7), 4)
+        masks = [p.x_mask for p in s.strings]
+        assert any(p.n_y % 2 for p in s.strings)
+        assert len(set(masks)) < len(masks)
+        assert (0, 0) in {(p.x_mask, p.z_mask) for p in s.strings}
+
+    def test_even_y_diagonals_are_real(self):
+        s = PauliSum(2, [(1.0, "II"), (0.5, "YY"), (0.3, "XX"), (0.2, "ZX")])
+        apply_sum(s, basis_state(2, 0))
+        assert all(d.dtype == np.float64 for _, d in s._action[1])
+        odd = PauliSum(1, [(1.0, "I"), (0.5, "Y")])
+        apply_sum(odd, basis_state(1, 0))
+        assert odd._action[1][-1][1].dtype == np.complex128
+
+    def test_compiled_once_per_instance(self):
+        s = PauliSum(2, A_TERMS)
+        apply_sum(s, basis_state(2, 0))
+        first = s._action
+        apply_sum(s, basis_state(2, 1))
+        assert s._action is first
+        assert s == PauliSum(2, A_TERMS), "the cache is not part of equality"
+
+    def test_empty_sum_is_zero_operator(self):
+        s = PauliSum(2, [(1.0, "XI"), (-1.0, "XI")])
+        out = apply_sum(s, basis_state(2, 0))
+        assert not np.any(out.amps)
 
 
 class TestDecompose:

@@ -294,6 +294,14 @@ class TestSolveSpectrum:
         levels = solve_spectrum(pencil, 4, SolveConfig(restarts=5, seed=3))
         np.testing.assert_allclose([lv.eigenvalue for lv in levels], want, atol=1e-2)
 
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [({"restarts": 0}, "restarts"), ({"layers": 0}, "layers"), ({"shots": -1}, "shots")],
+    )
+    def test_config_validation(self, kwargs, name):
+        with pytest.raises(ValueError, match=name):
+            SolveConfig(**kwargs)
+
     def test_r_out_of_range(self, demo):
         pencil, _ = demo
         with pytest.raises(ValueError):
