@@ -1,6 +1,11 @@
 """Layered hardware-efficient circuit: per layer, one R_y rotation on every
 qubit followed by a fixed CNOT entangler, plus the exact pi-shift derivative
 identity dU/dtheta[i][t] = U(theta with pi added at [i][t]) / 2.
+
+``apply_ansatz`` runs the circuit gate by gate on a ``StateVector``.
+``CompiledAnsatz`` runs it on raw amplitude arrays for a whole batch of
+angle grids at once, and takes the gradient of any real function of the
+output by one reverse (adjoint) sweep.
 """
 
 from __future__ import annotations
@@ -10,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .statevector import StateVector, apply_cnot, apply_ry, scale
+from .statevector import StateVector, apply_cnot, apply_ry, rotate_y, scale
 
 _ENTANGLER_NAMES = ("linear", "ring")
 
@@ -81,6 +86,75 @@ def apply_ansatz(p: AnsatzParams, v_in: StateVector, entangler="linear") -> Stat
         for c, tgt in pairs:
             v = apply_cnot(c, tgt, v)
     return v
+
+
+@dataclass(frozen=True)
+class CompiledAnsatz:
+    """The ansatz on ``n`` qubits for raw arrays: angle grids of shape
+    (R, n, L) act on amplitude rows of shape (R, 2^n).
+
+    ``perm`` is one layer's CNOT entangler as a gather index (the layer maps
+    row ``v`` to ``v[perm]``) and ``inverse`` undoes it.
+    """
+
+    n: int
+    perm: np.ndarray
+    inverse: np.ndarray
+
+    def run(self, theta: np.ndarray, v_in: np.ndarray) -> np.ndarray:
+        """U(theta[r])|v_in> for every row r, shape (R, 2^n); ``v_in`` has
+        shape (2^n,) or (R, 2^n)."""
+        c, s = _half_angles(theta)
+        v = np.broadcast_to(v_in, (theta.shape[0], 1 << self.n))
+        for t in range(theta.shape[2]):
+            for i in range(self.n):
+                v = rotate_y(v, i, c[:, i, t], s[:, i, t])
+            v = v.take(self.perm, axis=-1)
+        return v
+
+    def vjp(self, theta: np.ndarray, psi: np.ndarray, chi: np.ndarray) -> np.ndarray:
+        """2 Re<d psi/d theta[r, i, t]|chi> for every angle, shape (R, n, L),
+        where ``psi`` = run(theta, v_in) and ``chi`` is held fixed.
+
+        One reverse sweep uncomputes psi and chi gate by gate; at each Ry
+        the entry is Re<(-iY_i) phi|lam>, with phi the state just after the
+        gate and lam the co-state pulled back to the same point (Jones and
+        Gacon, arXiv:2009.02823).  No circuit is re-simulated.
+        """
+        c, s = _half_angles(theta)
+        rows, _, layers = theta.shape
+        grad = np.empty(theta.shape)
+        w = np.stack((psi, chi))
+        for t in reversed(range(layers)):
+            w = w.take(self.inverse, axis=-1)
+            for i in reversed(range(self.n)):
+                # -iY = [[0, -1], [1, 0]] maps (phi_0, phi_1) to (-phi_1, phi_0)
+                view = w.reshape(2, rows, 1 << i, 2, -1)
+                phi, lam = view[0], view[1]
+                overlap = phi[:, :, 0].conj() * lam[:, :, 1] - phi[:, :, 1].conj() * lam[:, :, 0]
+                grad[:, i, t] = overlap.real.sum(axis=(1, 2))
+                w = rotate_y(w, i, c[:, i, t], -s[:, i, t])
+        return grad
+
+
+def _half_angles(theta: np.ndarray) -> tuple:
+    """cos and sin of theta/2, shaped (R, n, L, 1, 1) so that entry [:, i, t]
+    broadcasts against one qubit's (R, 2^i, 2^(n-i-1)) halves."""
+    half = theta[..., None, None] / 2.0
+    return np.cos(half), np.sin(half)
+
+
+def compile_ansatz(n: int, entangler="linear") -> CompiledAnsatz:
+    """The ansatz on ``n`` qubits with the entangler resolved into one
+    permutation of basis indices per layer."""
+    index = np.arange(1 << n, dtype=np.int64)
+    perm = index
+    for c, tgt in entangler_pairs(n, entangler):
+        # CNOT is the involution j -> j ^ target_bit wherever control_bit is set
+        control_bit = 1 << (n - 1 - c)
+        target_bit = 1 << (n - 1 - tgt)
+        perm = perm[index ^ np.where(index & control_bit, target_bit, 0)]
+    return CompiledAnsatz(n, perm, np.argsort(perm))
 
 
 def shift(p: AnsatzParams, t: int, i: int, delta: float) -> AnsatzParams:

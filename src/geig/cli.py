@@ -159,6 +159,13 @@ def cmd_vqge(args) -> dict:
         opt=OptConfig(lr=args.lr, iters=args.iters, method=args.method),
         shots=args.shots,
     )
+    plan = None
+    if args.target_eps is not None:
+        # planned before the solve, so a bad --target-eps fails at once
+        alphas = [abs(c) for c in pencil.A.coeffs]
+        betas = [abs(c) for c in pencil.B.coeffs]
+        gammas = [abs(c) for c in pencil.B.coeffs]
+        plan = shot_allocation(alphas, betas, gammas, args.target_eps)
     levels = solve_spectrum(pencil, r, config)
     summary = {
         "command": "vqge",
@@ -191,11 +198,7 @@ def cmd_vqge(args) -> dict:
             "abs_errors": errors,
             "max_abs_error": max(errors),
         }
-    if args.target_eps is not None:
-        alphas = [abs(c) for c in pencil.A.coeffs]
-        betas = [abs(c) for c in pencil.B.coeffs]
-        gammas = [abs(c) for c in pencil.B.coeffs]
-        plan = shot_allocation(alphas, betas, gammas, args.target_eps)
+    if plan is not None:
         terms = [
             {"label": f"A[{k}]", "coeff": c, "sigma": 1.0, "shots": m}
             for k, (c, m) in enumerate(zip(alphas, plan.m_a))

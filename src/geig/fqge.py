@@ -19,7 +19,7 @@ import numpy as np
 
 from .pauli import PauliString, apply_string, apply_sum
 from .statevector import StateVector, inner, normalize
-from .vqge import check_b, rayleigh_quotient
+from .vqge import check_b, check_int, rayleigh_quotient
 
 _DIRECTION_FLOOR = 1e-10
 _DELTA_CAP = 1e12
@@ -38,8 +38,7 @@ class FqgeConfig:
         for name in ("delta", "epsilon", "noise_sigma"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be positive, got {self.max_iters}")
+        check_int("max_iters", self.max_iters, 1)
         if self.noise_sigma < 0:
             raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
 

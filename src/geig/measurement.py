@@ -100,8 +100,8 @@ def shot_allocation(
     coeff*sqrt(sigma), with Lam = sum coeff*sqrt(sigma) per family; counts
     are ceil-rounded with a floor of one shot.  Variances default to 1.
     """
-    if eps <= 0.0:
-        raise ValueError(f"target pseudo-error must be > 0, got {eps}")
+    if not (math.isfinite(eps) and eps > 0.0):
+        raise ValueError(f"target pseudo-error must be finite and > 0, got {eps}")
     fam_a = _family(alphas, sigmas_a, "A")
     fam_b = _family(betas, sigmas_b, "B")
     fam_o = _family(gammas, sigmas_o, "overlap")
@@ -150,8 +150,8 @@ def per_term_precision(coeffs: Sequence[float], eps_total: float) -> np.ndarray:
     Term i gets eps_i = sqrt(|a_i| / sum_j |a_j|) * eps_total, so the
     implied estimator variances add back to eps_total^2.
     """
-    if eps_total <= 0.0:
-        raise ValueError(f"target precision must be > 0, got {eps_total}")
+    if not (math.isfinite(eps_total) and eps_total > 0.0):
+        raise ValueError(f"target precision must be finite and > 0, got {eps_total}")
     mags = np.abs(np.asarray(list(coeffs), dtype=float))
     weight = float(np.sum(mags))
     if weight <= 0.0:

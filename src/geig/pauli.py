@@ -215,16 +215,26 @@ def apply_string(p: PauliString, v: StateVector) -> StateVector:
     return StateVector(v.n, _string_action(p, v.amps), normalized=v.normalized)
 
 
+def apply_sum_array(s: PauliSum, amps: np.ndarray) -> np.ndarray:
+    """(sum_k c_k P_k) applied to every row of a raw amplitude array of
+    shape (..., 2^n), through the compiled per-X-mask form."""
+    if amps.shape[-1] != 1 << s.n:
+        raise ValueError(
+            f"qubit counts differ: operator {s.n}, amplitudes of length {amps.shape[-1]}"
+        )
+    index, compiled = s._action
+    out = np.zeros_like(amps)
+    for x_mask, diag in compiled:
+        out += diag * (amps.take(index ^ x_mask, axis=-1) if x_mask else amps)
+    return out
+
+
 def apply_sum(s: PauliSum, v: StateVector) -> StateVector:
     """(sum_k c_k P_k)|v> through the compiled per-X-mask form; output
     flagged unnormalized."""
     if s.n != v.n:
         raise ValueError(f"qubit counts differ: operator {s.n}, state {v.n}")
-    index, compiled = s._action
-    out = np.zeros_like(v.amps)
-    for x_mask, diag in compiled:
-        out += diag * (v.amps[index ^ x_mask] if x_mask else v.amps)
-    return StateVector(v.n, out, normalized=False)
+    return StateVector(v.n, apply_sum_array(s, v.amps), normalized=False)
 
 
 def decompose(

@@ -9,12 +9,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import math
+
 import numpy as np
 
 from . import pauli
 
 _HERM_TOL = 1e-10
-_JACOBI_OFF_TOL = 1e-12
+_JACOBI_OFF_TOL = 1e-12  # relative to the Frobenius norm of the matrix
 _JACOBI_MAX_SWEEPS = 30
 DEFAULT_CLUSTER_GAP = 1e-6
 
@@ -68,12 +70,21 @@ def _off_norm(m: np.ndarray) -> float:
 
 def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian
-    matrix, by cyclic Jacobi rotations."""
+    matrix, by cyclic Jacobi rotations.
+
+    Sweeps stop once the off-diagonal norm is at most 1e-12 times the
+    Frobenius norm, which the rotations leave unchanged, so the stopping
+    rule is the same at every coefficient scale.
+    """
     a = _check_hermitian(m, "matrix").copy()
     dim = a.shape[0]
     vecs = np.eye(dim, dtype=np.complex128)
     if dim == 1:
         return np.array([a[0, 0].real]), vecs
+    scale = float(np.linalg.norm(a))
+    if scale == 0.0:
+        return np.zeros(dim), vecs
+    off_tol = _JACOBI_OFF_TOL * scale
 
     for _ in range(_JACOBI_MAX_SWEEPS):
         for p in range(dim - 1):
@@ -83,11 +94,9 @@ def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 if r == 0.0:
                     continue
                 phase = apq / r
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * r)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
+                tau = float(a[q, q].real - a[p, p].real) / (2.0 * r)
+                # the smaller root of t^2 + 2 tau t - 1 = 0; hypot cannot overflow
+                t = (1.0 if tau >= 0.0 else -1.0) / (abs(tau) + math.hypot(1.0, tau))
                 c = 1.0 / np.sqrt(1.0 + t * t)
                 s = t * c
                 # unitary U: U[p,p]=c, U[p,q]=s*phase, U[q,p]=-s*conj(phase), U[q,q]=c
@@ -103,7 +112,7 @@ def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                 vq = vecs[:, q].copy()
                 vecs[:, p] = c * vp - s * np.conj(phase) * vq
                 vecs[:, q] = s * phase * vp + c * vq
-        if _off_norm(a) <= _JACOBI_OFF_TOL:
+        if _off_norm(a) <= off_tol:
             break
     else:
         raise RuntimeError(

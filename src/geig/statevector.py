@@ -64,19 +64,30 @@ def _check_qubit(q: int, n: int) -> None:
         raise IndexError(f"qubit index {q} out of range for {n} qubits")
 
 
+def rotate_y(amps: np.ndarray, q: int, c, s) -> np.ndarray:
+    """The real rotation [[c, -s], [s, c]] on qubit ``q`` of every row of a
+    raw amplitude array of shape (..., 2^n).
+
+    ``c`` and ``s`` are scalars or broadcast against (..., 1, 1), one pair
+    per row; Ry(angle) is c = cos(angle/2), s = sin(angle/2).
+    """
+    view = amps.reshape(amps.shape[:-1] + (1 << q, 2, -1))
+    a0 = view[..., 0, :]
+    a1 = view[..., 1, :]
+    out = np.empty_like(view)
+    out[..., 0, :] = c * a0 - s * a1
+    out[..., 1, :] = s * a0 + c * a1
+    return out.reshape(amps.shape)
+
+
 def apply_ry(q: int, angle: float, v: StateVector) -> StateVector:
     """Apply the rotation exp(-i*angle*Y/2) on qubit ``q``.
 
     The 2x2 matrix is [[cos(a/2), -sin(a/2)], [sin(a/2), cos(a/2)]].
     """
     _check_qubit(q, v.n)
-    c = np.cos(angle / 2.0)
-    s = np.sin(angle / 2.0)
-    view = v.amps.reshape((2,) * v.n)
-    a0 = view.take(0, axis=q)
-    a1 = view.take(1, axis=q)
-    out = np.stack((c * a0 - s * a1, s * a0 + c * a1), axis=q)
-    return StateVector(v.n, out.reshape(-1), normalized=v.normalized)
+    out = rotate_y(v.amps, q, np.cos(angle / 2.0), np.sin(angle / 2.0))
+    return StateVector(v.n, out, normalized=v.normalized)
 
 
 def apply_cnot(control: int, target: int, v: StateVector) -> StateVector:

@@ -1,6 +1,13 @@
 """Variational solver for Pauli-sum pencils: Rayleigh-quotient and deflated
-losses, exact pi-shift gradients, a from-scratch Adam loop, and the
-min / max / deflate pipeline that recovers the full spectrum."""
+losses with exact gradients, a from-scratch Adam loop, and the
+min / max / deflate pipeline that recovers the full spectrum.
+
+In exact mode (``shots == 0``) a loss and its gradient come from one fused
+pass on raw arrays: a forward sweep, then one adjoint (reverse) sweep of the
+circuit, for a whole batch of angle grids at once; ``solve_spectrum`` runs
+all restarts of a level as one batch.  With ``shots > 0`` every expectation
+is a sampled Hadamard test and gradients use the pi-shift rule, one restart
+at a time."""
 
 from __future__ import annotations
 
@@ -9,9 +16,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .ansatz import AnsatzParams, apply_ansatz, random_params, shift
+from .ansatz import AnsatzParams, apply_ansatz, compile_ansatz, random_params, shift
 from .measurement import hadamard_test
-from .pauli import PauliSum, apply_sum
+from .pauli import PauliSum, apply_sum, apply_sum_array
 from .statevector import StateVector, inner, norm, scale, zero_state
 
 _B_FLOOR = 1e-12
@@ -44,6 +51,14 @@ def check_b(b: float) -> float:
             f"<B> = {b:.3e} at the evaluated state; B is not positive definite"
         )
     return b
+
+
+def check_int(name: str, value, minimum: int) -> None:
+    """Require an integer (not a bool) no smaller than ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
 def rayleigh_quotient(a: float, b: float) -> float:
@@ -93,8 +108,15 @@ class OptConfig:
     method: str = "adam"
 
     def __post_init__(self):
-        if self.iters < 1:
-            raise ValueError(f"need at least one iteration, got {self.iters}")
+        check_int("iters", self.iters, 1)
+        if not (np.isfinite(self.lr) and self.lr > 0.0):
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
+        for name in ("beta1", "beta2"):
+            value = getattr(self, name)
+            if not 0.0 <= value < 1.0:
+                raise ValueError(f"{name} must lie in [0, 1), got {value}")
+        if not (np.isfinite(self.eps) and self.eps > 0.0):
+            raise ValueError(f"eps must be finite and > 0, got {self.eps}")
         if self.method not in ("adam", "gd"):
             raise ValueError(f"unknown method {self.method!r} (expected 'adam' or 'gd')")
 
@@ -109,12 +131,9 @@ class SolveConfig:
     shots: int = 0
 
     def __post_init__(self):
-        if self.layers < 1:
-            raise ValueError(f"layers must be >= 1, got {self.layers}")
-        if self.restarts < 1:
-            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
-        if self.shots < 0:
-            raise ValueError(f"shots must be >= 0, got {self.shots}")
+        check_int("layers", self.layers, 1)
+        check_int("restarts", self.restarts, 1)
+        check_int("shots", self.shots, 0)
 
 
 @dataclass(frozen=True)
@@ -130,16 +149,12 @@ class SpectrumLevel:
     best_restart: int
 
 
-def _prepare(p: AnsatzParams, pencil: Pencil, v_in, entangler) -> StateVector:
-    if v_in is None:
-        v_in = zero_state(pencil.n)
-    return apply_ansatz(p, v_in, entangler)
+def _input(pencil: Pencil, v_in) -> StateVector:
+    return zero_state(pencil.n) if v_in is None else v_in
 
 
 def _expect(s: PauliSum, v: StateVector, shots: int, rng) -> float:
-    if shots == 0:
-        val = inner(v, apply_sum(s, v))
-        return val.real
+    """<v|s|v> estimated term by term from sampled Hadamard tests."""
     return sum(
         c * hadamard_test(v, term, v, shots, rng)[0] for c, term in s.terms
     )
@@ -158,14 +173,72 @@ def _b_bracket(x: StateVector, psi: StateVector, b_sum: PauliSum, shots, rng) ->
     return x_norm * total
 
 
+def _exact_objective(
+    pencil: Pencil,
+    records: Sequence[DeflationRecord],
+    v_in: StateVector,
+    entangler="linear",
+    sign: float = 1.0,
+) -> Callable:
+    """The exact deflated loss ``sign * F_j`` of one level as a batched
+    function ``theta (R, n, L) -> (values (R,), grads (R, n, L) or None)``.
+
+    One forward sweep gives psi, A psi and B psi, hence F = a/b and each
+    penalty gamma |t|^2 / (m b) with t = <Bx|psi> and m = <x|B|x>; Bx and m
+    are computed here, once per level.  The gradient is 2 Re<d psi|chi> for
+    the co-state
+
+        chi = (A psi - F B psi)/b + sum_x gamma/(m b) (t Bx - |t|^2/b B psi),
+
+    taken by one adjoint sweep of the circuit.
+    """
+    circuit = compile_ansatz(pencil.n, entangler)
+    amps_in = v_in.amps
+    penalties = []
+    for rec in records:
+        bx = apply_sum(pencil.B, rec.state)
+        penalties.append((rec.gamma, bx.amps, bx.amps.conj(), inner(rec.state, bx).real))
+
+    def value_and_grad(theta: np.ndarray, grad: bool = True) -> tuple:
+        psi = circuit.run(theta, amps_in)
+        a_psi = apply_sum_array(pencil.A, psi)
+        b_psi = apply_sum_array(pencil.B, psi)
+        a = np.einsum("rd,rd->r", psi.conj(), a_psi).real
+        b = np.einsum("rd,rd->r", psi.conj(), b_psi).real
+        for b_row in b:
+            check_b(b_row)
+        f = a / b
+        value = f.copy()
+        chi = a_psi - f[:, None] * b_psi
+        for gamma, bx, bx_conj, m in penalties:
+            t = psi @ bx_conj
+            t_sq = np.abs(t) ** 2
+            value += gamma * t_sq / (m * b)
+            chi += (gamma / m) * (t[:, None] * bx - (t_sq / b)[:, None] * b_psi)
+        value *= sign
+        if not grad:
+            return value, None
+        chi *= sign / b[:, None]
+        return value, circuit.vjp(theta, psi, chi)
+
+    return value_and_grad
+
+
+def _exact(p: AnsatzParams, pencil: Pencil, records, v_in, entangler, grad: bool):
+    """The fused pass at a single angle grid: (value, gradient or None)."""
+    v_in = _input(pencil, v_in)
+    if p.n != v_in.n:
+        raise ValueError(f"qubit counts differ: params {p.n}, state {v_in.n}")
+    values, grads = _exact_objective(pencil, records, v_in, entangler)(p.theta[None], grad)
+    return float(values[0]), None if grads is None else grads[0]
+
+
 def loss_f(
     p: AnsatzParams, pencil: Pencil, v_in=None, entangler="linear", shots=0, rng=None
 ) -> float:
     """Rayleigh quotient <A>/<B> on the prepared state; lies in
     [lambda_1, lambda_r]."""
-    psi = _prepare(p, pencil, v_in, entangler)
-    a = _expect(pencil.A, psi, shots, rng)
-    return rayleigh_quotient(a, _expect(pencil.B, psi, shots, rng))
+    return loss_fj(p, pencil, (), v_in, entangler, shots, rng)
 
 
 def overlap_sq(
@@ -202,7 +275,9 @@ def loss_fj(
     lower bound F_j >= lambda_j valid for every trial state; the minimum
     over states is exactly lambda_j.
     """
-    psi = _prepare(p, pencil, v_in, entangler)
+    if shots == 0:
+        return _exact(p, pencil, records, v_in, entangler, grad=False)[0]
+    psi = apply_ansatz(p, _input(pencil, v_in), entangler)
     a = _expect(pencil.A, psi, shots, rng)
     b = _expect(pencil.B, psi, shots, rng)
     value = rayleigh_quotient(a, b)
@@ -214,7 +289,7 @@ def loss_fj(
     return value
 
 
-def _gradient(
+def _pi_shift_gradient(
     p: AnsatzParams,
     pencil: Pencil,
     records: Sequence[DeflationRecord],
@@ -223,8 +298,10 @@ def _gradient(
     shots,
     rng,
 ) -> np.ndarray:
-    if v_in is None:
-        v_in = zero_state(pencil.n)
+    """Gradient of loss_fj by the pi-shift rule: one shifted circuit per
+    angle, with Hadamard-test estimates when ``shots > 0``.  Shot mode uses
+    it; with ``shots == 0`` it is the reference for the adjoint pass."""
+    v_in = _input(pencil, v_in)
     psi = apply_ansatz(p, v_in, entangler)
     a_psi = apply_sum(pencil.A, psi)
     b_psi = apply_sum(pencil.B, psi)
@@ -274,9 +351,9 @@ def _gradient(
 def grad_f(
     p: AnsatzParams, pencil: Pencil, v_in=None, entangler="linear", shots=0, rng=None
 ) -> np.ndarray:
-    """Gradient of loss_f via the exact pi-shift rule and the quotient rule;
-    shape (n, L) matching the parameter grid."""
-    return _gradient(p, pencil, (), v_in, entangler, shots, rng)
+    """Gradient of loss_f, shape (n, L) matching the parameter grid: the
+    adjoint pass in exact mode, the pi-shift rule with shots."""
+    return grad_fj(p, pencil, (), v_in, entangler, shots, rng)
 
 
 def grad_fj(
@@ -290,33 +367,39 @@ def grad_fj(
 ) -> np.ndarray:
     """Gradient of loss_fj (quotient rule plus the normalized-penalty
     derivative); equals grad_f when records is empty."""
-    return _gradient(p, pencil, records, v_in, entangler, shots, rng)
+    if shots == 0:
+        return _exact(p, pencil, records, v_in, entangler, grad=True)[1]
+    return _pi_shift_gradient(p, pencil, records, v_in, entangler, shots, rng)
 
 
-def optimize(
-    loss_fn: Callable[[AnsatzParams], float],
-    grad_fn: Callable[[AnsatzParams], np.ndarray],
-    p0: AnsatzParams,
-    config: OptConfig = OptConfig(),
-) -> OptTrace:
-    """Adam (or plain gradient descent) on the given loss; records every
-    step and reports the best iterate seen over the whole run."""
-    theta = p0.theta.copy()
+def _descend(value_and_grad: Callable, theta0: np.ndarray, config: OptConfig) -> list:
+    """Adam (or plain gradient descent) on R angle grids at once.
+
+    ``value_and_grad`` maps theta (R, n, L) to (values (R,), grads
+    (R, n, L)); grads may be None when a value is not finite.  Returns one
+    OptTrace per row, each with every step and the first best iterate.
+    """
+    rows, n, layers = theta0.shape
+    theta = theta0.astype(float)
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
-    steps = []
-    best_value = np.inf
-    best_params = p0
+    steps = [[] for _ in range(rows)]
+    best_value = np.full(rows, np.inf)
+    best_theta = theta.copy()
     for s in range(config.iters + 1):
-        params = AnsatzParams(p0.n, p0.L, theta)
-        value = float(loss_fn(params))
-        if not np.isfinite(value):
-            raise RuntimeError(f"non-finite loss {value} at step {s}")
-        g = np.asarray(grad_fn(params), dtype=float)
-        steps.append(OptStep(s, value, float(np.linalg.norm(g)), theta.copy()))
-        if value < best_value:
-            best_value = value
-            best_params = params
+        if not np.all(np.isfinite(theta)):
+            raise ValueError("angles must be finite")
+        values, g = value_and_grad(theta)
+        for value in values:
+            if not np.isfinite(value):
+                raise RuntimeError(f"non-finite loss {float(value)} at step {s}")
+        for r in range(rows):
+            steps[r].append(
+                OptStep(s, float(values[r]), float(np.linalg.norm(g[r])), theta[r].copy())
+            )
+        better = values < best_value
+        best_value[better] = values[better]
+        best_theta[better] = theta[better]
         if s == config.iters:
             break
         if config.method == "adam":
@@ -328,7 +411,29 @@ def optimize(
             theta = theta - config.lr * m_hat / (np.sqrt(v_hat) + config.eps)
         else:
             theta = theta - config.lr * g
-    return OptTrace(tuple(steps), best_value, best_params)
+    return [
+        OptTrace(tuple(steps[r]), float(best_value[r]), AnsatzParams(n, layers, best_theta[r]))
+        for r in range(rows)
+    ]
+
+
+def optimize(
+    loss_fn: Callable[[AnsatzParams], float],
+    grad_fn: Callable[[AnsatzParams], np.ndarray],
+    p0: AnsatzParams,
+    config: OptConfig = OptConfig(),
+) -> OptTrace:
+    """Adam (or plain gradient descent) on the given loss; records every
+    step and reports the best iterate seen over the whole run."""
+
+    def value_and_grad(theta: np.ndarray) -> tuple:
+        params = AnsatzParams(p0.n, p0.L, theta[0])
+        value = float(loss_fn(params))
+        if not np.isfinite(value):
+            return np.array([value]), None
+        return np.array([value]), np.asarray(grad_fn(params), dtype=float)[None]
+
+    return _descend(value_and_grad, p0.theta[None], config)[0]
 
 
 def _b_normalized(state: StateVector, b_sum: PauliSum) -> StateVector:
@@ -344,63 +449,62 @@ def _b_normalized(state: StateVector, b_sum: PauliSum) -> StateVector:
 def solve_spectrum(pencil: Pencil, r: int, config: SolveConfig = SolveConfig()) -> list:
     """Recover ``r`` eigenpairs: minimize F for the smallest, maximize F for
     the largest, then deflate level by level; returns SpectrumLevel entries
-    sorted ascending with B-normalized states."""
+    sorted ascending with B-normalized states.
+
+    In exact mode the restarts of a level descend together as one batch;
+    with shots they run one after another on the level's sampling stream.
+    """
     if not 1 <= r <= 2**pencil.n:
         raise ValueError(f"r must be between 1 and {2**pencil.n}, got {r}")
     n = pencil.n
     v_in = zero_state(n)
+    entangler = config.entangler
 
-    def run_level(level_idx: int, loss, grad) -> tuple:
-        traces = []
+    def run_level(level_idx: int, sign: float, records: tuple) -> tuple:
+        starts = [
+            random_params(n, config.layers, np.random.default_rng([config.seed, level_idx, k]))
+            for k in range(config.restarts)
+        ]
+        if config.shots:
+            rng = np.random.default_rng([config.seed, 7919, level_idx])
+            shots = config.shots
+            if records:
+                loss = lambda p: sign * loss_fj(p, pencil, records, v_in, entangler, shots, rng)
+                grad = lambda p: sign * grad_fj(p, pencil, records, v_in, entangler, shots, rng)
+            else:
+                loss = lambda p: sign * loss_f(p, pencil, v_in, entangler, shots, rng)
+                grad = lambda p: sign * grad_f(p, pencil, v_in, entangler, shots, rng)
+            traces = [optimize(loss, grad, p0, config.opt) for p0 in starts]
+        else:
+            objective = _exact_objective(pencil, records, v_in, entangler, sign)
+            theta0 = np.stack([p0.theta for p0 in starts])
+            traces = _descend(objective, theta0, config.opt)
         best_k = 0
-        for k in range(config.restarts):
-            rng = np.random.default_rng([config.seed, level_idx, k])
-            p0 = random_params(n, config.layers, rng)
-            trace = optimize(loss, grad, p0, config.opt)
-            traces.append(trace)
+        for k, trace in enumerate(traces):
             if trace.best_value < traces[best_k].best_value:
                 best_k = k
         return traces[best_k], tuple(traces), best_k
 
-    def shot_rng(level_idx: int) -> object:
-        return np.random.default_rng([config.seed, 7919, level_idx]) if config.shots else None
-
     levels = []
 
-    rng0 = shot_rng(1)
-    ground, traces, best_k = run_level(
-        1,
-        lambda p: loss_f(p, pencil, v_in, config.entangler, config.shots, rng0),
-        lambda p: grad_f(p, pencil, v_in, config.entangler, config.shots, rng0),
-    )
+    ground, traces, best_k = run_level(1, 1.0, ())
     lam_1 = ground.best_value
-    state_1 = apply_ansatz(ground.best_params, v_in, config.entangler)
+    state_1 = apply_ansatz(ground.best_params, v_in, entangler)
     levels.append((lam_1, ground.best_params, state_1, "min", traces, best_k))
     if r == 1:
         return _assemble(levels, pencil)
 
-    rng_r = shot_rng(r)
-    top, traces, best_k = run_level(
-        r,
-        lambda p: -loss_f(p, pencil, v_in, config.entangler, config.shots, rng_r),
-        lambda p: -grad_f(p, pencil, v_in, config.entangler, config.shots, rng_r),
-    )
+    top, traces, best_k = run_level(r, -1.0, ())
     lam_r = -top.best_value
-    state_r = apply_ansatz(top.best_params, v_in, config.entangler)
+    state_r = apply_ansatz(top.best_params, v_in, entangler)
     levels.append((lam_r, top.best_params, state_r, "max", traces, best_k))
 
     gamma = lam_r - lam_1
     records = [DeflationRecord(lam_1, gamma, state_1, ground.best_params)]
     for j in range(2, r):
-        rng_j = shot_rng(j)
-        recs = tuple(records)
-        mid, traces, best_k = run_level(
-            j,
-            lambda p: loss_fj(p, pencil, recs, v_in, config.entangler, config.shots, rng_j),
-            lambda p: grad_fj(p, pencil, recs, v_in, config.entangler, config.shots, rng_j),
-        )
+        mid, traces, best_k = run_level(j, 1.0, tuple(records))
         lam_j = mid.best_value
-        state_j = apply_ansatz(mid.best_params, v_in, config.entangler)
+        state_j = apply_ansatz(mid.best_params, v_in, entangler)
         levels.append((lam_j, mid.best_params, state_j, "deflate", traces, best_k))
         records.append(DeflationRecord(lam_j, gamma, state_j, mid.best_params))
 

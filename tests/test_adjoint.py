@@ -1,0 +1,247 @@
+"""Equivalence of the exact-mode fused pass (forward sweep, co-state and one
+adjoint sweep on raw arrays, batched over restarts) with the paths it
+replaced: the pi-shift gradient, dense-matrix losses, the gate-by-gate
+StateVector circuit and sequential one-restart optimization."""
+
+import numpy as np
+import pytest
+
+from conftest import random_pencil, random_state, two_qubit_pencil
+from geig.ansatz import apply_ansatz, compile_ansatz, random_params
+from geig.pauli import PauliSum, apply_sum, apply_sum_array
+from geig.statevector import StateVector, zero_state
+from geig.vqge import (
+    DeflationRecord,
+    OptConfig,
+    Pencil,
+    SolveConfig,
+    _descend,
+    _exact_objective,
+    _pi_shift_gradient,
+    grad_f,
+    grad_fj,
+    loss_f,
+    loss_fj,
+    optimize,
+    solve_spectrum,
+)
+
+TOL = 1e-12
+
+ENTANGLERS = {
+    1: ["linear", "ring", []],
+    2: ["linear", "ring", [(1, 0)]],
+    3: ["linear", "ring", [(2, 0), (0, 1)]],
+    4: ["linear", "ring", [(3, 1), (0, 2), (1, 0)]],
+}
+
+
+def dense_loss(psi, a, b, records):
+    """F_j from dense matrices: <A>/<B> plus gamma |<x|B|psi>|^2 / (<x|B|x> <B>)."""
+    bv = np.vdot(psi, b @ psi).real
+    value = np.vdot(psi, a @ psi).real / bv
+    for rec in records:
+        x = rec.state.amps
+        value += rec.gamma * abs(np.vdot(x, b @ psi)) ** 2 / (np.vdot(x, b @ x).real * bv)
+    return value
+
+
+def random_records(rng, n, count):
+    return [
+        DeflationRecord(0.0, float(rng.uniform(0.5, 3.0)), random_state(rng, n))
+        for _ in range(count)
+    ]
+
+
+def cases():
+    """(n, L, entangler, record count) over n = 1..4, L = 1..3, every
+    entangler kind and 0, 1 or 2 records."""
+    out = []
+    for n in range(1, 5):
+        for layers in range(1, 4):
+            for e_idx, entangler in enumerate(ENTANGLERS[n]):
+                out.append((n, layers, entangler, (n + layers + e_idx) % 3))
+    return out
+
+
+class TestFusedPass:
+    @pytest.mark.parametrize("n, layers, entangler, n_records", cases())
+    def test_matches_pi_shift_and_dense_loss(self, n, layers, entangler, n_records):
+        rng = np.random.default_rng([n, layers, n_records, len(str(entangler))])
+        pencil, a, b = random_pencil(rng, n)
+        v_in = random_state(rng, n)  # complex input state
+        records = random_records(rng, n, n_records)
+        for _ in range(2):
+            p = random_params(n, layers, rng)
+            values, grads = _exact_objective(pencil, records, v_in, entangler)(p.theta[None])
+            want_g = _pi_shift_gradient(p, pencil, records, v_in, entangler, 0, None)
+            psi = apply_ansatz(p, v_in, entangler).amps
+            assert grads.shape == (1, n, layers)
+            np.testing.assert_allclose(grads[0], want_g, rtol=0, atol=TOL)
+            assert abs(values[0] - dense_loss(psi, a, b, records)) <= TOL
+
+    @pytest.mark.parametrize("n, layers, entangler", [(2, 2, "linear"), (3, 3, "ring"), (4, 2, [(3, 0)])])
+    def test_batch_rows_equal_single_rows(self, n, layers, entangler):
+        rng = np.random.default_rng(n * 10 + layers)
+        pencil, _, _ = random_pencil(rng, n)
+        v_in = random_state(rng, n)
+        records = random_records(rng, n, 2)
+        objective = _exact_objective(pencil, records, v_in, entangler, sign=-1.0)
+        theta = np.stack([random_params(n, layers, rng).theta for _ in range(3)])
+        values, grads = objective(theta)
+        for r in range(3):
+            v1, g1 = objective(theta[r : r + 1])
+            assert abs(values[r] - v1[0]) <= TOL
+            np.testing.assert_allclose(grads[r], g1[0], rtol=0, atol=TOL)
+
+    def test_public_exact_functions_route_through_the_pass(self):
+        rng = np.random.default_rng(7)
+        pencil, _, _ = random_pencil(rng, 3)
+        records = random_records(rng, 3, 1)
+        p = random_params(3, 2, rng)
+        objective = _exact_objective(pencil, records, zero_state(3))
+        values, grads = objective(p.theta[None])
+        assert loss_fj(p, pencil, records) == values[0]
+        np.testing.assert_array_equal(grad_fj(p, pencil, records), grads[0])
+        values, grads = _exact_objective(pencil, (), zero_state(3))(p.theta[None])
+        assert loss_f(p, pencil) == values[0]
+        np.testing.assert_array_equal(grad_f(p, pencil), grads[0])
+
+    def test_loss_only_skips_gradient(self):
+        pencil = two_qubit_pencil()
+        p = random_params(2, 2, np.random.default_rng(8))
+        values, grads = _exact_objective(pencil, (), zero_state(2))(p.theta[None], grad=False)
+        assert grads is None
+        assert values[0] == loss_f(p, pencil)
+
+    def test_b_checked_on_every_row(self):
+        pencil = Pencil(PauliSum.identity(1, 1.0), PauliSum(1, [(1.0, "Z")]))
+        objective = _exact_objective(pencil, (), zero_state(1))
+        theta = np.array([[[0.0]], [[np.pi]]])  # row 1 prepares |1>, <B> = -1
+        with pytest.raises(ValueError, match="positive definite"):
+            objective(theta)
+
+    def test_qubit_mismatch(self):
+        pencil = two_qubit_pencil()
+        with pytest.raises(ValueError, match="qubit counts differ"):
+            loss_f(random_params(3, 1, np.random.default_rng(0)), pencil)
+
+
+class TestCompiledAnsatz:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_rows_bitwise_equal_apply_ansatz(self, n):
+        rng = np.random.default_rng(n)
+        v_in = random_state(rng, n)
+        for entangler in ("linear", "ring"):
+            circuit = compile_ansatz(n, entangler)
+            params = [random_params(n, 3, rng) for _ in range(4)]
+            out = circuit.run(np.stack([p.theta for p in params]), v_in.amps)
+            for row, p in zip(out, params):
+                np.testing.assert_array_equal(row, apply_ansatz(p, v_in, entangler).amps)
+
+    def test_inverse_undoes_layer(self):
+        circuit = compile_ansatz(4, "ring")
+        np.testing.assert_array_equal(circuit.perm[circuit.inverse], np.arange(16))
+
+    def test_vjp_matches_finite_differences(self):
+        rng = np.random.default_rng(9)
+        circuit = compile_ansatz(3, "linear")
+        theta = rng.uniform(0, 2 * np.pi, size=(2, 3, 2))
+        v_in = random_state(rng, 3).amps
+        chi = rng.normal(size=(2, 8)) + 1j * rng.normal(size=(2, 8))
+        psi = circuit.run(theta, v_in)
+        grad = circuit.vjp(theta, psi, chi)
+        h = 1e-6
+        for idx in np.ndindex(theta.shape):
+            up, dn = theta.copy(), theta.copy()
+            up[idx] += h
+            dn[idx] -= h
+            r = idx[0]
+            fd = 2 * np.vdot(circuit.run(up, v_in)[r] - circuit.run(dn, v_in)[r], chi[r]).real / (2 * h)
+            assert abs(grad[idx] - fd) < 1e-8
+
+
+class TestApplySumArray:
+    def test_rows_equal_apply_sum(self):
+        rng = np.random.default_rng(10)
+        pencil, a, _ = random_pencil(rng, 3)
+        rows = np.stack([random_state(rng, 3).amps for _ in range(4)])
+        out = apply_sum_array(pencil.A, rows)
+        for row, amps in zip(out, rows):
+            np.testing.assert_array_equal(row, apply_sum(pencil.A, StateVector(3, amps)).amps)
+            np.testing.assert_allclose(row, a @ amps, atol=1e-12)
+
+    def test_length_mismatch(self):
+        with pytest.raises(ValueError, match="qubit counts differ"):
+            apply_sum_array(two_qubit_pencil().A, np.zeros(8, dtype=complex))
+
+
+class TestBatchedDescent:
+    def test_solve_spectrum_matches_sequential_optimize(self):
+        """Every restart of every level of the batched exact-mode solve
+        against optimize(loss_f / loss_fj, grad_f / grad_fj) one restart at
+        a time, with the same starts and deflation records."""
+        pencil = two_qubit_pencil()
+        config = SolveConfig(layers=2, restarts=5, seed=0)
+        levels = solve_spectrum(pencil, 4, config)
+        n, layers = pencil.n, config.layers
+
+        def start(level_idx, k):
+            rng = np.random.default_rng([config.seed, level_idx, k])
+            return random_params(n, layers, rng)
+
+        def level_of(level_idx):
+            theta0 = start(level_idx, 0).theta
+            (match,) = [
+                lv for lv in levels if np.array_equal(lv.traces[0].steps[0].theta, theta0)
+            ]
+            return match
+
+        def compare(level, loss, grad, level_idx):
+            best = []
+            for k, batched in enumerate(level.traces):
+                seq = optimize(loss, grad, start(level_idx, k), config.opt)
+                assert len(seq.steps) == len(batched.steps)
+                for s_seq, s_bat in zip(seq.steps, batched.steps):
+                    assert s_seq.step == s_bat.step
+                    assert abs(s_seq.loss - s_bat.loss) <= 1e-10
+                    assert abs(s_seq.grad_norm - s_bat.grad_norm) <= 1e-10
+                    np.testing.assert_allclose(s_seq.theta, s_bat.theta, rtol=0, atol=1e-10)
+                assert abs(seq.best_value - batched.best_value) <= 1e-12
+                best.append(seq.best_value)
+            assert level.best_restart == int(np.argmin(best))
+            return seq
+
+        ground = level_of(1)
+        compare(ground, lambda p: loss_f(p, pencil), lambda p: grad_f(p, pencil), 1)
+        top = level_of(4)
+        compare(top, lambda p: -loss_f(p, pencil), lambda p: -grad_f(p, pencil), 4)
+        assert [ground.objective, top.objective] == ["min", "max"]
+
+        gamma = top.eigenvalue - ground.eigenvalue
+        records = [
+            DeflationRecord(ground.eigenvalue, gamma, apply_ansatz(ground.params, zero_state(n)))
+        ]
+        for j in (2, 3):
+            level = level_of(j)
+            assert level.objective == "deflate"
+            recs = tuple(records)
+            compare(level, lambda p: loss_fj(p, pencil, recs), lambda p: grad_fj(p, pencil, recs), j)
+            best = level.traces[level.best_restart].best_value
+            assert abs(level.eigenvalue - best) <= 1e-12
+            records.append(
+                DeflationRecord(level.eigenvalue, gamma, apply_ansatz(level.params, zero_state(n)))
+            )
+
+    def test_non_finite_loss_reports_its_step(self):
+        calls = {"n": 0}
+
+        def value_and_grad(theta):
+            calls["n"] += 1
+            values = np.zeros(theta.shape[0])
+            if calls["n"] == 3:
+                values[1] = np.nan
+            return values, np.ones_like(theta)
+
+        with pytest.raises(RuntimeError, match="non-finite loss nan at step 2"):
+            _descend(value_and_grad, np.zeros((2, 1, 1)), OptConfig(iters=5))

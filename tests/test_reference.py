@@ -155,3 +155,49 @@ class TestDistinct:
     def test_empty(self):
         assert count_distinct([]) == 0
         assert distinct_values([]) == []
+
+
+class TestJacobiScale:
+    """The stopping rule is relative to the matrix norm, so the oracle
+    converges at every coefficient scale, not only near unit scale."""
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e3, 1e4, 1e6])
+    def test_matches_eigh_at_scale(self, scale):
+        rng = np.random.default_rng(21)
+        for dim in (2, 5, 8):
+            m = scale * random_hermitian(rng, dim)
+            values, vecs = hermitian_eig(m)
+            want = np.linalg.eigvalsh(m)
+            np.testing.assert_allclose(values, want, rtol=0, atol=1e-12 * scale * dim)
+            np.testing.assert_allclose(vecs.conj().T @ vecs, np.eye(dim), atol=1e-12)
+            np.testing.assert_allclose(m @ vecs, vecs * values, atol=1e-10 * scale)
+
+    def test_large_tau_rotation_does_not_overflow(self):
+        # tau = 5e159, so tau * tau overflows where hypot(1, tau) does not
+        m = np.array([[0.0, 1e-10], [1e-10, 1e150]])
+        with np.errstate(over="raise"):
+            values, _ = hermitian_eig(m)
+        np.testing.assert_allclose(values, [0.0, 1e150], rtol=1e-15, atol=1e-100)
+
+    def test_zero_matrix(self):
+        values, vecs = hermitian_eig(np.zeros((3, 3)))
+        np.testing.assert_array_equal(values, np.zeros(3))
+        np.testing.assert_array_equal(vecs, np.eye(3))
+
+    def test_cli_reference_on_scaled_demo(self, tmp_path, capsys):
+        import json
+
+        from geig.cli import main, serialize_problem
+
+        problem = serialize_problem(two_qubit_pencil())
+        for side in ("A", "B"):
+            for term in problem[side]:
+                term["coeff"] *= 1e4
+        path = tmp_path / "scaled.json"
+        path.write_text(json.dumps(problem))
+        assert main(["reference", str(path)]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        # scaling both operators leaves the generalized eigenvalues unchanged
+        ref = generalized_eig(two_qubit_pencil())
+        np.testing.assert_allclose(summary["eigenvalues"], ref.eigenvalues, atol=1e-12)
+        assert summary["eta1"] == pytest.approx(0.5e4, rel=1e-12)
