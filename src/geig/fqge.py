@@ -39,6 +39,8 @@ class FqgeConfig:
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         check_int("max_iters", self.max_iters, 1)
+        if self.delta <= 0:
+            raise ValueError(f"delta must be > 0, got {self.delta}")
         if self.noise_sigma < 0:
             raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
 

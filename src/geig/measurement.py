@@ -44,23 +44,33 @@ class ShotPlan:
     eps: float
 
 
+def sample_overlaps(values, shots: int = 0, rng=None) -> np.ndarray:
+    """Hadamard-test estimates of an array of exact overlaps <u|P|w>.
+
+    With ``shots == 0`` the values come back unchanged.  Otherwise the real
+    and then the imaginary part of each entry, in C order, is replaced by
+    the unbiased binomial estimate 2k/shots - 1 with k ~ Bin(shots, (1 +
+    part)/2), all drawn by one ``rng.binomial`` call; that consumes the
+    generator exactly as the same scalar draws made one after another.
+    """
+    values = np.ascontiguousarray(values, dtype=np.complex128)
+    if shots == 0:
+        return values
+    if shots < 0:
+        raise ValueError(f"shot count must be >= 0, got {shots}")
+    rng = np.random.default_rng(rng)
+    p = np.clip((1.0 + values.view(np.float64)) / 2.0, 0.0, 1.0)
+    k = rng.binomial(shots, p)
+    return (2.0 * k / shots - 1.0).view(np.complex128)
+
+
 def hadamard_test(
     u: StateVector, term: PauliString, w: StateVector, shots: int = 0, rng=None
 ) -> tuple[float, float]:
     """(Re, Im) of <u|P|w>, exactly (shots=0) or as unbiased binomial
     estimates with the given shot count per part."""
-    value = inner(u, apply_string(term, w))
-    if shots == 0:
-        return value.real, value.imag
-    if shots < 0:
-        raise ValueError(f"shot count must be >= 0, got {shots}")
-    rng = np.random.default_rng(rng)
-    parts = []
-    for exact in (value.real, value.imag):
-        p = min(1.0, max(0.0, (1.0 + exact) / 2.0))
-        k = rng.binomial(shots, p)
-        parts.append(2.0 * k / shots - 1.0)
-    return parts[0], parts[1]
+    value = sample_overlaps(inner(u, apply_string(term, w)), shots, rng)[0]
+    return float(value.real), float(value.imag)
 
 
 def error_bound(budget: ErrorBudget) -> float:

@@ -160,10 +160,8 @@ class PauliSum:
         index = np.arange(2**self.n, dtype=np.int64)
         diags: dict = {}
         for coeff, string in self.terms:
-            # P|j> = (1j)^n_y (-1)^parity(j & z) |j ^ x>, read at i = j ^ x
-            src = index ^ string.x_mask
-            signs = 1.0 - 2.0 * _parity(src & string.z_mask)
-            term = (coeff * (1j) ** string.n_y) * signs
+            # P|j> = phase(j) |j ^ x>, read at i = j ^ x
+            term = coeff * _phase(string, index ^ string.x_mask)
             diags[string.x_mask] = diags.get(string.x_mask, 0.0) + term
         compiled = []
         for x_mask, diag in sorted(diags.items()):
@@ -171,6 +169,17 @@ class PauliSum:
                 diag = diag.real.copy()
             compiled.append((x_mask, diag))
         return index, tuple(compiled)
+
+    @cached_property
+    def _gathers(self) -> tuple:
+        """(src, phase) per term, with P_k|w> = phase * w[src]: the operands
+        ``apply_string`` uses, built on first use by ``term_overlaps`` only."""
+        index = np.arange(2**self.n, dtype=np.int64)
+        gathers = []
+        for _, string in self.terms:
+            src = index ^ string.x_mask
+            gathers.append((src, _phase(string, src)))
+        return tuple(gathers)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -200,12 +209,16 @@ def _parity(x: np.ndarray) -> np.ndarray:
     return x & 1
 
 
+def _phase(p: PauliString, src: np.ndarray) -> np.ndarray:
+    """(1j)^n_y (-1)^parity(j & z) at each basis index j in ``src``: the
+    phase in P|j> = phase(j) |j ^ x>."""
+    return (1j) ** p.n_y * (1.0 - 2.0 * _parity(src & p.z_mask))
+
+
 def _string_action(p: PauliString, amps: np.ndarray) -> np.ndarray:
     """Amplitudes of P|v> for a basis-index-space masked string."""
-    idx = np.arange(amps.size, dtype=np.int64)
-    src = idx ^ p.x_mask
-    signs = 1.0 - 2.0 * _parity(src & p.z_mask)
-    return (1j) ** p.n_y * signs * amps[src]
+    src = np.arange(amps.size, dtype=np.int64) ^ p.x_mask
+    return _phase(p, src) * amps[src]
 
 
 def apply_string(p: PauliString, v: StateVector) -> StateVector:
@@ -227,6 +240,13 @@ def apply_sum_array(s: PauliSum, amps: np.ndarray) -> np.ndarray:
     for x_mask, diag in compiled:
         out += diag * (amps.take(index ^ x_mask, axis=-1) if x_mask else amps)
     return out
+
+
+def term_overlaps(s: PauliSum, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """<u|P_k|w> for every term P_k of ``s``, in term order, from raw
+    amplitude vectors; each is ``np.vdot`` on the operands ``apply_string``
+    uses, so it equals ``inner(u, apply_string(P_k, w))`` bitwise."""
+    return np.array([np.vdot(u, phase * w[src]) for src, phase in s._gathers], dtype=complex)
 
 
 def apply_sum(s: PauliSum, v: StateVector) -> StateVector:
@@ -266,9 +286,8 @@ def decompose(
         col = m[src, idx]
         for z_mask in range(dim):
             p = PauliString(n, x_mask, z_mask)
-            signs = 1.0 - 2.0 * _parity(src & z_mask)
             # Tr[P m] = sum_i phase(i^x) m[i^x, i] with P|j> = phase(j)|j^x>
-            tr = np.sum((1j) ** p.n_y * signs * col)
+            tr = np.sum(_phase(p, src) * col)
             coeff = tr / dim
             if abs(coeff.imag) > 1e-10:
                 raise ValueError(

@@ -7,7 +7,8 @@ pass on raw arrays: a forward sweep, then one adjoint (reverse) sweep of the
 circuit, for a whole batch of angle grids at once; ``solve_spectrum`` runs
 all restarts of a level as one batch.  With ``shots > 0`` every expectation
 is a sampled Hadamard test and gradients use the pi-shift rule, one restart
-at a time."""
+at a time: one circuit batch gives psi and every pi-shifted state, and one
+sampler call draws all the overlaps a loss or a gradient needs."""
 
 from __future__ import annotations
 
@@ -16,9 +17,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .ansatz import AnsatzParams, apply_ansatz, compile_ansatz, random_params, shift
-from .measurement import hadamard_test
-from .pauli import PauliSum, apply_sum, apply_sum_array
+from .ansatz import AnsatzParams, apply_ansatz, compile_ansatz, random_params
+from .measurement import sample_overlaps
+from .pauli import PauliSum, apply_sum, apply_sum_array, term_overlaps
 from .statevector import StateVector, inner, norm, scale, zero_state
 
 _B_FLOOR = 1e-12
@@ -149,28 +150,12 @@ class SpectrumLevel:
     best_restart: int
 
 
-def _input(pencil: Pencil, v_in) -> StateVector:
-    return zero_state(pencil.n) if v_in is None else v_in
-
-
-def _expect(s: PauliSum, v: StateVector, shots: int, rng) -> float:
-    """<v|s|v> estimated term by term from sampled Hadamard tests."""
-    return sum(
-        c * hadamard_test(v, term, v, shots, rng)[0] for c, term in s.terms
-    )
-
-
-def _b_bracket(x: StateVector, psi: StateVector, b_sum: PauliSum, shots, rng) -> complex:
-    """<x|B|psi>, exact or estimated term by term."""
-    if shots == 0:
-        return inner(apply_sum(b_sum, x), psi)
-    x_norm = norm(x)
-    x_unit = StateVector(x.n, x.amps / x_norm, normalized=True)
+def _weighted(coeffs: list, estimates: list) -> complex:
+    """sum_k c_k z_k, accumulated term by term in order from zero."""
     total = 0.0 + 0.0j
-    for c, term in b_sum.terms:
-        re, im = hadamard_test(x_unit, term, psi, shots, rng)
-        total += c * (re + 1j * im)
-    return x_norm * total
+    for c, z in zip(coeffs, estimates):
+        total += c * z
+    return total
 
 
 def _exact_objective(
@@ -224,13 +209,84 @@ def _exact_objective(
     return value_and_grad
 
 
-def _exact(p: AnsatzParams, pencil: Pencil, records, v_in, entangler, grad: bool):
-    """The fused pass at a single angle grid: (value, gradient or None)."""
-    v_in = _input(pencil, v_in)
+def _shot_objective(
+    pencil: Pencil, records: Sequence, v_in: StateVector, entangler, sign: float, shots: int, rng
+) -> Callable:
+    """The deflated loss ``sign * F_j`` of one level from Hadamard tests,
+    with its gradient by the pi-shift rule, as a function
+    ``theta (1, n, L) -> (values (1,) or None, grads (1, n, L) or None)``.
+
+    One circuit batch holds psi and, layer-major, each circuit with pi added
+    to one angle.  Every row phi of it gives the exact overlaps
+    <phi|A_k|psi>, <phi|B_k|psi> and, per record, <x|B_k|phi> for the unit
+    vector x; row 0 (phi = psi) is all the loss needs.  The value samples
+    row 0, then the gradient samples every row afresh, one sampler call
+    each; ``shots == 0`` keeps the overlaps exact.  Sums run term by term.
+    """
+    circuit = compile_ansatz(pencil.n, entangler)
+    coeffs_a, coeffs_b = pencil.A.coeffs.tolist(), pencil.B.coeffs.tolist()
+    n_a, n_b = len(coeffs_a), len(coeffs_b)
+    norms = [norm(rec.state) for rec in records]
+    units = [rec.state.amps / x_norm for rec, x_norm in zip(records, norms)]
+    penalties = [(r.gamma, inner(r.state, apply_sum(pencil.B, r.state)).real) for r in records]
+
+    def overlaps(phi: np.ndarray, psi: np.ndarray) -> np.ndarray:
+        parts = [term_overlaps(pencil.A, phi, psi), term_overlaps(pencil.B, phi, psi)]
+        return np.concatenate(parts + [term_overlaps(pencil.B, x, phi) for x in units])
+
+    def brackets(row: np.ndarray) -> tuple:
+        """(<A>, <B>, [<x|B|phi> per record]) from one row of estimates."""
+        est = row.tolist()
+        ts = [x * _weighted(coeffs_b, est[n_a + n_b * j :]) for j, x in enumerate(norms, 1)]
+        return _weighted(coeffs_a, est).real, _weighted(coeffs_b, est[n_a:]).real, ts
+
+    def value_and_grad(theta: np.ndarray, value: bool = True, grad: bool = True) -> tuple:
+        _, n, layers = theta.shape
+        grid = np.repeat(theta, 1 + n * layers if grad else 1, axis=0)
+        k = np.arange(len(grid) - 1)
+        grid[1 + k, k % n, k // n] += np.pi
+        states = circuit.run(grid, v_in.amps)
+        exact = np.array([overlaps(phi, states[0]) for phi in states])
+        values = grads = None
+        if value:
+            a, b, ts = brackets(sample_overlaps(exact[0], shots, rng))
+            loss = rayleigh_quotient(a, b)
+            for (gamma, m), t in zip(penalties, ts):
+                loss += gamma * abs(t) ** 2 / (m * b)
+            values = np.array([sign * loss])
+        if grad:
+            est = sample_overlaps(exact, shots, rng)
+            a, b, ts = brackets(est[0])
+            check_b(b)
+            entries = []
+            for row in est[1:]:
+                da, db, ts_plus = brackets(row)
+                entry = (da * b - a * db) / b**2
+                for (gamma, m), t, t_plus in zip(penalties, ts, ts_plus):
+                    dt2 = (np.conj(t) * t_plus).real
+                    entry += gamma / m * (dt2 * b - abs(t) ** 2 * db) / b**2
+                entries.append(entry)
+            grads = sign * np.array(entries).reshape(layers, n).T.copy()[None]
+        return values, grads
+
+    return value_and_grad
+
+
+def _at(
+    p: AnsatzParams, pencil: Pencil, records, v_in, entangler, shots, rng, grad, pi_shift=False
+):
+    """The value of loss_fj at one angle grid, or with ``grad`` its
+    gradient: by the fused exact pass when ``shots == 0`` (unless
+    ``pi_shift``), else from Hadamard tests and the pi-shift rule."""
+    v_in = zero_state(pencil.n) if v_in is None else v_in
     if p.n != v_in.n:
         raise ValueError(f"qubit counts differ: params {p.n}, state {v_in.n}")
-    values, grads = _exact_objective(pencil, records, v_in, entangler)(p.theta[None], grad)
-    return float(values[0]), None if grads is None else grads[0]
+    if shots == 0 and not pi_shift:
+        values, grads = _exact_objective(pencil, records, v_in, entangler)(p.theta[None], grad)
+    else:
+        objective = _shot_objective(pencil, records, v_in, entangler, 1.0, shots, rng)
+        values, grads = objective(p.theta[None], value=not grad, grad=grad)
+    return grads[0] if grad else float(values[0])
 
 
 def loss_f(
@@ -256,7 +312,10 @@ def overlap_sq(
         v_in = zero_state(b_sum.n)
     psi = apply_ansatz(p, v_in, entangler)
     psi_star = apply_ansatz(p_star, v_in, entangler)
-    return abs(_b_bracket(psi, psi_star, b_sum, shots, rng)) ** 2
+    x_norm = norm(psi)
+    exact = term_overlaps(b_sum, psi.amps / x_norm, psi_star.amps)
+    t = x_norm * _weighted(b_sum.coeffs.tolist(), sample_overlaps(exact, shots, rng).tolist())
+    return abs(t) ** 2
 
 
 def loss_fj(
@@ -275,18 +334,7 @@ def loss_fj(
     lower bound F_j >= lambda_j valid for every trial state; the minimum
     over states is exactly lambda_j.
     """
-    if shots == 0:
-        return _exact(p, pencil, records, v_in, entangler, grad=False)[0]
-    psi = apply_ansatz(p, _input(pencil, v_in), entangler)
-    a = _expect(pencil.A, psi, shots, rng)
-    b = _expect(pencil.B, psi, shots, rng)
-    value = rayleigh_quotient(a, b)
-    for rec in records:
-        bx = apply_sum(pencil.B, rec.state)
-        m = inner(rec.state, bx).real
-        t = _b_bracket(rec.state, psi, pencil.B, shots, rng)
-        value += rec.gamma * abs(t) ** 2 / (m * b)
-    return value
+    return _at(p, pencil, records, v_in, entangler, shots, rng, grad=False)
 
 
 def _pi_shift_gradient(
@@ -301,51 +349,7 @@ def _pi_shift_gradient(
     """Gradient of loss_fj by the pi-shift rule: one shifted circuit per
     angle, with Hadamard-test estimates when ``shots > 0``.  Shot mode uses
     it; with ``shots == 0`` it is the reference for the adjoint pass."""
-    v_in = _input(pencil, v_in)
-    psi = apply_ansatz(p, v_in, entangler)
-    a_psi = apply_sum(pencil.A, psi)
-    b_psi = apply_sum(pencil.B, psi)
-    if shots == 0:
-        a = inner(psi, a_psi).real
-        b = inner(psi, b_psi).real
-    else:
-        a = _expect(pencil.A, psi, shots, rng)
-        b = _expect(pencil.B, psi, shots, rng)
-    check_b(b)
-
-    rec_data = []
-    for rec in records:
-        bx = apply_sum(pencil.B, rec.state)
-        m = inner(rec.state, bx).real
-        t = _b_bracket(rec.state, psi, pencil.B, shots, rng)
-        rec_data.append((rec.gamma, rec.state, bx, m, t))
-
-    grad = np.zeros((p.n, p.L))
-    for t_idx in range(p.L):
-        for i in range(p.n):
-            psi_plus = apply_ansatz(shift(p, t_idx, i, np.pi), v_in, entangler)
-            if shots == 0:
-                da = inner(psi_plus, a_psi).real
-                db = inner(psi_plus, b_psi).real
-            else:
-                da = sum(
-                    c * hadamard_test(psi_plus, term, psi, shots, rng)[0]
-                    for c, term in pencil.A.terms
-                )
-                db = sum(
-                    c * hadamard_test(psi_plus, term, psi, shots, rng)[0]
-                    for c, term in pencil.B.terms
-                )
-            entry = (da * b - a * db) / b**2
-            for gamma, x_state, bx, m, t in rec_data:
-                if shots == 0:
-                    t_plus = inner(bx, psi_plus)
-                else:
-                    t_plus = _b_bracket(x_state, psi_plus, pencil.B, shots, rng)
-                dt2 = (np.conj(t) * t_plus).real
-                entry += gamma / m * (dt2 * b - abs(t) ** 2 * db) / b**2
-            grad[i, t_idx] = entry
-    return grad
+    return _at(p, pencil, records, v_in, entangler, shots, rng, grad=True, pi_shift=True)
 
 
 def grad_f(
@@ -367,9 +371,7 @@ def grad_fj(
 ) -> np.ndarray:
     """Gradient of loss_fj (quotient rule plus the normalized-penalty
     derivative); equals grad_f when records is empty."""
-    if shots == 0:
-        return _exact(p, pencil, records, v_in, entangler, grad=True)[1]
-    return _pi_shift_gradient(p, pencil, records, v_in, entangler, shots, rng)
+    return _at(p, pencil, records, v_in, entangler, shots, rng, grad=True)
 
 
 def _descend(value_and_grad: Callable, theta0: np.ndarray, config: OptConfig) -> list:
@@ -467,14 +469,8 @@ def solve_spectrum(pencil: Pencil, r: int, config: SolveConfig = SolveConfig()) 
         ]
         if config.shots:
             rng = np.random.default_rng([config.seed, 7919, level_idx])
-            shots = config.shots
-            if records:
-                loss = lambda p: sign * loss_fj(p, pencil, records, v_in, entangler, shots, rng)
-                grad = lambda p: sign * grad_fj(p, pencil, records, v_in, entangler, shots, rng)
-            else:
-                loss = lambda p: sign * loss_f(p, pencil, v_in, entangler, shots, rng)
-                grad = lambda p: sign * grad_f(p, pencil, v_in, entangler, shots, rng)
-            traces = [optimize(loss, grad, p0, config.opt) for p0 in starts]
+            objective = _shot_objective(pencil, records, v_in, entangler, sign, config.shots, rng)
+            traces = [_descend(objective, p0.theta[None], config.opt)[0] for p0 in starts]
         else:
             objective = _exact_objective(pencil, records, v_in, entangler, sign)
             theta0 = np.stack([p0.theta for p0 in starts])

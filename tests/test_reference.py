@@ -201,3 +201,50 @@ class TestJacobiScale:
         ref = generalized_eig(two_qubit_pencil())
         np.testing.assert_allclose(summary["eigenvalues"], ref.eigenvalues, atol=1e-12)
         assert summary["eta1"] == pytest.approx(0.5e4, rel=1e-12)
+
+
+class TestJacobiExtremeScale:
+    """The sweeps run on the matrix rescaled by an exact power of two, so
+    the norms in the stopping rule neither underflow (all-zero eigenvalues
+    at 1e-200) nor overflow (at 1e200) anywhere in the float range."""
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-100, 1e100, 1e200, 1e300])
+    def test_matches_eigvalsh_at_extreme_scale(self, scale):
+        rng = np.random.default_rng(23)
+        for dim in (2, 5, 8):
+            unit = random_hermitian(rng, dim)
+            with np.errstate(over="raise"):
+                values, vecs = hermitian_eig(scale * unit)
+            want = np.linalg.eigvalsh(scale * unit)
+            np.testing.assert_allclose(values / scale, want / scale, rtol=0, atol=1e-12 * dim)
+            np.testing.assert_allclose(vecs.conj().T @ vecs, np.eye(dim), atol=1e-12)
+            np.testing.assert_allclose(unit @ vecs, vecs * (values / scale), atol=1e-10)
+
+    def test_power_of_two_rescale_is_exact(self):
+        m = random_hermitian(np.random.default_rng(24), 6)
+        values, vecs = hermitian_eig(m)
+        for exponent in (-900, -3, 5, 900):
+            scaled = np.ldexp(m.real, exponent) + 1j * np.ldexp(m.imag, exponent)
+            got_values, got_vecs = hermitian_eig(scaled)
+            np.testing.assert_array_equal(got_values, np.ldexp(values, exponent))
+            np.testing.assert_array_equal(got_vecs, vecs)
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_cli_reference_on_scaled_random_pencil(self, tmp_path, capsys, scale):
+        import json
+
+        from geig.cli import main, serialize_problem
+
+        pencil, _, b = random_pencil(np.random.default_rng(25), 2)
+        problem = serialize_problem(pencil)
+        for side in ("A", "B"):
+            for term in problem[side]:
+                term["coeff"] *= scale
+        path = tmp_path / "scaled.json"
+        path.write_text(json.dumps(problem))
+        assert main(["reference", str(path)]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        # scaling both operators leaves the generalized eigenvalues unchanged
+        ref = generalized_eig(pencil)
+        np.testing.assert_allclose(summary["eigenvalues"], ref.eigenvalues, atol=1e-10)
+        assert summary["eta1"] / scale == pytest.approx(np.linalg.eigvalsh(b)[0], rel=1e-10)

@@ -19,6 +19,7 @@ bounded = settings(deadline=None, max_examples=60)
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 NOT_AN_INT = st.one_of(st.floats(), st.booleans(), st.text(max_size=3), st.none())
 
 
@@ -96,7 +97,7 @@ class TestOptConfig:
 class TestFqgeConfig:
     @bounded
     @given(
-        delta=FINITE,
+        delta=POSITIVE,
         epsilon=FINITE,
         noise_sigma=st.floats(min_value=0.0, allow_infinity=False),
         max_iters=st.integers(1, 10**6),
@@ -113,6 +114,12 @@ class TestFqgeConfig:
     @given(value=st.floats(max_value=0.0, exclude_max=True))
     def test_negative_noise_rejected(self, value):
         _raises(FqgeConfig, noise_sigma=value)
+
+    @bounded
+    @given(value=st.floats(max_value=0.0))
+    def test_non_positive_step_rejected(self, value):
+        # a step of -delta ascends the quotient and delta = 0 never moves
+        _raises(FqgeConfig, delta=value)
 
     @bounded
     @given(value=st.one_of(st.integers(max_value=0), NOT_AN_INT))
@@ -155,3 +162,13 @@ def test_cli_rejects_bad_values(capsys, argv, name):
     payload = json.loads(captured.err)
     assert payload["error"] == "ValueError"
     assert name in payload["message"]
+
+
+@pytest.mark.parametrize("delta", ["-0.1", "0"])
+def test_cli_rejects_non_positive_fqge_step(capsys, delta):
+    assert main(["fqge", "--delta", delta]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    payload = json.loads(captured.err)
+    assert payload["error"] == "ValueError"
+    assert "delta must be > 0" in payload["message"]
