@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .statevector import StateVector, apply_cnot, apply_ry, rotate_y, scale
+from .statevector import StateVector, apply_cnot, apply_ry, cnot_index, rotate_y, scale
 
 _ENTANGLER_NAMES = ("linear", "ring")
 
@@ -147,13 +147,9 @@ def _half_angles(theta: np.ndarray) -> tuple:
 def compile_ansatz(n: int, entangler="linear") -> CompiledAnsatz:
     """The ansatz on ``n`` qubits with the entangler resolved into one
     permutation of basis indices per layer."""
-    index = np.arange(1 << n, dtype=np.int64)
-    perm = index
+    perm = np.arange(1 << n, dtype=np.int64)
     for c, tgt in entangler_pairs(n, entangler):
-        # CNOT is the involution j -> j ^ target_bit wherever control_bit is set
-        control_bit = 1 << (n - 1 - c)
-        target_bit = 1 << (n - 1 - tgt)
-        perm = perm[index ^ np.where(index & control_bit, target_bit, 0)]
+        perm = perm[cnot_index(n, c, tgt)]
     return CompiledAnsatz(n, perm, np.argsort(perm))
 
 

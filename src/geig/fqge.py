@@ -4,7 +4,8 @@ unitaries.  Includes the exact two-dimensional line search for the step
 size, a relative residual diagnostic, and depolarizing-style statevector
 noise injection.
 
-``run_fqge`` applies A and B once each per iterate and steps the state as
+``run_fqge`` works on raw amplitudes: it applies the pencil once per iterate
+(once more on a line-search direction) and steps the state as
 psi + delta*direction, which equals G|psi>; the explicit combination
 (``build_lcu`` / ``apply_g``) is kept as a public oracle, and the LCU size
 reported per step comes from the same coefficient table."""
@@ -17,8 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .pauli import PauliString, apply_string, apply_sum
-from .statevector import StateVector, inner, normalize
+from .pauli import PauliString, apply_string
+from .statevector import StateVector, normalize
 from .vqge import check_b, check_int, rayleigh_quotient
 
 _DIRECTION_FLOOR = 1e-10
@@ -79,16 +80,6 @@ class FqgeResult:
     state: StateVector
 
 
-def _apply_pencil(state: StateVector, pencil):
-    """(A psi, B psi, F, <B>): raw amplitudes, the checked Rayleigh
-    quotient and its denominator."""
-    a_psi = apply_sum(pencil.A, state).amps
-    b_psi = apply_sum(pencil.B, state).amps
-    b = float(np.vdot(state.amps, b_psi).real)
-    f = rayleigh_quotient(float(np.vdot(state.amps, a_psi).real), b)
-    return a_psi, b_psi, f, b
-
-
 def _relative_residual(a_psi, b_psi, f: float) -> float:
     num = float(np.linalg.norm(a_psi - f * b_psi))
     den = float(np.linalg.norm(a_psi)) + abs(f) * float(np.linalg.norm(b_psi))
@@ -97,24 +88,28 @@ def _relative_residual(a_psi, b_psi, f: float) -> float:
     return num / den
 
 
+def _direction(a_psi, b_psi, f: float, b: float) -> np.ndarray:
+    return -(2.0 / b) * (a_psi - f * b_psi)
+
+
 def loss_state(state: StateVector, pencil) -> float:
     """Rayleigh quotient <psi|A|psi>/<psi|B|psi> on an explicit state."""
-    return _apply_pencil(state, pencil)[2]
+    _, _, a, b = pencil.apply(state.amps)
+    return rayleigh_quotient(a, b)
 
 
 def gradient_direction(state: StateVector, pencil, f_value: float) -> StateVector:
     """Unnormalized steepest-descent direction -(2/<B>)(A - F B)|psi>;
     exactly orthogonal to |psi> when f_value is the Rayleigh quotient."""
-    a_psi, b_psi, _, b = _apply_pencil(state, pencil)
-    amps = -(2.0 / b) * (a_psi - f_value * b_psi)
-    return StateVector(state.n, amps, normalized=False)
+    a_psi, b_psi, _, b = pencil.apply(state.amps)
+    return StateVector(state.n, _direction(a_psi, b_psi, f_value, check_b(b)), normalized=False)
 
 
 def residual(state: StateVector, pencil) -> float:
     """Relative residual ||(A - F B)psi|| / (||A psi|| + |F| ||B psi||),
     bounded in [0, 1]."""
-    a_psi, b_psi, f, _ = _apply_pencil(state, pencil)
-    return _relative_residual(a_psi, b_psi, f)
+    a_psi, b_psi, a, b = pencil.apply(state.amps)
+    return _relative_residual(a_psi, b_psi, rayleigh_quotient(a, b))
 
 
 def _lcu_table(pencil, delta: complex, f_value: float, b: float) -> list:
@@ -141,7 +136,7 @@ def _lcu_size(table: list):
 def build_lcu(state: StateVector, pencil, delta: complex, f_value: float) -> LcuOperator:
     """Expand G = I - 2*delta*(A - F B)/<B> over Pauli strings, merging
     duplicates and dropping exact zeros."""
-    b = check_b(inner(state, apply_sum(pencil.B, state)).real)
+    b = check_b(pencil.apply(state.amps)[3])
     table = _lcu_table(pencil, delta, f_value, b)
     norm_c, d = _lcu_size(table)
     coeffs = tuple(g for _, g in table)
@@ -169,30 +164,24 @@ def line_search(state: StateVector, direction: StateVector, pencil):
     psi + delta*direction attains the predicted quotient.  A near-singular
     leading component caps |delta| at 1e12 with a warning.
     """
-    psi = state if state.normalized else normalize(state)
-    a_psi = apply_sum(pencil.A, psi).amps
-    b_psi = apply_sum(pencil.B, psi).amps
-    return _line_search(psi, direction.amps, a_psi, b_psi, pencil)
+    psi = (state if state.normalized else normalize(state)).amps
+    return _line_search(psi, direction.amps, pencil.apply(psi), pencil)
 
 
-def _line_search(psi: StateVector, direction, a_psi, b_psi, pencil):
-    """line_search for a normalized psi, with the direction, A psi and
-    B psi given as raw amplitudes; applies the pencil only to the part of
+def _line_search(psi: np.ndarray, direction: np.ndarray, applied: tuple, pencil):
+    """line_search for normalized raw amplitudes psi, with the direction
+    and ``pencil.apply(psi)`` given; applies the pencil only to the part of
     the direction orthogonal to psi."""
-    w = direction - np.vdot(psi.amps, direction) * psi.amps
+    _, _, a00, b00 = applied
+    f00 = rayleigh_quotient(a00, b00)
+    w = direction - np.vdot(psi, direction) * psi
     wn = float(np.linalg.norm(w))
-    a00 = np.vdot(psi.amps, a_psi).real
-    b00 = np.vdot(psi.amps, b_psi).real
     if wn < 1e-14:
-        return 0.0 + 0.0j, rayleigh_quotient(a00, b00)
-    tilde = StateVector(psi.n, w / wn, normalized=True)
-
-    a_til = apply_sum(pencil.A, tilde).amps
-    b_til = apply_sum(pencil.B, tilde).amps
-    a11 = np.vdot(tilde.amps, a_til).real
-    a01 = np.vdot(psi.amps, a_til)
-    b11 = np.vdot(tilde.amps, b_til).real
-    b01 = np.vdot(psi.amps, b_til)
+        return 0.0 + 0.0j, f00
+    tilde = w / wn
+    a_til, b_til, a11, b11 = pencil.apply(tilde)
+    a01 = np.vdot(psi, a_til)
+    b01 = np.vdot(psi, b_til)
 
     c2 = b00 * b11 - abs(b01) ** 2
     c1 = a00 * b11 + a11 * b00 - 2.0 * (a01 * np.conj(b01)).real
@@ -207,7 +196,7 @@ def _line_search(psi: StateVector, direction, a_psi, b_psi, pencil):
     if q != 0.0:
         roots.append(c0 / q)
     if not roots:
-        return 0.0 + 0.0j, a00 / b00
+        return 0.0 + 0.0j, f00
     u1 = min(roots)
 
     m00 = a00 - u1 * b00
@@ -237,17 +226,24 @@ def noise_vector(n: int, sigma: float, rng) -> np.ndarray:
     return np.full(2**n, tau * 2.0 ** (-n / 2), dtype=complex)
 
 
+def _perturbed(amps: np.ndarray, n: int, sigma: float, rng) -> np.ndarray:
+    """Raw amplitudes plus the perturbation, renormalized; sigma = 0
+    returns ``amps`` itself (the zero-width draw is exactly zero)."""
+    pert = noise_vector(n, sigma, rng)
+    if pert[0] == 0:
+        return amps
+    out = amps + pert
+    out_norm = float(np.linalg.norm(out))
+    if out_norm == 0.0:
+        raise ValueError("cannot normalize the zero vector")
+    return out / out_norm
+
+
 def noise_inject(state: StateVector, sigma: float, rng) -> StateVector:
     """Add the perturbation and renormalize; sigma = 0 leaves the state
-    untouched (the zero-width draw is exactly zero)."""
-    pert = noise_vector(state.n, sigma, rng)
-    if pert[0] == 0:
-        return state
-    return normalize(StateVector(state.n, state.amps + pert, normalized=False))
-
-
-def _trivial_row(s, state, value, res) -> FqgeIterate:
-    return FqgeIterate(s, state, value, res, 0.0 + 0.0j, 1.0, 1.0, 1)
+    untouched."""
+    amps = _perturbed(state.amps, state.n, sigma, rng)
+    return state if amps is state.amps else StateVector(state.n, amps)
 
 
 def run_fqge(pencil, initial: StateVector, cfg: FqgeConfig = FqgeConfig()) -> FqgeResult:
@@ -255,41 +251,38 @@ def run_fqge(pencil, initial: StateVector, cfg: FqgeConfig = FqgeConfig()) -> Fq
     to cfg.epsilon or cfg.max_iters updates have been applied.
 
     Each iterate row holds the state as evaluated (before that row's
-    update); the final row is terminal with a zero step.  A psi and B psi
-    are computed once per iterate and give the quotient, the residual, the
-    direction and the step G psi = psi + delta*direction.
+    update); the final row is terminal with a zero step.  The iteration
+    runs on raw amplitudes: one ``pencil.apply`` per iterate gives the
+    quotient, the residual, the direction and the step G psi = psi +
+    delta*direction, and each row's state is its one ``StateVector``.
     """
     rng = np.random.default_rng(cfg.seed)
     state = initial if initial.normalized else normalize(initial)
+    psi = state.amps
     rows = []
     s = 1
-    status = "max_iters"
     while True:
-        a_psi, b_psi, value, b = _apply_pencil(state, pencil)
+        a_psi, b_psi, a, b = applied = pencil.apply(psi)
+        value = rayleigh_quotient(a, b)
         res = _relative_residual(a_psi, b_psi, value)
+        direction = _direction(a_psi, b_psi, value, b)
+        delta = complex(cfg.delta)
+        status = None
         if res <= cfg.epsilon:
-            rows.append(_trivial_row(s, state, value, res))
             status = "converged"
-            break
-        if s > cfg.max_iters:
-            rows.append(_trivial_row(s, state, value, res))
+        elif s > cfg.max_iters:
             status = "max_iters"
-            break
-        direction = -(2.0 / b) * (a_psi - value * b_psi)
-        if np.linalg.norm(direction) < _DIRECTION_FLOOR:
-            rows.append(_trivial_row(s, state, value, res))
+        elif np.linalg.norm(direction) < _DIRECTION_FLOOR:
             status = "converged"
-            break
-        if cfg.line_search:
-            delta, _ = _line_search(state, direction, a_psi, b_psi, pencil)
+        elif cfg.line_search:
+            delta = _line_search(psi, direction, applied, pencil)[0]
             if delta == 0:
-                rows.append(_trivial_row(s, state, value, res))
                 status = "converged"
-                break
-        else:
-            delta = complex(cfg.delta)
+        if status is not None:  # a terminal row: zero step, trivial LCU
+            rows.append(FqgeIterate(s, state, value, res, 0.0 + 0.0j, 1.0, 1.0, 1))
+            break
         norm_c, d = _lcu_size(_lcu_table(pencil, delta, value, b))
-        raw = state.amps + delta * direction
+        raw = psi + delta * direction
         out_norm = float(np.linalg.norm(raw))
         if out_norm == 0.0:
             raise RuntimeError(
@@ -297,9 +290,9 @@ def run_fqge(pencil, initial: StateVector, cfg: FqgeConfig = FqgeConfig()) -> Fq
             )
         success = out_norm**2 / (norm_c**2 * d)
         rows.append(FqgeIterate(s, state, value, res, delta, success, norm_c, d))
-        state = StateVector(state.n, raw / out_norm)
+        psi = raw / out_norm
         if cfg.noise_sigma > 0:
-            state = noise_inject(state, cfg.noise_sigma, rng)
+            psi = _perturbed(psi, pencil.n, cfg.noise_sigma, rng)
+        state = StateVector(pencil.n, psi)
         s += 1
-    last = rows[-1]
-    return FqgeResult(tuple(rows), status, last.value, last.state)
+    return FqgeResult(tuple(rows), status, value, state)

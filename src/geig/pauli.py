@@ -173,7 +173,7 @@ class PauliSum:
     @cached_property
     def _gathers(self) -> tuple:
         """(src, phase) per term, with P_k|w> = phase * w[src]: the operands
-        ``apply_string`` uses, built on first use by ``term_overlaps`` only."""
+        ``apply_string`` uses, built on first use by ``term_kets`` only."""
         index = np.arange(2**self.n, dtype=np.int64)
         gathers = []
         for _, string in self.terms:
@@ -242,11 +242,17 @@ def apply_sum_array(s: PauliSum, amps: np.ndarray) -> np.ndarray:
     return out
 
 
+def term_kets(s: PauliSum, w: np.ndarray) -> list:
+    """P_k|w> for every term P_k of ``s``, in term order, as the raw
+    amplitudes ``phase * w[src]`` that ``apply_string`` computes."""
+    return [phase * w[src] for src, phase in s._gathers]
+
+
 def term_overlaps(s: PauliSum, u: np.ndarray, w: np.ndarray) -> np.ndarray:
     """<u|P_k|w> for every term P_k of ``s``, in term order, from raw
-    amplitude vectors; each is ``np.vdot`` on the operands ``apply_string``
-    uses, so it equals ``inner(u, apply_string(P_k, w))`` bitwise."""
-    return np.array([np.vdot(u, phase * w[src]) for src, phase in s._gathers], dtype=complex)
+    amplitude vectors; each is ``np.vdot`` of ``u`` with its ``term_kets``
+    entry, so it equals ``inner(u, apply_string(P_k, w))`` bitwise."""
+    return np.array([np.vdot(u, ket) for ket in term_kets(s, w)], dtype=complex)
 
 
 def apply_sum(s: PauliSum, v: StateVector) -> StateVector:
@@ -276,6 +282,8 @@ def decompose(
         raise ValueError(f"matrix dimension {dim} is not a power of two >= 2")
     if n > max_qubits:
         raise ValueError(f"decompose on {n} qubits exceeds the cap of {max_qubits}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("matrix has non-finite entries")
     if np.max(np.abs(m - m.conj().T)) > max(tol, 1e-12):
         raise ValueError("matrix is not Hermitian within tolerance")
 

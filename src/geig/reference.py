@@ -35,6 +35,8 @@ def _check_hermitian(m: np.ndarray, name: str) -> np.ndarray:
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"{name} has non-finite entries")
     if np.max(np.abs(m - m.conj().T)) > _HERM_TOL:
         raise ValueError(f"{name} is not Hermitian within {_HERM_TOL}")
     return m

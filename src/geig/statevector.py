@@ -90,20 +90,22 @@ def apply_ry(q: int, angle: float, v: StateVector) -> StateVector:
     return StateVector(v.n, out, normalized=v.normalized)
 
 
+def cnot_index(n: int, control: int, target: int) -> np.ndarray:
+    """CNOT on ``n`` qubits as a gather index (it maps amplitudes ``v`` to
+    ``v[index]``): the involution j -> j ^ target_bit wherever control_bit
+    is set."""
+    index = np.arange(1 << n, dtype=np.int64)
+    control_bit = 1 << (n - 1 - control)
+    return index ^ np.where(index & control_bit, 1 << (n - 1 - target), 0)
+
+
 def apply_cnot(control: int, target: int, v: StateVector) -> StateVector:
     """Apply CNOT: flip ``target`` where ``control`` is 1."""
     if control == target:
         raise ValueError("control and target qubits must differ")
     _check_qubit(control, v.n)
     _check_qubit(target, v.n)
-    view = v.amps.reshape((2,) * v.n).copy()
-    # slice with control fixed to 1, then flip the target axis of that block
-    sel: list = [slice(None)] * v.n
-    sel[control] = 1
-    block = view[tuple(sel)]
-    t_axis = target if target < control else target - 1
-    view[tuple(sel)] = np.flip(block, axis=t_axis)
-    return StateVector(v.n, view.reshape(-1), normalized=v.normalized)
+    return StateVector(v.n, v.amps[cnot_index(v.n, control, target)], normalized=v.normalized)
 
 
 def _check_match(u: StateVector, v: StateVector) -> None:

@@ -19,8 +19,8 @@ import numpy as np
 
 from .ansatz import AnsatzParams, apply_ansatz, compile_ansatz, random_params
 from .measurement import sample_overlaps
-from .pauli import PauliSum, apply_sum, apply_sum_array, term_overlaps
-from .statevector import StateVector, inner, norm, scale, zero_state
+from .pauli import PauliSum, apply_sum_array, term_kets, term_overlaps
+from .statevector import StateVector, norm, scale, zero_state
 
 _B_FLOOR = 1e-12
 
@@ -43,13 +43,28 @@ class Pencil:
     def n(self) -> int:
         return self.A.n
 
+    def apply(self, amps: np.ndarray) -> tuple:
+        """(A psi, B psi, <A>, <B>) for raw amplitude rows psi of shape
+        (..., 2^n): both sides through the compiled form, and the real
+        brackets <psi|A|psi>, <psi|B|psi> of each row (unchecked).  A single
+        state takes ``np.vdot``, whose rounding ``inner`` on states has."""
+        a_psi = apply_sum_array(self.A, amps)
+        b_psi = apply_sum_array(self.B, amps)
+        if amps.ndim == 1:
+            return a_psi, b_psi, np.vdot(amps, a_psi).real, np.vdot(amps, b_psi).real
+        bra = amps.conj()
+        a = np.einsum("...d,...d->...", bra, a_psi).real
+        return a_psi, b_psi, a, np.einsum("...d,...d->...", bra, b_psi).real
 
-def check_b(b: float) -> float:
-    """Return <B> after checking that it is positive, as it is for every
-    state when B is positive definite."""
-    if b <= _B_FLOOR:
+
+def check_b(b):
+    """Return <B> (a float, or an array with one entry per state) after
+    checking that it is positive, as it is for every state when B is
+    positive definite."""
+    low = b if isinstance(b, float) else np.min(b)
+    if low <= _B_FLOOR:
         raise ValueError(
-            f"<B> = {b:.3e} at the evaluated state; B is not positive definite"
+            f"<B> = {low:.3e} at the evaluated state; B is not positive definite"
         )
     return b
 
@@ -62,8 +77,8 @@ def check_int(name: str, value, minimum: int) -> None:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
-def rayleigh_quotient(a: float, b: float) -> float:
-    """F = <A>/<B>, after the <B> positivity check."""
+def rayleigh_quotient(a, b):
+    """F = <A>/<B>, after the <B> positivity check; floats or arrays."""
     return a / check_b(b)
 
 
@@ -158,6 +173,16 @@ def _weighted(coeffs: list, estimates: list) -> complex:
     return total
 
 
+def _penalties(pencil: Pencil, records: Sequence[DeflationRecord]) -> list:
+    """(gamma, x, B x, <x|B|x>) per deflation record, x the record's raw
+    amplitudes."""
+    out = []
+    for rec in records:
+        _, bx, _, m = pencil.apply(rec.state.amps)
+        out.append((rec.gamma, rec.state.amps, bx, check_b(m)))
+    return out
+
+
 def _exact_objective(
     pencil: Pencil,
     records: Sequence[DeflationRecord],
@@ -178,21 +203,12 @@ def _exact_objective(
     taken by one adjoint sweep of the circuit.
     """
     circuit = compile_ansatz(pencil.n, entangler)
-    amps_in = v_in.amps
-    penalties = []
-    for rec in records:
-        bx = apply_sum(pencil.B, rec.state)
-        penalties.append((rec.gamma, bx.amps, bx.amps.conj(), inner(rec.state, bx).real))
+    penalties = [(gamma, bx, bx.conj(), m) for gamma, _, bx, m in _penalties(pencil, records)]
 
     def value_and_grad(theta: np.ndarray, grad: bool = True) -> tuple:
-        psi = circuit.run(theta, amps_in)
-        a_psi = apply_sum_array(pencil.A, psi)
-        b_psi = apply_sum_array(pencil.B, psi)
-        a = np.einsum("rd,rd->r", psi.conj(), a_psi).real
-        b = np.einsum("rd,rd->r", psi.conj(), b_psi).real
-        for b_row in b:
-            check_b(b_row)
-        f = a / b
+        psi = circuit.run(theta, v_in.amps)
+        a_psi, b_psi, a, b = pencil.apply(psi)
+        f = rayleigh_quotient(a, b)
         value = f.copy()
         chi = a_psi - f[:, None] * b_psi
         for gamma, bx, bx_conj, m in penalties:
@@ -226,13 +242,14 @@ def _shot_objective(
     circuit = compile_ansatz(pencil.n, entangler)
     coeffs_a, coeffs_b = pencil.A.coeffs.tolist(), pencil.B.coeffs.tolist()
     n_a, n_b = len(coeffs_a), len(coeffs_b)
+    penalties = [(gamma, m) for gamma, _, _, m in _penalties(pencil, records)]
     norms = [norm(rec.state) for rec in records]
     units = [rec.state.amps / x_norm for rec, x_norm in zip(records, norms)]
-    penalties = [(r.gamma, inner(r.state, apply_sum(pencil.B, r.state)).real) for r in records]
 
-    def overlaps(phi: np.ndarray, psi: np.ndarray) -> np.ndarray:
-        parts = [term_overlaps(pencil.A, phi, psi), term_overlaps(pencil.B, phi, psi)]
-        return np.concatenate(parts + [term_overlaps(pencil.B, x, phi) for x in units])
+    def overlaps(phi: np.ndarray, kets: list) -> list:
+        """<phi|A_k|psi>, <phi|B_k|psi> from the kets of psi, then <x|B_k|phi>."""
+        b_kets = term_kets(pencil.B, phi) if units else []
+        return [np.vdot(phi, ket) for ket in kets] + [np.vdot(x, k) for x in units for k in b_kets]
 
     def brackets(row: np.ndarray) -> tuple:
         """(<A>, <B>, [<x|B|phi> per record]) from one row of estimates."""
@@ -246,7 +263,8 @@ def _shot_objective(
         k = np.arange(len(grid) - 1)
         grid[1 + k, k % n, k // n] += np.pi
         states = circuit.run(grid, v_in.amps)
-        exact = np.array([overlaps(phi, states[0]) for phi in states])
+        kets = term_kets(pencil.A, states[0]) + term_kets(pencil.B, states[0])
+        exact = np.array([overlaps(phi, kets) for phi in states], dtype=complex)
         values = grads = None
         if value:
             a, b, ts = brackets(sample_overlaps(exact[0], shots, rng))
@@ -438,11 +456,8 @@ def optimize(
     return _descend(value_and_grad, p0.theta[None], config)[0]
 
 
-def _b_normalized(state: StateVector, b_sum: PauliSum) -> StateVector:
-    m = inner(state, apply_sum(b_sum, state)).real
-    if m <= 0.0:
-        raise ValueError("cannot B-normalize: <x|B|x> <= 0")
-    factor = 1.0 / np.sqrt(m)
+def _b_normalized(state: StateVector, pencil: Pencil) -> StateVector:
+    factor = 1.0 / np.sqrt(check_b(pencil.apply(state.amps)[3]))
     if abs(factor - 1.0) < 1e-12:
         return state
     return scale(state, factor)
@@ -462,7 +477,8 @@ def solve_spectrum(pencil: Pencil, r: int, config: SolveConfig = SolveConfig()) 
     v_in = zero_state(n)
     entangler = config.entangler
 
-    def run_level(level_idx: int, sign: float, records: tuple) -> tuple:
+    def run_level(level_idx: int, sign: float, records: tuple, kind: str) -> tuple:
+        """(eigenvalue, params, state, kind, traces, best_restart) of one level."""
         starts = [
             random_params(n, config.layers, np.random.default_rng([config.seed, level_idx, k]))
             for k in range(config.restarts)
@@ -475,41 +491,27 @@ def solve_spectrum(pencil: Pencil, r: int, config: SolveConfig = SolveConfig()) 
             objective = _exact_objective(pencil, records, v_in, entangler, sign)
             theta0 = np.stack([p0.theta for p0 in starts])
             traces = _descend(objective, theta0, config.opt)
-        best_k = 0
-        for k, trace in enumerate(traces):
-            if trace.best_value < traces[best_k].best_value:
-                best_k = k
-        return traces[best_k], tuple(traces), best_k
+        best_k = int(np.argmin([trace.best_value for trace in traces]))
+        best = traces[best_k]
+        state = apply_ansatz(best.best_params, v_in, entangler)
+        return sign * best.best_value, best.best_params, state, kind, tuple(traces), best_k
 
-    levels = []
-
-    ground, traces, best_k = run_level(1, 1.0, ())
-    lam_1 = ground.best_value
-    state_1 = apply_ansatz(ground.best_params, v_in, entangler)
-    levels.append((lam_1, ground.best_params, state_1, "min", traces, best_k))
+    levels = [run_level(1, 1.0, (), "min")]
     if r == 1:
         return _assemble(levels, pencil)
-
-    top, traces, best_k = run_level(r, -1.0, ())
-    lam_r = -top.best_value
-    state_r = apply_ansatz(top.best_params, v_in, entangler)
-    levels.append((lam_r, top.best_params, state_r, "max", traces, best_k))
-
-    gamma = lam_r - lam_1
-    records = [DeflationRecord(lam_1, gamma, state_1, ground.best_params)]
+    levels.append(run_level(r, -1.0, (), "max"))
+    gamma = levels[1][0] - levels[0][0]
     for j in range(2, r):
-        mid, traces, best_k = run_level(j, 1.0, tuple(records))
-        lam_j = mid.best_value
-        state_j = apply_ansatz(mid.best_params, v_in, entangler)
-        levels.append((lam_j, mid.best_params, state_j, "deflate", traces, best_k))
-        records.append(DeflationRecord(lam_j, gamma, state_j, mid.best_params))
-
+        # every level found so far except the maximum becomes a penalty
+        found = levels[:1] + levels[2:]
+        records = tuple(DeflationRecord(lam, gamma, x, params) for lam, params, x, *_ in found)
+        levels.append(run_level(j, 1.0, records, "deflate"))
     return _assemble(levels, pencil)
 
 
 def _assemble(levels: list, pencil: Pencil) -> list:
     out = [
-        SpectrumLevel(lam, params, _b_normalized(state, pencil.B), kind, traces, best_k)
+        SpectrumLevel(lam, params, _b_normalized(state, pencil), kind, traces, best_k)
         for lam, params, state, kind, traces, best_k in levels
     ]
     out.sort(key=lambda lv: lv.eigenvalue)

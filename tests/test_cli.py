@@ -306,6 +306,18 @@ class TestErrorContract:
         assert payload["error"] == "ValueError"
         assert "exactly one of" in payload["message"]
 
+    @pytest.mark.parametrize("command", ["reference", "vqge", "fqge"])
+    def test_non_finite_dense_side(self, capsys, tmp_path, command):
+        """A NaN entry of a dense side is an error, not a zero term."""
+        path = tmp_path / "p.json"
+        path.write_text(
+            '{"n": 1, "A_dense": [[[NaN, 0], [0, 0]], [[0, 0], [1, 0]]],'
+            ' "B": [{"coeff": 1, "ops": "I"}]}'
+        )
+        payload = error_of(capsys, [command, str(path)])
+        assert payload["error"] == "ValueError"
+        assert "non-finite" in payload["message"]
+
     @pytest.mark.parametrize(
         "argv, name",
         [

@@ -19,7 +19,7 @@ from geig.fqge import (
 from geig.pauli import PauliString, PauliSum, decompose, dense_matrix
 from geig.reference import generalized_eig
 from geig.statevector import StateVector, basis_state, inner, norm, normalize
-from geig.vqge import Pencil, loss_f
+from geig.vqge import Pencil, check_b, loss_f, rayleigh_quotient
 
 
 @pytest.fixture(scope="module")
@@ -58,9 +58,23 @@ class TestBPositivity:
             lambda: run_fqge(pencil, s),
             lambda: loss_f(random_params(1, 1, np.random.default_rng(0)), pencil),
         ]
+        for d in (np.array([0.0, 1.0]), s.amps):  # across psi, and along it
+            direction = StateVector(1, d, normalized=False)
+            calls.append(lambda direction=direction: line_search(s, direction, pencil))
         for call in calls:
             with pytest.raises(ValueError, match=r"<B> = .*; B is not positive definite"):
                 call()
+
+    def test_array_check_reports_the_smallest_entry(self):
+        b = np.array([0.5, -2.0, 1e-13, 3.0])
+        with pytest.raises(ValueError, match=r"^<B> = -2\.000e\+00 at the evaluated state"):
+            check_b(b)
+        with pytest.raises(ValueError, match="B is not positive definite"):
+            rayleigh_quotient(np.ones(2), np.array([1.0, 1e-13]))
+        good = np.array([0.5, 2.0])
+        assert check_b(good) is good
+        np.testing.assert_array_equal(rayleigh_quotient(np.array([1.0, 3.0]), good), [2.0, 1.5])
+        assert check_b(0.25) == 0.25
 
 
 class TestLossState:
@@ -397,6 +411,40 @@ class TestRunFqge:
             if result.status == "converged" and result.iterates[-1].residual <= 1e-8:
                 err = min(abs(result.eigenvalue - lam) for lam in ref.eigenvalues)
                 assert err < 1e-6
+
+
+class TestRawAmplitudeIteration:
+    @pytest.mark.parametrize("line_search", [False, True], ids=["fixed", "line-search"])
+    def test_one_state_vector_per_row(self, monkeypatch, line_search):
+        """run_fqge steps raw amplitudes; the only StateVector it builds
+        per row is that row's state."""
+        rng = np.random.default_rng(11)
+        pencil, _, _ = random_pencil(rng, 3)
+        initial = random_state(rng, 3)
+        cfg = FqgeConfig(line_search=line_search, epsilon=1e-15, max_iters=15)
+        built = []
+        original_init = StateVector.__post_init__
+
+        def counting_init(self):
+            built.append(self)
+            original_init(self)
+
+        monkeypatch.setattr(StateVector, "__post_init__", counting_init)
+        result = run_fqge(pencil, initial, cfg)
+        assert len(result.iterates) >= 3
+        assert len(built) <= len(result.iterates)
+
+    def test_noisy_rows_match_noise_inject(self, demo):
+        """The raw-amplitude noise step equals noise_inject on states."""
+        pencil, _ = demo
+        cfg = FqgeConfig(delta=0.1, max_iters=6, noise_sigma=0.05, seed=4)
+        rows = run_fqge(pencil, basis_state(2, 0), cfg).iterates
+        rng = np.random.default_rng(4)
+        for row, nxt in zip(rows, rows[1:]):
+            direction = gradient_direction(row.state, pencil, row.value)
+            raw = row.state.amps + row.delta_used * direction.amps
+            want = noise_inject(normalize(StateVector(2, raw, normalized=False)), 0.05, rng)
+            np.testing.assert_array_equal(nxt.state.amps, want.amps)
 
 
 def close(x, y, tol=1e-12):

@@ -276,6 +276,16 @@ class TestDecompose:
         with pytest.raises(ValueError):
             decompose(np.eye(3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+    def test_rejects_non_finite_entries(self, bad):
+        """A NaN fails every comparison, so without this check it would
+        pass the Hermitian test and drop out as a zero coefficient."""
+        for entry in ((0, 0), (0, 1)):
+            m = np.eye(2, dtype=complex)
+            m[entry] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                decompose(m)
+
     def test_string_trace_orthogonality(self):
         rng = np.random.default_rng(23)
         letters = np.array(list("IXYZ"))

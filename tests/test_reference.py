@@ -20,6 +20,21 @@ from geig.reference import (
 )
 
 
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_every_entry_point_rejects_at_once(self, bad):
+        m = np.eye(4, dtype=complex)
+        m[1, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            hermitian_eig(m)
+        with pytest.raises(ValueError, match="non-finite"):
+            cholesky(m)
+        with pytest.raises(ValueError, match="^A has non-finite"):
+            generalized_eig_dense(m, np.eye(4))
+        with pytest.raises(ValueError, match="^B has non-finite"):
+            generalized_eig_dense(np.eye(4), m)
+
+
 class TestCholesky:
     def test_identity(self):
         np.testing.assert_allclose(cholesky(np.eye(3)), np.eye(3))

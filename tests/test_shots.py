@@ -18,6 +18,7 @@ from geig.pauli import (
     _string_action,
     apply_string,
     apply_sum,
+    term_kets,
     term_overlaps,
 )
 from geig.statevector import StateVector, inner, norm, zero_state
@@ -261,6 +262,40 @@ class TestTermOverlaps:
         s = PauliSum(2, [(0.0, "XX")])
         u = random_state(np.random.default_rng(0), 2).amps
         assert term_overlaps(s, u, u).shape == (0,)
+        assert term_kets(s, u) == []
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_kets_bitwise_equal_apply_string(self, n):
+        rng = np.random.default_rng(10 + n)
+        s = random_sum(rng, n)
+        w = random_state(rng, n)
+        kets = term_kets(s, w.amps)
+        assert len(kets) == len(s)
+        for ket, (_, term) in zip(kets, s.terms):
+            np.testing.assert_array_equal(ket, apply_string(term, w).amps)
+
+    def test_shot_objective_takes_the_kets_of_psi_once_per_call(self, monkeypatch):
+        """Each call applies every A and B term to psi once, and every B
+        term once to each row (for the records), however many rows and
+        records there are."""
+        pencil = two_qubit_pencil()
+        rng = np.random.default_rng(4)
+        records = random_records(rng, 2, 2)
+        calls = []
+
+        def counting_kets(s, w):
+            calls.append("A" if s is pencil.A else "B")
+            return term_kets(s, w)
+
+        monkeypatch.setattr(geig.vqge, "term_kets", counting_kets)
+        objective = geig.vqge._shot_objective(
+            pencil, records, zero_state(2), "linear", 1.0, 100, np.random.default_rng(0)
+        )
+        theta = random_params(2, 2, rng).theta[None]
+        objective(theta)
+        rows = 1 + 2 * 2
+        assert calls.count("A") == 1
+        assert calls.count("B") == 1 + rows
 
 
 def old_compiled_diagonals(s):

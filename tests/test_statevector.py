@@ -9,6 +9,7 @@ from geig.statevector import (
     apply_cnot,
     apply_ry,
     basis_state,
+    cnot_index,
     expectation,
     fidelity,
     inner,
@@ -121,6 +122,24 @@ class TestApplyCnot:
     def test_equal_indices_rejected(self):
         with pytest.raises(ValueError):
             apply_cnot(1, 1, zero_state(2))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_equals_gather_and_axis_flip_for_every_pair(self, n):
+        """apply_cnot, the gather by cnot_index, and flipping the target
+        axis of the control = 1 block of the (2,)*n tensor agree bitwise."""
+        v = random_state(np.random.default_rng(n), n)
+        for control in range(n):
+            for target in range(n):
+                if control == target:
+                    continue
+                tensor = v.amps.reshape((2,) * n).copy()
+                sel = [slice(None)] * n
+                sel[control] = 1
+                axis = target if target < control else target - 1
+                tensor[tuple(sel)] = np.flip(tensor[tuple(sel)], axis=axis)
+                got = apply_cnot(control, target, v).amps
+                np.testing.assert_array_equal(got, tensor.reshape(-1))
+                np.testing.assert_array_equal(got, v.amps[cnot_index(n, control, target)])
 
 
 class TestInnerProducts:

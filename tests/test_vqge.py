@@ -35,6 +35,33 @@ def demo_solution(demo):
     return pencil, levels
 
 
+class TestPencilApply:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_dense_brackets_on_one_and_many_rows(self, n):
+        rng = np.random.default_rng(50 + n)
+        pencil, a_dense, b_dense = random_pencil(rng, n)
+        assert any(term.n_y % 2 for _, term in pencil.A.terms + pencil.B.terms)
+        rows = np.stack([random_state(rng, n).amps for _ in range(6)])
+        for amps in (rows[0], rows, rows.reshape(2, 3, -1)):
+            a_psi, b_psi, a, b = pencil.apply(amps)
+            want_a_psi, want_b_psi = amps @ a_dense.T, amps @ b_dense.T
+            np.testing.assert_allclose(a_psi, want_a_psi, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(b_psi, want_b_psi, rtol=0, atol=1e-12)
+            bra = amps.conj()
+            want_a = np.real(np.sum(bra * want_a_psi, axis=-1))
+            want_b = np.real(np.sum(bra * want_b_psi, axis=-1))
+            assert np.shape(a) == np.shape(b) == amps.shape[:-1]
+            np.testing.assert_allclose(a, want_a, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(b, want_b, rtol=0, atol=1e-12)
+
+    def test_one_row_equals_state_brackets_bitwise(self, demo):
+        pencil, _ = demo
+        v = random_state(np.random.default_rng(3), 2)
+        _, _, a, b = pencil.apply(v.amps)
+        assert a == inner(v, apply_sum(pencil.A, v)).real
+        assert b == inner(v, apply_sum(pencil.B, v)).real
+
+
 def fd_grad(loss, p, h=1e-5):
     g = np.zeros((p.n, p.L))
     for t in range(p.L):
