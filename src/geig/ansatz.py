@@ -2,10 +2,10 @@
 qubit followed by a fixed CNOT entangler, plus the exact pi-shift derivative
 identity dU/dtheta[i][t] = U(theta with pi added at [i][t]) / 2.
 
-``apply_ansatz`` runs the circuit gate by gate on a ``StateVector``.
-``CompiledAnsatz`` runs it on raw amplitude arrays for a whole batch of
-angle grids at once, and takes the gradient of any real function of the
-output by one reverse (adjoint) sweep.
+``CompiledAnsatz`` is the one circuit simulator: it runs the circuit on raw
+amplitude arrays for a whole batch of angle grids at once, and takes the
+gradient of any real function of the output by one reverse (adjoint) sweep.
+``apply_ansatz`` is its one-state view on a ``StateVector``.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .statevector import StateVector, apply_cnot, apply_ry, cnot_index, rotate_y, scale
+from .statevector import StateVector, scale
 
 _ENTANGLER_NAMES = ("linear", "ring")
 
@@ -78,14 +78,33 @@ def apply_ansatz(p: AnsatzParams, v_in: StateVector, entangler="linear") -> Stat
     """U(theta)|v_in>: for each layer, rotate every qubit then entangle."""
     if p.n != v_in.n:
         raise ValueError(f"qubit counts differ: params {p.n}, state {v_in.n}")
-    pairs = entangler_pairs(p.n, entangler)
-    v = v_in
-    for t in range(p.L):
-        for i in range(p.n):
-            v = apply_ry(i, p.theta[i, t], v)
-        for c, tgt in pairs:
-            v = apply_cnot(c, tgt, v)
-    return v
+    out = compile_ansatz(p.n, entangler).run(p.theta[None], v_in.amps)[0]
+    return StateVector(p.n, out, normalized=v_in.normalized)
+
+
+def rotate_y(amps: np.ndarray, q: int, c, s) -> np.ndarray:
+    """The real rotation [[c, -s], [s, c]] on qubit ``q`` of every row of a
+    raw amplitude array of shape (..., 2^n).
+
+    ``c`` and ``s`` are scalars or broadcast against (..., 1, 1), one pair
+    per row; Ry(angle) is c = cos(angle/2), s = sin(angle/2).
+    """
+    view = amps.reshape(amps.shape[:-1] + (1 << q, 2, -1))
+    a0 = view[..., 0, :]
+    a1 = view[..., 1, :]
+    out = np.empty_like(view)
+    out[..., 0, :] = c * a0 - s * a1
+    out[..., 1, :] = s * a0 + c * a1
+    return out.reshape(amps.shape)
+
+
+def cnot_index(n: int, control: int, target: int) -> np.ndarray:
+    """CNOT on ``n`` qubits as a gather index (it maps amplitudes ``v`` to
+    ``v[index]``): the involution j -> j ^ target_bit wherever control_bit
+    is set."""
+    index = np.arange(1 << n, dtype=np.int64)
+    control_bit = 1 << (n - 1 - control)
+    return index ^ np.where(index & control_bit, 1 << (n - 1 - target), 0)
 
 
 @dataclass(frozen=True)

@@ -369,14 +369,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        summary = args.func(args)
+        # a NaN or inf anywhere in the summary is an error, not output
+        text = json.dumps(args.func(args), allow_nan=False)
     except Exception as exc:
         print(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}),
             file=sys.stderr,
         )
         return 1
-    print(json.dumps(summary))
+    print(text)
     return 0
 
 

@@ -1,8 +1,9 @@
 """Exact dense generalized eigensolver used as the brute-force oracle.
 
 The eigensolver is deliberately self-contained (hand-rolled Cholesky plus a
-cyclic complex Jacobi iteration) so it stays independent of the solvers it
-validates.  Intended for desk scale (dimension <= 16 or so).
+cyclic complex Jacobi iteration, no external eigensolver) so it stays
+independent of the solvers it validates.  Each Jacobi sweep costs O(dim^3);
+the CLI caps the oracle at 10 qubits by default (``GEIG_DENSE_CAP``).
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Dense complex statevectors with gates, inner products and expectations.
+"""Dense complex statevectors with inner products and expectations.
 
 Amplitudes are indexed so that qubit 0 is the most significant basis-index
 bit, i.e. ``|q0 q1 ... q_{n-1}>`` read as a binary number.  States are value
@@ -8,7 +8,7 @@ Unnormalized states are first-class and carry ``normalized=False``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,55 +59,6 @@ def basis_state(n: int, index: int) -> StateVector:
     return StateVector(n, amps)
 
 
-def _check_qubit(q: int, n: int) -> None:
-    if not 0 <= q < n:
-        raise IndexError(f"qubit index {q} out of range for {n} qubits")
-
-
-def rotate_y(amps: np.ndarray, q: int, c, s) -> np.ndarray:
-    """The real rotation [[c, -s], [s, c]] on qubit ``q`` of every row of a
-    raw amplitude array of shape (..., 2^n).
-
-    ``c`` and ``s`` are scalars or broadcast against (..., 1, 1), one pair
-    per row; Ry(angle) is c = cos(angle/2), s = sin(angle/2).
-    """
-    view = amps.reshape(amps.shape[:-1] + (1 << q, 2, -1))
-    a0 = view[..., 0, :]
-    a1 = view[..., 1, :]
-    out = np.empty_like(view)
-    out[..., 0, :] = c * a0 - s * a1
-    out[..., 1, :] = s * a0 + c * a1
-    return out.reshape(amps.shape)
-
-
-def apply_ry(q: int, angle: float, v: StateVector) -> StateVector:
-    """Apply the rotation exp(-i*angle*Y/2) on qubit ``q``.
-
-    The 2x2 matrix is [[cos(a/2), -sin(a/2)], [sin(a/2), cos(a/2)]].
-    """
-    _check_qubit(q, v.n)
-    out = rotate_y(v.amps, q, np.cos(angle / 2.0), np.sin(angle / 2.0))
-    return StateVector(v.n, out, normalized=v.normalized)
-
-
-def cnot_index(n: int, control: int, target: int) -> np.ndarray:
-    """CNOT on ``n`` qubits as a gather index (it maps amplitudes ``v`` to
-    ``v[index]``): the involution j -> j ^ target_bit wherever control_bit
-    is set."""
-    index = np.arange(1 << n, dtype=np.int64)
-    control_bit = 1 << (n - 1 - control)
-    return index ^ np.where(index & control_bit, 1 << (n - 1 - target), 0)
-
-
-def apply_cnot(control: int, target: int, v: StateVector) -> StateVector:
-    """Apply CNOT: flip ``target`` where ``control`` is 1."""
-    if control == target:
-        raise ValueError("control and target qubits must differ")
-    _check_qubit(control, v.n)
-    _check_qubit(target, v.n)
-    return StateVector(v.n, v.amps[cnot_index(v.n, control, target)], normalized=v.normalized)
-
-
 def _check_match(u: StateVector, v: StateVector) -> None:
     if u.n != v.n:
         raise ValueError(f"qubit counts differ: {u.n} vs {v.n}")
@@ -122,12 +73,6 @@ def inner(u: StateVector, v: StateVector) -> complex:
 def norm(v: StateVector) -> float:
     """Euclidean norm of the amplitude vector."""
     return float(np.linalg.norm(v.amps))
-
-
-def add_scaled(u: StateVector, c: complex, v: StateVector) -> StateVector:
-    """u + c*v, flagged unnormalized."""
-    _check_match(u, v)
-    return StateVector(u.n, u.amps + c * v.amps, normalized=False)
 
 
 def scale(v: StateVector, c: complex) -> StateVector:

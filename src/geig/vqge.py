@@ -13,7 +13,7 @@ sampler call draws all the overlaps a loss or a gradient needs."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -60,12 +60,11 @@ class Pencil:
 def check_b(b):
     """Return <B> (a float, or an array with one entry per state) after
     checking that it is positive, as it is for every state when B is
-    positive definite."""
+    positive definite.  NaN fails the one comparison too."""
     low = b if isinstance(b, float) else np.min(b)
-    if low <= _B_FLOOR:
-        raise ValueError(
-            f"<B> = {low:.3e} at the evaluated state; B is not positive definite"
-        )
+    if not low > _B_FLOOR:
+        cause = "B is not positive definite" if low <= _B_FLOOR else "the bracket is not finite"
+        raise ValueError(f"<B> = {low:.3e} at the evaluated state; {cause}")
     return b
 
 
@@ -86,15 +85,13 @@ def rayleigh_quotient(a, b):
 class DeflationRecord:
     """One previously found eigenpair used as a deflation penalty.
 
-    ``state`` is the operational field (any nonzero scaling works; overlaps
-    are normalized internally); ``theta_star`` is kept when the state came
-    from an ansatz optimization.
+    ``state`` may carry any nonzero scaling; overlaps are normalized
+    internally.
     """
 
     eigenvalue: float
     gamma: float
     state: StateVector
-    theta_star: Optional[AnsatzParams] = None
 
 
 @dataclass(frozen=True)
@@ -504,7 +501,7 @@ def solve_spectrum(pencil: Pencil, r: int, config: SolveConfig = SolveConfig()) 
     for j in range(2, r):
         # every level found so far except the maximum becomes a penalty
         found = levels[:1] + levels[2:]
-        records = tuple(DeflationRecord(lam, gamma, x, params) for lam, params, x, *_ in found)
+        records = tuple(DeflationRecord(lam, gamma, x) for lam, _, x, *_ in found)
         levels.append(run_level(j, 1.0, records, "deflate"))
     return _assemble(levels, pencil)
 

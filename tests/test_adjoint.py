@@ -1,6 +1,6 @@
 """Equivalence of the exact-mode fused pass (forward sweep, co-state and one
 adjoint sweep on raw arrays, batched over restarts) with the paths it
-replaced: the pi-shift gradient, dense-matrix losses, the gate-by-gate
+replaced: the pi-shift gradient, dense-matrix losses, the one-state
 StateVector circuit and sequential one-restart optimization."""
 
 import numpy as np
@@ -130,6 +130,8 @@ class TestFusedPass:
 class TestCompiledAnsatz:
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_rows_bitwise_equal_apply_ansatz(self, n):
+        """A row of a batched run does not depend on the rows beside it: it
+        equals apply_ansatz, a batch of one, bitwise."""
         rng = np.random.default_rng(n)
         v_in = random_state(rng, n)
         for entangler in ("linear", "ring"):

@@ -1,17 +1,47 @@
 import numpy as np
 import pytest
 
-import geig.ansatz as ansatz_mod
 from conftest import random_state
 from geig.ansatz import (
     AnsatzParams,
     apply_ansatz,
+    compile_ansatz,
     derivative_state,
     entangler_pairs,
     random_params,
     shift,
 )
-from geig.statevector import basis_state, norm, zero_state
+from geig.statevector import StateVector, basis_state, norm, zero_state
+
+
+def dense_ry(theta):
+    c, s = np.cos(theta / 2), np.sin(theta / 2)
+    return np.array([[c, -s], [s, c]])
+
+
+def on_qubit(n, q, gate):
+    """A one-qubit matrix on qubit ``q`` of ``n`` (qubit 0 leftmost)."""
+    return np.kron(np.kron(np.eye(1 << q), gate), np.eye(1 << (n - q - 1)))
+
+
+def dense_cnot(n, control, target):
+    """|0><0|_c + |1><1|_c X_t as a dense matrix, built from Kronecker
+    products alone."""
+    p1 = on_qubit(n, control, np.diag([0.0, 1.0]))
+    x = on_qubit(n, target, np.array([[0.0, 1.0], [1.0, 0.0]]))
+    return np.eye(1 << n) - p1 + p1 @ x
+
+
+def dense_circuit(theta, pairs):
+    """The ansatz unitary for one (n, L) angle grid as a dense product."""
+    n, layers = theta.shape
+    u = np.eye(1 << n)
+    for t in range(layers):
+        for i in range(n):
+            u = on_qubit(n, i, dense_ry(theta[i, t])) @ u
+        for c, tgt in pairs:
+            u = dense_cnot(n, c, tgt) @ u
+    return u
 
 
 class TestAnsatzParams:
@@ -51,6 +81,8 @@ class TestEntanglerPairs:
         assert entangler_pairs(3, [(2, 0)]) == ((2, 0),)
         with pytest.raises(ValueError):
             entangler_pairs(2, [(0, 5)])
+        with pytest.raises(ValueError):
+            entangler_pairs(2, [(1, 1)])
 
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="star"):
@@ -69,42 +101,34 @@ class TestApplyAnsatz:
         np.testing.assert_allclose(out.amps, [0, 1], atol=1e-15)
 
     def test_matches_dense_circuit(self):
-        """Layered rotations-then-entangler agree with the dense product."""
+        """Compiled rows and apply_ansatz agree with the dense product of
+        layered rotations-then-entangler, for every entangler kind."""
         rng = np.random.default_rng(3)
-        cnot_01 = np.eye(4)[[0, 1, 3, 2]]
+        for n in range(1, 6):
+            # a reversed chain, whose gates do not commute
+            explicit = [(k + 1, k) for k in reversed(range(n - 1))]
+            for entangler in ("linear", "ring", explicit):
+                pairs = entangler_pairs(n, entangler)
+                theta = rng.uniform(0, 2 * np.pi, size=(3, n, 2))
+                v = random_state(rng, n)
+                rows = compile_ansatz(n, entangler).run(theta, v.amps)
+                for row, grid in zip(rows, theta):
+                    want = dense_circuit(grid, pairs) @ v.amps
+                    np.testing.assert_allclose(row, want, rtol=0, atol=1e-12)
+                    got = apply_ansatz(AnsatzParams(n, 2, grid), v, entangler)
+                    np.testing.assert_allclose(got.amps, want, rtol=0, atol=1e-12)
 
-        def ry(theta):
-            c, s = np.cos(theta / 2), np.sin(theta / 2)
-            return np.array([[c, -s], [s, c]])
-
-        for _ in range(10):
-            theta = rng.uniform(0, 2 * np.pi, size=(2, 2))
-            u = np.eye(4)
-            for t in range(2):
-                u = np.kron(ry(theta[0, t]), np.eye(2)) @ u
-                u = np.kron(np.eye(2), ry(theta[1, t])) @ u
-                u = cnot_01 @ u
-            v = random_state(rng, 2)
-            got = apply_ansatz(AnsatzParams(2, 2, theta), v)
-            np.testing.assert_allclose(got.amps, u @ v.amps, atol=1e-12)
-
-    def test_gate_counts(self, monkeypatch):
-        calls = {"ry": 0, "cnot": 0}
-        real_ry, real_cnot = ansatz_mod.apply_ry, ansatz_mod.apply_cnot
-        monkeypatch.setattr(
-            ansatz_mod,
-            "apply_ry",
-            lambda *a: (calls.__setitem__("ry", calls["ry"] + 1), real_ry(*a))[1],
-        )
-        monkeypatch.setattr(
-            ansatz_mod,
-            "apply_cnot",
-            lambda *a: (calls.__setitem__("cnot", calls["cnot"] + 1), real_cnot(*a))[1],
-        )
-        p = random_params(3, 2, np.random.default_rng(0))
-        apply_ansatz(p, zero_state(3))
-        assert calls["ry"] == 6, "n*L rotations"
-        assert calls["cnot"] == 4, "L entangler applications of n-1 gates each"
+    def test_unnormalized_input_is_linear(self):
+        """An unnormalized input gives an unnormalized output, linear in it."""
+        rng = np.random.default_rng(6)
+        p = random_params(3, 2, rng)
+        u, w = random_state(rng, 3).amps, random_state(rng, 3).amps
+        combo = StateVector(3, 2.5 * u - 0.7j * w, normalized=False)
+        out = apply_ansatz(p, combo)
+        assert not out.normalized
+        image_u = apply_ansatz(p, StateVector(3, u)).amps
+        image_w = apply_ansatz(p, StateVector(3, w)).amps
+        np.testing.assert_allclose(out.amps, 2.5 * image_u - 0.7j * image_w, rtol=0, atol=1e-12)
 
     def test_input_qubit_mismatch(self):
         p = AnsatzParams(2, 1, np.zeros((2, 1)))

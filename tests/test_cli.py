@@ -394,3 +394,31 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0, proc.stderr
         summary = json.loads(proc.stdout.strip())
         assert summary["command"] == "reference"
+
+
+class TestNonFiniteSummary:
+    """A summary that would carry NaN ends in the JSON error contract.  Run
+    as a subprocess: the overflow on the way is a numpy RuntimeWarning, which
+    the test session turns into an error of its own."""
+
+    @pytest.mark.parametrize(
+        "scale, flags", [(1e150, ["--line-search"]), (1e200, [])], ids=["line-search", "fixed-step"]
+    )
+    def test_fqge_exits_1(self, tmp_path, scale, flags):
+        problem = {
+            "n": 2,
+            "A": [{"coeff": scale, "ops": "ZI"}, {"coeff": scale, "ops": "XX"}],
+            "B": [{"coeff": scale, "ops": "II"}, {"coeff": 0.5, "ops": "IZ"}],
+        }
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(problem))
+        proc = subprocess.run(
+            [sys.executable, "-m", "geig", "fqge", *flags, str(path)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        payload = json.loads(proc.stderr.strip().splitlines()[-1])
+        assert payload["error"] == "ValueError"

@@ -76,6 +76,11 @@ class TestBPositivity:
         np.testing.assert_array_equal(rayleigh_quotient(np.array([1.0, 3.0]), good), [2.0, 1.5])
         assert check_b(0.25) == 0.25
 
+    def test_nan_is_rejected_as_not_finite(self):
+        for b in (float("nan"), np.array([0.5, np.nan, 2.0])):
+            with pytest.raises(ValueError, match=r"^<B> = nan .*; the bracket is not finite$"):
+                check_b(b)
+
 
 class TestLossState:
     def test_zero_basis_ratio(self, demo):

@@ -1,7 +1,7 @@
 """Equivalence of shot mode on the compiled path (one batched Hadamard-test
 sampler, per-term overlaps on raw arrays, one pi-shift objective per level)
 with the sequential path it replaced: per-term ``hadamard_test`` calls on
-gate-by-gate ``apply_ansatz`` states, one shifted circuit per angle, drawn
+one-state ``apply_ansatz`` outputs, one shifted circuit per angle, drawn
 in the same order from the same generator."""
 
 import numpy as np
@@ -177,7 +177,7 @@ class TestShotObjective:
                     np.testing.assert_allclose(g.theta, w.theta, rtol=0, atol=TOL)
 
     def test_no_state_vectors_in_the_descent(self, monkeypatch):
-        """StateVector constructions and gate-by-gate circuits do not grow
+        """StateVector constructions and one-state circuits do not grow
         with the iteration count: they serve the final states only."""
         counts = {}
         original_init = StateVector.__post_init__

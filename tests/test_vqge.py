@@ -153,7 +153,7 @@ class TestLossFj:
         rng = np.random.default_rng(8)
         p = random_params(2, 2, rng)
         state = apply_ansatz(p, zero_state(2))
-        rec = DeflationRecord(0.0, 1.234, state, p)
+        rec = DeflationRecord(0.0, 1.234, state)
         got = loss_fj(p, pencil, [rec])
         assert abs(got - (loss_f(p, pencil) + 1.234)) < 1e-12
 
