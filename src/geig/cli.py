@@ -15,7 +15,7 @@ import numpy as np
 
 from .fqge import FqgeConfig, run_fqge
 from .measurement import shot_allocation
-from .pauli import PauliSum, decompose
+from .pauli import DEFAULT_DENSE_CAP, PauliSum, decompose
 from .reference import count_distinct, distinct_values, generalized_eig
 from .statevector import basis_state
 from .vqge import OptConfig, Pencil, SolveConfig, solve_spectrum
@@ -33,9 +33,13 @@ def _oracle_cap() -> int:
     if not raw:
         return _DEFAULT_ORACLE_CAP
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
         raise ValueError(f"GEIG_DENSE_CAP must be an integer, got {raw!r}") from None
+    if cap > DEFAULT_DENSE_CAP:
+        # pauli.DEFAULT_DENSE_CAP guards the allocation of a 2^n x 2^n matrix
+        raise ValueError(f"GEIG_DENSE_CAP must be at most {DEFAULT_DENSE_CAP}, got {cap}")
+    return cap
 
 
 def _parse_matrix(rows) -> np.ndarray:
@@ -108,37 +112,34 @@ def _load_problem(args) -> Pencil:
 
 
 def _reference_or_none(pencil: Pencil):
-    cap = _oracle_cap()
-    if pencil.n > cap:
+    """The dense oracle's decomposition, or None when the pencil is above
+    the CLI cap: the one place the cap is compared with ``pencil.n``."""
+    if pencil.n > _oracle_cap():
         return None
-    return generalized_eig(pencil, max_qubits=cap)
+    return generalized_eig(pencil)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
-def _write_vqge_trace(path: str, levels) -> None:
-    lines = ["level,restart,step,loss,grad_norm"]
-    for idx, level in enumerate(levels, start=1):
-        for restart, trace in enumerate(level.traces):
-            for step in trace.steps:
-                lines.append(
-                    f"{idx},{restart},{step.step},{_fmt(step.loss)},{_fmt(step.grad_norm)}"
-                )
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def _write_fqge_trace(path: str, rows) -> None:
-    lines = ["s,value,residual,delta_re,delta_im,success_prob,C,d"]
+def _write_trace(path: str, header: str, rows) -> None:
+    """CSV trace: the header, then one line per row of values; floats take
+    17 significant digits, so they read back exactly."""
+    lines = [header]
     for row in rows:
-        d = complex(row.delta_used)
-        lines.append(
-            f"{row.s},{_fmt(row.value)},{_fmt(row.residual)},"
-            f"{_fmt(d.real)},{_fmt(d.imag)},{_fmt(row.success_prob)},"
-            f"{_fmt(row.lcu_norm_c)},{row.lcu_terms}"
-        )
+        cells = (f"{v:.17g}" if isinstance(v, float) else str(v) for v in row)
+        lines.append(",".join(cells))
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def _check_finite(value, path: str = "") -> None:
+    """Raise ValueError naming the first NaN or inf in a summary by its
+    field path, such as ``reference.abs_error`` or ``eigenvalues[1]``."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _check_finite(item, f"{path}.{key}" if path else key)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _check_finite(item, f"{path}[{i}]")
+    elif isinstance(value, float) and not np.isfinite(value):
+        raise ValueError(f"summary field {path!r} is {value}, not a finite number")
 
 
 def cmd_vqge(args) -> dict:
@@ -164,8 +165,7 @@ def cmd_vqge(args) -> dict:
         # planned before the solve, so a bad --target-eps fails at once
         alphas = [abs(c) for c in pencil.A.coeffs]
         betas = [abs(c) for c in pencil.B.coeffs]
-        gammas = [abs(c) for c in pencil.B.coeffs]
-        plan = shot_allocation(alphas, betas, gammas, args.target_eps)
+        plan = shot_allocation(alphas, betas, betas, args.target_eps)
     levels = solve_spectrum(pencil, r, config)
     summary = {
         "command": "vqge",
@@ -199,17 +199,11 @@ def cmd_vqge(args) -> dict:
             "max_abs_error": max(errors),
         }
     if plan is not None:
+        families = zip("ABO", (alphas, betas, betas), (plan.m_a, plan.m_b, plan.m_o))
         terms = [
-            {"label": f"A[{k}]", "coeff": c, "sigma": 1.0, "shots": m}
-            for k, (c, m) in enumerate(zip(alphas, plan.m_a))
-        ]
-        terms += [
-            {"label": f"B[{l}]", "coeff": c, "sigma": 1.0, "shots": m}
-            for l, (c, m) in enumerate(zip(betas, plan.m_b))
-        ]
-        terms += [
-            {"label": f"O[{i}]", "coeff": c, "sigma": 1.0, "shots": m}
-            for i, (c, m) in enumerate(zip(gammas, plan.m_o))
+            {"label": f"{label}[{k}]", "coeff": c, "sigma": 1.0, "shots": m}
+            for label, coeffs, counts in families
+            for k, (c, m) in enumerate(zip(coeffs, counts))
         ]
         summary["shot_allocation"] = {
             "terms": terms,
@@ -217,7 +211,13 @@ def cmd_vqge(args) -> dict:
             "eps": plan.eps,
         }
     if args.trace:
-        _write_vqge_trace(args.trace, levels)
+        steps = (
+            (idx, restart, step.step, step.loss, step.grad_norm)
+            for idx, level in enumerate(levels, start=1)
+            for restart, trace in enumerate(level.traces)
+            for step in trace.steps
+        )
+        _write_trace(args.trace, "level,restart,step,loss,grad_norm", steps)
         summary["trace_path"] = args.trace
     return summary
 
@@ -270,19 +270,24 @@ def cmd_fqge(args) -> dict:
             "fidelity_ground": float(abs(np.vdot(ground, result.state.amps)) ** 2),
         }
     if args.trace:
-        _write_fqge_trace(args.trace, rows)
+        header = "s,value,residual,delta_re,delta_im,success_prob,C,d"
+        iterates = (
+            (row.s, row.value, row.residual, row.delta_used.real, row.delta_used.imag,
+             row.success_prob, row.lcu_norm_c, row.lcu_terms)
+            for row in rows
+        )
+        _write_trace(args.trace, header, iterates)
         summary["trace_path"] = args.trace
     return summary
 
 
 def cmd_reference(args) -> dict:
     pencil = _load_problem(args)
-    cap = _oracle_cap()
-    if pencil.n > cap:
+    ref = _reference_or_none(pencil)
+    if ref is None:
         raise ValueError(
-            f"problem has n={pencil.n} qubits, above the dense reference cap {cap}"
+            f"problem has n={pencil.n} qubits, above the dense reference cap {_oracle_cap()}"
         )
-    ref = generalized_eig(pencil, max_qubits=cap)
     return {
         "command": "reference",
         "n": pencil.n,
@@ -313,13 +318,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Generalized eigensolvers for Pauli-sum operator pencils.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    pv = sub.add_parser("vqge", help="variational spectrum recovery")
-    pv.add_argument(
+    problem = argparse.ArgumentParser(add_help=False)
+    problem.add_argument(
         "problem",
         nargs="?",
         help="problem JSON path (default: the bundled two-qubit pencil)",
     )
+    trace = argparse.ArgumentParser(add_help=False)
+    trace.add_argument("--trace", metavar="PATH", help="write a per-step CSV trace")
+
+    pv = sub.add_parser("vqge", parents=[problem, trace], help="variational spectrum recovery")
     pv.add_argument("--r", type=int, default=None, help="number of levels to recover")
     pv.add_argument("--layers", type=int, default=2)
     pv.add_argument("--restarts", type=int, default=5)
@@ -329,16 +337,10 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--entangler", default="linear")
     pv.add_argument("--shots", type=int, default=0)
-    pv.add_argument("--trace", metavar="PATH", help="write a per-step CSV trace")
     pv.add_argument("--target-eps", type=float, default=None, dest="target_eps")
     pv.set_defaults(func=cmd_vqge)
 
-    pf = sub.add_parser("fqge", help="iterative LCU descent")
-    pf.add_argument(
-        "problem",
-        nargs="?",
-        help="problem JSON path (default: the bundled two-qubit pencil)",
-    )
+    pf = sub.add_parser("fqge", parents=[problem, trace], help="iterative LCU descent")
     pf.add_argument("--delta", type=float, default=0.1)
     pf.add_argument("--line-search", action="store_true", dest="line_search")
     pf.add_argument("--epsilon", type=float, default=1e-8)
@@ -348,15 +350,9 @@ def build_parser() -> argparse.ArgumentParser:
     pf.add_argument(
         "--initial", type=int, default=0, help="basis index of the start state"
     )
-    pf.add_argument("--trace", metavar="PATH", help="write a per-step CSV trace")
     pf.set_defaults(func=cmd_fqge)
 
-    pr = sub.add_parser("reference", help="dense reference eigendecomposition")
-    pr.add_argument(
-        "problem",
-        nargs="?",
-        help="problem JSON path (default: the bundled two-qubit pencil)",
-    )
+    pr = sub.add_parser("reference", parents=[problem], help="dense reference eigendecomposition")
     pr.set_defaults(func=cmd_reference)
 
     pd = sub.add_parser("decompose", help="Pauli decomposition of a dense matrix")
@@ -370,7 +366,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         # a NaN or inf anywhere in the summary is an error, not output
-        text = json.dumps(args.func(args), allow_nan=False)
+        summary = args.func(args)
+        _check_finite(summary)
+        text = json.dumps(summary, allow_nan=False)
     except Exception as exc:
         print(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}),

@@ -187,17 +187,24 @@ class PauliSum:
         return " + ".join(f"{c:g}*{s.ops}" for c, s in self.terms)
 
 
-def dense_matrix(p, max_qubits: int = DEFAULT_DENSE_CAP) -> np.ndarray:
-    """Dense 2^n x 2^n matrix of a PauliString or PauliSum."""
-    if p.n > max_qubits:
-        raise ValueError(
-            f"dense matrix for {p.n} qubits exceeds the cap of {max_qubits}"
-        )
+def _check_dense_cap(n: int) -> None:
+    """Refuse n above ``DEFAULT_DENSE_CAP``, the guard on holding a dense
+    2^n x 2^n matrix."""
+    if n > DEFAULT_DENSE_CAP:
+        raise ValueError(f"{n} qubits exceed the dense cap of {DEFAULT_DENSE_CAP}")
+
+
+def dense_matrix(p) -> np.ndarray:
+    """Dense 2^n x 2^n matrix of a PauliString or PauliSum.
+
+    Refuses n above ``DEFAULT_DENSE_CAP`` before anything is allocated.
+    """
+    _check_dense_cap(p.n)
     if isinstance(p, PauliString):
         return reduce(np.kron, (_SINGLE[ch] for ch in p.ops))
     out = np.zeros((2**p.n, 2**p.n), dtype=np.complex128)
     for coeff, string in p.terms:
-        out += coeff * dense_matrix(string, max_qubits=max_qubits)
+        out += coeff * dense_matrix(string)
     return out
 
 
@@ -263,16 +270,16 @@ def apply_sum(s: PauliSum, v: StateVector) -> StateVector:
     return StateVector(v.n, apply_sum_array(s, v.amps), normalized=False)
 
 
-def decompose(
-    m: np.ndarray,
-    tol: float = DEFAULT_DECOMPOSE_TOL,
-    max_qubits: int = DEFAULT_DENSE_CAP,
-) -> PauliSum:
+def decompose(m: np.ndarray, tol: float = DEFAULT_DECOMPOSE_TOL) -> PauliSum:
     """Expand a Hermitian matrix in the Pauli basis.
 
     The coefficient of string P is Tr[P m]/2^n (the exact minimizer of the
-    Hilbert-Schmidt distance); terms with |coeff| <= tol are dropped.
+    Hilbert-Schmidt distance); terms with |coeff| <= tol are dropped, so
+    ``tol`` must be finite and >= 0.  Refuses n above ``DEFAULT_DENSE_CAP``.
     """
+    # NaN fails this comparison, as it would fail the two that use tol below
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol}")
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
@@ -280,8 +287,7 @@ def decompose(
     n = dim.bit_length() - 1
     if dim != 2**n or dim < 2:
         raise ValueError(f"matrix dimension {dim} is not a power of two >= 2")
-    if n > max_qubits:
-        raise ValueError(f"decompose on {n} qubits exceeds the cap of {max_qubits}")
+    _check_dense_cap(n)
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix has non-finite entries")
     if np.max(np.abs(m - m.conj().T)) > max(tol, 1e-12):

@@ -3,7 +3,8 @@
 The eigensolver is deliberately self-contained (hand-rolled Cholesky plus a
 cyclic complex Jacobi iteration, no external eigensolver) so it stays
 independent of the solvers it validates.  Each Jacobi sweep costs O(dim^3);
-the CLI caps the oracle at 10 qubits by default (``GEIG_DENSE_CAP``).
+the CLI caps the oracle at 10 qubits by default (``GEIG_DENSE_CAP``, at
+most ``pauli.DEFAULT_DENSE_CAP``).
 """
 
 from __future__ import annotations
@@ -156,10 +157,13 @@ def generalized_eig_dense(a: np.ndarray, b: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(values, vectors, eta1)
 
 
-def generalized_eig(pencil, max_qubits: int = pauli.DEFAULT_DENSE_CAP) -> EigenDecomposition:
-    """Oracle decomposition of a Pauli-sum pencil via dense reconstruction."""
-    a = pauli.dense_matrix(pencil.A, max_qubits=max_qubits)
-    b = pauli.dense_matrix(pencil.B, max_qubits=max_qubits)
+def generalized_eig(pencil) -> EigenDecomposition:
+    """Oracle decomposition of a Pauli-sum pencil via dense reconstruction.
+
+    Refuses n above ``pauli.DEFAULT_DENSE_CAP`` before anything is allocated.
+    """
+    a = pauli.dense_matrix(pencil.A)
+    b = pauli.dense_matrix(pencil.B)
     return generalized_eig_dense(a, b)
 
 

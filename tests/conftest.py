@@ -1,7 +1,11 @@
-"""Shared helpers: the two-qubit demonstration pencil and random
-positive-definite pencil generators used across the test modules."""
+"""Shared helpers: the two-qubit demonstration pencil, random
+positive-definite pencil generators and the dense-cap refusal check used
+across the test modules."""
+
+import tracemalloc
 
 import numpy as np
+import pytest
 
 from geig.pauli import PauliSum, decompose
 from geig.statevector import StateVector
@@ -63,3 +67,16 @@ def random_pencil(rng, n):
 def random_state(rng, n) -> StateVector:
     v = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
     return StateVector(n, v / np.linalg.norm(v))
+
+
+def refused_without_allocating(call, match):
+    """Run ``call``, which must raise ValueError matching ``match``, and
+    return the peak bytes it allocated on the way (numpy allocations are
+    traced too)."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=match):
+            call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -10,6 +10,7 @@ import pytest
 
 from conftest import DENSE_A, two_qubit_pencil
 from geig.cli import (
+    _check_finite,
     build_parser,
     bundled_problem_path,
     main,
@@ -52,6 +53,84 @@ def error_of(capsys, argv):
     payload = json.loads(lines[0])
     assert set(payload) == {"error", "message"}
     return payload
+
+
+VQGE_DEFAULTS = {
+    "command": "vqge",
+    "problem": None,
+    "r": None,
+    "layers": 2,
+    "restarts": 5,
+    "iters": 200,
+    "lr": 0.1,
+    "method": "adam",
+    "seed": 0,
+    "entangler": "linear",
+    "shots": 0,
+    "trace": None,
+    "target_eps": None,
+}
+
+
+class TestParser:
+    """The parsed arguments and the option strings of every subcommand: the
+    command-line contract that a refactor of ``build_parser`` must keep."""
+
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            (["vqge"], VQGE_DEFAULTS),
+            (
+                ["vqge", "p.json", "--trace", "t.csv", "--r", "3"],
+                {**VQGE_DEFAULTS, "problem": "p.json", "trace": "t.csv", "r": 3},
+            ),
+            (
+                ["fqge"],
+                {
+                    "command": "fqge",
+                    "problem": None,
+                    "delta": 0.1,
+                    "line_search": False,
+                    "epsilon": 1e-08,
+                    "max_iters": 200,
+                    "noise_sigma": 0.0,
+                    "seed": None,
+                    "initial": 0,
+                    "trace": None,
+                },
+            ),
+            (["reference"], {"command": "reference", "problem": None}),
+            (
+                ["decompose", "m.json"],
+                {"command": "decompose", "matrix": "m.json", "tol": 1e-10},
+            ),
+        ],
+        ids=["vqge", "vqge-path-trace-r", "fqge", "reference", "decompose"],
+    )
+    def test_namespace(self, argv, want):
+        got = vars(build_parser().parse_args(argv))
+        assert callable(got.pop("func"))
+        assert got == want
+
+    def test_option_strings(self):
+        (subparsers,) = build_parser()._subparsers._group_actions
+        got = {
+            name: {s for action in sub._actions for s in action.option_strings}
+            for name, sub in subparsers.choices.items()
+        }
+        assert got == {
+            "vqge": {
+                "-h", "--help", "--r", "--layers", "--restarts", "--iters",
+                "--lr", "--method", "--seed", "--entangler", "--shots",
+                "--trace", "--target-eps",
+            },
+            "fqge": {
+                "-h", "--help", "--delta", "--line-search", "--epsilon",
+                "--max-iters", "--noise-sigma", "--seed", "--initial", "--trace",
+            },
+            "reference": {"-h", "--help"},
+            "decompose": {"-h", "--help", "--tol"},
+        }
 
 
 class TestParseProblem:
@@ -283,6 +362,14 @@ class TestDecomposeCommand:
         assert payload["error"] == "ValueError"
         assert "'matrix'" in payload["message"]
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_rejects_bad_tol(self, capsys, tmp_path, tol):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps([[[1.0, 0.0], [0.5, 0.0]], [[0.5, 0.0], [-1.0, 0.0]]]))
+        payload = error_of(capsys, ["decompose", str(path), "--tol", tol])
+        assert payload["error"] == "ValueError"
+        assert "tol" in payload["message"]
+
 
 class TestErrorContract:
     def test_missing_problem_file(self, capsys):
@@ -377,10 +464,14 @@ class TestDenseCap:
         assert summary["status"] == "max_iters"
 
     def test_invalid_cap_value(self, capsys, monkeypatch):
-        monkeypatch.setenv("GEIG_DENSE_CAP", "zebra")
-        payload = error_of(capsys, ["reference"])
-        assert payload["error"] == "ValueError"
-        assert "GEIG_DENSE_CAP" in payload["message"]
+        # "13" is above the guard on allocating a dense 2^n x 2^n matrix
+        for raw in ("zebra", "13"):
+            monkeypatch.setenv("GEIG_DENSE_CAP", raw)
+            payload = error_of(capsys, ["reference"])
+            assert payload["error"] == "ValueError"
+            assert "GEIG_DENSE_CAP" in payload["message"]
+            if raw == "13":
+                assert "12" in payload["message"]
 
 
 class TestModuleEntryPoint:
@@ -422,3 +513,17 @@ class TestNonFiniteSummary:
         assert proc.stdout == ""
         payload = json.loads(proc.stderr.strip().splitlines()[-1])
         assert payload["error"] == "ValueError"
+        if not flags:
+            # the NaN is in the summary, and the message names its field
+            assert "residual" in payload["message"]
+
+    def test_walker_names_the_field(self):
+        nan, inf = float("nan"), float("inf")
+        _check_finite({"n": 2, "eigenvalue": 0.5, "levels": [{"objective": "min"}]})
+        for summary, field in [
+            ({"n": 2, "residual": nan}, "residual"),
+            ({"reference": {"nearest_eigenvalue": 1.0, "abs_error": inf}}, "reference.abs_error"),
+            ({"eigenvalues": [0.5, -inf]}, "eigenvalues[1]"),
+        ]:
+            with pytest.raises(ValueError, match=re.escape(field)):
+                _check_finite(summary)

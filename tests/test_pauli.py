@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
 
-from conftest import A_TERMS, B_TERMS, DENSE_A, random_hermitian
+from conftest import (
+    A_TERMS,
+    B_TERMS,
+    DENSE_A,
+    random_hermitian,
+    refused_without_allocating,
+)
 from geig.pauli import (
+    DEFAULT_DENSE_CAP,
     PauliString,
     PauliSum,
     _string_action,
@@ -113,9 +120,12 @@ class TestDenseMatrix:
         s = PauliSum.identity(13, 1.0)
         with pytest.raises(ValueError):
             dense_matrix(s)
-        # custom cap applies
-        with pytest.raises(ValueError):
-            dense_matrix(PauliSum.identity(3, 1.0), max_qubits=2)
+        # refused before the 2^n x 2^n matrix is allocated
+        big = PauliSum.identity(DEFAULT_DENSE_CAP + 1, 1.0)
+        peak = refused_without_allocating(
+            lambda: dense_matrix(big), f"cap of {DEFAULT_DENSE_CAP}$"
+        )
+        assert peak < 2**20
 
 
 class TestApplyString:
@@ -275,6 +285,22 @@ class TestDecompose:
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):
             decompose(np.eye(3))
+
+    def test_refuses_above_dense_cap(self):
+        dim = 2 ** (DEFAULT_DENSE_CAP + 1)
+        # a zero-stride view: the input itself holds one element
+        m = np.broadcast_to(np.zeros((), dtype=complex), (dim, dim))
+        peak = refused_without_allocating(
+            lambda: decompose(m), f"cap of {DEFAULT_DENSE_CAP}$"
+        )
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -1.0])
+    def test_rejects_bad_tol(self, tol):
+        """A NaN tol passes every comparison's False branch, so without
+        this check it would drop every term; a negative one keeps all."""
+        with pytest.raises(ValueError, match="tol"):
+            decompose(np.array([[1.0, 0.5], [0.5, -1.0]]), tol=tol)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
     def test_rejects_non_finite_entries(self, bad):

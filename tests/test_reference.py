@@ -8,8 +8,10 @@ from conftest import (
     random_hermitian,
     random_pd,
     random_pencil,
+    refused_without_allocating,
     two_qubit_pencil,
 )
+from geig.pauli import DEFAULT_DENSE_CAP, PauliSum
 from geig.reference import (
     cholesky,
     count_distinct,
@@ -18,6 +20,7 @@ from geig.reference import (
     generalized_eig_dense,
     hermitian_eig,
 )
+from geig.vqge import Pencil
 
 
 class TestNonFiniteInput:
@@ -147,6 +150,13 @@ class TestGeneralizedEig:
         ref = generalized_eig_dense(random_hermitian(rng, 4), b)
         assert ref.eta1 > 0
         cholesky(b)
+
+    def test_refuses_above_dense_cap(self):
+        big = PauliSum.identity(DEFAULT_DENSE_CAP + 1, 1.0)
+        peak = refused_without_allocating(
+            lambda: generalized_eig(Pencil(big, big)), f"cap of {DEFAULT_DENSE_CAP}$"
+        )
+        assert peak < 2**20
 
     def test_pencil_entry_point_matches_dense(self):
         pencil = two_qubit_pencil()
