@@ -365,6 +365,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "trace", None):
+            # created before the solve, so a bad path fails at once
+            Path(args.trace).write_text("")
         # a NaN or inf anywhere in the summary is an error, not output
         summary = args.func(args)
         _check_finite(summary)

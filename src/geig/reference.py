@@ -1,36 +1,43 @@
 """Exact dense generalized eigensolver used as the brute-force oracle.
 
-The eigensolver is deliberately self-contained (hand-rolled Cholesky plus a
-cyclic complex Jacobi iteration, no external eigensolver) so it stays
-independent of the solvers it validates.  Each Jacobi sweep costs O(dim^3);
-the CLI caps the oracle at 10 qubits by default (``GEIG_DENSE_CAP``, at
-most ``pauli.DEFAULT_DENSE_CAP``).
+The eigensolver is deliberately self-contained (no external eigensolver) so
+it stays independent of the solvers it validates.  A hand-rolled Cholesky
+factor of B reduces the pencil to one Hermitian matrix.  Householder
+reflections bring that to a real symmetric tridiagonal matrix T (Golub &
+Van Loan 8.3, the pattern of LAPACK's ``zhetrd``).  All eigenvalues of T
+come at once from Sturm-count bisection vectorised over the eigenvalue
+indices (GvL 8.4, ``dstebz``).  Eigenvectors come from inverse iteration on
+T (``dstein``) and are computed only when they are read.  The reduction
+costs O(dim^3); the CLI caps the oracle at 10 qubits by default
+(``GEIG_DENSE_CAP``, at most ``pauli.DEFAULT_DENSE_CAP``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+import functools
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import pauli
 
 _HERM_TOL = 1e-10
-_JACOBI_OFF_TOL = 1e-12  # relative to the Frobenius norm of the matrix
-_JACOBI_MAX_SWEEPS = 30
 DEFAULT_CLUSTER_GAP = 1e-6
-
-
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Ascending eigenvalues, B-orthonormal eigenvector columns, and the
-    smallest eigenvalue of B."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    eta1: float
+_EPS = np.finfo(np.float64).eps
+_TINY = np.finfo(np.float64).tiny
+_MAGNITUDE = np.int64(0x7FFF_FFFF_FFFF_FFFF)  # every bit of a double but its sign
+_SIGN = np.int64(-0x8000_0000_0000_0000)
+# Sturm counts per bisection sweep, shared among the brackets: a small
+# matrix puts several points in each bracket, which cuts the sweeps (and
+# the per-row Python overhead) from 64 to as few as 8
+_SWEEP_POINTS = 512
+_PANEL = 32  # Householder reflectors per blocked update
+_INVERSE_STEPS = 3
+# shifts sit this far (relative to ||T||) below their eigenvalues, so that
+# rounding cannot favour some directions of a degenerate eigenspace
+_SHIFT_OFFSET = 1e-12
+_ORTHO_GAP = 1e-3  # relative to ||T||: vectors of closer eigenvalues are re-orthogonalized
 
 
 def _check_hermitian(m: np.ndarray, name: str) -> np.ndarray:
@@ -50,7 +57,10 @@ def cholesky(b: np.ndarray) -> np.ndarray:
     Raises ValueError on a non-positive pivot, which doubles as the
     positive-definiteness check.
     """
-    b = _check_hermitian(b, "matrix")
+    return _cholesky(_check_hermitian(b, "matrix"))
+
+
+def _cholesky(b: np.ndarray) -> np.ndarray:
     dim = b.shape[0]
     low = np.zeros_like(b)
     for j in range(dim):
@@ -67,73 +77,281 @@ def cholesky(b: np.ndarray) -> np.ndarray:
     return low
 
 
-def _off_norm(m: np.ndarray) -> float:
-    off = m - np.diag(np.diag(m))
-    return float(np.linalg.norm(off))
+def _to_key(x: np.ndarray) -> np.ndarray:
+    """int64 keys ordered as the doubles are: adjacent doubles get adjacent
+    keys, and both zeros get key 0."""
+    bits = np.asarray(x, dtype=np.float64).view(np.int64)
+    return np.where(bits < 0, -(bits & _MAGNITUDE), bits)
+
+
+def _from_key(key: np.ndarray) -> np.ndarray:
+    return np.where(key < 0, -key | _SIGN, key).view(np.float64)
+
+
+def _gershgorin(d: np.ndarray, e: np.ndarray) -> float:
+    """Bound on the magnitude of every eigenvalue of the tridiagonal (d, e)."""
+    ae = np.abs(e)
+    return float(np.max(np.abs(d) + np.append(ae, 0.0) + np.insert(ae, 0, 0.0)))
+
+
+def _sturm_count(d: np.ndarray, e2: np.ndarray, x: np.ndarray, pivmin: float) -> np.ndarray:
+    """Number of eigenvalues of the tridiagonal (d, e), given e2 = e * e,
+    below each shift in ``x``: the negative pivots of the LDL^T
+    factorization of T - x.
+
+    A pivot smaller than ``pivmin`` keeps its sign (+0 counts as positive)
+    and takes magnitude ``pivmin``, so ``e^2 / q`` cannot overflow.
+    """
+    count = np.zeros(x.shape, dtype=np.int64)
+    q = d[0] - x
+    t = np.empty_like(x)
+    for i in range(d.size):
+        if i:
+            np.divide(e2[i - 1], q, out=t)
+            np.subtract(d[i], x, out=q)
+            q -= t
+        np.abs(q, out=t)
+        np.maximum(t, pivmin, out=t)
+        np.copysign(t, q, out=q)
+        count += q < 0
+    return count
+
+
+def _bisect(d: np.ndarray, e: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the given ascending indices of the real symmetric
+    tridiagonal (d, e), each the largest double whose Sturm count is at most
+    its index.
+
+    The brackets are split on the ordered integer keys of the doubles, not
+    on their values, so every bracket reaches adjacent doubles in at most 64
+    halvings at every scale, and an eigenvalue far below ||T|| keeps its
+    relative accuracy.
+    """
+    indices = np.asarray(indices, dtype=np.int64)
+    e2 = e * e
+    pivmin = _TINY * max(1.0, float(np.max(e2, initial=0.0)))
+    bound = 2.0 * _gershgorin(d, e)
+    lo = np.full(indices.shape, _to_key(-bound))
+    hi = np.full(indices.shape, _to_key(bound))
+    points = max(1, _SWEEP_POINTS // max(indices.size, 1))
+    # keys differ by up to 2^64, so widths and offsets are taken in uint64
+    offsets = np.arange(1, points + 1, dtype=np.uint64)
+    rows = np.arange(indices.size)
+    while True:
+        width = hi.view(np.uint64) - lo.view(np.uint64)
+        if not np.any(width > 1):
+            return _from_key(lo)
+        step = np.maximum(width // np.uint64(points + 1), np.uint64(1))
+        probe = (lo.view(np.uint64)[:, None] + step[:, None] * offsets).view(np.int64)
+        probe = np.minimum(probe, (hi - 1)[:, None])
+        counts = _sturm_count(d, e2, _from_key(probe).ravel(), pivmin)
+        below = np.sum(counts.reshape(probe.shape) <= indices[:, None], axis=1)
+        lo = np.where(below > 0, probe[rows, np.maximum(below - 1, 0)], lo)
+        hi = np.where(below < points, probe[rows, np.minimum(below, points - 1)], hi)
+
+
+def _inverse_iteration(d: np.ndarray, e: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Orthonormal eigenvector columns of the unreduced tridiagonal (d, e)
+    for its ascending eigenvalues ``values``.
+
+    Each column solves (T - s) y = b a few times from a fixed random start,
+    with the shift s just below its eigenvalue, through one LU factorization
+    with partial pivoting per eigenvalue; all eigenvalues go through each
+    row step together.  A pivot below eps ||T|| is raised to it.  After
+    every solve the columns of each cluster of eigenvalues closer than
+    1e-3 ||T|| are re-orthonormalized, which keeps the vectors of an exactly
+    degenerate eigenvalue orthonormal.
+    """
+    size = d.size
+    norm = _gershgorin(d, e)
+    floor = _EPS * norm
+    shifts = values - _SHIFT_OFFSET * norm
+    ext = np.append(e, 0.0)
+    # LU of each T - s, one column per eigenvalue; U has two superdiagonals
+    u0 = np.empty((size, values.size))
+    u1 = np.zeros((size, values.size))
+    u2 = np.zeros((size, values.size))
+    mult = np.empty((size - 1, values.size))
+    swap = np.empty((size - 1, values.size), dtype=bool)
+    diag = d[0] - shifts
+    upper = np.full(values.size, ext[0])
+    for i in range(size - 1):
+        below = ext[i]
+        nxt = d[i + 1] - shifts
+        sw = np.abs(diag) < abs(below)
+        pivot = np.where(sw, below, diag)
+        pivot = np.copysign(np.maximum(np.abs(pivot), floor), pivot)
+        mult[i] = np.where(sw, diag, below) / pivot
+        u0[i] = pivot
+        u1[i] = np.where(sw, nxt, upper)
+        u2[i] = np.where(sw, ext[i + 1], 0.0)
+        swap[i] = sw
+        diag = np.where(sw, upper, nxt) - mult[i] * u1[i]
+        upper = np.where(sw, 0.0, ext[i + 1]) - mult[i] * u2[i]
+    u0[size - 1] = np.copysign(np.maximum(np.abs(diag), floor), diag)
+
+    cuts = np.flatnonzero(np.diff(values) > _ORTHO_GAP * norm) + 1
+    clusters = [
+        (start, stop)
+        for start, stop in zip(np.r_[0, cuts], np.r_[cuts, values.size])
+        if stop - start > 1
+    ]
+    y = np.random.default_rng(size).uniform(-1.0, 1.0, (size, values.size))
+    for _ in range(_INVERSE_STEPS):
+        for i in range(size - 1):
+            top = np.where(swap[i], y[i + 1], y[i])
+            y[i + 1] = np.where(swap[i], y[i], y[i + 1]) - mult[i] * top
+            y[i] = top
+        y[size - 1] /= u0[size - 1]
+        y[size - 2] = (y[size - 2] - u1[size - 2] * y[size - 1]) / u0[size - 2]
+        for i in range(size - 3, -1, -1):
+            y[i] = (y[i] - u1[i] * y[i + 1] - u2[i] * y[i + 2]) / u0[i]
+        y /= np.sqrt(np.sum(y * y, axis=0))
+        for start, stop in clusters:
+            y[:, start:stop] = np.linalg.qr(y[:, start:stop])[0]
+    return y
+
+
+class _Tridiagonal:
+    """Householder reduction of a Hermitian matrix M:
+    M = 2^exponent Q D T D^H Q^H, with T real symmetric tridiagonal
+    (diagonal ``d``, off-diagonal ``e >= 0``) and D = diag(``phases``)
+    unitary.  Q = H_0 H_1 ... is the product of the reflectors
+    H = I - 2 v v^H, kept in ``panels`` of ``_PANEL``: (first row, V), the
+    unit v of each reflector one column of V.
+
+    M is scaled by the power of two nearest its largest real or imaginary
+    part, so no norm can under- or overflow; the scaling, and the scaling
+    back of the eigenvalues, are exact.  A real M is reduced in real
+    arithmetic.
+    """
+
+    def __init__(self, m: np.ndarray):
+        a = m.copy() if m.imag.any() else m.real.copy()
+        dim = a.shape[0]
+        parts = a.view(np.float64)
+        self.exponent = math.frexp(float(np.max(np.abs(parts))))[1]
+        np.ldexp(parts, -self.exponent, out=parts)
+        d = np.zeros(dim)
+        sub = np.zeros(max(dim - 1, 0), dtype=a.dtype)
+        self.panels = []
+        # blocked as in LAPACK's zlatrd: within a panel, each similarity
+        # H A H = A - v w^H - w v^H is kept as the columns v, w of V, W and
+        # applied to the trailing matrix once per panel, by one product
+        for k0 in range(0, dim - 2, _PANEL):
+            k1 = min(k0 + _PANEL, dim - 2)
+            vs = np.zeros((dim - k0 - 1, k1 - k0), dtype=a.dtype)
+            ws = np.zeros_like(vs)
+            for j, k in enumerate(range(k0, k1)):
+                # column k from row k + 1 on, with the panel's earlier updates
+                # applied; row k is row j - 1 of V and W (none while j == 0)
+                vp, wp = vs[j:, :j], ws[j:, :j]
+                col = a[k + 1 :, k] - vp @ ws[j - 1, :j].conj() - wp @ vs[j - 1, :j].conj()
+                d[k] = a[k, k].real - 2.0 * np.vdot(ws[j - 1, :j], vs[j - 1, :j]).real
+                alpha = math.sqrt(float(np.vdot(col, col).real))
+                if alpha == 0.0:
+                    continue
+                head = abs(col[0])
+                phase = col[0] / head if head else 1.0
+                sub[k] = -phase * alpha
+                v = col
+                v[0] = phase * (head + alpha)
+                v /= math.sqrt(2.0 * alpha * (alpha + head))
+                p = a[k + 1 :, k + 1 :] @ v - vp @ (wp.conj().T @ v) - wp @ (vp.conj().T @ v)
+                p *= 2.0
+                vs[j:, j] = v
+                ws[j:, j] = p - np.vdot(v, p).real * v
+            rest = a[k1:, k1:]
+            tail = k1 - k0 - 1
+            rest -= vs[tail:] @ ws[tail:].conj().T + ws[tail:] @ vs[tail:].conj().T
+            self.panels.append((k0 + 1, vs))
+        low = max(dim - 2, 0)
+        d[low:] = a.diagonal()[low:].real
+        if dim >= 2:
+            sub[dim - 2] = a[dim - 1, dim - 2]
+        self.d = d + 0.0  # + 0.0 turns -0.0 into 0.0
+        self.e = np.abs(sub)
+        unit = np.divide(sub, self.e, out=np.ones_like(sub), where=self.e > 0)
+        phases = np.cumprod(np.insert(unit, 0, 1.0))
+        self.phases = phases / np.abs(phases)
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        """Ascending eigenvalues of T."""
+        return _bisect(self.d, self.e, np.arange(self.d.size))
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        """Ascending eigenvalues of M."""
+        return np.ldexp(self.values, self.exponent)
+
+    def smallest(self) -> float:
+        """Smallest eigenvalue of M, by one bisection for index 0."""
+        return float(np.ldexp(_bisect(self.d, self.e, [0])[0], self.exponent))
+
+    def eigenvectors(self) -> np.ndarray:
+        """Orthonormal eigenvector columns of M, in the order of
+        ``eigenvalues``.
+
+        T is split at its exactly-zero off-diagonals; a 1x1 block is its own
+        eigenvector, a larger block goes through inverse iteration.
+        """
+        dim = self.d.size
+        cuts = np.flatnonzero(self.e == 0.0) + 1
+        z = np.zeros((dim, dim))
+        found = []
+        for start, stop in zip(np.r_[0, cuts], np.r_[cuts, dim]):
+            d, e = self.d[start:stop], self.e[start : stop - 1]
+            if stop - start == 1:
+                values, block = d, np.ones((1, 1))
+            else:
+                values = self.values if stop - start == dim else _bisect(d, e, np.arange(d.size))
+                block = _inverse_iteration(d, e, values)
+            z[start:stop, start:stop] = block
+            found.append(values)
+        order = np.argsort(np.concatenate(found), kind="stable")
+        vecs = self.phases[:, None] * z[:, order]
+        for top, vs in reversed(self.panels):
+            # the panel's reflectors in compact WY form I - V S V^H (LAPACK zlarft)
+            gram = vs.conj().T @ vs
+            s = np.zeros_like(gram)
+            for j in range(gram.shape[0]):
+                s[:j, j] = -2.0 * (s[:j, :j] @ gram[:j, j])
+                s[j, j] = 2.0
+            vecs[top:] -= vs @ (s @ (vs.conj().T @ vecs[top:]))
+        return vecs.astype(np.complex128)
 
 
 def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian
-    matrix, by cyclic Jacobi rotations.
+    matrix, by Householder tridiagonalization, Sturm bisection and inverse
+    iteration.
 
-    Sweeps stop once the off-diagonal norm is at most 1e-12 times the
-    Frobenius norm, which the rotations leave unchanged, so the stopping
-    rule is the same at every coefficient scale.  The sweeps run on the
-    matrix divided by the power of two nearest its largest real or
-    imaginary part, so that the norms cannot under- or overflow; the
-    division and the scaling back of the eigenvalues are exact.
+    The eigenvalues are exact to adjacent doubles for the tridiagonal
+    matrix, so the result is as accurate at coefficient scale 1e-300 or
+    1e300 as at 1, and scaling the input by a power of two scales the
+    eigenvalues exactly and leaves the eigenvectors unchanged.
     """
-    a = _check_hermitian(m, "matrix").copy()
-    dim = a.shape[0]
-    vecs = np.eye(dim, dtype=np.complex128)
-    if dim == 1:
-        return np.array([a[0, 0].real]), vecs
-    parts = a.view(np.float64)
-    exponent = math.frexp(float(np.max(np.abs(parts))))[1]
-    # in place: scaling into a new array made the dim-128 sweeps about 6% slower
-    np.ldexp(parts, -exponent, out=parts)
-    scale = float(np.linalg.norm(a))
-    if scale == 0.0:
-        return np.zeros(dim), vecs
-    off_tol = _JACOBI_OFF_TOL * scale
+    tri = _Tridiagonal(_check_hermitian(m, "matrix"))
+    return tri.eigenvalues, tri.eigenvectors()
 
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        for p in range(dim - 1):
-            for q in range(p + 1, dim):
-                apq = a[p, q]
-                r = abs(apq)
-                if r == 0.0:
-                    continue
-                phase = apq / r
-                tau = float(a[q, q].real - a[p, p].real) / (2.0 * r)
-                # the smaller root of t^2 + 2 tau t - 1 = 0; hypot cannot overflow
-                t = (1.0 if tau >= 0.0 else -1.0) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                # unitary U: U[p,p]=c, U[p,q]=s*phase, U[q,p]=-s*conj(phase), U[q,q]=c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * np.conj(phase) * col_q
-                a[:, q] = s * phase * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * phase * row_q
-                a[q, :] = s * np.conj(phase) * row_p + c * row_q
-                vp = vecs[:, p].copy()
-                vq = vecs[:, q].copy()
-                vecs[:, p] = c * vp - s * np.conj(phase) * vq
-                vecs[:, q] = s * phase * vp + c * vq
-        if _off_norm(a) <= off_tol:
-            break
-    else:
-        raise RuntimeError(
-            f"Jacobi iteration did not converge in {_JACOBI_MAX_SWEEPS} sweeps "
-            f"(off-diagonal norm {_off_norm(a):.3e})"
-        )
 
-    values = np.ldexp(np.real(np.diag(a)), exponent)
-    order = np.argsort(values, kind="stable")
-    return values[order], vecs[:, order]
+@dataclass(frozen=True)
+class EigenDecomposition:
+    """Ascending eigenvalues, B-orthonormal eigenvector columns, and the
+    smallest eigenvalue of B.
+
+    The eigenvectors are computed from the stored reduction on first read,
+    so a caller that reads only eigenvalues never pays for them.
+    """
+
+    eigenvalues: np.ndarray
+    eta1: float
+    _reduced: _Tridiagonal = field(repr=False)
+    _low: np.ndarray = field(repr=False)
+
+    @functools.cached_property
+    def eigenvectors(self) -> np.ndarray:
+        return np.linalg.solve(self._low.conj().T, self._reduced.eigenvectors())
 
 
 def generalized_eig_dense(a: np.ndarray, b: np.ndarray) -> EigenDecomposition:
@@ -147,14 +365,13 @@ def generalized_eig_dense(a: np.ndarray, b: np.ndarray) -> EigenDecomposition:
     b = _check_hermitian(b, "B")
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: A {a.shape}, B {b.shape}")
-    low = cholesky(b)
+    if not (a.imag.any() or b.imag.any()):
+        a, b = a.real, b.real  # a real pencil is reduced in real arithmetic
+    low = _cholesky(b)
     x = np.linalg.solve(low, a)
     mid = np.linalg.solve(low, x.conj().T).conj().T
-    mid = (mid + mid.conj().T) / 2.0
-    values, y = hermitian_eig(mid)
-    vectors = np.linalg.solve(low.conj().T, y)
-    eta1 = float(hermitian_eig(b)[0][0])
-    return EigenDecomposition(values, vectors, eta1)
+    reduced = _Tridiagonal((mid + mid.conj().T) / 2.0)
+    return EigenDecomposition(reduced.eigenvalues, _Tridiagonal(b).smallest(), reduced, low)
 
 
 def generalized_eig(pencil) -> EigenDecomposition:

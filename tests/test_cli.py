@@ -418,6 +418,18 @@ class TestErrorContract:
         assert payload["error"] == "ValueError"
         assert name in payload["message"]
 
+    @pytest.mark.parametrize("command", ["vqge", "fqge"])
+    def test_bad_trace_path_fails_before_the_solve(self, capsys, monkeypatch, tmp_path, command):
+        def never(*args, **kwargs):
+            raise AssertionError("the solve ran before the trace path was checked")
+
+        monkeypatch.setattr("geig.cli.solve_spectrum", never)
+        monkeypatch.setattr("geig.cli.run_fqge", never)
+        trace = tmp_path / "missing" / "t.csv"
+        payload = error_of(capsys, [command, "--trace", str(trace)])
+        assert payload["error"] == "FileNotFoundError"
+        assert str(trace) in payload["message"]
+
     def test_usage_errors_exit_two(self):
         with pytest.raises(SystemExit) as info:
             main(["--bogus"])

@@ -1,3 +1,8 @@
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,7 +16,9 @@ from conftest import (
     refused_without_allocating,
     two_qubit_pencil,
 )
-from geig.pauli import DEFAULT_DENSE_CAP, PauliSum
+from geig import reference
+from geig.cli import main, parse_problem
+from geig.pauli import DEFAULT_DENSE_CAP, PauliSum, dense_matrix
 from geig.reference import (
     cholesky,
     count_distinct,
@@ -21,6 +28,102 @@ from geig.reference import (
     hermitian_eig,
 )
 from geig.vqge import Pencil
+
+
+def _bench_problems():
+    """The benchmark's seeded pencils and numpy spectrum, imported from
+    ``bench/problems.py`` without putting ``bench/`` on the path."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "problems.py"
+    spec = importlib.util.spec_from_file_location("bench_problems", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+BENCH_PROBLEMS = _bench_problems()
+
+
+def _ring_pencil(n):
+    """Translation- and reflection-invariant ring pencil: exact eigenvalue
+    multiplicities from symmetry, as Pauli pencils have."""
+    ring = [(q, (q + 1) % n) for q in range(n)]
+
+    def string(sites, op):
+        return "".join(op if q in sites else "I" for q in range(n))
+
+    a = [(1.0, string(pair, "Z")) for pair in ring] + [(0.7, string((q,), "X")) for q in range(n)]
+    b = [(2.0, "I" * n)] + [(0.2, string(pair, "X")) for pair in ring]
+    return Pencil(PauliSum(n, a), PauliSum(n, b))
+
+
+class TestTridiagonalOracle:
+    """Householder tridiagonalization, Sturm bisection and inverse
+    iteration against numpy's ``eigvalsh``."""
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_ising_pencils_match_eigvalsh(self, n):
+        problem = BENCH_PROBLEMS.ising_problem(n, 1)
+        want = BENCH_PROBLEMS.dense_spectrum(problem, with_eta1=True)
+        ref = generalized_eig(parse_problem(problem))
+        scale = np.max(np.abs(want.eigenvalues))
+        np.testing.assert_allclose(ref.eigenvalues, want.eigenvalues, rtol=0, atol=1e-12 * scale)
+        assert abs(ref.eta1 - want.eta1) <= 1e-12 * want.eta1
+
+    @pytest.mark.parametrize("dim", [2, 3, 7, 16, 33, 64, 100])
+    def test_random_complex_hermitian_match_eigvalsh(self, dim):
+        rng = np.random.default_rng(dim)
+        for _ in range(3):
+            m = random_hermitian(rng, dim)
+            want = np.linalg.eigvalsh(m)
+            values, _ = hermitian_eig(m)
+            np.testing.assert_allclose(values, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("half", [1, 16, 128])
+    def test_degenerate_spectrum_vectors(self, half):
+        """kron(Z, I) in a random basis: two eigenvalues of multiplicity
+        ``half`` each."""
+        rng = np.random.default_rng(31)
+        dim = 2 * half
+        unitary = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))[0]
+        m = unitary @ np.kron(np.diag([1.0, -1.0]), np.eye(half)) @ unitary.conj().T
+        m = (m + m.conj().T) / 2
+        values, vecs = hermitian_eig(m)
+        np.testing.assert_allclose(values, np.repeat([-1.0, 1.0], half), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(vecs.conj().T @ vecs, np.eye(dim), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(m @ vecs, vecs * values, rtol=0, atol=1e-10)
+
+    @pytest.mark.parametrize("pencil", [two_qubit_pencil(), _ring_pencil(6)], ids=["demo", "ring6"])
+    def test_pencil_vectors_b_orthonormal(self, pencil):
+        a, b = dense_matrix(pencil.A), dense_matrix(pencil.B)
+        ref = generalized_eig(pencil)
+        values, vecs = ref.eigenvalues, ref.eigenvectors
+        scale = np.max(np.abs(values))
+        if pencil.n > 2:
+            assert np.min(np.diff(values)) < 1e-12 * scale, "the ring has multiplicities"
+        np.testing.assert_allclose(vecs.conj().T @ b @ vecs, np.eye(2**pencil.n), rtol=0, atol=1e-12)
+        residual = a @ vecs - (b @ vecs) * values
+        assert np.max(np.abs(residual)) <= 1e-10 * scale
+
+    def test_diagonal_input_is_exact(self):
+        diag = np.array([3.0, -1e-300, 0.0, -2.5, 0.0])
+        values, vecs = hermitian_eig(np.diag(diag))
+        np.testing.assert_array_equal(values, np.sort(diag))
+        np.testing.assert_array_equal(np.abs(vecs), np.eye(5)[:, np.argsort(diag, kind="stable")])
+
+    def test_reference_and_vqge_never_build_eigenvectors(self, monkeypatch, capsys, tmp_path):
+        def refuse(self):
+            raise AssertionError("eigenvectors were built")
+
+        monkeypatch.setattr(reference._Tridiagonal, "eigenvectors", refuse)
+        path = tmp_path / "ising4.json"
+        path.write_text(json.dumps(BENCH_PROBLEMS.ising_problem(4, 1)))
+        assert main(["reference"]) == 0
+        assert main(["reference", str(path)]) == 0
+        assert main(["vqge", "--iters", "2", "--restarts", "1"]) == 0
+        # fqge reads the ground vector, so the patch is live
+        assert main(["fqge"]) == 1
+        assert "eigenvectors were built" in capsys.readouterr().err
 
 
 class TestNonFiniteInput:
@@ -183,8 +286,8 @@ class TestDistinct:
 
 
 class TestJacobiScale:
-    """The stopping rule is relative to the matrix norm, so the oracle
-    converges at every coefficient scale, not only near unit scale."""
+    """The oracle is accurate at every coefficient scale, not only near
+    unit scale."""
 
     @pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e3, 1e4, 1e6])
     def test_matches_eigh_at_scale(self, scale):
@@ -229,9 +332,9 @@ class TestJacobiScale:
 
 
 class TestJacobiExtremeScale:
-    """The sweeps run on the matrix rescaled by an exact power of two, so
-    the norms in the stopping rule neither underflow (all-zero eigenvalues
-    at 1e-200) nor overflow (at 1e200) anywhere in the float range."""
+    """The reduction runs on the matrix rescaled by an exact power of two,
+    so its norms neither underflow (all-zero eigenvalues at 1e-200) nor
+    overflow (at 1e200) anywhere in the float range."""
 
     @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-100, 1e100, 1e200, 1e300])
     def test_matches_eigvalsh_at_extreme_scale(self, scale):
