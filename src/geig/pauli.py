@@ -9,13 +9,14 @@ A sum is compiled on its first application into one diagonal vector per
 distinct X-mask, so that it acts as ``out[i] = sum_x diag_x[i] v[i ^ x]``.
 The compiled form is cached on the instance and costs 2^n floats per
 distinct mask (complex only where a mask carries an odd number of Y
-factors).
+factors).  The dense matrix comes from the same form: each diagonal is
+stored at the entries (i, i ^ x), with no Kronecker products.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -24,14 +25,6 @@ from .statevector import StateVector
 
 DEFAULT_DENSE_CAP = 12
 DEFAULT_DECOMPOSE_TOL = 1e-10
-
-_SINGLE = {
-    "I": np.eye(2, dtype=np.complex128),
-    "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
-    "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
-}
-
 
 @dataclass(frozen=True, slots=True)
 class PauliString:
@@ -197,14 +190,17 @@ def _check_dense_cap(n: int) -> None:
 def dense_matrix(p) -> np.ndarray:
     """Dense 2^n x 2^n matrix of a PauliString or PauliSum.
 
-    Refuses n above ``DEFAULT_DENSE_CAP`` before anything is allocated.
+    Each diagonal of the compiled form fills the entries (i, i ^ x_mask)
+    of its X-mask; no two masks share an entry.  Refuses n above
+    ``DEFAULT_DENSE_CAP`` before anything is allocated.
     """
     _check_dense_cap(p.n)
     if isinstance(p, PauliString):
-        return reduce(np.kron, (_SINGLE[ch] for ch in p.ops))
+        p = PauliSum(p.n, [(1.0, p)])
+    index, compiled = p._action
     out = np.zeros((2**p.n, 2**p.n), dtype=np.complex128)
-    for coeff, string in p.terms:
-        out += coeff * dense_matrix(string)
+    for x_mask, diag in compiled:
+        out[index, index ^ x_mask] = diag
     return out
 
 

@@ -5,8 +5,8 @@ it stays independent of the solvers it validates.  A hand-rolled Cholesky
 factor of B reduces the pencil to one Hermitian matrix.  Householder
 reflections bring that to a real symmetric tridiagonal matrix T (Golub &
 Van Loan 8.3, the pattern of LAPACK's ``zhetrd``).  All eigenvalues of T
-come at once from Sturm-count bisection vectorised over the eigenvalue
-indices (GvL 8.4, ``dstebz``).  Eigenvectors come from inverse iteration on
+come at once from Sturm-count bisection vectorised over the distinct
+brackets, which eigenvalues in one bracket share (GvL 8.4, ``dstebz``).  Eigenvectors come from inverse iteration on
 T (``dstein``) and are computed only when they are read.  The reduction
 costs O(dim^3); the CLI caps the oracle at 10 qubits by default
 (``GEIG_DENSE_CAP``, at most ``pauli.DEFAULT_DENSE_CAP``).
@@ -28,10 +28,12 @@ _EPS = np.finfo(np.float64).eps
 _TINY = np.finfo(np.float64).tiny
 _MAGNITUDE = np.int64(0x7FFF_FFFF_FFFF_FFFF)  # every bit of a double but its sign
 _SIGN = np.int64(-0x8000_0000_0000_0000)
-# Sturm counts per bisection sweep, shared among the brackets: a small
-# matrix puts several points in each bracket, which cuts the sweeps (and
-# the per-row Python overhead) from 64 to as few as 8
-_SWEEP_POINTS = 512
+# Sturm counts per bisection sweep, split among the distinct open brackets
+# (eigenvalues in one bracket share its probes): a few brackets get many
+# points each, which cuts the sweeps (and the per-row Python overhead) from
+# 64 to as few as 7.  768 gave the fastest oracle at 7 and 8 qubits among
+# 256..1024 (one BLAS thread)
+_SWEEP_POINTS = 768
 _PANEL = 32  # Householder reflectors per blocked update
 _INVERSE_STEPS = 3
 # shifts sit this far (relative to ||T||) below their eigenvalues, so that
@@ -100,21 +102,20 @@ def _sturm_count(d: np.ndarray, e2: np.ndarray, x: np.ndarray, pivmin: float) ->
     factorization of T - x.
 
     A pivot smaller than ``pivmin`` keeps its sign (+0 counts as positive)
-    and takes magnitude ``pivmin``, so ``e^2 / q`` cannot overflow.
+    and takes magnitude ``pivmin``, so ``e^2 / q`` cannot overflow.  The
+    clamped pivots of every row are kept and counted once at the end.
     """
-    count = np.zeros(x.shape, dtype=np.int64)
-    q = d[0] - x
+    q = np.subtract.outer(d, x)
     t = np.empty_like(x)
     for i in range(d.size):
+        row = q[i]
         if i:
-            np.divide(e2[i - 1], q, out=t)
-            np.subtract(d[i], x, out=q)
-            q -= t
-        np.abs(q, out=t)
+            np.divide(e2[i - 1], q[i - 1], out=t)
+            row -= t
+        np.abs(row, out=t)
         np.maximum(t, pivmin, out=t)
-        np.copysign(t, q, out=q)
-        count += q < 0
-    return count
+        np.copysign(t, row, out=row)
+    return np.count_nonzero(q < 0, axis=0)
 
 
 def _bisect(d: np.ndarray, e: np.ndarray, indices: np.ndarray) -> np.ndarray:
@@ -125,7 +126,8 @@ def _bisect(d: np.ndarray, e: np.ndarray, indices: np.ndarray) -> np.ndarray:
     The brackets are split on the ordered integer keys of the doubles, not
     on their values, so every bracket reaches adjacent doubles in at most 64
     halvings at every scale, and an eigenvalue far below ||T|| keeps its
-    relative accuracy.
+    relative accuracy.  Eigenvalues whose brackets coincide share the
+    probes of one sweep; a closed bracket gets none.
     """
     indices = np.asarray(indices, dtype=np.int64)
     e2 = e * e
@@ -133,21 +135,24 @@ def _bisect(d: np.ndarray, e: np.ndarray, indices: np.ndarray) -> np.ndarray:
     bound = 2.0 * _gershgorin(d, e)
     lo = np.full(indices.shape, _to_key(-bound))
     hi = np.full(indices.shape, _to_key(bound))
-    points = max(1, _SWEEP_POINTS // max(indices.size, 1))
-    # keys differ by up to 2^64, so widths and offsets are taken in uint64
-    offsets = np.arange(1, points + 1, dtype=np.uint64)
-    rows = np.arange(indices.size)
     while True:
-        width = hi.view(np.uint64) - lo.view(np.uint64)
-        if not np.any(width > 1):
+        # keys differ by up to 2^64, so widths and offsets are taken in uint64
+        live = hi.view(np.uint64) - lo.view(np.uint64) > 1
+        if not live.any():
             return _from_key(lo)
+        pairs = np.stack([lo[live], hi[live]], axis=1)
+        brackets, which = np.unique(pairs, axis=0, return_inverse=True)
+        start, stop = brackets.T.copy()
+        points = max(1, _SWEEP_POINTS // len(brackets))
+        width = stop.view(np.uint64) - start.view(np.uint64)
         step = np.maximum(width // np.uint64(points + 1), np.uint64(1))
-        probe = (lo.view(np.uint64)[:, None] + step[:, None] * offsets).view(np.int64)
-        probe = np.minimum(probe, (hi - 1)[:, None])
-        counts = _sturm_count(d, e2, _from_key(probe).ravel(), pivmin)
-        below = np.sum(counts.reshape(probe.shape) <= indices[:, None], axis=1)
-        lo = np.where(below > 0, probe[rows, np.maximum(below - 1, 0)], lo)
-        hi = np.where(below < points, probe[rows, np.minimum(below, points - 1)], hi)
+        offsets = np.arange(1, points + 1, dtype=np.uint64)
+        probe = (start.view(np.uint64)[:, None] + step[:, None] * offsets).view(np.int64)
+        probe = np.minimum(probe, (stop - 1)[:, None])
+        counts = _sturm_count(d, e2, _from_key(probe).ravel(), pivmin).reshape(probe.shape)
+        below = np.sum(counts[which] <= indices[live, None], axis=1)
+        lo[live] = np.where(below > 0, probe[which, np.maximum(below - 1, 0)], lo[live])
+        hi[live] = np.where(below < points, probe[which, np.minimum(below, points - 1)], hi[live])
 
 
 def _inverse_iteration(d: np.ndarray, e: np.ndarray, values: np.ndarray) -> np.ndarray:

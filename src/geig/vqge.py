@@ -12,6 +12,7 @@ sampler call draws all the overlaps a loss or a gradient needs."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -273,6 +274,8 @@ def _shot_objective(
             est = sample_overlaps(exact, shots, rng)
             a, b, ts = brackets(est[0])
             check_b(b)
+            if not math.isfinite(b * b):
+                raise ValueError(f"<B> = {b:.3e} at the evaluated state; its square overflows")
             entries = []
             for row in est[1:]:
                 da, db, ts_plus = brackets(row)

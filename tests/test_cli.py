@@ -529,6 +529,29 @@ class TestNonFiniteSummary:
             # the NaN is in the summary, and the message names its field
             assert "residual" in payload["message"]
 
+    def test_vqge_shot_gradient_names_b(self, tmp_path):
+        """The pi-shift gradient divides by <B>^2, which overflows at this
+        scale; the error names <B> instead of leaking an OverflowError."""
+        problem = {
+            "n": 2,
+            "A": [{"coeff": 1e200, "ops": "ZI"}, {"coeff": 1e200, "ops": "XX"}],
+            "B": [{"coeff": 1e200, "ops": "II"}, {"coeff": 0.5, "ops": "IZ"}],
+        }
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(problem))
+        flags = ["--iters", "10", "--restarts", "1", "--shots", "100"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "geig", "vqge", *flags, str(path)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        payload = json.loads(proc.stderr.strip().splitlines()[-1])
+        assert payload["error"] == "ValueError"
+        assert payload["message"].startswith("<B> = 1.000e+200")
+
     def test_walker_names_the_field(self):
         nan, inf = float("nan"), float("inf")
         _check_finite({"n": 2, "eigenvalue": 0.5, "levels": [{"objective": "min"}]})

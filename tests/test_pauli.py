@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,15 @@ def dense_of_ops(ops):
     for ch in ops[1:]:
         m = np.kron(m, SINGLE[ch])
     return m
+
+
+def dense_by_kron(s):
+    """The Kronecker build of a sum: one product per term, added in term
+    order to a zero matrix."""
+    out = np.zeros((2**s.n, 2**s.n), dtype=complex)
+    for coeff, string in s.terms:
+        out += coeff * dense_of_ops(string.ops)
+    return out
 
 
 class TestPauliString:
@@ -115,6 +126,37 @@ class TestDenseMatrix:
             np.testing.assert_allclose(d, m, atol=1e-15)
             np.testing.assert_allclose(d @ d, np.eye(8), atol=1e-12)
             np.testing.assert_allclose(d, d.conj().T, atol=1e-15)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_scatter_equals_kron_build_bytewise(self, n):
+        """Random sums with odd-Y strings, several strings per X-mask and
+        pairs of equal weight whose entries cancel exactly."""
+        rng = np.random.default_rng(200 + n)
+        for _ in range(20):
+            s = random_sum(rng, n, count=int(rng.integers(1, 8)))
+            terms = [(c * 10.0 ** int(rng.integers(-6, 6)), p) for c, p in s.terms]
+            ops, other = ("".join(rng.choice(list("IXYZ"), size=n)) for _ in range(2))
+            q = int(rng.integers(n))
+            twin = ops[:q] + {"I": "Z", "Z": "I", "X": "Y", "Y": "X"}[ops[q]] + ops[q + 1 :]
+            pairs = [(0.75, ops), (0.75, twin), (0.5, other), (-0.5, other)]
+            s = PauliSum(n, terms + pairs)
+            assert dense_matrix(s).tobytes() == dense_by_kron(s).tobytes()
+        cancelled = PauliSum(n, [(0.3, "Z" * n), (0.3, "I" * n)])
+        assert np.count_nonzero(dense_matrix(cancelled)) == 2 ** (n - 1)
+
+    @pytest.mark.parametrize("n", range(1, 4))
+    def test_every_string_equals_its_kron_product(self, n):
+        """Bytewise as a one-term sum; the bare Kronecker product differs
+        from that only in the sign of some zeros."""
+        for ops in map("".join, itertools.product("IXYZ", repeat=n)):
+            got = dense_matrix(PauliString.from_ops(ops))
+            assert got.tobytes() == dense_by_kron(PauliSum(n, [(1.0, ops)])).tobytes(), ops
+            np.testing.assert_array_equal(got, dense_of_ops(ops))
+
+    def test_empty_sum_is_zero_matrix(self):
+        s = PauliSum(3, [(1.0, "XYZ"), (-1.0, "XYZ")])
+        assert len(s) == 0
+        assert dense_matrix(s).tobytes() == np.zeros((8, 8), dtype=complex).tobytes()
 
     def test_dimension_cap(self):
         s = PauliSum.identity(13, 1.0)

@@ -1,3 +1,4 @@
+import functools
 import importlib.util
 import json
 import sys
@@ -55,6 +56,115 @@ def _ring_pencil(n):
     a = [(1.0, string(pair, "Z")) for pair in ring] + [(0.7, string((q,), "X")) for q in range(n)]
     b = [(2.0, "I" * n)] + [(0.2, string(pair, "X")) for pair in ring]
     return Pencil(PauliSum(n, a), PauliSum(n, b))
+
+
+def _per_bracket_bisect(d, e, indices):
+    """The bisection ``reference._bisect`` replaced, kept to check it
+    against: each eigenvalue probes its own bracket, closed or not, at
+    ``512 // len(indices)`` points per sweep, and the Sturm count
+    accumulates row by row."""
+    indices = np.asarray(indices, dtype=np.int64)
+    e2 = e * e
+    pivmin = reference._TINY * max(1.0, float(np.max(e2, initial=0.0)))
+
+    def sturm_count(x):
+        count = np.zeros(x.shape, dtype=np.int64)
+        q = d[0] - x
+        for i in range(d.size):
+            if i:
+                q = (d[i] - x) - e2[i - 1] / q
+            q = np.copysign(np.maximum(np.abs(q), pivmin), q)
+            count += q < 0
+        return count
+
+    bound = 2.0 * reference._gershgorin(d, e)
+    lo = np.full(indices.shape, reference._to_key(-bound))
+    hi = np.full(indices.shape, reference._to_key(bound))
+    points = max(1, 512 // max(indices.size, 1))
+    offsets = np.arange(1, points + 1, dtype=np.uint64)
+    rows = np.arange(indices.size)
+    while True:
+        width = hi.view(np.uint64) - lo.view(np.uint64)
+        if not np.any(width > 1):
+            return reference._from_key(lo)
+        step = np.maximum(width // np.uint64(points + 1), np.uint64(1))
+        probe = (lo.view(np.uint64)[:, None] + step[:, None] * offsets).view(np.int64)
+        probe = np.minimum(probe, (hi - 1)[:, None])
+        counts = sturm_count(reference._from_key(probe).ravel())
+        below = np.sum(counts.reshape(probe.shape) <= indices[:, None], axis=1)
+        lo = np.where(below > 0, probe[rows, np.maximum(below - 1, 0)], lo)
+        hi = np.where(below < points, probe[rows, np.minimum(below, points - 1)], hi)
+
+
+def _kron_z():
+    """kron(Z, I_64) in a random orthogonal basis: two eigenvalues of
+    multiplicity 64 each."""
+    basis = np.linalg.qr(np.random.default_rng(41).normal(size=(128, 128)))[0]
+    m = basis @ np.kron(np.diag([1.0, -1.0]), np.eye(64)) @ basis.T
+    return (m + m.T) / 2
+
+
+@functools.cache
+def _tridiagonals() -> dict:
+    """label -> (d, e): the reduced matrix and B of the benchmark's Ising
+    pencils, and tridiagonals with ties, zero couplings and extreme
+    scales."""
+    cases = {}
+    for n in range(2, 9):
+        pencil = parse_problem(BENCH_PROBLEMS.ising_problem(n, 1))
+        for side, tri in (
+            ("reduced", generalized_eig(pencil)._reduced),
+            ("B", reference._Tridiagonal(dense_matrix(pencil.B))),
+        ):
+            cases[f"ising{n}-{side}"] = (tri.d, tri.e)
+    cases["diagonal"] = (np.array([3.0, -1e-300, 0.0, -2.5, 0.0, 3.0]), np.zeros(5))
+    cases["1x1"] = (np.array([-0.75]), np.zeros(0))
+    cases["zero-coupling"] = (np.array([1.0, 2.0, 2.0, -4.0, 0.5]), np.array([0.5, 0.0, 1.0, 0.0]))
+    kron_z = reference._Tridiagonal(_kron_z())
+    cases["kron-z"] = (kron_z.d, kron_z.e)
+    ising_a = dense_matrix(parse_problem(BENCH_PROBLEMS.ising_problem(6, 1)).A).real
+    for exponent in (-900, 900):
+        scaled = reference._Tridiagonal(np.ldexp(ising_a, exponent))
+        cases[f"ising6-matrix-2^{exponent}"] = (scaled.d, scaled.e)
+    # T itself only up to 2^500, where e * e is still finite; the oracle
+    # bisects the unit-scale T of a rescaled matrix
+    ising = reference._Tridiagonal(ising_a)
+    for exponent in (-900, -520, 500):
+        for label, tri in (("kron-z", kron_z), ("ising6", ising)):
+            cases[f"{label}-T-2^{exponent}"] = (np.ldexp(tri.d, exponent), np.ldexp(tri.e, exponent))
+    return cases
+
+
+class TestSharedBracketBisection:
+    """``_bisect`` gives, bit for bit, what the per-bracket bisection it
+    replaced gave: each eigenvalue is the largest double whose Sturm count
+    is at most its index, however the brackets are probed."""
+
+    @pytest.mark.parametrize("label", list(_tridiagonals()))
+    def test_equals_per_bracket_bisection(self, label):
+        d, e = _tridiagonals()[label]
+        for indices in (np.arange(d.size), [0]):
+            got = reference._bisect(d, e, indices)
+            want = _per_bracket_bisect(d, e, indices)
+            assert got.tobytes() == want.tobytes()
+
+    def test_tied_eigenvalues_share_probes(self, monkeypatch):
+        """The 128 eigenvalues of kron(Z, I_64) fall into two ties, which
+        split each sweep's points between them: 64 key bits take a few
+        sweeps, where 128 separate brackets would get 6 points each and
+        take over 20."""
+        d, e = _tridiagonals()["kron-z"]
+        sizes = []
+        count = reference._sturm_count
+
+        def counting(d, e2, x, pivmin):
+            sizes.append(x.size)
+            return count(d, e2, x, pivmin)
+
+        monkeypatch.setattr(reference, "_sturm_count", counting)
+        reference._bisect(d, e, np.arange(d.size))
+        assert max(sizes) <= reference._SWEEP_POINTS
+        assert len(sizes) <= 12
 
 
 class TestTridiagonalOracle:
