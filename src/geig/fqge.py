@@ -6,9 +6,11 @@ noise injection.
 
 ``run_fqge`` works on raw amplitudes: it applies the pencil once per iterate
 (once more on a line-search direction) and steps the state as
-psi + delta*direction, which equals G|psi>; the explicit combination
-(``build_lcu`` / ``apply_g``) is kept as a public oracle, and the LCU size
-reported per step comes from the same coefficient table."""
+psi + delta*direction, which equals G|psi>; the rows are float64 when the
+pencil and the start state are real.  The explicit combination
+(``build_lcu`` / ``apply_g``) is kept as a public oracle.  Both it and the
+LCU size reported per step come from coefficient vectors over the strings
+of A and B, built once per solve."""
 
 from __future__ import annotations
 
@@ -112,35 +114,42 @@ def residual(state: StateVector, pencil) -> float:
     return _relative_residual(a_psi, b_psi, rayleigh_quotient(a, b))
 
 
-def _lcu_table(pencil, delta: complex, f_value: float, b: float) -> list:
-    """Sorted ((x_mask, z_mask), g) pairs of G = I - 2*delta*(A - F B)/<B>
-    with duplicate strings merged and exact zeros dropped."""
-    table: dict = {}
-
-    def add(key, g):
-        table[key] = table.get(key, 0.0 + 0.0j) + g
-
-    add((0, 0), 1.0 + 0.0j)
-    for alpha, ps in pencil.A.terms:
-        add((ps.x_mask, ps.z_mask), -2.0 * delta * alpha / b)
-    for beta, ps in pencil.B.terms:
-        add((ps.x_mask, ps.z_mask), 2.0 * delta * f_value * beta / b)
-    return [(key, complex(g)) for key, g in sorted(table.items()) if g != 0]
+def _lcu_basis(pencil) -> tuple:
+    """(keys, identity, alpha, beta) of a pencil, built once per solve: the
+    sorted (x_mask, z_mask) keys of the identity and of every string of A
+    and B, and over them the indicator of the identity and the
+    coefficients of A and of B (zero where a side has no such string)."""
+    sides = [{(p.x_mask, p.z_mask): c for c, p in side.terms} for side in (pencil.A, pencil.B)]
+    keys = sorted({(0, 0)}.union(*sides))
+    identity = np.array([key == (0, 0) for key in keys], dtype=float)
+    alpha, beta = (np.array([side.get(key, 0.0) for key in keys]) for side in sides)
+    return keys, identity, alpha, beta
 
 
-def _lcu_size(table: list):
-    """(C, d) of a coefficient table: C = sqrt(sum |g_j|^2), d = term count."""
-    return float(np.sqrt(sum(abs(g) ** 2 for _, g in table))), len(table)
+def _lcu_coeffs(basis: tuple, delta, f_value: float, b: float) -> np.ndarray:
+    """g_j of G = I - 2*delta*(A - F B)/<B> over the basis keys, summed per
+    key in the order identity, A, B; float64 when delta is real.  Exact
+    zeros are terms G does not have."""
+    _, identity, alpha, beta = basis
+    return identity + (-2.0 * delta) * alpha / b + (2.0 * delta * f_value) * beta / b
+
+
+def _lcu_size(g: np.ndarray) -> tuple:
+    """(C, d) of a coefficient vector: C = sqrt(sum |g_j|^2), d = the
+    number of nonzero g_j."""
+    return float(np.sqrt(np.vdot(g, g).real)), int(np.count_nonzero(g))
 
 
 def build_lcu(state: StateVector, pencil, delta: complex, f_value: float) -> LcuOperator:
     """Expand G = I - 2*delta*(A - F B)/<B> over Pauli strings, merging
     duplicates and dropping exact zeros."""
     b = check_b(pencil.apply(state.amps)[3])
-    table = _lcu_table(pencil, delta, f_value, b)
-    norm_c, d = _lcu_size(table)
-    coeffs = tuple(g for _, g in table)
-    strings = tuple(PauliString(pencil.n, x, z) for (x, z), _ in table)
+    basis = _lcu_basis(pencil)
+    g = _lcu_coeffs(basis, delta, f_value, b)
+    norm_c, d = _lcu_size(g)
+    keys, kept = basis[0], np.flatnonzero(g)
+    coeffs = tuple(complex(g[j]) for j in kept)
+    strings = tuple(PauliString(pencil.n, *keys[j]) for j in kept)
     return LcuOperator(coeffs, strings, norm_c, d)
 
 
@@ -228,11 +237,12 @@ def noise_vector(n: int, sigma: float, rng) -> np.ndarray:
 
 def _perturbed(amps: np.ndarray, n: int, sigma: float, rng) -> np.ndarray:
     """Raw amplitudes plus the perturbation, renormalized; sigma = 0
-    returns ``amps`` itself (the zero-width draw is exactly zero)."""
+    returns ``amps`` itself (the zero-width draw is exactly zero).  Real
+    rows take the perturbation's real value and stay real."""
     pert = noise_vector(n, sigma, rng)
     if pert[0] == 0:
         return amps
-    out = amps + pert
+    out = amps + (pert if np.iscomplexobj(amps) else pert.real)
     out_norm = float(np.linalg.norm(out))
     if out_norm == 0.0:
         raise ValueError("cannot normalize the zero vector")
@@ -255,10 +265,14 @@ def run_fqge(pencil, initial: StateVector, cfg: FqgeConfig = FqgeConfig()) -> Fq
     runs on raw amplitudes: one ``pencil.apply`` per iterate gives the
     quotient, the residual, the direction and the step G psi = psi +
     delta*direction, and each row's state is its one ``StateVector``.
+    When the pencil is real and the start state has no imaginary part, the
+    rows, the step and the noise are float64; states stay complex.
     """
     rng = np.random.default_rng(cfg.seed)
     state = initial if initial.normalized else normalize(initial)
-    psi = state.amps
+    real = pencil.real and not state.amps.imag.any()
+    psi = state.amps.real if real else state.amps
+    basis = _lcu_basis(pencil)
     rows = []
     s = 1
     while True:
@@ -266,7 +280,7 @@ def run_fqge(pencil, initial: StateVector, cfg: FqgeConfig = FqgeConfig()) -> Fq
         value = rayleigh_quotient(a, b)
         res = _relative_residual(a_psi, b_psi, value)
         direction = _direction(a_psi, b_psi, value, b)
-        delta = complex(cfg.delta)
+        delta = cfg.delta if real else complex(cfg.delta)
         status = None
         if res <= cfg.epsilon:
             status = "converged"
@@ -276,12 +290,14 @@ def run_fqge(pencil, initial: StateVector, cfg: FqgeConfig = FqgeConfig()) -> Fq
             status = "converged"
         elif cfg.line_search:
             delta = _line_search(psi, direction, applied, pencil)[0]
+            # on real rows every quantity of the 2x2 pencil, hence delta, is real
+            delta = delta.real if real else delta
             if delta == 0:
                 status = "converged"
         if status is not None:  # a terminal row: zero step, trivial LCU
             rows.append(FqgeIterate(s, state, value, res, 0.0 + 0.0j, 1.0, 1.0, 1))
             break
-        norm_c, d = _lcu_size(_lcu_table(pencil, delta, value, b))
+        norm_c, d = _lcu_size(_lcu_coeffs(basis, delta, value, b))
         raw = psi + delta * direction
         out_norm = float(np.linalg.norm(raw))
         if out_norm == 0.0:
@@ -289,7 +305,7 @@ def run_fqge(pencil, initial: StateVector, cfg: FqgeConfig = FqgeConfig()) -> Fq
                 f"step {s}: LCU output has zero norm; the state is annihilated by G"
             )
         success = out_norm**2 / (norm_c**2 * d)
-        rows.append(FqgeIterate(s, state, value, res, delta, success, norm_c, d))
+        rows.append(FqgeIterate(s, state, value, res, complex(delta), success, norm_c, d))
         psi = raw / out_norm
         if cfg.noise_sigma > 0:
             psi = _perturbed(psi, pencil.n, cfg.noise_sigma, rng)

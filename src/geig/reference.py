@@ -345,18 +345,23 @@ class EigenDecomposition:
     """Ascending eigenvalues, B-orthonormal eigenvector columns, and the
     smallest eigenvalue of B.
 
-    The eigenvectors are computed from the stored reduction on first read,
-    so a caller that reads only eigenvalues never pays for them.
+    The eigenvectors are computed from the stored reduction, and ``eta1``
+    from a reduction of B, on first read, so a caller that reads only
+    eigenvalues never pays for either.
     """
 
     eigenvalues: np.ndarray
-    eta1: float
     _reduced: _Tridiagonal = field(repr=False)
     _low: np.ndarray = field(repr=False)
+    _b: np.ndarray = field(repr=False)
 
     @functools.cached_property
     def eigenvectors(self) -> np.ndarray:
         return np.linalg.solve(self._low.conj().T, self._reduced.eigenvectors())
+
+    @functools.cached_property
+    def eta1(self) -> float:
+        return _Tridiagonal(self._b).smallest()
 
 
 def generalized_eig_dense(a: np.ndarray, b: np.ndarray) -> EigenDecomposition:
@@ -376,7 +381,7 @@ def generalized_eig_dense(a: np.ndarray, b: np.ndarray) -> EigenDecomposition:
     x = np.linalg.solve(low, a)
     mid = np.linalg.solve(low, x.conj().T).conj().T
     reduced = _Tridiagonal((mid + mid.conj().T) / 2.0)
-    return EigenDecomposition(reduced.eigenvalues, _Tridiagonal(b).smallest(), reduced, low)
+    return EigenDecomposition(reduced.eigenvalues, reduced, low, b)
 
 
 def generalized_eig(pencil) -> EigenDecomposition:

@@ -5,22 +5,25 @@ min / max / deflate pipeline that recovers the full spectrum.
 In exact mode (``shots == 0``) a loss and its gradient come from one fused
 pass on raw arrays: a forward sweep, then one adjoint (reverse) sweep of the
 circuit, for a whole batch of angle grids at once; ``solve_spectrum`` runs
-all restarts of a level as one batch.  With ``shots > 0`` every expectation
-is a sampled Hadamard test and gradients use the pi-shift rule, one restart
-at a time: one circuit batch gives psi and every pi-shifted state, and one
-sampler call draws all the overlaps a loss or a gradient needs."""
+all restarts of a level as one batch.  ``Pencil`` compiles A and B into one
+table on first use, and the exact pass runs in float64 when that table and
+the states are real.  With ``shots > 0`` every expectation is a sampled
+Hadamard test and gradients use the pi-shift rule, one restart at a time:
+one circuit batch gives psi and every pi-shifted state, and one sampler
+call draws all the overlaps a loss or a gradient needs."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .ansatz import AnsatzParams, apply_ansatz, compile_ansatz, random_params
 from .measurement import sample_overlaps
-from .pauli import PauliSum, apply_sum_array, term_kets, term_overlaps
+from .pauli import PauliSum, apply_compiled, compile_sums, term_kets, term_overlaps
 from .statevector import StateVector, norm, scale, zero_state
 
 _B_FLOOR = 1e-12
@@ -44,13 +47,25 @@ class Pencil:
     def n(self) -> int:
         return self.A.n
 
+    @cached_property
+    def _compiled(self) -> tuple:
+        """A and B compiled into one table, ``compile_sums((A, B))``, on
+        first use: one gather per X-mask serves both sides."""
+        return compile_sums((self.A, self.B))
+
+    @property
+    def real(self) -> bool:
+        """True when every compiled diagonal is float64 (no string of the
+        pencil has an odd number of Y factors): real rows stay real."""
+        return self._compiled[1].dtype == np.float64
+
     def apply(self, amps: np.ndarray) -> tuple:
         """(A psi, B psi, <A>, <B>) for raw amplitude rows psi of shape
-        (..., 2^n): both sides through the compiled form, and the real
-        brackets <psi|A|psi>, <psi|B|psi> of each row (unchecked).  A single
-        state takes ``np.vdot``, whose rounding ``inner`` on states has."""
-        a_psi = apply_sum_array(self.A, amps)
-        b_psi = apply_sum_array(self.B, amps)
+        (..., 2^n): both sides through the compiled table, and the real
+        brackets <psi|A|psi>, <psi|B|psi> of each row (unchecked).  Real
+        rows on a real pencil give float64 results.  A single state takes
+        ``np.vdot``, whose rounding ``inner`` on states has."""
+        a_psi, b_psi = apply_compiled(self._compiled, amps)
         if amps.ndim == 1:
             return a_psi, b_psi, np.vdot(amps, a_psi).real, np.vdot(amps, b_psi).real
         bra = amps.conj()
@@ -171,13 +186,14 @@ def _weighted(coeffs: list, estimates: list) -> complex:
     return total
 
 
-def _penalties(pencil: Pencil, records: Sequence[DeflationRecord]) -> list:
+def _penalties(pencil: Pencil, records: Sequence[DeflationRecord], real: bool = False) -> list:
     """(gamma, x, B x, <x|B|x>) per deflation record, x the record's raw
-    amplitudes."""
+    amplitudes, or their real part with ``real``."""
     out = []
     for rec in records:
-        _, bx, _, m = pencil.apply(rec.state.amps)
-        out.append((rec.gamma, rec.state.amps, bx, check_b(m)))
+        x = rec.state.amps.real if real else rec.state.amps
+        _, bx, _, m = pencil.apply(x)
+        out.append((rec.gamma, x, bx, check_b(m)))
     return out
 
 
@@ -198,13 +214,17 @@ def _exact_objective(
 
         chi = (A psi - F B psi)/b + sum_x gamma/(m b) (t Bx - |t|^2/b B psi),
 
-    taken by one adjoint sweep of the circuit.
+    taken by one adjoint sweep of the circuit.  The ansatz is real, so when
+    the pencil is real and neither the input state nor a record has an
+    imaginary part, every row (psi, A psi, B psi, Bx, chi) is float64.
     """
     circuit = compile_ansatz(pencil.n, entangler)
-    penalties = [(gamma, bx, bx.conj(), m) for gamma, _, bx, m in _penalties(pencil, records)]
+    real = pencil.real and not any(v.amps.imag.any() for v in (v_in, *(r.state for r in records)))
+    penalties = [(gamma, bx, bx.conj(), m) for gamma, _, bx, m in _penalties(pencil, records, real)]
+    start = v_in.amps.real if real else v_in.amps
 
     def value_and_grad(theta: np.ndarray, grad: bool = True) -> tuple:
-        psi = circuit.run(theta, v_in.amps)
+        psi = circuit.run(theta, start)
         a_psi, b_psi, a, b = pencil.apply(psi)
         f = rayleigh_quotient(a, b)
         value = f.copy()

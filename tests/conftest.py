@@ -2,7 +2,10 @@
 positive-definite pencil generators and the dense-cap refusal check used
 across the test modules."""
 
+import importlib.util
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +13,21 @@ import pytest
 from geig.pauli import PauliSum, decompose
 from geig.statevector import StateVector
 from geig.vqge import Pencil
+
+
+def _bench_problems():
+    """The benchmark's seeded pencils and numpy spectrum, imported from
+    ``bench/problems.py`` without putting ``bench/`` on the path."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "problems.py"
+    spec = importlib.util.spec_from_file_location("bench_problems", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+BENCH_PROBLEMS = _bench_problems()
+
 
 # 1*II + 0.4*ZI + 0.4*IZ + 0.2*XX against 1*II + 0.3*ZI + 0.4*IZ + 0.2*ZZ
 A_TERMS = [(1.0, "II"), (0.4, "ZI"), (0.4, "IZ"), (0.2, "XX")]

@@ -440,16 +440,25 @@ class TestRawAmplitudeIteration:
         assert len(built) <= len(result.iterates)
 
     def test_noisy_rows_match_noise_inject(self, demo):
-        """The raw-amplitude noise step equals noise_inject on states."""
+        """The raw-amplitude noise step equals noise_inject on states: bit
+        for bit along the solver's float64 path, to rounding on states."""
         pencil, _ = demo
         cfg = FqgeConfig(delta=0.1, max_iters=6, noise_sigma=0.05, seed=4)
         rows = run_fqge(pencil, basis_state(2, 0), cfg).iterates
         rng = np.random.default_rng(4)
+        rng_states = np.random.default_rng(4)
         for row, nxt in zip(rows, rows[1:]):
-            direction = gradient_direction(row.state, pencil, row.value)
-            raw = row.state.amps + row.delta_used * direction.amps
-            want = noise_inject(normalize(StateVector(2, raw, normalized=False)), 0.05, rng)
-            np.testing.assert_array_equal(nxt.state.amps, want.amps)
+            # the demo pencil is real and |00> has no imaginary part, so the
+            # solver steps float64 rows: the step is recomputed on them
+            psi = row.state.amps.real
+            a_psi, b_psi, _, b = pencil.apply(psi)
+            direction = -(2.0 / b) * (a_psi - row.value * b_psi)
+            raw = psi + row.delta_used.real * direction
+            out = raw / np.linalg.norm(raw) + noise_vector(2, 0.05, rng).real
+            np.testing.assert_array_equal(nxt.state.amps, out / np.linalg.norm(out))
+            state = normalize(StateVector(2, raw, normalized=False))
+            want = noise_inject(state, 0.05, rng_states)
+            np.testing.assert_allclose(nxt.state.amps, want.amps, rtol=0, atol=1e-15)
 
 
 def close(x, y, tol=1e-12):

@@ -1,13 +1,11 @@
 import functools
-import importlib.util
 import json
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import (
+    BENCH_PROBLEMS,
     BLOCK_QUADS,
     DENSE_B,
     quad_roots,
@@ -29,20 +27,6 @@ from geig.reference import (
     hermitian_eig,
 )
 from geig.vqge import Pencil
-
-
-def _bench_problems():
-    """The benchmark's seeded pencils and numpy spectrum, imported from
-    ``bench/problems.py`` without putting ``bench/`` on the path."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "problems.py"
-    spec = importlib.util.spec_from_file_location("bench_problems", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
-
-
-BENCH_PROBLEMS = _bench_problems()
 
 
 def _ring_pencil(n):
@@ -234,6 +218,21 @@ class TestTridiagonalOracle:
         # fqge reads the ground vector, so the patch is live
         assert main(["fqge"]) == 1
         assert "eigenvectors were built" in capsys.readouterr().err
+
+    def test_only_reference_reduces_b_for_eta1(self, monkeypatch, capsys, tmp_path):
+        def refuse(self):
+            raise AssertionError("B was reduced for eta1")
+
+        monkeypatch.setattr(reference._Tridiagonal, "smallest", refuse)
+        path = tmp_path / "ising4.json"
+        path.write_text(json.dumps(BENCH_PROBLEMS.ising_problem(4, 1)))
+        for problem in ([], [str(path)]):
+            assert main(["vqge", "--iters", "2", "--restarts", "1", *problem]) == 0
+            assert main(["fqge", "--line-search", *problem]) == 0
+        capsys.readouterr()
+        # the one command that prints eta1 reads it, so the patch is live
+        assert main(["reference", str(path)]) == 1
+        assert "B was reduced for eta1" in capsys.readouterr().err
 
 
 class TestNonFiniteInput:
