@@ -24,7 +24,6 @@ from .pauli import PauliString, apply_string
 from .statevector import StateVector, normalize
 from .vqge import check_b, check_int, rayleigh_quotient
 
-_DIRECTION_FLOOR = 1e-10
 _DELTA_CAP = 1e12
 
 
@@ -82,9 +81,14 @@ class FqgeResult:
     state: StateVector
 
 
+def _residual_scale(a_psi, b_psi, f: float) -> float:
+    """||A psi|| + |F| ||B psi||, the scale of the terms of (A - F B) psi."""
+    return float(np.linalg.norm(a_psi)) + abs(f) * float(np.linalg.norm(b_psi))
+
+
 def _relative_residual(a_psi, b_psi, f: float) -> float:
     num = float(np.linalg.norm(a_psi - f * b_psi))
-    den = float(np.linalg.norm(a_psi)) + abs(f) * float(np.linalg.norm(b_psi))
+    den = _residual_scale(a_psi, b_psi, f)
     if den == 0.0:
         return 0.0
     return num / den
@@ -181,11 +185,13 @@ def _line_search(psi: np.ndarray, direction: np.ndarray, applied: tuple, pencil)
     """line_search for normalized raw amplitudes psi, with the direction
     and ``pencil.apply(psi)`` given; applies the pencil only to the part of
     the direction orthogonal to psi."""
-    _, _, a00, b00 = applied
+    a_psi, b_psi, a00, b00 = applied
     f00 = rayleigh_quotient(a00, b00)
     w = direction - np.vdot(psi, direction) * psi
     wn = float(np.linalg.norm(w))
-    if wn < 1e-14:
+    # w below the rounding of the terms (2/<B>)(A psi - F B psi) is formed
+    # from is no direction, at any pencil scale
+    if wn <= 1e-14 * (2.0 / b00) * _residual_scale(a_psi, b_psi, f00):
         return 0.0 + 0.0j, f00
     tilde = w / wn
     a_til, b_til, a11, b11 = pencil.apply(tilde)
@@ -286,8 +292,6 @@ def run_fqge(pencil, initial: StateVector, cfg: FqgeConfig = FqgeConfig()) -> Fq
             status = "converged"
         elif s > cfg.max_iters:
             status = "max_iters"
-        elif np.linalg.norm(direction) < _DIRECTION_FLOOR:
-            status = "converged"
         elif cfg.line_search:
             delta = _line_search(psi, direction, applied, pencil)[0]
             # on real rows every quantity of the 2x2 pencil, hence delta, is real

@@ -80,19 +80,24 @@ def error_bound(budget: ErrorBudget) -> float:
     return (budget.eps_a + abs(budget.lambda_r) * budget.eps_b) / budget.eta1 + budget.eps_o
 
 
-def _family(coeffs, sigmas, name: str) -> tuple[np.ndarray, np.ndarray]:
-    coeffs = np.asarray(list(coeffs), dtype=float)
-    if np.any(coeffs < 0.0):
-        raise ValueError(f"{name} coefficients must be >= 0")
-    if sigmas is None:
-        sigmas = np.ones_like(coeffs)
-    else:
-        sigmas = np.asarray(list(sigmas), dtype=float)
-        if sigmas.shape != coeffs.shape:
-            raise ValueError(f"{name}: {coeffs.size} coefficients, {sigmas.size} variances")
-        if np.any(sigmas <= 0.0):
-            raise ValueError(f"{name} variances must be > 0")
-    return coeffs, sigmas
+def _families(coeffs: Sequence, sigmas: Sequence) -> list:
+    """Validated (coeffs, sigmas) arrays of the A, B and overlap families;
+    variances default to ones."""
+    out = []
+    for c, s, name in zip(coeffs, sigmas, ("A", "B", "overlap")):
+        c = np.asarray(list(c), dtype=float)
+        if np.any(c < 0.0):
+            raise ValueError(f"{name} coefficients must be >= 0")
+        if s is None:
+            s = np.ones_like(c)
+        else:
+            s = np.asarray(list(s), dtype=float)
+            if s.shape != c.shape:
+                raise ValueError(f"{name}: {c.size} coefficients, {s.size} variances")
+            if np.any(s <= 0.0):
+                raise ValueError(f"{name} variances must be > 0")
+        out.append((c, s))
+    return out
 
 
 def shot_allocation(
@@ -112,39 +117,25 @@ def shot_allocation(
     """
     if not (math.isfinite(eps) and eps > 0.0):
         raise ValueError(f"target pseudo-error must be finite and > 0, got {eps}")
-    fam_a = _family(alphas, sigmas_a, "A")
-    fam_b = _family(betas, sigmas_b, "B")
-    fam_o = _family(gammas, sigmas_o, "overlap")
-    lam = sum(float(np.sum(c * np.sqrt(s))) for c, s in (fam_a, fam_b, fam_o))
+    families = _families((alphas, betas, gammas), (sigmas_a, sigmas_b, sigmas_o))
+    lam = sum(float(np.sum(c * np.sqrt(s))) for c, s in families)
     if lam <= 0.0:
         raise ValueError("all coefficients are zero; nothing to allocate")
     mu_root = lam / eps**2
-
-    def counts(coeffs, sigmas):
-        return tuple(
-            max(1, math.ceil(mu_root * c * math.sqrt(s)))
-            for c, s in zip(coeffs, sigmas)
-        )
-
-    m_a = counts(*fam_a)
-    m_b = counts(*fam_b)
-    m_o = counts(*fam_o)
-    return ShotPlan(m_a, m_b, m_o, sum(m_a) + sum(m_b) + sum(m_o), eps)
+    counts = [
+        tuple(max(1, math.ceil(mu_root * c * math.sqrt(s))) for c, s in zip(*family))
+        for family in families
+    ]
+    return ShotPlan(*counts, sum(map(sum, counts)), eps)
 
 
 def pseudo_error_sq(
     alphas, betas, gammas, m_a, m_b, m_o, sigmas_a=None, sigmas_b=None, sigmas_o=None
 ) -> float:
     """Pseudo-error eps^2 = sum coeff^2*sigma/M over all allocated terms."""
+    families = _families((alphas, betas, gammas), (sigmas_a, sigmas_b, sigmas_o))
     total = 0.0
-    for (coeffs, sigmas), counts in zip(
-        (
-            _family(alphas, sigmas_a, "A"),
-            _family(betas, sigmas_b, "B"),
-            _family(gammas, sigmas_o, "overlap"),
-        ),
-        (m_a, m_b, m_o),
-    ):
+    for (coeffs, sigmas), counts in zip(families, (m_a, m_b, m_o)):
         counts = np.asarray(list(counts), dtype=float)
         if counts.shape != coeffs.shape:
             raise ValueError("shot counts do not match coefficient count")

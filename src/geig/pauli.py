@@ -13,7 +13,8 @@ diagonals are float64 unless a mask carries an odd number of Y factors.
 ``apply_compiled`` applies every sum of a table with one gather of the
 rows and one contraction; complex rows on a real table run as their real
 and imaginary parts.  A ``PauliSum`` compiles itself on first use and keeps
-its table; the dense matrix is scattered from the same table.
+its table; the dense matrix is scattered from the same table, and
+``decompose`` reads those per-mask bands back from a dense matrix.
 """
 
 from __future__ import annotations
@@ -341,6 +342,12 @@ def decompose(m: np.ndarray, tol: float = DEFAULT_DECOMPOSE_TOL) -> PauliSum:
     The coefficient of string P is Tr[P m]/2^n (the exact minimizer of the
     Hilbert-Schmidt distance); terms with |coeff| <= tol are dropped, so
     ``tol`` must be finite and >= 0.  Refuses n above ``DEFAULT_DENSE_CAP``.
+
+    The inverse of ``dense_matrix``: one gather reads the band of every
+    X-mask, and a Walsh-Hadamard transform of each band, n in-place
+    butterflies, gives the coefficients of all its Z-masks at once.  A
+    non-real coefficient is an error naming the first such string in
+    (x_mask, z_mask) order.
     """
     # NaN fails this comparison, as it would fail the two that use tol below
     if not 0.0 <= tol < np.inf:
@@ -358,20 +365,21 @@ def decompose(m: np.ndarray, tol: float = DEFAULT_DECOMPOSE_TOL) -> PauliSum:
     if np.max(np.abs(m - m.conj().T)) > max(tol, 1e-12):
         raise ValueError("matrix is not Hermitian within tolerance")
 
+    # row x: the band dense_matrix writes for X-mask x, m[i ^ x, i]
     idx = np.arange(dim, dtype=np.int64)
-    terms = []
-    for x_mask in range(dim):
-        src = idx ^ x_mask
-        col = m[src, idx]
-        for z_mask in range(dim):
-            p = PauliString(n, x_mask, z_mask)
-            # Tr[P m] = sum_i phase(i^x) m[i^x, i] with P|j> = phase(j)|j^x>
-            tr = np.sum(_phase(p, src) * col)
-            coeff = tr / dim
-            if abs(coeff.imag) > 1e-10:
-                raise ValueError(
-                    f"non-real coefficient {coeff} for {p.ops}; input not Hermitian"
-                )
-            if abs(coeff.real) > tol:
-                terms.append((coeff.real, p))
-    return PauliSum(n, terms)
+    coeffs = m[idx ^ idx[:, None], idx] / dim
+    # Tr[P m] = (-1j)^|x & z| sum_i (-1)^|i & z| m[i ^ x, i]: one butterfly
+    # per qubit over i, with the -1j of a Y where x and z share the qubit
+    for h in (1 << k for k in range(n)):
+        low, high = np.moveaxis(coeffs.reshape(dim // (2 * h), 2, h, -1, 2, h), 4, 0)
+        low[...], high[...] = low + high, low - high
+        high[:, 1] *= -1j
+    bad = np.abs(coeffs.imag) > 1e-10
+    if bad.any():
+        x, z = divmod(int(np.argmax(bad)), dim)
+        raise ValueError(
+            f"non-real coefficient {coeffs[x, z]} for {PauliString(n, x, z).ops}; "
+            "input not Hermitian"
+        )
+    kept = zip(*np.nonzero(np.abs(coeffs.real) > tol))
+    return PauliSum(n, [(coeffs[x, z].real, PauliString(n, int(x), int(z))) for x, z in kept])

@@ -96,15 +96,16 @@ def fidelity(u: StateVector, v: StateVector) -> float:
 def expectation(s, v: StateVector) -> float:
     """Real expectation value <v|s|v> of a Hermitian Pauli sum.
 
-    Requires a normalized state; the imaginary part must vanish to 1e-10
-    (it does for any Hermitian operator) and is discarded.
+    Requires a normalized state; the imaginary part, which only rounding
+    reaches for a real-weighted sum, must vanish to 1e-10 max(1, sum_k
+    |c_k|) and is discarded.
     """
     if not v.normalized:
         raise ValueError("expectation requires a normalized state")
     from . import pauli
 
     val = inner(v, pauli.apply_sum(s, v))
-    if abs(val.imag) > 1e-10:
+    if abs(val.imag) > 1e-10 * max(1.0, float(np.sum(np.abs(s.coeffs)))):
         raise ValueError(
             f"expectation has non-real value {val}; operator is not Hermitian"
         )

@@ -341,6 +341,25 @@ class TestRunFqge:
         assert result.status == "max_iters"
         assert len(result.iterates) == 6, "5 update rows plus the terminal row"
 
+    @pytest.mark.parametrize("scale", [1e-12, 1e-16])
+    @pytest.mark.parametrize("line_search", [False, True], ids=["fixed", "line-search"])
+    def test_small_pencil_stops_on_scale_free_tests(self, scale, line_search):
+        """A tiny A makes the direction tiny, not the residual (0.744 at the
+        start): only the relative residual may report convergence."""
+        pencil = Pencil(
+            PauliSum(2, [(scale, "XX"), (0.3 * scale, "ZI")]),
+            PauliSum(2, [(1.0, "II"), (0.5, "IZ")]),
+        )
+        cfg = FqgeConfig(line_search=line_search)
+        result = run_fqge(pencil, basis_state(2, 0), cfg)
+        if line_search:
+            ground = generalized_eig(pencil).eigenvalues[0]
+            assert result.status == "converged" and len(result.iterates) == 2
+            assert abs(result.eigenvalue - ground) <= 1e-12 * abs(ground)
+        else:
+            assert result.status == "max_iters"
+        assert (result.status == "converged") == (result.iterates[-1].residual <= cfg.epsilon)
+
     def test_row_invariants(self, demo):
         pencil, _ = demo
         result = run_fqge(pencil, basis_state(2, 0), FqgeConfig(delta=0.1, max_iters=40, epsilon=1e-15))

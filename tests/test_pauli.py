@@ -324,6 +324,26 @@ class TestDecompose:
         with pytest.raises(ValueError):
             decompose(np.array([[0, 1j], [1j, 0]]))
 
+    @pytest.mark.parametrize(
+        "m, message",
+        [
+            # passes the Hermitian check at tol = 1, yet Tr[X m]/2 = 0.5j
+            ([[0, 0.5j], [0.5j, 0]], "0.5j for X"),
+            # ZX (x = 1, z = 2) precedes XI (x = 2, z = 0) in (x, z) order
+            (
+                0.3 * np.eye(4)
+                + 0.25j * np.kron(X, I2)
+                + 0.125j * np.kron(Z, X),
+                "0.125j for ZX",
+            ),
+        ],
+        ids=["X", "first-in-mask-order"],
+    )
+    def test_non_real_coefficient_names_first_string(self, m, message):
+        with pytest.raises(ValueError) as err:
+            decompose(np.array(m), tol=1.0)
+        assert str(err.value) == f"non-real coefficient {message}; input not Hermitian"
+
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ValueError):
             decompose(np.eye(3))

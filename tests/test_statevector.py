@@ -3,7 +3,7 @@ import pytest
 
 from conftest import A_TERMS, B_TERMS, random_state
 from geig.ansatz import cnot_index, rotate_y
-from geig.pauli import PauliSum, apply_sum
+from geig.pauli import PauliSum, apply_sum, dense_matrix
 from geig.statevector import (
     StateVector,
     basis_state,
@@ -188,3 +188,15 @@ class TestExpectation:
             v = random_state(rng, 2)
             want = inner(v, apply_sum(s, v)).real
             assert abs(expectation(s, v) - want) < 1e-12
+
+    @pytest.mark.parametrize("scale", [1e9, 1e12])
+    def test_large_coefficients_are_not_called_non_hermitian(self, scale):
+        """Rounding leaves an imaginary part on the scale of sum_k |c_k|."""
+        rng = np.random.default_rng(47)
+        terms = [(0.3, "XYZ"), (-1.0, "YYI"), (0.7, "IXY"), (0.2, "ZZZ")]
+        s = PauliSum(3, [(scale * c, ops) for c, ops in terms])
+        m = dense_matrix(s)
+        for _ in range(50):
+            v = random_state(rng, 3)
+            want = np.vdot(v.amps, m @ v.amps).real
+            assert abs(expectation(s, v) - want) <= 1e-12 * scale
