@@ -59,8 +59,8 @@ def demo_optimizer_trace():
     level = solve_spectrum(pencil, r=1, config=config)[0]
     print(f"best restart: {level.best_restart}")
     for k, trace in enumerate(level.traces):
-        first = trace.steps[0].loss
-        last = trace.steps[-1].loss
+        first = trace.losses[0]
+        last = trace.losses[-1]
         print(
             f"restart {k}: start {first:+.6f}  end {last:+.6f}  "
             f"best {trace.best_value:+.6f}"

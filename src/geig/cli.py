@@ -43,16 +43,16 @@ def _oracle_cap() -> int:
 
 
 def _parse_matrix(rows) -> np.ndarray:
+    """Rows of equal length whose entries are [re, im] pairs of numbers."""
     if not isinstance(rows, list) or not rows:
         raise ValueError("dense matrix must be a non-empty list of rows")
     try:
-        return np.array(
-            [[complex(c[0], c[1]) for c in row] for row in rows], dtype=complex
-        )
-    except (TypeError, IndexError):
-        raise ValueError(
-            "dense matrix entries must be [re, im] pairs in row-major order"
-        ) from None
+        width = len(rows[0])
+        if all(len(row) == width and all(len(c) == 2 for c in row) for row in rows):
+            return np.array([[complex(*c) for c in row] for row in rows], dtype=complex)
+    except TypeError:
+        pass
+    raise ValueError("dense matrix entries must be [re, im] pairs in row-major order")
 
 
 def _parse_terms(entries, n: int, side: str) -> PauliSum:
@@ -212,10 +212,10 @@ def cmd_vqge(args) -> dict:
         }
     if args.trace:
         steps = (
-            (idx, restart, step.step, step.loss, step.grad_norm)
+            (idx, restart, s, *row)
             for idx, level in enumerate(levels, start=1)
             for restart, trace in enumerate(level.traces)
-            for step in trace.steps
+            for s, row in enumerate(zip(trace.losses.tolist(), trace.grad_norms.tolist()))
         )
         _write_trace(args.trace, "level,restart,step,loss,grad_norm", steps)
         summary["trace_path"] = args.trace

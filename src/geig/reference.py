@@ -23,7 +23,7 @@ import numpy as np
 from . import pauli
 
 _HERM_TOL = 1e-10
-DEFAULT_CLUSTER_GAP = 1e-6
+DEFAULT_CLUSTER_GAP = 1e-6  # relative to the largest |eigenvalue|
 _EPS = np.finfo(np.float64).eps
 _TINY = np.finfo(np.float64).tiny
 _MAGNITUDE = np.int64(0x7FFF_FFFF_FFFF_FFFF)  # every bit of a double but its sign
@@ -396,19 +396,22 @@ def generalized_eig(pencil) -> EigenDecomposition:
 
 def distinct_values(eigenvalues, gap: float = DEFAULT_CLUSTER_GAP) -> list:
     """One representative (cluster mean) per eigenvalue cluster, where
-    clusters are separated by more than ``gap``."""
+    clusters are separated by more than ``gap`` times the largest
+    |eigenvalue|, so the count does not change with the pencil's scale."""
     values = np.sort(np.asarray(eigenvalues, dtype=float))
     if values.size == 0:
         return []
+    width = gap * max(abs(values[0]), abs(values[-1]))
     reps = []
     start = 0
     for i in range(1, values.size + 1):
-        if i == values.size or values[i] - values[i - 1] > gap:
+        if i == values.size or values[i] - values[i - 1] > width:
             reps.append(float(np.mean(values[start:i])))
             start = i
     return reps
 
 
 def count_distinct(eigenvalues, gap: float = DEFAULT_CLUSTER_GAP) -> int:
-    """Number of eigenvalue clusters separated by more than ``gap``."""
+    """Number of eigenvalue clusters separated by more than ``gap`` times
+    the largest |eigenvalue|."""
     return len(distinct_values(eigenvalues, gap))

@@ -15,7 +15,7 @@ call draws all the overlaps a loss or a gradient needs."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable, Sequence
 
@@ -27,6 +27,10 @@ from .pauli import PauliSum, apply_compiled, compile_sums, term_kets, term_overl
 from .statevector import StateVector, norm, scale, zero_state
 
 _B_FLOOR = 1e-12
+# Adam's moment decays and denominator guard (Kingma & Ba 2015 defaults)
+_ADAM_BETA1 = 0.9
+_ADAM_BETA2 = 0.999
+_ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -111,18 +115,14 @@ class DeflationRecord:
 
 
 @dataclass(frozen=True)
-class OptStep:
-    step: int
-    loss: float
-    grad_norm: float
-    theta: np.ndarray
-
-
-@dataclass(frozen=True)
 class OptTrace:
-    """Per-iteration optimization log with the best iterate over the run."""
+    """One descent's log, one entry per step (S = iters + 1 steps): the
+    losses (S,), gradient norms (S,) and angle grids (S, n, L), with the
+    first best iterate over the run."""
 
-    steps: tuple
+    losses: np.ndarray
+    grad_norms: np.ndarray
+    thetas: np.ndarray
     best_value: float
     best_params: AnsatzParams
 
@@ -131,21 +131,12 @@ class OptTrace:
 class OptConfig:
     lr: float = 0.1
     iters: int = 200
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     method: str = "adam"
 
     def __post_init__(self):
         check_int("iters", self.iters, 1)
         if not (np.isfinite(self.lr) and self.lr > 0.0):
             raise ValueError(f"lr must be finite and > 0, got {self.lr}")
-        for name in ("beta1", "beta2"):
-            value = getattr(self, name)
-            if not 0.0 <= value < 1.0:
-                raise ValueError(f"{name} must lie in [0, 1), got {value}")
-        if not (np.isfinite(self.eps) and self.eps > 0.0):
-            raise ValueError(f"eps must be finite and > 0, got {self.eps}")
         if self.method not in ("adam", "gd"):
             raise ValueError(f"unknown method {self.method!r} (expected 'adam' or 'gd')")
 
@@ -187,13 +178,12 @@ def _weighted(coeffs: list, estimates: list) -> complex:
 
 
 def _penalties(pencil: Pencil, records: Sequence[DeflationRecord], real: bool = False) -> list:
-    """(gamma, x, B x, <x|B|x>) per deflation record, x the record's raw
+    """(gamma, B x, <x|B|x>) per deflation record, x the record's raw
     amplitudes, or their real part with ``real``."""
     out = []
     for rec in records:
-        x = rec.state.amps.real if real else rec.state.amps
-        _, bx, _, m = pencil.apply(x)
-        out.append((rec.gamma, x, bx, check_b(m)))
+        _, bx, _, m = pencil.apply(rec.state.amps.real if real else rec.state.amps)
+        out.append((rec.gamma, bx, check_b(m)))
     return out
 
 
@@ -220,7 +210,7 @@ def _exact_objective(
     """
     circuit = compile_ansatz(pencil.n, entangler)
     real = pencil.real and not any(v.amps.imag.any() for v in (v_in, *(r.state for r in records)))
-    penalties = [(gamma, bx, bx.conj(), m) for gamma, _, bx, m in _penalties(pencil, records, real)]
+    penalties = [(gamma, bx, bx.conj(), m) for gamma, bx, m in _penalties(pencil, records, real)]
     start = v_in.amps.real if real else v_in.amps
 
     def value_and_grad(theta: np.ndarray, grad: bool = True) -> tuple:
@@ -260,7 +250,7 @@ def _shot_objective(
     circuit = compile_ansatz(pencil.n, entangler)
     coeffs_a, coeffs_b = pencil.A.coeffs.tolist(), pencil.B.coeffs.tolist()
     n_a, n_b = len(coeffs_a), len(coeffs_b)
-    penalties = [(gamma, m) for gamma, _, _, m in _penalties(pencil, records)]
+    penalties = [(gamma, m) for gamma, _, m in _penalties(pencil, records)]
     norms = [norm(rec.state) for rec in records]
     units = [rec.state.amps / x_norm for rec, x_norm in zip(records, norms)]
 
@@ -416,44 +406,43 @@ def _descend(value_and_grad: Callable, theta0: np.ndarray, config: OptConfig) ->
     """Adam (or plain gradient descent) on R angle grids at once.
 
     ``value_and_grad`` maps theta (R, n, L) to (values (R,), grads
-    (R, n, L)); grads may be None when a value is not finite.  Returns one
-    OptTrace per row, each with every step and the first best iterate.
+    (R, n, L)); grads may be None when a value is not finite.  Every step's
+    values, angles and gradients go into (S, R, ...) arrays; after the loop
+    the gradient norms come from one batched product, which rounds as
+    ``np.linalg.norm`` of each row does, and the best iterate of each row
+    from one argmin (its first minimum).  Returns one OptTrace per row.
     """
     rows, n, layers = theta0.shape
+    values = np.empty((config.iters + 1, rows))
+    thetas = np.empty((config.iters + 1, rows, n, layers))
+    grads = np.empty_like(thetas)
     theta = theta0.astype(float)
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
-    steps = [[] for _ in range(rows)]
-    best_value = np.full(rows, np.inf)
-    best_theta = theta.copy()
     for s in range(config.iters + 1):
         if not np.all(np.isfinite(theta)):
             raise ValueError("angles must be finite")
-        values, g = value_and_grad(theta)
-        for value in values:
-            if not np.isfinite(value):
-                raise RuntimeError(f"non-finite loss {float(value)} at step {s}")
-        for r in range(rows):
-            steps[r].append(
-                OptStep(s, float(values[r]), float(np.linalg.norm(g[r])), theta[r].copy())
-            )
-        better = values < best_value
-        best_value[better] = values[better]
-        best_theta[better] = theta[better]
+        values[s], g = value_and_grad(theta)
+        bad = ~np.isfinite(values[s])
+        if bad.any():
+            raise RuntimeError(f"non-finite loss {values[s][bad][0]} at step {s}")
+        thetas[s], grads[s] = theta, g
         if s == config.iters:
             break
         if config.method == "adam":
-            k = s + 1
-            m = config.beta1 * m + (1.0 - config.beta1) * g
-            v = config.beta2 * v + (1.0 - config.beta2) * g**2
-            m_hat = m / (1.0 - config.beta1**k)
-            v_hat = v / (1.0 - config.beta2**k)
-            theta = theta - config.lr * m_hat / (np.sqrt(v_hat) + config.eps)
+            m = _ADAM_BETA1 * m + (1.0 - _ADAM_BETA1) * g
+            v = _ADAM_BETA2 * v + (1.0 - _ADAM_BETA2) * g**2
+            m_hat = m / (1.0 - _ADAM_BETA1 ** (s + 1))
+            v_hat = v / (1.0 - _ADAM_BETA2 ** (s + 1))
+            theta = theta - config.lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
         else:
             theta = theta - config.lr * g
+    flat = grads.reshape(config.iters + 1, rows, 1, n * layers)
+    norms = np.sqrt(flat @ flat.swapaxes(-1, -2))[..., 0, 0]
+    best = np.argmin(values, axis=0)
     return [
-        OptTrace(tuple(steps[r]), float(best_value[r]), AnsatzParams(n, layers, best_theta[r]))
-        for r in range(rows)
+        OptTrace(losses, grad_norms, grids, float(losses[k]), AnsatzParams(n, layers, grids[k]))
+        for losses, grad_norms, grids, k in zip(values.T, norms.T, thetas.swapaxes(0, 1), best)
     ]
 
 
@@ -464,7 +453,7 @@ def optimize(
     config: OptConfig = OptConfig(),
 ) -> OptTrace:
     """Adam (or plain gradient descent) on the given loss; records every
-    step and reports the best iterate seen over the whole run."""
+    step and reports the first best iterate seen over the whole run."""
 
     def value_and_grad(theta: np.ndarray) -> tuple:
         params = AnsatzParams(p0.n, p0.L, theta[0])
@@ -497,8 +486,8 @@ def solve_spectrum(pencil: Pencil, r: int, config: SolveConfig = SolveConfig()) 
     v_in = zero_state(n)
     entangler = config.entangler
 
-    def run_level(level_idx: int, sign: float, records: tuple, kind: str) -> tuple:
-        """(eigenvalue, params, state, kind, traces, best_restart) of one level."""
+    def run_level(level_idx: int, sign: float, records: tuple, kind: str) -> SpectrumLevel:
+        """One level, its state prepared by the ansatz (not yet B-normalized)."""
         starts = [
             random_params(n, config.layers, np.random.default_rng([config.seed, level_idx, k]))
             for k in range(config.restarts)
@@ -512,27 +501,24 @@ def solve_spectrum(pencil: Pencil, r: int, config: SolveConfig = SolveConfig()) 
             theta0 = np.stack([p0.theta for p0 in starts])
             traces = _descend(objective, theta0, config.opt)
         best_k = int(np.argmin([trace.best_value for trace in traces]))
-        best = traces[best_k]
-        state = apply_ansatz(best.best_params, v_in, entangler)
-        return sign * best.best_value, best.best_params, state, kind, tuple(traces), best_k
+        value, params = traces[best_k].best_value, traces[best_k].best_params
+        state = apply_ansatz(params, v_in, entangler)
+        return SpectrumLevel(sign * value, params, state, kind, tuple(traces), best_k)
 
     levels = [run_level(1, 1.0, (), "min")]
     if r == 1:
         return _assemble(levels, pencil)
     levels.append(run_level(r, -1.0, (), "max"))
-    gamma = levels[1][0] - levels[0][0]
+    gamma = levels[1].eigenvalue - levels[0].eigenvalue
     for j in range(2, r):
         # every level found so far except the maximum becomes a penalty
         found = levels[:1] + levels[2:]
-        records = tuple(DeflationRecord(lam, gamma, x) for lam, _, x, *_ in found)
+        records = tuple(DeflationRecord(lv.eigenvalue, gamma, lv.state) for lv in found)
         levels.append(run_level(j, 1.0, records, "deflate"))
     return _assemble(levels, pencil)
 
 
 def _assemble(levels: list, pencil: Pencil) -> list:
-    out = [
-        SpectrumLevel(lam, params, _b_normalized(state, pencil), kind, traces, best_k)
-        for lam, params, state, kind, traces, best_k in levels
-    ]
-    out.sort(key=lambda lv: lv.eigenvalue)
-    return out
+    """The levels with B-normalized states, sorted by eigenvalue."""
+    out = (replace(lv, state=_b_normalized(lv.state, pencil)) for lv in levels)
+    return sorted(out, key=lambda lv: lv.eigenvalue)

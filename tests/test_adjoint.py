@@ -195,7 +195,7 @@ class TestBatchedDescent:
         def level_of(level_idx):
             theta0 = start(level_idx, 0).theta
             (match,) = [
-                lv for lv in levels if np.array_equal(lv.traces[0].steps[0].theta, theta0)
+                lv for lv in levels if np.array_equal(lv.traces[0].thetas[0], theta0)
             ]
             return match
 
@@ -203,12 +203,12 @@ class TestBatchedDescent:
             best = []
             for k, batched in enumerate(level.traces):
                 seq = optimize(loss, grad, start(level_idx, k), config.opt)
-                assert len(seq.steps) == len(batched.steps)
-                for s_seq, s_bat in zip(seq.steps, batched.steps):
-                    assert s_seq.step == s_bat.step
-                    assert abs(s_seq.loss - s_bat.loss) <= 1e-10
-                    assert abs(s_seq.grad_norm - s_bat.grad_norm) <= 1e-10
-                    np.testing.assert_allclose(s_seq.theta, s_bat.theta, rtol=0, atol=1e-10)
+                assert seq.losses.shape == batched.losses.shape == (config.opt.iters + 1,)
+                assert seq.grad_norms.shape == batched.grad_norms.shape == seq.losses.shape
+                assert seq.thetas.shape == batched.thetas.shape == (len(seq.losses), n, layers)
+                np.testing.assert_allclose(seq.losses, batched.losses, rtol=0, atol=1e-10)
+                np.testing.assert_allclose(seq.grad_norms, batched.grad_norms, rtol=0, atol=1e-10)
+                np.testing.assert_allclose(seq.thetas, batched.thetas, rtol=0, atol=1e-10)
                 assert abs(seq.best_value - batched.best_value) <= 1e-12
                 best.append(seq.best_value)
             assert level.best_restart == int(np.argmin(best))
@@ -234,6 +234,28 @@ class TestBatchedDescent:
             records.append(
                 DeflationRecord(level.eigenvalue, gamma, apply_ansatz(level.params, zero_state(n)))
             )
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_grad_norms_match_per_row_norm_bitwise(self, n):
+        """The batched product after the loop rounds as np.linalg.norm of
+        each restart's gradient at each step does (the --trace CSV holds
+        these digits)."""
+        rng = np.random.default_rng(40 + n)
+        pencil, _, _ = random_pencil(rng, n)
+        objective = _exact_objective(pencil, (), zero_state(n))
+        grads = []
+
+        def recording(theta):
+            values, g = objective(theta)
+            grads.append(g.copy())
+            return values, g
+
+        theta0 = np.stack([random_params(n, 2, rng).theta for _ in range(3)])
+        traces = _descend(recording, theta0, OptConfig(iters=20))
+        assert len(grads) == 21
+        for s, g in enumerate(grads):
+            for r, trace in enumerate(traces):
+                assert trace.grad_norms[s] == np.linalg.norm(g[r])
 
     def test_non_finite_loss_reports_its_step(self):
         calls = {"n": 0}

@@ -216,6 +216,20 @@ class TestReferenceCommand:
         assert summary["eta1"] == pytest.approx(0.5, abs=1e-12)
         assert summary["distinct"] == 4
 
+    def test_distinct_counts_small_scale_levels(self, capsys, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "n": 2,
+                    "A": [{"coeff": 1e-12, "ops": "XX"}, {"coeff": 3e-13, "ops": "ZI"}],
+                    "B": [{"coeff": 1.0, "ops": "II"}, {"coeff": 0.5, "ops": "IZ"}],
+                }
+            )
+        )
+        summary = summary_of(capsys, ["reference", str(path)], "reference_summary.schema.json")
+        assert summary["distinct"] == 4
+
 
 class TestVqgeCommand:
     def test_summary_trace_and_determinism(self, capsys, tmp_path):
@@ -404,6 +418,35 @@ class TestErrorContract:
         payload = error_of(capsys, [command, str(path)])
         assert payload["error"] == "ValueError"
         assert "non-finite" in payload["message"]
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            [[[1, 0, 5], [0, 0]], [[0, 0], [1, 0]]],
+            [[[1, 0], [0, 0]], [[1, 0]]],
+            [[[1, 0], [0]], [[0, 0], [1, 0]]],
+            [[[1, 0], "ab"], [[0, 0], [1, 0]]],
+            [[[1, 0], [0, 0]], 7],
+            [[[1, 0], {"re": 0, "im": 0}], [[0, 0], [1, 0]]],
+        ],
+        ids=["three-numbers", "ragged-row", "one-number", "string", "number-row", "object"],
+    )
+    @pytest.mark.parametrize("command", ["decompose", "reference"])
+    def test_malformed_dense_matrix(self, capsys, tmp_path, command, matrix):
+        """A dense matrix whose entries are not [re, im] pairs, or whose rows
+        differ in length, is rejected with one message on both entry points."""
+        path = tmp_path / "m.json"
+        if command == "decompose":
+            path.write_text(json.dumps(matrix))
+        else:
+            path.write_text(
+                json.dumps({"n": 1, "A_dense": matrix, "B": [{"coeff": 1, "ops": "I"}]})
+            )
+        payload = error_of(capsys, [command, str(path)])
+        assert payload == {
+            "error": "ValueError",
+            "message": "dense matrix entries must be [re, im] pairs in row-major order",
+        }
 
     @pytest.mark.parametrize(
         "argv, name",

@@ -393,6 +393,27 @@ class TestDistinct:
         assert count_distinct([]) == 0
         assert distinct_values([]) == []
 
+    def test_small_scale_levels_stay_distinct(self):
+        """The gap is relative: four levels near +-1e-12 are four clusters."""
+        pencil = Pencil(
+            PauliSum(2, [(1e-12, "XX"), (3e-13, "ZI")]), PauliSum(2, [(1.0, "II"), (0.5, "IZ")])
+        )
+        vals = generalized_eig(pencil).eigenvalues
+        want = [1.422e-12, 1.022e-12, 1.022e-12, 1.422e-12]
+        np.testing.assert_allclose(np.abs(vals), want, rtol=1e-3)
+        assert count_distinct(vals) == 4
+        np.testing.assert_array_equal(distinct_values(vals), vals)
+
+    @pytest.mark.parametrize("exponent", [-40, 40])
+    def test_count_does_not_change_with_scale(self, exponent):
+        pencil = two_qubit_pencil()
+        a = PauliSum(2, [(c * 2.0**exponent, p.ops) for c, p in pencil.A.terms])
+        scaled = Pencil(a, pencil.B)
+        vals = generalized_eig(pencil).eigenvalues
+        got = generalized_eig(scaled).eigenvalues
+        np.testing.assert_allclose(got, np.asarray(vals) * 2.0**exponent, rtol=1e-12)
+        assert count_distinct(got) == count_distinct(vals) == 4
+
 
 class TestJacobiScale:
     """The oracle is accurate at every coefficient scale, not only near

@@ -170,11 +170,11 @@ class TestShotObjective:
         want = {"min": ground_traces, "deflate": mid_traces, "max": top_traces}
         for lv in got:
             for got_tr, want_tr in zip(lv.traces, want[lv.objective]):
-                assert len(got_tr.steps) == len(want_tr.steps)
-                for g, w in zip(got_tr.steps, want_tr.steps):
-                    assert abs(g.loss - w.loss) <= TOL
-                    assert abs(g.grad_norm - w.grad_norm) <= TOL
-                    np.testing.assert_allclose(g.theta, w.theta, rtol=0, atol=TOL)
+                assert got_tr.losses.shape == want_tr.losses.shape == (config.opt.iters + 1,)
+                assert got_tr.thetas.shape == want_tr.thetas.shape
+                np.testing.assert_allclose(got_tr.losses, want_tr.losses, rtol=0, atol=TOL)
+                np.testing.assert_allclose(got_tr.grad_norms, want_tr.grad_norms, rtol=0, atol=TOL)
+                np.testing.assert_allclose(got_tr.thetas, want_tr.thetas, rtol=0, atol=TOL)
 
     def test_no_state_vectors_in_the_descent(self, monkeypatch):
         """StateVector constructions and one-state circuits do not grow

@@ -231,8 +231,9 @@ class TestOptimize:
         trace = optimize(
             lambda p: loss_f(p, pencil), lambda p: grad_f(p, pencil), p0, OptConfig(iters=10)
         )
-        assert len(trace.steps) == 11
-        assert all(abs(st.loss - 1.0) < 1e-12 for st in trace.steps)
+        assert trace.losses.shape == trace.grad_norms.shape == (11,)
+        assert trace.thetas.shape == (11, 2, 2)
+        assert np.all(np.abs(trace.losses - 1.0) < 1e-12)
         assert trace.best_value == pytest.approx(1.0)
 
     def test_minimizes_demo_pencil(self, demo):
@@ -260,7 +261,14 @@ class TestOptimize:
             p0,
             OptConfig(iters=40),
         )
-        assert trace.best_value == min(st.loss for st in trace.steps)
+        assert trace.best_value == trace.losses.min()
+
+    def test_tie_goes_to_the_first_step(self):
+        p0 = random_params(2, 3, np.random.default_rng(19))
+        trace = optimize(lambda p: 1.0, lambda p: np.ones((2, 3)), p0, OptConfig(iters=5))
+        assert trace.best_value == 1.0
+        np.testing.assert_array_equal(trace.best_params.theta, p0.theta)
+        assert not np.array_equal(trace.thetas[-1], p0.theta)
 
     def test_gradient_norm_small_at_optimum(self, demo_solution):
         pencil, levels = demo_solution
