@@ -5,6 +5,9 @@ identity dU/dtheta[i][t] = U(theta with pi added at [i][t]) / 2.
 ``CompiledAnsatz`` is the one circuit simulator: it runs the circuit on raw
 amplitude arrays for a whole batch of angle grids at once, and takes the
 gradient of any real function of the output by one reverse (adjoint) sweep.
+Both sweeps take their rotations from one ``ry_gates`` tensor, the reverse
+sweep as its transpose, and apply each with ``apply_ry``: one broadcast
+multiply and one add, which rounds exactly as the textbook c a0 - s a1.
 ``apply_ansatz`` is its one-state view on a ``StateVector``.
 """
 
@@ -82,20 +85,35 @@ def apply_ansatz(p: AnsatzParams, v_in: StateVector, entangler="linear") -> Stat
     return StateVector(p.n, out, normalized=v_in.normalized)
 
 
-def rotate_y(amps: np.ndarray, q: int, c, s) -> np.ndarray:
-    """The real rotation [[c, -s], [s, c]] on qubit ``q`` of every row of a
-    raw amplitude array of shape (..., 2^n).
+def ry_gates(theta: np.ndarray) -> np.ndarray:
+    """The rotations Ry(theta[r, i, t]) = [[c, -s], [s, c]], c = cos(theta/2)
+    and s = sin(theta/2), as one gate tensor of shape (R, n, L, 1, 2, 2, 1):
+    entry [:, i, t] is the ``gate`` argument of ``apply_ry`` for qubit i in
+    layer t, and its transpose over the two 2-axes is the inverse rotation."""
+    half = theta / 2.0
+    gates = np.empty(theta.shape + (1, 2, 2, 1))
+    c, s = gates[..., 0, 0, 0, 0], gates[..., 0, 1, 0, 0]
+    np.cos(half, out=c)
+    np.sin(half, out=s)
+    gates[..., 0, 1, 1, 0] = c
+    np.negative(s, out=gates[..., 0, 0, 1, 0])
+    return gates
 
-    ``c`` and ``s`` are scalars or broadcast against (..., 1, 1), one pair
-    per row; Ry(angle) is c = cos(angle/2), s = sin(angle/2).
+
+def apply_ry(amps: np.ndarray, q: int, gate: np.ndarray) -> np.ndarray:
+    """A real 2 x 2 ``gate`` on qubit ``q`` of every row of a raw amplitude
+    array of shape (..., 2^n), as a new array.
+
+    ``gate`` has shape (1, 2, 2, 1), or (R, 1, 2, 2, 1) with one matrix per
+    row, in which case a single row of amplitudes is spread across all R.
+    One broadcast multiply forms every product g[o, k] a_k and one add sums
+    the two halves: row o is g[o, 0] a_0 + g[o, 1] a_1.  For Ry that is
+    c a_0 + (-s) a_1, which rounds exactly as c a_0 - s a_1.
     """
-    view = amps.reshape(amps.shape[:-1] + (1 << q, 2, -1))
-    a0 = view[..., 0, :]
-    a1 = view[..., 1, :]
-    out = np.empty_like(view)
-    out[..., 0, :] = c * a0 - s * a1
-    out[..., 1, :] = s * a0 + c * a1
-    return out.reshape(amps.shape)
+    view = amps.reshape(amps.shape[:-1] + (1 << q, 1, 2, -1))
+    prod = view * gate
+    out = prod[..., 0, :] + prod[..., 1, :]
+    return out.reshape(out.shape[:-3] + (-1,))
 
 
 def cnot_index(n: int, control: int, target: int) -> np.ndarray:
@@ -120,47 +138,51 @@ class CompiledAnsatz:
     perm: np.ndarray
     inverse: np.ndarray
 
-    def run(self, theta: np.ndarray, v_in: np.ndarray) -> np.ndarray:
+    def run(self, theta: np.ndarray, v_in: np.ndarray, gates=None) -> np.ndarray:
         """U(theta[r])|v_in> for every row r, shape (R, 2^n); ``v_in`` has
-        shape (2^n,) or (R, 2^n)."""
-        c, s = _half_angles(theta)
-        v = np.broadcast_to(v_in, (theta.shape[0], 1 << self.n))
+        shape (2^n,), (1, 2^n) or (R, 2^n).  ``gates`` is ``ry_gates(theta)``
+        when the caller has built it already."""
+        rows = theta.shape[0]
+        if v_in.shape[-1] != 1 << self.n or v_in.ndim == 2 and len(v_in) not in (1, rows):
+            raise ValueError(
+                f"start of shape {v_in.shape} does not fit {rows} rows of {1 << self.n} amplitudes"
+            )
+        gates = ry_gates(theta) if gates is None else gates
+        v = v_in
         for t in range(theta.shape[2]):
             for i in range(self.n):
-                v = rotate_y(v, i, c[:, i, t], s[:, i, t])
+                v = apply_ry(v, i, gates[:, i, t])
             v = v.take(self.perm, axis=-1)
         return v
 
-    def vjp(self, theta: np.ndarray, psi: np.ndarray, chi: np.ndarray) -> np.ndarray:
+    def vjp(self, theta: np.ndarray, psi: np.ndarray, chi: np.ndarray, gates=None) -> np.ndarray:
         """2 Re<d psi/d theta[r, i, t]|chi> for every angle, shape (R, n, L),
-        where ``psi`` = run(theta, v_in) and ``chi`` is held fixed.
+        where ``psi`` = run(theta, v_in) and ``chi`` is held fixed;
+        ``gates`` is ``ry_gates(theta)`` when the caller has built it.
 
-        One reverse sweep uncomputes psi and chi gate by gate; at each Ry
-        the entry is Re<(-iY_i) phi|lam>, with phi the state just after the
-        gate and lam the co-state pulled back to the same point (Jones and
-        Gacon, arXiv:2009.02823).  No circuit is re-simulated.
+        One reverse sweep uncomputes psi and chi gate by gate with the
+        transposed (inverse) rotations; at each Ry the entry is
+        Re<(-iY_i) phi|lam>, with phi the state just after the gate and lam
+        the co-state pulled back to the same point (Jones and Gacon,
+        arXiv:2009.02823).  No circuit is re-simulated.
         """
-        c, s = _half_angles(theta)
+        gates = ry_gates(theta) if gates is None else gates
+        inverses = gates.swapaxes(-3, -2)
         rows, _, layers = theta.shape
         grad = np.empty(theta.shape)
-        w = np.stack((psi, chi))
+        w = np.array((psi, chi))
+        complex_rows = np.iscomplexobj(w)
         for t in reversed(range(layers)):
             w = w.take(self.inverse, axis=-1)
             for i in reversed(range(self.n)):
-                # -iY = [[0, -1], [1, 0]] maps (phi_0, phi_1) to (-phi_1, phi_0)
+                # -iY = [[0, -1], [1, 0]] maps (phi_0, phi_1) to (-phi_1, phi_0),
+                # so the overlap is phi_0* lam_1 - phi_1* lam_0
                 view = w.reshape(2, rows, 1 << i, 2, -1)
-                phi, lam = view[0], view[1]
-                overlap = phi[:, :, 0].conj() * lam[:, :, 1] - phi[:, :, 1].conj() * lam[:, :, 0]
-                grad[:, i, t] = overlap.real.sum(axis=(1, 2))
-                w = rotate_y(w, i, c[:, i, t], -s[:, i, t])
+                phi = view[0].conj() if complex_rows else view[0]
+                p = phi * view[1][:, :, ::-1]
+                grad[:, i, t] = (p[:, :, 0] - p[:, :, 1]).real.sum(axis=(1, 2))
+                w = apply_ry(w, i, inverses[:, i, t])
         return grad
-
-
-def _half_angles(theta: np.ndarray) -> tuple:
-    """cos and sin of theta/2, shaped (R, n, L, 1, 1) so that entry [:, i, t]
-    broadcasts against one qubit's (R, 2^i, 2^(n-i-1)) halves."""
-    half = theta[..., None, None] / 2.0
-    return np.cos(half), np.sin(half)
 
 
 def compile_ansatz(n: int, entangler="linear") -> CompiledAnsatz:

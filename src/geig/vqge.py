@@ -4,10 +4,11 @@ min / max / deflate pipeline that recovers the full spectrum.
 
 In exact mode (``shots == 0``) a loss and its gradient come from one fused
 pass on raw arrays: a forward sweep, then one adjoint (reverse) sweep of the
-circuit, for a whole batch of angle grids at once; ``solve_spectrum`` runs
-all restarts of a level as one batch.  ``Pencil`` compiles A and B into one
-table on first use, and the exact pass runs in float64 when that table and
-the states are real.  With ``shots > 0`` every expectation is a sampled
+circuit, for a whole batch of angle grids at once, both sweeps on one tensor
+of Ry gates; ``solve_spectrum`` runs all restarts of a level as one batch,
+and the min and max levels as one batch with a sign per row.  ``Pencil``
+compiles A and B into one table on first use, and the exact pass runs in
+float64 when that table and the states are real.  With ``shots > 0`` every expectation is a sampled
 Hadamard test and gradients use the pi-shift rule, one restart at a time:
 one circuit batch gives psi and every pi-shifted state, and one sampler
 call draws all the overlaps a loss or a gradient needs."""
@@ -21,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .ansatz import AnsatzParams, apply_ansatz, compile_ansatz, random_params
+from .ansatz import AnsatzParams, apply_ansatz, compile_ansatz, random_params, ry_gates
 from .measurement import sample_overlaps
 from .pauli import PauliSum, apply_compiled, compile_sums, term_kets, term_overlaps
 from .statevector import StateVector, norm, scale, zero_state
@@ -192,14 +193,16 @@ def _exact_objective(
     records: Sequence[DeflationRecord],
     v_in: StateVector,
     entangler="linear",
-    sign: float = 1.0,
+    sign=1.0,
 ) -> Callable:
-    """The exact deflated loss ``sign * F_j`` of one level as a batched
-    function ``theta (R, n, L) -> (values (R,), grads (R, n, L) or None)``.
+    """The exact deflated loss ``sign * F_j`` as a batched function
+    ``theta (R, n, L) -> (values (R,), grads (R, n, L) or None)``, with one
+    ``sign`` for every row or an (R,) array of them (+1 or -1, so that rows
+    minimizing and rows maximizing F share a batch).
 
     One forward sweep gives psi, A psi and B psi, hence F = a/b and each
     penalty gamma |t|^2 / (m b) with t = <Bx|psi> and m = <x|B|x>; Bx and m
-    are computed here, once per level.  The gradient is 2 Re<d psi|chi> for
+    are computed here, once per objective.  The gradient is 2 Re<d psi|chi> for
     the co-state
 
         chi = (A psi - F B psi)/b + sum_x gamma/(m b) (t Bx - |t|^2/b B psi),
@@ -214,21 +217,21 @@ def _exact_objective(
     start = v_in.amps.real if real else v_in.amps
 
     def value_and_grad(theta: np.ndarray, grad: bool = True) -> tuple:
-        psi = circuit.run(theta, start)
+        gates = ry_gates(theta)
+        psi = circuit.run(theta, start, gates)
         a_psi, b_psi, a, b = pencil.apply(psi)
-        f = rayleigh_quotient(a, b)
-        value = f.copy()
+        value = f = rayleigh_quotient(a, b)
         chi = a_psi - f[:, None] * b_psi
         for gamma, bx, bx_conj, m in penalties:
             t = psi @ bx_conj
             t_sq = np.abs(t) ** 2
-            value += gamma * t_sq / (m * b)
+            value = value + gamma * t_sq / (m * b)
             chi += (gamma / m) * (t[:, None] * bx - (t_sq / b)[:, None] * b_psi)
-        value *= sign
+        value = value * sign
         if not grad:
             return value, None
-        chi *= sign / b[:, None]
-        return value, circuit.vjp(theta, psi, chi)
+        chi *= (sign / b)[:, None]
+        return value, circuit.vjp(theta, psi, chi, gates)
 
     return value_and_grad
 
@@ -477,44 +480,63 @@ def solve_spectrum(pencil: Pencil, r: int, config: SolveConfig = SolveConfig()) 
     the largest, then deflate level by level; returns SpectrumLevel entries
     sorted ascending with B-normalized states.
 
-    In exact mode the restarts of a level descend together as one batch;
-    with shots they run one after another on the level's sampling stream.
+    In exact mode every restart of a level descends in one batch, and the
+    min and max levels, which have no deflation records, share one batch of
+    2 x restarts rows, the max rows negated.  With shots the restarts run
+    one after another on their level's sampling stream.  An error raised in
+    a shared batch (a <B> that is not positive, a non-finite loss) may
+    report a value from either level's rows.
     """
     if not 1 <= r <= 2**pencil.n:
         raise ValueError(f"r must be between 1 and {2**pencil.n}, got {r}")
     n = pencil.n
     v_in = zero_state(n)
     entangler = config.entangler
+    restarts = config.restarts
 
-    def run_level(level_idx: int, sign: float, records: tuple, kind: str) -> SpectrumLevel:
-        """One level, its state prepared by the ansatz (not yet B-normalized)."""
-        starts = [
+    def starts(level_idx: int) -> list:
+        return [
             random_params(n, config.layers, np.random.default_rng([config.seed, level_idx, k]))
-            for k in range(config.restarts)
+            for k in range(restarts)
         ]
-        if config.shots:
-            rng = np.random.default_rng([config.seed, 7919, level_idx])
-            objective = _shot_objective(pencil, records, v_in, entangler, sign, config.shots, rng)
-            traces = [_descend(objective, p0.theta[None], config.opt)[0] for p0 in starts]
-        else:
-            objective = _exact_objective(pencil, records, v_in, entangler, sign)
-            theta0 = np.stack([p0.theta for p0 in starts])
-            traces = _descend(objective, theta0, config.opt)
-        best_k = int(np.argmin([trace.best_value for trace in traces]))
-        value, params = traces[best_k].best_value, traces[best_k].best_params
-        state = apply_ansatz(params, v_in, entangler)
-        return SpectrumLevel(sign * value, params, state, kind, tuple(traces), best_k)
 
-    levels = [run_level(1, 1.0, (), "min")]
+    def run_levels(specs: list, records: tuple) -> list:
+        """Levels with the same deflation records, one per (level_idx,
+        sign, kind) spec, each state prepared by the ansatz (not yet
+        B-normalized)."""
+        if config.shots:
+            traces = []
+            for level_idx, sign, _ in specs:
+                rng = np.random.default_rng([config.seed, 7919, level_idx])
+                objective = _shot_objective(
+                    pencil, records, v_in, entangler, sign, config.shots, rng
+                )
+                traces += [
+                    _descend(objective, p0.theta[None], config.opt)[0] for p0 in starts(level_idx)
+                ]
+        else:
+            signs = np.repeat([sign for _, sign, _ in specs], restarts)
+            objective = _exact_objective(pencil, records, v_in, entangler, signs)
+            theta0 = np.stack([p0.theta for level_idx, _, _ in specs for p0 in starts(level_idx)])
+            traces = _descend(objective, theta0, config.opt)
+        levels = []
+        for j, (_, sign, kind) in enumerate(specs):
+            level_traces = tuple(traces[j * restarts : (j + 1) * restarts])
+            best_k = int(np.argmin([trace.best_value for trace in level_traces]))
+            value, params = level_traces[best_k].best_value, level_traces[best_k].best_params
+            state = apply_ansatz(params, v_in, entangler)
+            levels.append(SpectrumLevel(sign * value, params, state, kind, level_traces, best_k))
+        return levels
+
     if r == 1:
-        return _assemble(levels, pencil)
-    levels.append(run_level(r, -1.0, (), "max"))
+        return _assemble(run_levels([(1, 1.0, "min")], ()), pencil)
+    levels = run_levels([(1, 1.0, "min"), (r, -1.0, "max")], ())
     gamma = levels[1].eigenvalue - levels[0].eigenvalue
     for j in range(2, r):
         # every level found so far except the maximum becomes a penalty
         found = levels[:1] + levels[2:]
         records = tuple(DeflationRecord(lv.eigenvalue, gamma, lv.state) for lv in found)
-        levels.append(run_level(j, 1.0, records, "deflate"))
+        levels += run_levels([(j, 1.0, "deflate")], records)
     return _assemble(levels, pencil)
 
 

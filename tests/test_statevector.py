@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import A_TERMS, B_TERMS, random_state
-from geig.ansatz import cnot_index, rotate_y
+from geig.ansatz import apply_ry, cnot_index, ry_gates
 from geig.pauli import PauliSum, apply_sum, dense_matrix
 from geig.statevector import (
     StateVector,
@@ -51,7 +51,8 @@ class TestStateVector:
 
 def ry(q, angle, v):
     """Ry(angle) on qubit ``q`` of one state, through the circuit kernel."""
-    return rotate_y(v.amps, q, np.cos(angle / 2.0), np.sin(angle / 2.0))
+    gate = ry_gates(np.array([[[angle]]]))[0, 0, 0]
+    return apply_ry(v.amps, q, gate)
 
 
 def cnot(control, target, v):
