@@ -144,14 +144,7 @@ def _check_finite(value, path: str = "") -> None:
 
 def cmd_vqge(args) -> dict:
     pencil = _load_problem(args)
-    ref = _reference_or_none(pencil)
-    r = args.r
-    if r is None:
-        if ref is None:
-            raise ValueError(
-                "--r is required when the problem exceeds the dense reference cap"
-            )
-        r = count_distinct(ref.eigenvalues)
+    # built before the oracle runs, so a bad option fails at once
     config = SolveConfig(
         layers=args.layers,
         restarts=args.restarts,
@@ -160,6 +153,14 @@ def cmd_vqge(args) -> dict:
         opt=OptConfig(lr=args.lr, iters=args.iters, method=args.method),
         shots=args.shots,
     )
+    ref = _reference_or_none(pencil)
+    r = args.r
+    if r is None:
+        if ref is None:
+            raise ValueError(
+                "--r is required when the problem exceeds the dense reference cap"
+            )
+        r = count_distinct(ref.eigenvalues)
     plan = None
     if args.target_eps is not None:
         # planned before the solve, so a bad --target-eps fails at once

@@ -5,22 +5,26 @@ size, a relative residual diagnostic, and depolarizing-style statevector
 noise injection.
 
 ``run_fqge`` works on raw amplitudes: it applies the pencil once per iterate
-(once more on a line-search direction) and steps the state as
-psi + delta*direction, which equals G|psi>; the rows are float64 when the
-pencil and the start state are real.  The explicit combination
-(``build_lcu`` / ``apply_g``) is kept as a public oracle.  Both it and the
-LCU size reported per step come from coefficient vectors over the strings
-of A and B, built once per solve."""
+(once more on a line-search direction), forms the residual (A - F B)psi
+once, and steps the state as psi + delta*direction, which equals G|psi>;
+the rows are float64 when the pencil and the start state are real.  Each
+iterate keeps its raw row and builds its ``StateVector`` only when
+``state`` is read.  The explicit combination (``build_lcu`` / ``apply_g``)
+is kept as a public oracle.  Both it and the LCU size reported per step
+come from coefficient vectors over the strings of A and B, built once per
+solve."""
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import count
 from typing import Optional
 
 import numpy as np
 
-from .pauli import PauliString, apply_string
+from .pauli import PauliString, _string_action
 from .statevector import StateVector, normalize
 from .vqge import check_b, check_int, rayleigh_quotient
 
@@ -41,6 +45,7 @@ class FqgeConfig:
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         check_int("max_iters", self.max_iters, 1)
+        check_int("seed", 0 if self.seed is None else self.seed, 0)  # None draws fresh entropy
         if self.delta <= 0:
             raise ValueError(f"delta must be > 0, got {self.delta}")
         if self.noise_sigma < 0:
@@ -61,16 +66,25 @@ class LcuOperator:
 @dataclass(frozen=True)
 class FqgeIterate:
     """State of the iteration when row ``s`` was evaluated, before the
-    update recorded in the same row was applied."""
+    update recorded in the same row was applied.  ``amps`` is the solver's
+    read-only raw row (float64 on the real path); ``state`` wraps it in a
+    ``StateVector`` on first read."""
 
     s: int
-    state: StateVector
+    amps: np.ndarray
     value: float
     residual: float
     delta_used: complex
     success_prob: float
     lcu_norm_c: float
     lcu_terms: int
+
+    def __post_init__(self):
+        self.amps.setflags(write=False)
+
+    @cached_property
+    def state(self) -> StateVector:
+        return StateVector(self.amps.size.bit_length() - 1, self.amps)
 
 
 @dataclass(frozen=True)
@@ -81,41 +95,32 @@ class FqgeResult:
     state: StateVector
 
 
-def _residual_scale(a_psi, b_psi, f: float) -> float:
-    """||A psi|| + |F| ||B psi||, the scale of the terms of (A - F B) psi."""
-    return float(np.linalg.norm(a_psi)) + abs(f) * float(np.linalg.norm(b_psi))
-
-
-def _relative_residual(a_psi, b_psi, f: float) -> float:
-    num = float(np.linalg.norm(a_psi - f * b_psi))
-    den = _residual_scale(a_psi, b_psi, f)
-    if den == 0.0:
-        return 0.0
-    return num / den
-
-
-def _direction(a_psi, b_psi, f: float, b: float) -> np.ndarray:
-    return -(2.0 / b) * (a_psi - f * b_psi)
+def _residual(a_psi, b_psi, f: float) -> tuple:
+    """(r, scale, relative): r = (A - F B) psi, the scale ||A psi|| +
+    |F| ||B psi|| of its terms, and ||r|| / scale (0 at zero scale)."""
+    r = a_psi - f * b_psi
+    scale = float(np.linalg.norm(a_psi)) + abs(f) * float(np.linalg.norm(b_psi))
+    return r, scale, float(np.linalg.norm(r)) / scale if scale != 0.0 else 0.0
 
 
 def loss_state(state: StateVector, pencil) -> float:
     """Rayleigh quotient <psi|A|psi>/<psi|B|psi> on an explicit state."""
-    _, _, a, b = pencil.apply(state.amps)
-    return rayleigh_quotient(a, b)
+    return rayleigh_quotient(*pencil.apply(state.amps)[2:])
 
 
 def gradient_direction(state: StateVector, pencil, f_value: float) -> StateVector:
     """Unnormalized steepest-descent direction -(2/<B>)(A - F B)|psi>;
     exactly orthogonal to |psi> when f_value is the Rayleigh quotient."""
     a_psi, b_psi, _, b = pencil.apply(state.amps)
-    return StateVector(state.n, _direction(a_psi, b_psi, f_value, check_b(b)), normalized=False)
+    direction = -(2.0 / check_b(b)) * _residual(a_psi, b_psi, f_value)[0]
+    return StateVector(state.n, direction, normalized=False)
 
 
 def residual(state: StateVector, pencil) -> float:
     """Relative residual ||(A - F B)psi|| / (||A psi|| + |F| ||B psi||),
     bounded in [0, 1]."""
     a_psi, b_psi, a, b = pencil.apply(state.amps)
-    return _relative_residual(a_psi, b_psi, rayleigh_quotient(a, b))
+    return _residual(a_psi, b_psi, rayleigh_quotient(a, b))[2]
 
 
 def _lcu_basis(pencil) -> tuple:
@@ -150,11 +155,19 @@ def build_lcu(state: StateVector, pencil, delta: complex, f_value: float) -> Lcu
     b = check_b(pencil.apply(state.amps)[3])
     basis = _lcu_basis(pencil)
     g = _lcu_coeffs(basis, delta, f_value, b)
-    norm_c, d = _lcu_size(g)
     keys, kept = basis[0], np.flatnonzero(g)
     coeffs = tuple(complex(g[j]) for j in kept)
     strings = tuple(PauliString(pencil.n, *keys[j]) for j in kept)
-    return LcuOperator(coeffs, strings, norm_c, d)
+    return LcuOperator(coeffs, strings, *_lcu_size(g))
+
+
+def _post_select(raw: np.ndarray, norm_c: float, d: int, where: str = "") -> tuple:
+    """(||G psi||, ||G psi||^2 / (C^2 d)) of an unnormalized output G psi:
+    its norm and the post-selection success probability."""
+    out_norm = float(np.linalg.norm(raw))
+    if out_norm == 0.0:
+        raise RuntimeError(f"{where}LCU output has zero norm; the state is annihilated by G")
+    return out_norm, out_norm**2 / (norm_c**2 * d)
 
 
 def apply_g(lcu: LcuOperator, state: StateVector):
@@ -162,12 +175,10 @@ def apply_g(lcu: LcuOperator, state: StateVector):
     and the post-selection success probability ||G psi||^2 / (C^2 d)."""
     amps = np.zeros_like(state.amps)
     for g, ps in zip(lcu.coeffs, lcu.strings):
-        amps = amps + g * apply_string(ps, state).amps
-    out_norm = float(np.linalg.norm(amps))
-    if out_norm == 0.0:
-        raise RuntimeError("LCU output has zero norm; the state is annihilated by G")
-    success = out_norm**2 / (lcu.norm_c**2 * lcu.d)
-    return StateVector(state.n, amps, normalized=False), success
+        if ps.n != state.n:
+            raise ValueError(f"qubit counts differ: operator {ps.n}, state {state.n}")
+        amps = amps + g * _string_action(ps, state.amps)
+    return StateVector(state.n, amps, normalized=False), _post_select(amps, lcu.norm_c, lcu.d)[1]
 
 
 def line_search(state: StateVector, direction: StateVector, pencil):
@@ -178,20 +189,22 @@ def line_search(state: StateVector, direction: StateVector, pencil):
     leading component caps |delta| at 1e12 with a warning.
     """
     psi = (state if state.normalized else normalize(state)).amps
-    return _line_search(psi, direction.amps, pencil.apply(psi), pencil)
+    a_psi, b_psi, a, b = applied = pencil.apply(psi)
+    scale = _residual(a_psi, b_psi, rayleigh_quotient(a, b))[1]
+    return _line_search(psi, direction.amps, applied, scale, pencil)
 
 
-def _line_search(psi: np.ndarray, direction: np.ndarray, applied: tuple, pencil):
-    """line_search for normalized raw amplitudes psi, with the direction
-    and ``pencil.apply(psi)`` given; applies the pencil only to the part of
-    the direction orthogonal to psi."""
-    a_psi, b_psi, a00, b00 = applied
+def _line_search(psi: np.ndarray, direction: np.ndarray, applied: tuple, scale: float, pencil):
+    """line_search for normalized raw amplitudes psi, with the direction,
+    ``pencil.apply(psi)`` and the residual's ``scale`` given; applies the
+    pencil only to the part of the direction orthogonal to psi."""
+    _, _, a00, b00 = applied
     f00 = rayleigh_quotient(a00, b00)
     w = direction - np.vdot(psi, direction) * psi
     wn = float(np.linalg.norm(w))
     # w below the rounding of the terms (2/<B>)(A psi - F B psi) is formed
     # from is no direction, at any pencil scale
-    if wn <= 1e-14 * (2.0 / b00) * _residual_scale(a_psi, b_psi, f00):
+    if wn <= 1e-14 * (2.0 / b00) * scale:
         return 0.0 + 0.0j, f00
     tilde = w / wn
     a_til, b_til, a11, b11 = pencil.apply(tilde)
@@ -269,10 +282,12 @@ def run_fqge(pencil, initial: StateVector, cfg: FqgeConfig = FqgeConfig()) -> Fq
     Each iterate row holds the state as evaluated (before that row's
     update); the final row is terminal with a zero step.  The iteration
     runs on raw amplitudes: one ``pencil.apply`` per iterate gives the
-    quotient, the residual, the direction and the step G psi = psi +
-    delta*direction, and each row's state is its one ``StateVector``.
-    When the pencil is real and the start state has no imaginary part, the
-    rows, the step and the noise are float64; states stay complex.
+    quotient and one residual (A - F B)psi gives the relative residual,
+    the direction and the step G psi = psi + delta*direction.  Rows keep
+    these raw amplitudes; a row's ``state``, and the result's (the last
+    row's), is built when it is first read.  When the pencil is real and
+    the start state has no imaginary part, the rows, the step and the
+    noise are float64; states stay complex.
     """
     rng = np.random.default_rng(cfg.seed)
     state = initial if initial.normalized else normalize(initial)
@@ -280,12 +295,11 @@ def run_fqge(pencil, initial: StateVector, cfg: FqgeConfig = FqgeConfig()) -> Fq
     psi = state.amps.real if real else state.amps
     basis = _lcu_basis(pencil)
     rows = []
-    s = 1
-    while True:
+    for s in count(1):
         a_psi, b_psi, a, b = applied = pencil.apply(psi)
         value = rayleigh_quotient(a, b)
-        res = _relative_residual(a_psi, b_psi, value)
-        direction = _direction(a_psi, b_psi, value, b)
+        r, scale, res = _residual(a_psi, b_psi, value)
+        direction = -(2.0 / b) * r
         delta = cfg.delta if real else complex(cfg.delta)
         status = None
         if res <= cfg.epsilon:
@@ -293,26 +307,19 @@ def run_fqge(pencil, initial: StateVector, cfg: FqgeConfig = FqgeConfig()) -> Fq
         elif s > cfg.max_iters:
             status = "max_iters"
         elif cfg.line_search:
-            delta = _line_search(psi, direction, applied, pencil)[0]
+            delta = _line_search(psi, direction, applied, scale, pencil)[0]
             # on real rows every quantity of the 2x2 pencil, hence delta, is real
             delta = delta.real if real else delta
             if delta == 0:
                 status = "converged"
         if status is not None:  # a terminal row: zero step, trivial LCU
-            rows.append(FqgeIterate(s, state, value, res, 0.0 + 0.0j, 1.0, 1.0, 1))
+            rows.append(FqgeIterate(s, psi, value, res, 0.0 + 0.0j, 1.0, 1.0, 1))
             break
         norm_c, d = _lcu_size(_lcu_coeffs(basis, delta, value, b))
         raw = psi + delta * direction
-        out_norm = float(np.linalg.norm(raw))
-        if out_norm == 0.0:
-            raise RuntimeError(
-                f"step {s}: LCU output has zero norm; the state is annihilated by G"
-            )
-        success = out_norm**2 / (norm_c**2 * d)
-        rows.append(FqgeIterate(s, state, value, res, complex(delta), success, norm_c, d))
+        out_norm, success = _post_select(raw, norm_c, d, f"step {s}: ")
+        rows.append(FqgeIterate(s, psi, value, res, complex(delta), success, norm_c, d))
         psi = raw / out_norm
         if cfg.noise_sigma > 0:
             psi = _perturbed(psi, pencil.n, cfg.noise_sigma, rng)
-        state = StateVector(pencil.n, psi)
-        s += 1
-    return FqgeResult(tuple(rows), status, value, state)
+    return FqgeResult(tuple(rows), status, value, rows[-1].state)

@@ -6,8 +6,9 @@ factor of B reduces the pencil to one Hermitian matrix.  Householder
 reflections bring that to a real symmetric tridiagonal matrix T (Golub &
 Van Loan 8.3, the pattern of LAPACK's ``zhetrd``).  All eigenvalues of T
 come at once from Sturm-count bisection vectorised over the distinct
-brackets, which eigenvalues in one bracket share (GvL 8.4, ``dstebz``).  Eigenvectors come from inverse iteration on
-T (``dstein``) and are computed only when they are read.  The reduction
+brackets, which eigenvalues in one bracket share (GvL 8.4, ``dstebz``).
+Eigenvectors come from inverse iteration on T (``dstein``) and are
+computed only when they are read.  The reduction
 costs O(dim^3); the CLI caps the oracle at 10 qubits by default
 (``GEIG_DENSE_CAP``, at most ``pauli.DEFAULT_DENSE_CAP``).
 """
@@ -394,14 +395,15 @@ def generalized_eig(pencil) -> EigenDecomposition:
     return generalized_eig_dense(a, b)
 
 
-def distinct_values(eigenvalues, gap: float = DEFAULT_CLUSTER_GAP) -> list:
+def distinct_values(eigenvalues) -> list:
     """One representative (cluster mean) per eigenvalue cluster, where
-    clusters are separated by more than ``gap`` times the largest
-    |eigenvalue|, so the count does not change with the pencil's scale."""
+    clusters are separated by more than ``DEFAULT_CLUSTER_GAP`` times the
+    largest |eigenvalue|, so the count does not change with the pencil's
+    scale."""
     values = np.sort(np.asarray(eigenvalues, dtype=float))
     if values.size == 0:
         return []
-    width = gap * max(abs(values[0]), abs(values[-1]))
+    width = DEFAULT_CLUSTER_GAP * max(abs(values[0]), abs(values[-1]))
     reps = []
     start = 0
     for i in range(1, values.size + 1):
@@ -411,7 +413,7 @@ def distinct_values(eigenvalues, gap: float = DEFAULT_CLUSTER_GAP) -> list:
     return reps
 
 
-def count_distinct(eigenvalues, gap: float = DEFAULT_CLUSTER_GAP) -> int:
-    """Number of eigenvalue clusters separated by more than ``gap`` times
-    the largest |eigenvalue|."""
-    return len(distinct_values(eigenvalues, gap))
+def count_distinct(eigenvalues) -> int:
+    """Number of eigenvalue clusters separated by more than
+    ``DEFAULT_CLUSTER_GAP`` times the largest |eigenvalue|."""
+    return len(distinct_values(eigenvalues))

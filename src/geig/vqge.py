@@ -155,6 +155,7 @@ class SolveConfig:
         check_int("layers", self.layers, 1)
         check_int("restarts", self.restarts, 1)
         check_int("shots", self.shots, 0)
+        check_int("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)

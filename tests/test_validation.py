@@ -50,9 +50,20 @@ class TestSolveConfig:
         _raises(SolveConfig, shots=value)
 
     @bounded
-    @given(name=st.sampled_from(["layers", "restarts", "shots"]), value=NOT_AN_INT)
+    @given(name=st.sampled_from(["layers", "restarts", "shots", "seed"]), value=NOT_AN_INT)
     def test_non_integers_rejected(self, name, value):
         _raises(SolveConfig, **{name: value})
+
+    @bounded
+    @given(value=st.integers(max_value=-1))
+    def test_negative_seed_rejected(self, value):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            SolveConfig(seed=value)
+
+    @bounded
+    @given(value=st.integers(0, 2**63))
+    def test_non_negative_seeds_construct(self, value):
+        assert SolveConfig(seed=value).seed == value
 
 
 class TestOptConfig:
@@ -113,6 +124,17 @@ class TestFqgeConfig:
     def test_bad_iteration_counts_rejected(self, value):
         _raises(FqgeConfig, max_iters=value)
 
+    @bounded
+    @given(value=st.one_of(st.integers(0, 2**63), st.none()))
+    def test_unset_or_non_negative_seeds_construct(self, value):
+        assert FqgeConfig(seed=value).seed == value
+
+    @bounded
+    @given(value=st.one_of(st.integers(max_value=-1), NOT_AN_INT.filter(lambda v: v is not None)))
+    def test_bad_seeds_rejected(self, value):
+        with pytest.raises(ValueError, match="seed must be"):
+            FqgeConfig(seed=value)
+
 
 class TestShotAllocationTarget:
     COEFFS = ([1.0, 0.4], [1.0, 0.3], [0.2])
@@ -140,6 +162,9 @@ class TestShotAllocationTarget:
         (["vqge", "--target-eps", "inf"], "pseudo-error"),
         (["vqge", "--target-eps", "nan"], "pseudo-error"),
         (["fqge", "--noise-sigma", "inf"], "noise_sigma"),
+        (["vqge", "--seed", "-1"], "seed"),
+        (["vqge", "--shots", "100", "--seed", "-1"], "seed"),
+        (["fqge", "--seed", "-1"], "seed"),
     ],
 )
 def test_cli_rejects_bad_values(capsys, argv, name):
