@@ -379,7 +379,13 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 1
-    print(text)
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader closed the pipe early (``geig vqge | head``): stdout
+        # goes to devnull, so the flush at exit does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

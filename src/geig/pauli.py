@@ -156,14 +156,13 @@ class PauliSum:
 
     @cached_property
     def _gathers(self) -> tuple:
-        """(src, phase) per term, with P_k|w> = phase * w[src]: the operands
-        ``apply_string`` uses, built on first use by ``term_kets`` only."""
+        """(src, phase), two (terms, 2^n) arrays with P_k|w> = phase[k] *
+        w[src[k]]: row k holds the operands ``apply_string`` uses for term
+        k.  Built on first use."""
         index = np.arange(2**self.n, dtype=np.int64)
-        gathers = []
-        for _, string in self.terms:
-            src = index ^ string.x_mask
-            gathers.append((src, _phase(string, src)))
-        return tuple(gathers)
+        src = index ^ np.array([p.x_mask for p in self.strings], dtype=np.int64).reshape(-1, 1)
+        phase = np.array([_phase(p, row) for p, row in zip(self.strings, src)], dtype=complex)
+        return src, phase.reshape(src.shape)
 
     def __str__(self) -> str:
         if not self.terms:
@@ -315,17 +314,36 @@ def apply_sum_array(s: PauliSum, amps: np.ndarray) -> np.ndarray:
     return apply_compiled(s._action, amps)[0]
 
 
-def term_kets(s: PauliSum, w: np.ndarray) -> list:
-    """P_k|w> for every term P_k of ``s``, in term order, as the raw
-    amplitudes ``phase * w[src]`` that ``apply_string`` computes."""
-    return [phase * w[src] for src, phase in s._gathers]
+def gather_kets(gathers: tuple, w: np.ndarray) -> np.ndarray:
+    """``phase[k] * w[..., src[k]]`` for every row k of ``gathers = (src,
+    phase)``, shape (..., rows, 2^n), by one gather.  ``take`` keeps the
+    result C-contiguous, so each ket is a unit-stride vector whose products
+    round as those of a ket gathered on its own."""
+    src, phase = gathers
+    return phase * w.take(src, axis=-1)
+
+
+def term_kets(s: PauliSum, w: np.ndarray) -> np.ndarray:
+    """P_k|w> for every term P_k of ``s``, in term order: shape (terms, 2^n)
+    for one raw amplitude vector, (..., terms, 2^n) for rows (..., 2^n);
+    each ket is the ``phase * w[src]`` that ``apply_string`` computes."""
+    return gather_kets(s._gathers, w)
+
+
+def overlaps(bras: np.ndarray, kets: np.ndarray) -> np.ndarray:
+    """<u|w> for every pair of broadcast rows u of ``bras`` (..., 2^n) and w
+    of ``kets`` (..., 2^n), by one stacked (1, 2^n) @ (2^n, 1) product of
+    the conjugated bra.  On C-contiguous rows each entry equals
+    ``np.vdot(u, w)`` bitwise; a 2-D product of all rows at once does not,
+    nor does a strided ket."""
+    return (bras.conj()[..., None, :] @ kets[..., :, None])[..., 0, 0]
 
 
 def term_overlaps(s: PauliSum, u: np.ndarray, w: np.ndarray) -> np.ndarray:
     """<u|P_k|w> for every term P_k of ``s``, in term order, from raw
-    amplitude vectors; each is ``np.vdot`` of ``u`` with its ``term_kets``
-    entry, so it equals ``inner(u, apply_string(P_k, w))`` bitwise."""
-    return np.array([np.vdot(u, ket) for ket in term_kets(s, w)], dtype=complex)
+    amplitude vectors; each equals ``inner(u, apply_string(P_k, w))``
+    bitwise."""
+    return overlaps(u, term_kets(s, w))
 
 
 def apply_sum(s: PauliSum, v: StateVector) -> StateVector:

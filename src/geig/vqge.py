@@ -8,10 +8,15 @@ circuit, for a whole batch of angle grids at once, both sweeps on one tensor
 of Ry gates; ``solve_spectrum`` runs all restarts of a level as one batch,
 and the min and max levels as one batch with a sign per row.  ``Pencil``
 compiles A and B into one table on first use, and the exact pass runs in
-float64 when that table and the states are real.  With ``shots > 0`` every expectation is a sampled
-Hadamard test and gradients use the pi-shift rule, one restart at a time:
-one circuit batch gives psi and every pi-shifted state, and one sampler
-call draws all the overlaps a loss or a gradient needs."""
+float64 when that table and the states are real.
+
+With ``shots > 0`` every expectation is a sampled Hadamard test and
+gradients use the pi-shift rule, one restart at a time: one circuit batch
+gives psi and every pi-shifted state, one gather the Pauli kets, one
+stacked product each family of overlaps, and one sampler call all the
+draws a step's loss and gradient need.  Weighted sums and gradient entries
+run on arrays in the scalar loop's order of operations, so a step rounds
+and draws as the term-by-term evaluation does."""
 
 from __future__ import annotations
 
@@ -24,10 +29,21 @@ import numpy as np
 
 from .ansatz import AnsatzParams, apply_ansatz, compile_ansatz, random_params, ry_gates
 from .measurement import sample_overlaps
-from .pauli import PauliSum, apply_compiled, compile_sums, term_kets, term_overlaps
+from .pauli import (
+    PauliSum,
+    apply_compiled,
+    compile_sums,
+    gather_kets,
+    overlaps,
+    term_overlaps,
+)
 from .statevector import StateVector, norm, scale, zero_state
 
 _B_FLOOR = 1e-12
+# gathered kets (rows x B terms x 2^n) above which shot mode takes the
+# record overlaps in blocks of rows, so that a large circuit batch never
+# holds every row's kets at once (about 2 MB of complex128)
+_KET_BLOCK_ENTRIES = 1 << 17
 # Adam's moment decays and denominator guard (Kingma & Ba 2015 defaults)
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
@@ -171,12 +187,17 @@ class SpectrumLevel:
     best_restart: int
 
 
-def _weighted(coeffs: list, estimates: list) -> complex:
-    """sum_k c_k z_k, accumulated term by term in order from zero."""
-    total = 0.0 + 0.0j
-    for c, z in zip(coeffs, estimates):
-        total += c * z
-    return total
+def _weighted_sums(estimates: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """sum_k c_k z_k over the last axis of ``estimates`` (..., terms).  The
+    real and imaginary parts are scaled by the coefficients and summed by
+    one ``np.add.accumulate`` in term order from a leading zero, which
+    rounds as the scalar loop ``total += c * z`` from zero does; a pairwise
+    ``sum``, ``einsum`` or ``@`` does not."""
+    terms = estimates.view(np.float64).reshape(estimates.shape + (2,))
+    parts = np.zeros(terms.shape[:-2] + (terms.shape[-2] + 1, 2))
+    np.multiply(terms, coeffs[:, None], out=parts[..., 1:, :])
+    total = np.add.accumulate(parts, axis=-2)[..., -1, :]
+    return np.ascontiguousarray(total).view(np.complex128)[..., 0]
 
 
 def _penalties(pencil: Pencil, records: Sequence[DeflationRecord], real: bool = False) -> list:
@@ -247,27 +268,27 @@ def _shot_objective(
     One circuit batch holds psi and, layer-major, each circuit with pi added
     to one angle.  Every row phi of it gives the exact overlaps
     <phi|A_k|psi>, <phi|B_k|psi> and, per record, <x|B_k|phi> for the unit
-    vector x; row 0 (phi = psi) is all the loss needs.  The value samples
-    row 0, then the gradient samples every row afresh, one sampler call
-    each; ``shots == 0`` keeps the overlaps exact.  Sums run term by term.
+    vector x; row 0 (phi = psi) is all the loss needs.  One gather takes
+    the A and B kets of psi, one the B kets of every row (in blocks of rows
+    above ``_KET_BLOCK_ENTRIES``), and each family of overlaps is one
+    stacked product.  One sampler call draws row 0 for
+    the loss and then every row afresh for the gradient, as two calls would;
+    ``shots == 0`` keeps the overlaps exact.  The weighted sums accumulate
+    in term order and the gradient entries are row arrays in the scalar
+    rule's order of operations, so below that block size a call's numpy
+    work does not grow with the term, row or record count, and it rounds
+    as a term-by-term loop.
     """
     circuit = compile_ansatz(pencil.n, entangler)
-    coeffs_a, coeffs_b = pencil.A.coeffs.tolist(), pencil.B.coeffs.tolist()
-    n_a, n_b = len(coeffs_a), len(coeffs_b)
+    n_a, n_b, n_x = len(pencil.A), len(pencil.B), len(records)
+    coeffs_a, coeffs_b = pencil.A.coeffs, pencil.B.coeffs
+    b_gathers = pencil.B._gathers
+    gathers = tuple(np.concatenate(pair) for pair in zip(pencil.A._gathers, b_gathers))
     penalties = [(gamma, m) for gamma, _, m in _penalties(pencil, records)]
-    norms = [norm(rec.state) for rec in records]
-    units = [rec.state.amps / x_norm for rec, x_norm in zip(records, norms)]
-
-    def overlaps(phi: np.ndarray, kets: list) -> list:
-        """<phi|A_k|psi>, <phi|B_k|psi> from the kets of psi, then <x|B_k|phi>."""
-        b_kets = term_kets(pencil.B, phi) if units else []
-        return [np.vdot(phi, ket) for ket in kets] + [np.vdot(x, k) for x in units for k in b_kets]
-
-    def brackets(row: np.ndarray) -> tuple:
-        """(<A>, <B>, [<x|B|phi> per record]) from one row of estimates."""
-        est = row.tolist()
-        ts = [x * _weighted(coeffs_b, est[n_a + n_b * j :]) for j, x in enumerate(norms, 1)]
-        return _weighted(coeffs_a, est).real, _weighted(coeffs_b, est[n_a:]).real, ts
+    scales = np.array([gamma / m for gamma, m in penalties])
+    norms = np.array([norm(rec.state) for rec in records])
+    units = np.array([rec.state.amps / x_norm for rec, x_norm in zip(records, norms)])
+    step = max(1, _KET_BLOCK_ENTRIES // (max(n_b, 1) << pencil.n))  # rows per block
 
     def value_and_grad(theta: np.ndarray, value: bool = True, grad: bool = True) -> tuple:
         _, n, layers = theta.shape
@@ -275,30 +296,40 @@ def _shot_objective(
         k = np.arange(len(grid) - 1)
         grid[1 + k, k % n, k // n] += np.pi
         states = circuit.run(grid, v_in.amps)
-        kets = term_kets(pencil.A, states[0]) + term_kets(pencil.B, states[0])
-        exact = np.array([overlaps(phi, kets) for phi in states], dtype=complex)
+        exact = overlaps(states[:, None], gather_kets(gathers, states[0]))
+        if n_x:
+            blocks = (states[lo : lo + step] for lo in range(0, len(states), step))
+            at_x = [overlaps(units[:, None], gather_kets(b_gathers, b)[:, None]) for b in blocks]
+            exact = np.concatenate((exact, np.concatenate(at_x).reshape(len(states), -1)), axis=1)
+        draws = np.concatenate((exact[:1], exact)) if value and grad else exact
+        est = sample_overlaps(draws, shots, rng)
+        a = _weighted_sums(est[:, :n_a], coeffs_a).real
+        bt = _weighted_sums(est[:, n_a:].reshape(len(est), 1 + n_x, n_b), coeffs_b)
+        b, t = bt[:, 0].real, bt[:, 1:] * norms
         values = grads = None
         if value:
-            a, b, ts = brackets(sample_overlaps(exact[0], shots, rng))
-            loss = rayleigh_quotient(a, b)
-            for (gamma, m), t in zip(penalties, ts):
-                loss += gamma * abs(t) ** 2 / (m * b)
+            a0, b0 = a[0].item(), b[0].item()
+            loss = rayleigh_quotient(a0, b0)
+            for (gamma, m), t0 in zip(penalties, t[0].tolist()):
+                loss += gamma * abs(t0) ** 2 / (m * b0)
             values = np.array([sign * loss])
         if grad:
-            est = sample_overlaps(exact, shots, rng)
-            a, b, ts = brackets(est[0])
-            check_b(b)
-            if not math.isfinite(b * b):
-                raise ValueError(f"<B> = {b:.3e} at the evaluated state; its square overflows")
-            entries = []
-            for row in est[1:]:
-                da, db, ts_plus = brackets(row)
-                entry = (da * b - a * db) / b**2
-                for (gamma, m), t, t_plus in zip(penalties, ts, ts_plus):
-                    dt2 = (np.conj(t) * t_plus).real
-                    entry += gamma / m * (dt2 * b - abs(t) ** 2 * db) / b**2
-                entries.append(entry)
-            grads = sign * np.array(entries).reshape(layers, n).T.copy()[None]
+            g = 1 if value else 0  # the gradient's draw of psi
+            a0, b0, t0 = a[g].item(), b[g].item(), t[g]
+            check_b(b0)
+            if not math.isfinite(b0 * b0):
+                raise ValueError(f"<B> = {b0:.3e} at the evaluated state; its square overflows")
+            da, db, t_plus = a[g + 1 :], b[g + 1 :], t[g + 1 :]
+            # an entry that overflows is inf, silently, as in scalar arithmetic
+            with np.errstate(over="ignore", invalid="ignore"):
+                entries = (da * b0 - a0 * db) / b0**2
+                if n_x:
+                    # Re(conj(t) t_plus) in real parts, as the scalar product rounds it
+                    dt2 = t0.real * t_plus.real - (-t0.imag) * t_plus.imag
+                    t_sq = np.array([abs(z) ** 2 for z in t0.tolist()])
+                    terms = scales * (dt2 * b0 - t_sq * db[:, None]) / b0**2
+                    entries = np.add.accumulate(np.column_stack((entries, terms)), axis=1)[:, -1]
+            grads = sign * entries.reshape(layers, n).T.copy()[None]
         return values, grads
 
     return value_and_grad
@@ -346,7 +377,7 @@ def overlap_sq(
     psi_star = apply_ansatz(p_star, v_in, entangler)
     x_norm = norm(psi)
     exact = term_overlaps(b_sum, psi.amps / x_norm, psi_star.amps)
-    t = x_norm * _weighted(b_sum.coeffs.tolist(), sample_overlaps(exact, shots, rng).tolist())
+    t = x_norm * _weighted_sums(sample_overlaps(exact, shots, rng), b_sum.coeffs).item()
     return abs(t) ** 2
 
 

@@ -542,6 +542,21 @@ class TestModuleEntryPoint:
         assert summary["command"] == "reference"
 
 
+    def test_closed_pipe_exits_1_without_traceback(self):
+        """A reader that closes stdout before the summary is written (as
+        ``geig vqge | head -c 600`` may) gets exit code 1 and nothing on
+        stderr."""
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "geig", "vqge", "--iters", "5", "--restarts", "1"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        proc.stdout.close()
+        _, stderr = proc.communicate(timeout=120)
+        assert proc.returncode == 1
+        assert stderr == b""
+
+
 class TestNonFiniteSummary:
     """A summary that would carry NaN ends in the JSON error contract.  Run
     as a subprocess: the overflow on the way is a numpy RuntimeWarning, which

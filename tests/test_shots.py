@@ -18,6 +18,7 @@ from geig.pauli import (
     _string_action,
     apply_string,
     apply_sum,
+    gather_kets,
     term_kets,
     term_overlaps,
 )
@@ -262,7 +263,7 @@ class TestTermOverlaps:
         s = PauliSum(2, [(0.0, "XX")])
         u = random_state(np.random.default_rng(0), 2).amps
         assert term_overlaps(s, u, u).shape == (0,)
-        assert term_kets(s, u) == []
+        assert term_kets(s, u).shape == (0, 4)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_kets_bitwise_equal_apply_string(self, n):
@@ -275,27 +276,33 @@ class TestTermOverlaps:
             np.testing.assert_array_equal(ket, apply_string(term, w).amps)
 
     def test_shot_objective_takes_the_kets_of_psi_once_per_call(self, monkeypatch):
-        """Each call applies every A and B term to psi once, and every B
-        term once to each row (for the records), however many rows and
-        records there are."""
+        """Each call makes one sampler call and one gather of the kets of psi,
+        plus, with records, one gather of the B kets of every row, however
+        many terms, rows and records there are."""
         pencil = two_qubit_pencil()
         rng = np.random.default_rng(4)
-        records = random_records(rng, 2, 2)
         calls = []
 
-        def counting_kets(s, w):
-            calls.append("A" if s is pencil.A else "B")
-            return term_kets(s, w)
+        def counting(name, function):
+            def counted(*args):
+                calls.append(name)
+                return function(*args)
 
-        monkeypatch.setattr(geig.vqge, "term_kets", counting_kets)
-        objective = geig.vqge._shot_objective(
-            pencil, records, zero_state(2), "linear", 1.0, 100, np.random.default_rng(0)
-        )
+            return counted
+
+        monkeypatch.setattr(geig.vqge, "gather_kets", counting("gather", gather_kets))
+        monkeypatch.setattr(geig.vqge, "sample_overlaps", counting("sample", sample_overlaps))
         theta = random_params(2, 2, rng).theta[None]
-        objective(theta)
-        rows = 1 + 2 * 2
-        assert calls.count("A") == 1
-        assert calls.count("B") == 1 + rows
+        for n_records in range(4):
+            records = random_records(rng, 2, n_records)
+            objective = geig.vqge._shot_objective(
+                pencil, records, zero_state(2), "linear", 1.0, 100, np.random.default_rng(0)
+            )
+            for value, grad in ((True, True), (True, False), (False, True)):
+                calls.clear()
+                objective(theta, value, grad)
+                assert calls.count("sample") == 1
+                assert calls.count("gather") == (2 if n_records else 1)
 
 
 def old_compiled_diagonals(s):
