@@ -47,21 +47,32 @@ class ShotPlan:
 def sample_overlaps(values, shots: int = 0, rng=None) -> np.ndarray:
     """Hadamard-test estimates of an array of exact overlaps <u|P|w>.
 
-    With ``shots == 0`` the values come back unchanged.  Otherwise the real
-    and then the imaginary part of each entry, in C order, is replaced by
-    the unbiased binomial estimate 2k/shots - 1 with k ~ Bin(shots, (1 +
+    ``shots`` is an integer (not a bool): a fractional count would draw
+    Bin(floor(shots), p) and divide by shots, a biased estimate.  With
+    ``shots == 0`` the values come back unchanged.  Otherwise the real and
+    then the imaginary part of each entry, in C order, is replaced by the
+    unbiased binomial estimate 2k/shots - 1 with k ~ Bin(shots, (1 +
     part)/2), all drawn by one ``rng.binomial`` call; that consumes the
     generator exactly as the same scalar draws made one after another.
     """
     values = np.ascontiguousarray(values, dtype=np.complex128)
+    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)):
+        raise ValueError(f"shot count must be an integer, got {shots!r}")
     if shots == 0:
         return values
     if shots < 0:
         raise ValueError(f"shot count must be >= 0, got {shots}")
     rng = np.random.default_rng(rng)
-    p = np.clip((1.0 + values.view(np.float64)) / 2.0, 0.0, 1.0)
-    k = rng.binomial(shots, p)
-    return (2.0 * k / shots - 1.0).view(np.complex128)
+    # (1 + part) / 2 clipped to [0, 1], in place; a NaN stays NaN, which
+    # the binomial draw refuses
+    p = values.view(np.float64) + 1.0
+    p /= 2.0
+    np.minimum(p, 1.0, out=p)
+    np.maximum(p, 0.0, out=p)
+    estimates = rng.binomial(shots, p) * 2.0
+    estimates /= shots
+    estimates -= 1.0
+    return estimates.view(np.complex128)
 
 
 def hadamard_test(

@@ -11,18 +11,21 @@ compiles A and B into one table on first use, and the exact pass runs in
 float64 when that table and the states are real.
 
 With ``shots > 0`` every expectation is a sampled Hadamard test and
-gradients use the pi-shift rule, one restart at a time: one circuit batch
-gives psi and every pi-shifted state, one gather the Pauli kets, one
-stacked product each family of overlaps, and one sampler call all the
-draws a step's loss and gradient need.  Weighted sums and gradient entries
-run on arrays in the scalar loop's order of operations, so a step rounds
-and draws as the term-by-term evaluation does."""
+gradients use the pi-shift rule.  The restarts of a level run one after
+another on the level's sampling stream, but restart k of the min and max
+levels descends as one batch of two rows, each row drawing from its own
+level's stream.  Per step, one circuit batch gives every row's psi and
+pi-shifted states, one gather the Pauli kets, one stacked product each
+family of overlaps, and one sampler call per row all the draws the row's
+loss and gradient need.  Weighted sums and gradient entries run on arrays
+in the scalar loop's order of operations, so each row rounds and draws as
+the term-by-term evaluation of its level alone does."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -98,7 +101,7 @@ def check_b(b):
     """Return <B> (a float, or an array with one entry per state) after
     checking that it is positive, as it is for every state when B is
     positive definite.  NaN fails the one comparison too."""
-    low = b if isinstance(b, float) else np.min(b)
+    low = b if isinstance(b, float) else b.min()
     if not low > _B_FLOOR:
         cause = "B is not positive definite" if low <= _B_FLOOR else "the bracket is not finite"
         raise ValueError(f"<B> = {low:.3e} at the evaluated state; {cause}")
@@ -188,14 +191,17 @@ class SpectrumLevel:
 
 
 def _weighted_sums(estimates: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """sum_k c_k z_k over the last axis of ``estimates`` (..., terms).  The
-    real and imaginary parts are scaled by the coefficients and summed by
-    one ``np.add.accumulate`` in term order from a leading zero, which
-    rounds as the scalar loop ``total += c * z`` from zero does; a pairwise
-    ``sum``, ``einsum`` or ``@`` does not."""
+    """sum_k c_k z_k over the last axis of ``estimates`` (..., T), for
+    coefficients (T,), or one sum per group g for a (G, T) matrix against
+    estimates (..., G, T).  The real and imaginary parts are scaled by the
+    coefficients and summed by one ``np.add.accumulate`` in term order from
+    a leading zero, which rounds as the scalar loop ``total += c * z`` from
+    zero does; a pairwise ``sum``, ``einsum`` or ``@`` does not.  Zero
+    coefficients over zero estimates before a group's terms add +0 to the
+    leading zero, so a group left-padded that way sums as it would alone."""
     terms = estimates.view(np.float64).reshape(estimates.shape + (2,))
     parts = np.zeros(terms.shape[:-2] + (terms.shape[-2] + 1, 2))
-    np.multiply(terms, coeffs[:, None], out=parts[..., 1:, :])
+    np.multiply(terms, coeffs[..., None], out=parts[..., 1:, :])
     total = np.add.accumulate(parts, axis=-2)[..., -1, :]
     return np.ascontiguousarray(total).view(np.complex128)[..., 0]
 
@@ -259,80 +265,121 @@ def _exact_objective(
 
 
 def _shot_objective(
-    pencil: Pencil, records: Sequence, v_in: StateVector, entangler, sign: float, shots: int, rng
+    pencil: Pencil, records: Sequence, v_in: StateVector, entangler, sign, shots: int, rngs
 ) -> Callable:
-    """The deflated loss ``sign * F_j`` of one level from Hadamard tests,
-    with its gradient by the pi-shift rule, as a function
-    ``theta (1, n, L) -> (values (1,) or None, grads (1, n, L) or None)``.
+    """The deflated loss ``sign * F_j`` from Hadamard tests, with its
+    gradient by the pi-shift rule, as a batched function
+    ``theta (R, n, L) -> (values (R,) or None, grads (R, n, L) or None)``,
+    with one ``sign`` for every row or an (R,) array of them and one
+    generator per row in ``rngs``: levels with the same records share a
+    batch while each row draws from its own stream.
 
-    One circuit batch holds psi and, layer-major, each circuit with pi added
-    to one angle.  Every row phi of it gives the exact overlaps
-    <phi|A_k|psi>, <phi|B_k|psi> and, per record, <x|B_k|phi> for the unit
-    vector x; row 0 (phi = psi) is all the loss needs.  One gather takes
-    the A and B kets of psi, one the B kets of every row (in blocks of rows
-    above ``_KET_BLOCK_ENTRIES``), and each family of overlaps is one
-    stacked product.  One sampler call draws row 0 for
-    the loss and then every row afresh for the gradient, as two calls would;
-    ``shots == 0`` keeps the overlaps exact.  The weighted sums accumulate
-    in term order and the gradient entries are row arrays in the scalar
-    rule's order of operations, so below that block size a call's numpy
-    work does not grow with the term, row or record count, and it rounds
-    as a term-by-term loop.
+    One circuit batch holds, per row, psi and, layer-major, each circuit
+    with pi added to one angle.  Every state phi of a row gives the exact
+    overlaps <phi|A_k|psi>, <phi|B_k|psi> and, per record, <x|B_k|phi> for
+    the unit vector x; phi = psi is all the loss needs.  One gather takes
+    the A and B kets of every row's psi, one the B kets of every state (in
+    blocks of states above ``_KET_BLOCK_ENTRIES``), and each family of
+    overlaps is one stacked product.  One sampler call per row, on the
+    row's generator, draws psi for the loss and then every state of the
+    row afresh for the gradient, as two calls would; ``shots == 0`` keeps
+    the overlaps exact.  The A, B and record sums of every draw are groups
+    of one accumulation in term order, and the values and gradient entries
+    are (R, ...) arrays in the scalar rule's order of operations, so each
+    row rounds and draws as a term-by-term loop on its own.  An error
+    raised in a batch (a <B> that is not positive, or whose square
+    overflows) may report a value from any row.
     """
     circuit = compile_ansatz(pencil.n, entangler)
-    n_a, n_b, n_x = len(pencil.A), len(pencil.B), len(records)
-    coeffs_a, coeffs_b = pencil.A.coeffs, pencil.B.coeffs
+    n_x = len(records)
     b_gathers = pencil.B._gathers
     gathers = tuple(np.concatenate(pair) for pair in zip(pencil.A._gathers, b_gathers))
     penalties = [(gamma, m) for gamma, _, m in _penalties(pencil, records)]
     scales = np.array([gamma / m for gamma, m in penalties])
     norms = np.array([norm(rec.state) for rec in records])
     units = np.array([rec.state.amps / x_norm for rec, x_norm in zip(records, norms)])
-    step = max(1, _KET_BLOCK_ENTRIES // (max(n_b, 1) << pencil.n))  # rows per block
+    step = max(1, _KET_BLOCK_ENTRIES // (max(len(pencil.B), 1) << pencil.n))  # states per block
+    signs = np.asarray(sign, dtype=float).reshape(-1, 1, 1)
+    # each group (the A sum, the B sum, each record's B sum) left-padded to
+    # one width by zero coefficients over the zero column appended last
+    groups = [pencil.A.coeffs] + [pencil.B.coeffs] * (1 + n_x)
+    width = max(map(len, groups))
+    columns = np.full((len(groups), width), sum(map(len, groups)))
+    coeffs = np.zeros((len(groups), width))
+    first = 0
+    for g, c in enumerate(groups):
+        columns[g, width - len(c) :] = np.arange(first, first + len(c))
+        coeffs[g, width - len(c) :] = c
+        first += len(c)
+
+    @cache
+    def shifts(layers: int) -> np.ndarray:
+        """(1 + n L, n, L) offsets: pi on angle k of shifted circuit k, -0.0
+        elsewhere, which adds to every angle exactly."""
+        k = np.arange(pencil.n * layers)
+        out = np.full((1 + len(k), pencil.n, layers), -0.0)
+        out[1 + k, k % pencil.n, k // pencil.n] = np.pi
+        return out
 
     def value_and_grad(theta: np.ndarray, value: bool = True, grad: bool = True) -> tuple:
-        _, n, layers = theta.shape
-        grid = np.repeat(theta, 1 + n * layers if grad else 1, axis=0)
-        k = np.arange(len(grid) - 1)
-        grid[1 + k, k % n, k // n] += np.pi
+        rows, n, layers = theta.shape
+        per_row = 1 + n * layers if grad else 1
+        grid = (theta[:, None] + shifts(layers)).reshape(-1, n, layers) if grad else theta
         states = circuit.run(grid, v_in.amps)
-        exact = overlaps(states[:, None], gather_kets(gathers, states[0]))
+        kets = gather_kets(gathers, states[::per_row])
+        exact = overlaps(states.reshape(rows, per_row, 1, -1), kets[:, None])
         if n_x:
-            blocks = (states[lo : lo + step] for lo in range(0, len(states), step))
-            at_x = [overlaps(units[:, None], gather_kets(b_gathers, b)[:, None]) for b in blocks]
-            exact = np.concatenate((exact, np.concatenate(at_x).reshape(len(states), -1)), axis=1)
-        draws = np.concatenate((exact[:1], exact)) if value and grad else exact
-        est = sample_overlaps(draws, shots, rng)
-        a = _weighted_sums(est[:, :n_a], coeffs_a).real
-        bt = _weighted_sums(est[:, n_a:].reshape(len(est), 1 + n_x, n_b), coeffs_b)
-        b, t = bt[:, 0].real, bt[:, 1:] * norms
+            at_x = [
+                overlaps(units[:, None], gather_kets(b_gathers, states[lo : lo + step])[:, None])
+                for lo in range(0, len(states), step)
+            ]
+            exact = np.concatenate((exact, np.concatenate(at_x).reshape(rows, per_row, -1)), -1)
+        if value and grad:
+            exact = np.concatenate((exact[:, :1], exact), axis=1)
+        est = np.zeros(exact.shape[:-1] + (exact.shape[-1] + 1,), dtype=np.complex128)
+        for row_est, row_exact, rng in zip(est, exact, rngs, strict=True):
+            row_est[:, :-1] = sample_overlaps(row_exact, shots, rng)
+        sums = _weighted_sums(est.take(columns, axis=-1), coeffs)
+        a, b, t = sums[..., 0].real, sums[..., 1].real, sums[..., 2:] * norms
         values = grads = None
         if value:
-            a0, b0 = a[0].item(), b[0].item()
-            loss = rayleigh_quotient(a0, b0)
-            for (gamma, m), t0 in zip(penalties, t[0].tolist()):
-                loss += gamma * abs(t0) ** 2 / (m * b0)
-            values = np.array([sign * loss])
+            b0 = b[:, 0]
+            values = rayleigh_quotient(a[:, 0], b0)
+            if n_x:
+                for (gamma, m), t_sq in zip(penalties, _abs_sq(t[:, 0]).T):
+                    values += gamma * t_sq / (m * b0)
+            values *= signs[:, 0, 0]
         if grad:
             g = 1 if value else 0  # the gradient's draw of psi
-            a0, b0, t0 = a[g].item(), b[g].item(), t[g]
+            a0, b0, t0 = a[:, g, None], b[:, g], t[:, g, None]
             check_b(b0)
-            if not math.isfinite(b0 * b0):
-                raise ValueError(f"<B> = {b0:.3e} at the evaluated state; its square overflows")
-            da, db, t_plus = a[g + 1 :], b[g + 1 :], t[g + 1 :]
+            for b_row in b0.tolist():
+                if not math.isfinite(b_row * b_row):
+                    msg = f"<B> = {b_row:.3e} at the evaluated state; its square overflows"
+                    raise ValueError(msg)
+            b0_sq = np.array([b_row**2 for b_row in b0.tolist()])[:, None]
+            b0 = b0[:, None]
+            da, db, t_plus = a[:, g + 1 :], b[:, g + 1 :], t[:, g + 1 :]
             # an entry that overflows is inf, silently, as in scalar arithmetic
             with np.errstate(over="ignore", invalid="ignore"):
-                entries = (da * b0 - a0 * db) / b0**2
+                entries = (da * b0 - a0 * db) / b0_sq
                 if n_x:
                     # Re(conj(t) t_plus) in real parts, as the scalar product rounds it
                     dt2 = t0.real * t_plus.real - (-t0.imag) * t_plus.imag
-                    t_sq = np.array([abs(z) ** 2 for z in t0.tolist()])
-                    terms = scales * (dt2 * b0 - t_sq * db[:, None]) / b0**2
-                    entries = np.add.accumulate(np.column_stack((entries, terms)), axis=1)[:, -1]
-            grads = sign * entries.reshape(layers, n).T.copy()[None]
+                    t_sq = _abs_sq(t0)
+                    terms = scales * (dt2 * b0[..., None] - t_sq * db[..., None])
+                    terms /= b0_sq[..., None]
+                    parts = np.concatenate((entries[..., None], terms), axis=-1)
+                    entries = np.add.accumulate(parts, axis=-1)[..., -1]
+            grads = signs * entries.reshape(rows, layers, n).transpose(0, 2, 1).copy()
         return values, grads
 
     return value_and_grad
+
+
+def _abs_sq(t: np.ndarray) -> np.ndarray:
+    """|z|**2 of every entry, as Python's ``abs(z) ** 2`` rounds it."""
+    return np.array([abs(z) ** 2 for z in t.ravel().tolist()]).reshape(t.shape)
 
 
 def _at(
@@ -347,7 +394,7 @@ def _at(
     if shots == 0 and not pi_shift:
         values, grads = _exact_objective(pencil, records, v_in, entangler)(p.theta[None], grad)
     else:
-        objective = _shot_objective(pencil, records, v_in, entangler, 1.0, shots, rng)
+        objective = _shot_objective(pencil, records, v_in, entangler, 1.0, shots, [rng])
         values, grads = objective(p.theta[None], value=not grad, grad=grad)
     return grads[0] if grad else float(values[0])
 
@@ -512,12 +559,15 @@ def solve_spectrum(pencil: Pencil, r: int, config: SolveConfig = SolveConfig()) 
     the largest, then deflate level by level; returns SpectrumLevel entries
     sorted ascending with B-normalized states.
 
-    In exact mode every restart of a level descends in one batch, and the
-    min and max levels, which have no deflation records, share one batch of
-    2 x restarts rows, the max rows negated.  With shots the restarts run
-    one after another on their level's sampling stream.  An error raised in
-    a shared batch (a <B> that is not positive, a non-finite loss) may
-    report a value from either level's rows.
+    The min and max levels, which have no deflation records, share their
+    batches, the max rows negated.  In exact mode every restart of a level
+    descends in one batch, so min and max make one batch of 2 x restarts
+    rows.  With shots the restarts run one after another on their level's
+    sampling stream, and restart k of min and max is one batch of 2 rows,
+    each drawing from its own level's stream, so every draw and trace is
+    the one the levels would give descending alone.  An error raised in a
+    shared batch (a <B> that is not positive, a non-finite loss) may report
+    a value from either level's rows.
     """
     if not 1 <= r <= 2**pencil.n:
         raise ValueError(f"r must be between 1 and {2**pencil.n}, got {r}")
@@ -537,15 +587,16 @@ def solve_spectrum(pencil: Pencil, r: int, config: SolveConfig = SolveConfig()) 
         sign, kind) spec, each state prepared by the ansatz (not yet
         B-normalized)."""
         if config.shots:
-            traces = []
-            for level_idx, sign, _ in specs:
-                rng = np.random.default_rng([config.seed, 7919, level_idx])
-                objective = _shot_objective(
-                    pencil, records, v_in, entangler, sign, config.shots, rng
-                )
-                traces += [
-                    _descend(objective, p0.theta[None], config.opt)[0] for p0 in starts(level_idx)
-                ]
+            # restart k of every level descends as one batch, each row on
+            # its level's stream; the traces come back level-major
+            rngs = [np.random.default_rng([config.seed, 7919, j]) for j, _, _ in specs]
+            signs = np.array([sign for _, sign, _ in specs])
+            objective = _shot_objective(
+                pencil, records, v_in, entangler, signs, config.shots, rngs
+            )
+            theta0 = np.array([[p0.theta for p0 in starts(j)] for j, _, _ in specs])
+            batches = [_descend(objective, theta0[:, k], config.opt) for k in range(restarts)]
+            traces = [batch[j] for j in range(len(specs)) for batch in batches]
         else:
             signs = np.repeat([sign for _, sign, _ in specs], restarts)
             objective = _exact_objective(pencil, records, v_in, entangler, signs)

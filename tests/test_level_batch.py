@@ -1,6 +1,7 @@
 """``solve_spectrum`` in exact mode descends the min and max levels as one
-batch of 2 x restarts rows.  Every trace, best restart and eigenvalue must
-be bitwise equal to descending the levels one after another."""
+batch of 2 x restarts rows, and in shot mode restart k of both levels as
+one batch of 2 rows.  Every trace, best restart and eigenvalue must be
+bitwise equal to descending the levels one after another."""
 
 import numpy as np
 import pytest
@@ -105,11 +106,15 @@ class TestBatchedLevels:
         assert descents == [5]
         assert_levels_bitwise_equal(got, sequential_spectrum(two_qubit_pencil(), 1, config))
 
-    def test_shot_mode_runs_each_restart_alone(self, descents):
+    def test_shot_mode_batches_min_and_max_per_restart(self, descents):
         config = SolveConfig(restarts=2, shots=100, opt=OptConfig(iters=3))
         levels = solve_spectrum(two_qubit_pencil(), 2, config)
-        assert descents == [1, 1, 1, 1]
+        assert descents == [2, 2]
         assert [lv.objective for lv in levels] == ["min", "max"]
+        descents.clear()
+        levels = solve_spectrum(two_qubit_pencil(), 4, config)
+        assert descents == [2, 2, 1, 1, 1, 1]
+        assert sorted(lv.objective for lv in levels) == ["deflate", "deflate", "max", "min"]
 
 
 class TestBatchedErrors:

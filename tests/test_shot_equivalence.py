@@ -1,8 +1,11 @@
 """Bitwise equivalence of the stacked shot-mode objective (one gather of
-the kets, one stacked product per family of overlaps, one sampler call and
-accumulated weighted sums per call) with the term-by-term objective it
+the kets, one stacked product per family of overlaps, one sampler call per
+row and grouped weighted sums per call) with the term-by-term objective it
 replaced, kept below as it was: values, gradients and the generator's
-state after every call are equal bit for bit."""
+state after every call are equal bit for bit.  The pipeline that descends
+restart k of the min and max levels as one batch, each row on its level's
+stream, is held against the sequential schedule it replaced,
+``sequential_shot_spectrum``."""
 
 import math
 
@@ -10,8 +13,8 @@ import numpy as np
 import pytest
 
 import geig.vqge
-from conftest import random_pencil, random_state, two_qubit_pencil
-from geig.ansatz import compile_ansatz
+from conftest import A_TERMS, random_pencil, random_state, two_qubit_pencil
+from geig.ansatz import apply_ansatz, compile_ansatz, random_params
 from geig.measurement import sample_overlaps
 from geig.pauli import PauliSum, _phase
 from geig.statevector import StateVector, norm, zero_state
@@ -20,6 +23,9 @@ from geig.vqge import (
     OptConfig,
     Pencil,
     SolveConfig,
+    SpectrumLevel,
+    _assemble,
+    _descend,
     _penalties,
     _shot_objective,
     check_b,
@@ -172,7 +178,7 @@ class TestShotObjectiveBitwise:
                         got_rng = np.random.default_rng(seed)
                         want_rng = np.random.default_rng(seed)
                         args = (pencil, records, v_in, entangler, sign, shots)
-                        got = _shot_objective(*args, got_rng)
+                        got = _shot_objective(*args, [got_rng])
                         want = ref_shot_objective(*args, want_rng)
                         for value, grad in ((True, True), (True, False), (False, True)) * 2:
                             theta = rng.uniform(0.0, 2.0 * np.pi, size=(1, n, layers))
@@ -190,7 +196,7 @@ class TestShotObjectiveBitwise:
         records = [DeflationRecord(0.0, 1.5, random_state(rng, 3)) for _ in range(2)]
         v_in = random_state(rng, 3)
         got_rng, want_rng = np.random.default_rng(1), np.random.default_rng(1)
-        got = _shot_objective(pencil, records, v_in, "ring", 1.0, 2000, got_rng)
+        got = _shot_objective(pencil, records, v_in, "ring", 1.0, 2000, [got_rng])
         want = ref_shot_objective(pencil, records, v_in, "ring", 1.0, 2000, want_rng)
         for value, grad in ((True, True), (True, False), (False, True)):
             theta = rng.uniform(0.0, 2.0 * np.pi, size=(1, 3, 2))
@@ -208,7 +214,7 @@ class TestShotObjectiveBitwise:
         for entries in (1, 2 * len(pencil.B) * 8):
             monkeypatch.setattr(geig.vqge, "_KET_BLOCK_ENTRIES", entries)
             args = (pencil, records, zero_state(3), "linear", 1.0, 2000)
-            got = _shot_objective(*args, np.random.default_rng(5))(theta)
+            got = _shot_objective(*args, [np.random.default_rng(5)])(theta)
             want = ref_shot_objective(*args, np.random.default_rng(5))(theta)
             assert_bitwise(got[0], want[0])
             assert_bitwise(got[1], want[1])
@@ -223,7 +229,7 @@ class TestShotObjectiveBitwise:
         )
         theta = np.random.default_rng(2).uniform(0.0, 2.0 * np.pi, size=(1, 2, 2))
         args = (pencil, (), zero_state(2), "linear", 1.0, 100)
-        got = _shot_objective(*args, np.random.default_rng(3))(theta)
+        got = _shot_objective(*args, [np.random.default_rng(3)])(theta)
         want = ref_shot_objective(*args, np.random.default_rng(3))(theta)
         assert not np.isfinite(got[1]).all()
         assert_bitwise(got[0], want[0])
@@ -236,31 +242,177 @@ class TestShotObjectiveBitwise:
         theta = np.full((1, 1, 1), np.pi)
         for value, grad in ((True, True), (False, True), (True, False)):
             messages = []
-            for build in (_shot_objective, ref_shot_objective):
-                objective = build(pencil, (), zero_state(1), "linear", 1.0, 0, None)
+            for build, rng in ((_shot_objective, [None]), (ref_shot_objective, None)):
+                objective = build(pencil, (), zero_state(1), "linear", 1.0, 0, rng)
                 with pytest.raises(ValueError) as info:
                     objective(theta, value, grad)
                 messages.append(str(info.value))
             assert messages[0] == messages[1]
 
 
+class TestRowBatchBitwise:
+    @pytest.mark.parametrize("n, n_records", [(1, 0), (2, 0), (2, 2), (3, 1)])
+    def test_rows_equal_one_row_objectives(self, n, n_records):
+        """R = 1..3 angle grids with a sign and a generator per row: each
+        row's values, gradients and stream equal the one-row objective's on
+        that row alone."""
+        rng = np.random.default_rng([n, n_records])
+        pencil = odd_y_pencil(rng, n)
+        records = [DeflationRecord(0.0, 1.5, random_state(rng, n)) for _ in range(n_records)]
+        for rows in (1, 2, 3):
+            signs = np.where(np.arange(rows) % 2, -1.0, 1.0)
+            seeds = rng.integers(2**32, size=rows)
+            got_rngs = [np.random.default_rng(seed) for seed in seeds]
+            want_rngs = [np.random.default_rng(seed) for seed in seeds]
+            args = (pencil, records, zero_state(n), "linear")
+            got = _shot_objective(*args, signs, 500, got_rngs)
+            want = [ref_shot_objective(*args, sign, 500, g) for sign, g in zip(signs, want_rngs)]
+            for value, grad in ((True, True), (True, False), (False, True)):
+                theta = rng.uniform(0.0, 2.0 * np.pi, size=(rows, n, 2))
+                got_out = got(theta, value, grad)
+                for r, objective in enumerate(want):
+                    want_out = objective(theta[r : r + 1], value, grad)
+                    for part, want_part in zip(got_out, want_out):
+                        assert_bitwise(None if part is None else part[r : r + 1], want_part)
+                for got_rng, want_rng in zip(got_rngs, want_rngs):
+                    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+def sequential_shot_spectrum(pencil: Pencil, r: int, config: SolveConfig) -> list:
+    """The shot-mode pipeline as it was before the min and max levels shared
+    a batch: every level, and within it every restart, descends on its own,
+    on the term-by-term objective."""
+    n = pencil.n
+    v_in = zero_state(n)
+    entangler = config.entangler
+    restarts = config.restarts
+
+    def starts(level_idx: int) -> list:
+        return [
+            random_params(n, config.layers, np.random.default_rng([config.seed, level_idx, k]))
+            for k in range(restarts)
+        ]
+
+    def run_levels(specs: list, records: tuple) -> list:
+        traces = []
+        for level_idx, sign, _ in specs:
+            rng = np.random.default_rng([config.seed, 7919, level_idx])
+            objective = ref_shot_objective(
+                pencil, records, v_in, entangler, sign, config.shots, rng
+            )
+            traces += [
+                _descend(objective, p0.theta[None], config.opt)[0] for p0 in starts(level_idx)
+            ]
+        levels = []
+        for j, (_, sign, kind) in enumerate(specs):
+            level_traces = tuple(traces[j * restarts : (j + 1) * restarts])
+            best_k = int(np.argmin([trace.best_value for trace in level_traces]))
+            value, params = level_traces[best_k].best_value, level_traces[best_k].best_params
+            state = apply_ansatz(params, v_in, entangler)
+            levels.append(SpectrumLevel(sign * value, params, state, kind, level_traces, best_k))
+        return levels
+
+    if r == 1:
+        return _assemble(run_levels([(1, 1.0, "min")], ()), pencil)
+    levels = run_levels([(1, 1.0, "min"), (r, -1.0, "max")], ())
+    gamma = levels[1].eigenvalue - levels[0].eigenvalue
+    for j in range(2, r):
+        found = levels[:1] + levels[2:]
+        records = tuple(DeflationRecord(lv.eigenvalue, gamma, lv.state) for lv in found)
+        levels += run_levels([(j, 1.0, "deflate")], records)
+    return _assemble(levels, pencil)
+
+
+def assert_spectra_bitwise(got: list, want: list) -> None:
+    assert len(got) == len(want)
+    for got_lv, want_lv in zip(got, want):
+        assert got_lv.objective == want_lv.objective
+        assert got_lv.eigenvalue == want_lv.eigenvalue
+        assert got_lv.best_restart == want_lv.best_restart
+        assert_bitwise(got_lv.params.theta, want_lv.params.theta)
+        assert_bitwise(got_lv.state.amps, want_lv.state.amps)
+        for got_tr, want_tr in zip(got_lv.traces, want_lv.traces, strict=True):
+            assert_bitwise(got_tr.losses, want_tr.losses)
+            assert_bitwise(got_tr.grad_norms, want_tr.grad_norms)
+            assert_bitwise(got_tr.thetas, want_tr.thetas)
+            assert got_tr.best_value == want_tr.best_value
+
+
+SPECTRUM_CASES = [
+    (make_pencil, n, r, method)
+    for make_pencil in (real_pencil, odd_y_pencil)
+    for n in (1, 2, 3)
+    for r in (1, 2, 3, 4)
+    if r <= 2**n
+    for method in ("adam", "gd")
+]
+
+
 class TestSolveSpectrumBitwise:
     @pytest.mark.parametrize("n, r, shots", [(2, 4, 300), (3, 3, 2000)])
-    def test_traces_match_the_term_by_term_path(self, monkeypatch, n, r, shots):
+    def test_traces_match_the_term_by_term_path(self, n, r, shots):
         if n == 2:
             pencil = two_qubit_pencil()
         else:
             pencil = odd_y_pencil(np.random.default_rng(n), n)
         config = SolveConfig(restarts=2, seed=3, shots=shots, opt=OptConfig(iters=12))
         got = solve_spectrum(pencil, r, config)
-        monkeypatch.setattr(geig.vqge, "_shot_objective", ref_shot_objective)
-        want = solve_spectrum(pencil, r, config)
-        assert len(got) == len(want) == r
-        for got_lv, want_lv in zip(got, want):
-            assert got_lv.eigenvalue == want_lv.eigenvalue
-            assert got_lv.best_restart == want_lv.best_restart
-            assert_bitwise(got_lv.state.amps, want_lv.state.amps)
-            for got_tr, want_tr in zip(got_lv.traces, want_lv.traces, strict=True):
-                assert_bitwise(got_tr.losses, want_tr.losses)
-                assert_bitwise(got_tr.grad_norms, want_tr.grad_norms)
-                assert_bitwise(got_tr.thetas, want_tr.thetas)
+        assert len(got) == r
+        assert_spectra_bitwise(got, sequential_shot_spectrum(pencil, r, config))
+
+    @pytest.mark.parametrize(
+        "make_pencil, n, r, method",
+        SPECTRUM_CASES,
+        ids=[f"{f.__name__}-{n}-{r}-{m}" for f, n, r, m in SPECTRUM_CASES],
+    )
+    def test_batched_levels_match_the_sequential_schedule(self, make_pencil, n, r, method):
+        pencil = make_pencil(np.random.default_rng([n, r]), n)
+        opt = OptConfig(lr=0.2, iters=6, method=method)
+        config = SolveConfig(layers=2, restarts=3, seed=r, shots=400, opt=opt)
+        got = solve_spectrum(pencil, r, config)
+        assert_spectra_bitwise(got, sequential_shot_spectrum(pencil, r, config))
+
+    def test_dense_complex_pencil(self):
+        """All 16 strings of a random Hermitian pencil on 2 qubits per side:
+        sums long enough that a pairwise summation would round apart."""
+        pencil, _, _ = random_pencil(np.random.default_rng(31), 2)
+        config = SolveConfig(restarts=2, seed=4, shots=1000, opt=OptConfig(iters=8))
+        want = sequential_shot_spectrum(pencil, 4, config)
+        assert_spectra_bitwise(solve_spectrum(pencil, 4, config), want)
+
+    def test_record_overlaps_in_blocks_of_states(self, monkeypatch):
+        pencil = odd_y_pencil(np.random.default_rng(9), 3)
+        opt = OptConfig(iters=5)
+        config = SolveConfig(restarts=2, seed=1, shots=300, entangler="ring", opt=opt)
+        want = sequential_shot_spectrum(pencil, 4, config)
+        monkeypatch.setattr(geig.vqge, "_KET_BLOCK_ENTRIES", 2 * len(pencil.B) * 8)
+        assert_spectra_bitwise(solve_spectrum(pencil, 4, config), want)
+
+
+class TestSolveSpectrumErrors:
+    def test_indefinite_b_is_refused(self):
+        pencil = Pencil(PauliSum(2, A_TERMS), PauliSum(2, [(0.1, "II"), (1.0, "ZI")]))
+        config = SolveConfig(restarts=2, shots=200, opt=OptConfig(iters=5))
+        with pytest.raises(ValueError, match="B is not positive definite"):
+            solve_spectrum(pencil, 2, config)
+
+    def test_non_finite_loss_in_the_max_rows_names_its_step(self, monkeypatch):
+        """The value draw of the max row at step 2 (the sixth sampler call:
+        min, then max, at each step) gets a NaN <A> estimate."""
+        rngs = []
+
+        def poisoned(values, shots, rng):
+            est = sample_overlaps(values, shots, rng)
+            rngs.append(rng)
+            if len(rngs) == 6:
+                est = est.copy()
+                est[0, 0] = np.nan
+            return est
+
+        monkeypatch.setattr(geig.vqge, "sample_overlaps", poisoned)
+        config = SolveConfig(restarts=2, shots=200, opt=OptConfig(iters=5))
+        with pytest.raises(RuntimeError, match="non-finite loss nan at step 2"):
+            solve_spectrum(two_qubit_pencil(), 2, config)
+        assert len(rngs) == 6
+        assert rngs[0::2] == [rngs[0]] * 3 and rngs[1::2] == [rngs[1]] * 3
+        assert rngs[0] is not rngs[1]

@@ -230,6 +230,21 @@ class TestSampler:
     def test_negative_shots_rejected(self):
         with pytest.raises(ValueError, match="shot count"):
             sample_overlaps(np.array([0.5 + 0.0j]), -1, 0)
+        # Bin(10, p) divided by 10.5, or True taken as one shot, is biased
+        for shots in (10.5, 10.0, True, False, "10"):
+            with pytest.raises(ValueError, match=f"shot count must be an integer, got {shots!r}"):
+                sample_overlaps(np.array([0.5 + 0.0j]), shots, 0)
+            with pytest.raises(ValueError, match="shot count must be an integer"):
+                hadamard_test(zero_state(1), PauliString.from_ops("Z"), zero_state(1), shots, 0)
+
+    def test_numpy_integer_shots_draw_as_int(self):
+        values = np.array([0.3 - 0.2j, -0.7 + 0.45j])
+        got = sample_overlaps(values, np.int64(50), np.random.default_rng(4))
+        np.testing.assert_array_equal(got, sample_overlaps(values, 50, np.random.default_rng(4)))
+
+    def test_nan_overlap_rejected(self):
+        with pytest.raises(ValueError):
+            sample_overlaps(np.array([np.nan + 0.5j]), 10, 0)
 
     def test_hadamard_test_is_the_one_overlap_case(self):
         rng = np.random.default_rng(8)
@@ -296,7 +311,7 @@ class TestTermOverlaps:
         for n_records in range(4):
             records = random_records(rng, 2, n_records)
             objective = geig.vqge._shot_objective(
-                pencil, records, zero_state(2), "linear", 1.0, 100, np.random.default_rng(0)
+                pencil, records, zero_state(2), "linear", 1.0, 100, [np.random.default_rng(0)]
             )
             for value, grad in ((True, True), (True, False), (False, True)):
                 calls.clear()
