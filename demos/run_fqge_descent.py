@@ -10,9 +10,9 @@ import numpy as np
 
 from geig.fqge import FqgeConfig, run_fqge
 from geig.pauli import PauliSum
+from geig.pencil import Pencil
 from geig.reference import generalized_eig
 from geig.statevector import basis_state
-from geig.vqge import Pencil
 
 A_TERMS = [(1.0, "II"), (0.4, "ZI"), (0.4, "IZ"), (0.2, "XX")]
 B_TERMS = [(1.0, "II"), (0.3, "ZI"), (0.4, "IZ"), (0.2, "ZZ")]

@@ -8,11 +8,11 @@ Run from the repository root after installing the package:
 
 import numpy as np
 
-from geig.pauli import apply_sum
+from geig.pauli import PauliSum, apply_sum
+from geig.pencil import Pencil
 from geig.reference import generalized_eig
 from geig.statevector import inner
-from geig.vqge import OptConfig, Pencil, SolveConfig, solve_spectrum
-from geig.pauli import PauliSum
+from geig.vqge import OptConfig, SolveConfig, solve_spectrum
 
 A_TERMS = [(1.0, "II"), (0.4, "ZI"), (0.4, "IZ"), (0.2, "XX")]
 B_TERMS = [(1.0, "II"), (0.3, "ZI"), (0.4, "IZ"), (0.2, "ZZ")]

@@ -27,6 +27,8 @@ from .measurement import (
     shot_allocation,
 )
 from .pauli import PauliString, PauliSum, apply_string, apply_sum, decompose, dense_matrix
+from .pauli import expectation
+from .pencil import Pencil
 from .reference import (
     EigenDecomposition,
     cholesky,
@@ -35,12 +37,11 @@ from .reference import (
     generalized_eig_dense,
     hermitian_eig,
 )
-from .statevector import StateVector, basis_state, expectation, fidelity, zero_state
+from .statevector import StateVector, basis_state, fidelity, zero_state
 from .vqge import (
     DeflationRecord,
     OptConfig,
     OptTrace,
-    Pencil,
     SolveConfig,
     SpectrumLevel,
     grad_f,

@@ -16,9 +16,10 @@ import numpy as np
 from .fqge import FqgeConfig, run_fqge
 from .measurement import shot_allocation
 from .pauli import DEFAULT_DENSE_CAP, PauliSum, decompose
+from .pencil import Pencil
 from .reference import count_distinct, distinct_values, generalized_eig
 from .statevector import basis_state
-from .vqge import OptConfig, Pencil, SolveConfig, solve_spectrum
+from .vqge import OptConfig, SolveConfig, solve_spectrum
 
 _DEFAULT_ORACLE_CAP = 10
 
@@ -36,9 +37,9 @@ def _oracle_cap() -> int:
         cap = int(raw)
     except ValueError:
         raise ValueError(f"GEIG_DENSE_CAP must be an integer, got {raw!r}") from None
-    if cap > DEFAULT_DENSE_CAP:
+    if not 0 <= cap <= DEFAULT_DENSE_CAP:
         # pauli.DEFAULT_DENSE_CAP guards the allocation of a 2^n x 2^n matrix
-        raise ValueError(f"GEIG_DENSE_CAP must be at most {DEFAULT_DENSE_CAP}, got {cap}")
+        raise ValueError(f"GEIG_DENSE_CAP must be between 0 and {DEFAULT_DENSE_CAP}, got {cap}")
     return cap
 
 

@@ -12,10 +12,12 @@ iterate keeps its raw row and builds its ``StateVector`` only when
 ``state`` is read.  The explicit combination (``build_lcu`` / ``apply_g``)
 is kept as a public oracle.  Both it and the LCU size reported per step
 come from coefficient vectors over the strings of A and B, built once per
-solve."""
+solve.  The solver reads the problem only through ``geig.pencil``: its
+``apply``, the <B> check and the quotient."""
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -25,8 +27,8 @@ from typing import Optional
 import numpy as np
 
 from .pauli import PauliString, _string_action
+from .pencil import check_b, check_int, rayleigh_quotient
 from .statevector import StateVector, normalize
-from .vqge import check_b, check_int, rayleigh_quotient
 
 _DELTA_CAP = 1e12
 
@@ -48,8 +50,10 @@ class FqgeConfig:
         check_int("seed", 0 if self.seed is None else self.seed, 0)  # None draws fresh entropy
         if self.delta <= 0:
             raise ValueError(f"delta must be > 0, got {self.delta}")
-        if self.noise_sigma < 0:
-            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        # a negative epsilon is never met: every run would end at max_iters
+        for name in ("epsilon", "noise_sigma"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)
@@ -254,10 +258,11 @@ def noise_vector(n: int, sigma: float, rng) -> np.ndarray:
     return np.full(2**n, tau * 2.0 ** (-n / 2), dtype=complex)
 
 
-def _perturbed(amps: np.ndarray, n: int, sigma: float, rng) -> np.ndarray:
+def _perturbed(amps: np.ndarray, n: int, sigma: float, rng, where: str = "") -> np.ndarray:
     """Raw amplitudes plus the perturbation, renormalized; sigma = 0
     returns ``amps`` itself (the zero-width draw is exactly zero).  Real
-    rows take the perturbation's real value and stay real."""
+    rows take the perturbation's real value and stay real.  A norm that
+    is not finite is an error."""
     pert = noise_vector(n, sigma, rng)
     if pert[0] == 0:
         return amps
@@ -265,6 +270,8 @@ def _perturbed(amps: np.ndarray, n: int, sigma: float, rng) -> np.ndarray:
     out_norm = float(np.linalg.norm(out))
     if out_norm == 0.0:
         raise ValueError("cannot normalize the zero vector")
+    if not math.isfinite(out_norm):
+        raise ValueError(f"{where}the perturbed norm is not finite at noise_sigma = {sigma:.3e}")
     return out / out_norm
 
 
@@ -295,31 +302,35 @@ def run_fqge(pencil, initial: StateVector, cfg: FqgeConfig = FqgeConfig()) -> Fq
     psi = state.amps.real if real else state.amps
     basis = _lcu_basis(pencil)
     rows = []
-    for s in count(1):
-        a_psi, b_psi, a, b = applied = pencil.apply(psi)
-        value = rayleigh_quotient(a, b)
-        r, scale, res = _residual(a_psi, b_psi, value)
-        direction = -(2.0 / b) * r
-        delta = cfg.delta if real else complex(cfg.delta)
-        status = None
-        if res <= cfg.epsilon:
-            status = "converged"
-        elif s > cfg.max_iters:
-            status = "max_iters"
-        elif cfg.line_search:
-            delta = _line_search(psi, direction, applied, scale, pencil)[0]
-            # on real rows every quantity of the 2x2 pencil, hence delta, is real
-            delta = delta.real if real else delta
-            if delta == 0:
+    # an overflow ends in the check of the step or of the noise, not in a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in count(1):
+            a_psi, b_psi, a, b = applied = pencil.apply(psi)
+            value = rayleigh_quotient(a, b)
+            r, scale, res = _residual(a_psi, b_psi, value)
+            direction = -(2.0 / b) * r
+            delta = cfg.delta if real else complex(cfg.delta)
+            status = None
+            if res <= cfg.epsilon:
                 status = "converged"
-        if status is not None:  # a terminal row: zero step, trivial LCU
-            rows.append(FqgeIterate(s, psi, value, res, 0.0 + 0.0j, 1.0, 1.0, 1))
-            break
-        norm_c, d = _lcu_size(_lcu_coeffs(basis, delta, value, b))
-        raw = psi + delta * direction
-        out_norm, success = _post_select(raw, norm_c, d, f"step {s}: ")
-        rows.append(FqgeIterate(s, psi, value, res, complex(delta), success, norm_c, d))
-        psi = raw / out_norm
-        if cfg.noise_sigma > 0:
-            psi = _perturbed(psi, pencil.n, cfg.noise_sigma, rng)
+            elif s > cfg.max_iters:
+                status = "max_iters"
+            elif cfg.line_search:
+                delta = _line_search(psi, direction, applied, scale, pencil)[0]
+                # on real rows every quantity of the 2x2 pencil, hence delta, is real
+                delta = delta.real if real else delta
+                if delta == 0:
+                    status = "converged"
+            if status is not None:  # a terminal row: zero step, trivial LCU
+                rows.append(FqgeIterate(s, psi, value, res, 0.0 + 0.0j, 1.0, 1.0, 1))
+                break
+            norm_c, d = _lcu_size(_lcu_coeffs(basis, delta, value, b))
+            raw = psi + delta * direction
+            out_norm, success = _post_select(raw, norm_c, d, f"step {s}: ")
+            if not (math.isfinite(out_norm) and math.isfinite(norm_c)):
+                raise ValueError(f"step {s}: the step overflows at |delta| = {abs(delta):.3e}")
+            rows.append(FqgeIterate(s, psi, value, res, complex(delta), success, norm_c, d))
+            psi = raw / out_norm
+            if cfg.noise_sigma > 0:
+                psi = _perturbed(psi, pencil.n, cfg.noise_sigma, rng, f"step {s}: ")
     return FqgeResult(tuple(rows), status, value, rows[-1].state)

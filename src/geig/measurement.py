@@ -10,6 +10,7 @@ from typing import Sequence
 import numpy as np
 
 from .pauli import PauliString, apply_string
+from .pencil import check_int
 from .statevector import StateVector, inner
 
 
@@ -56,12 +57,9 @@ def sample_overlaps(values, shots: int = 0, rng=None) -> np.ndarray:
     generator exactly as the same scalar draws made one after another.
     """
     values = np.ascontiguousarray(values, dtype=np.complex128)
-    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)):
-        raise ValueError(f"shot count must be an integer, got {shots!r}")
+    check_int("shot count", shots, 0)
     if shots == 0:
         return values
-    if shots < 0:
-        raise ValueError(f"shot count must be >= 0, got {shots}")
     rng = np.random.default_rng(rng)
     # (1 + part) / 2 clipped to [0, 1], in place; a NaN stays NaN, which
     # the binomial draw refuses

@@ -1,5 +1,6 @@
 """Pauli-string algebra: representation, dense matrices, sparse action,
-and decomposition of Hermitian matrices into real-weighted Pauli sums.
+expectations, and decomposition of Hermitian matrices into real-weighted
+Pauli sums.
 
 A string is stored as X/Z bitmasks over basis-index space.  Text form "ZX"
 means qubit 0 = Z, and qubit 0 is the leftmost tensor factor (most
@@ -13,19 +14,20 @@ diagonals are float64 unless a mask carries an odd number of Y factors.
 ``apply_compiled`` applies every sum of a table with one gather of the
 rows and one contraction; complex rows on a real table run as their real
 and imaginary parts.  A ``PauliSum`` compiles itself on first use and keeps
-its table; the dense matrix is scattered from the same table, and
-``decompose`` reads those per-mask bands back from a dense matrix.
+its table; ``dense_compiled`` scatters the dense matrix of every sum of a
+table, and ``decompose`` reads those per-mask bands back from a dense
+matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .statevector import StateVector
+from .statevector import StateVector, inner
 
 DEFAULT_DENSE_CAP = 12
 DEFAULT_DECOMPOSE_TOL = 1e-10
@@ -187,11 +189,16 @@ def dense_matrix(p) -> np.ndarray:
     _check_dense_cap(p.n)
     if isinstance(p, PauliString):
         p = PauliSum(p.n, [(1.0, p)])
-    table, diags = p._action
-    out = np.zeros((2**p.n, 2**p.n), dtype=np.complex128)
-    index = np.arange(2**p.n, dtype=np.int64)
-    for gather, diag in zip(table, diags[0]):
-        out[index, gather] = diag
+    return dense_compiled(p._action)[0]
+
+
+def dense_compiled(compiled: tuple) -> np.ndarray:
+    """The dense matrix of every sum of ``compiled = (table, diags)``,
+    shape (sums, 2^n, 2^n), by one scatter: each diagonal fills the
+    entries (i, i ^ x_mask) of its X-mask; no two masks share an entry."""
+    table, diags = compiled
+    out = np.zeros(diags.shape[:1] + diags.shape[-1:] * 2, dtype=np.complex128)
+    out[:, np.arange(diags.shape[-1]), table] = diags
     return out
 
 
@@ -352,6 +359,23 @@ def apply_sum(s: PauliSum, v: StateVector) -> StateVector:
     if s.n != v.n:
         raise ValueError(f"qubit counts differ: operator {s.n}, state {v.n}")
     return StateVector(v.n, apply_sum_array(s, v.amps), normalized=False)
+
+
+def expectation(s: PauliSum, v: StateVector) -> float:
+    """Real expectation value <v|s|v> of a Hermitian Pauli sum.
+
+    Requires a normalized state; the imaginary part, which only rounding
+    reaches for a real-weighted sum, must vanish to 1e-10 max(1, sum_k
+    |c_k|) and is discarded.
+    """
+    if not v.normalized:
+        raise ValueError("expectation requires a normalized state")
+    val = inner(v, apply_sum(s, v))
+    if abs(val.imag) > 1e-10 * max(1.0, float(np.sum(np.abs(s.coeffs)))):
+        raise ValueError(
+            f"expectation has non-real value {val}; operator is not Hermitian"
+        )
+    return val.real
 
 
 def decompose(m: np.ndarray, tol: float = DEFAULT_DECOMPOSE_TOL) -> PauliSum:

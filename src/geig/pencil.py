@@ -1,0 +1,92 @@
+"""The operator pair (A, B) of A|psi> = lambda B|psi>, as both solvers and
+the dense oracle read it: one table compiled from both sides on first use,
+its action on raw amplitude rows, its dense matrices, the <B> positivity
+check and the Rayleigh quotient <A>/<B>.  Also the integer check every
+configuration shares."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
+
+from .pauli import PauliSum, _check_dense_cap, apply_compiled, compile_sums, dense_compiled
+
+_B_FLOOR = 1e-12
+
+
+@dataclass(frozen=True)
+class Pencil:
+    """The operator pair (A, B) of the generalized eigenproblem; B must be
+    positive definite (validated at desk scale by the reference solver)."""
+
+    A: PauliSum
+    B: PauliSum
+
+    def __post_init__(self):
+        if self.A.n != self.B.n:
+            raise ValueError(
+                f"qubit counts differ: A has {self.A.n}, B has {self.B.n}"
+            )
+
+    @property
+    def n(self) -> int:
+        return self.A.n
+
+    @cached_property
+    def _compiled(self) -> tuple:
+        """A and B compiled into one table, ``compile_sums((A, B))``, on
+        first use: one gather per X-mask serves both sides."""
+        return compile_sums((self.A, self.B))
+
+    @property
+    def real(self) -> bool:
+        """True when every compiled diagonal is float64 (no string of the
+        pencil has an odd number of Y factors): real rows stay real."""
+        return self._compiled[1].dtype == np.float64
+
+    def apply(self, amps: np.ndarray) -> tuple:
+        """(A psi, B psi, <A>, <B>) for raw amplitude rows psi of shape
+        (..., 2^n): both sides through the compiled table, and the real
+        brackets <psi|A|psi>, <psi|B|psi> of each row (unchecked).  Real
+        rows on a real pencil give float64 results.  A single state takes
+        ``np.vdot``, whose rounding ``inner`` on states has."""
+        a_psi, b_psi = apply_compiled(self._compiled, amps)
+        if amps.ndim == 1:
+            return a_psi, b_psi, np.vdot(amps, a_psi).real, np.vdot(amps, b_psi).real
+        bra = amps.conj()
+        a = np.einsum("...d,...d->...", bra, a_psi).real
+        return a_psi, b_psi, a, np.einsum("...d,...d->...", bra, b_psi).real
+
+    def dense(self) -> np.ndarray:
+        """The dense matrices of A and B, shape (2, 2^n, 2^n), scattered
+        from the compiled table; each equals ``dense_matrix`` of its side
+        bitwise.  Refuses n above ``pauli.DEFAULT_DENSE_CAP`` before
+        anything is allocated."""
+        _check_dense_cap(self.n)
+        return dense_compiled(self._compiled)
+
+
+def check_b(b):
+    """Return <B> (a float, or an array with one entry per state) after
+    checking that it is positive, as it is for every state when B is
+    positive definite.  NaN fails the one comparison too."""
+    low = b if isinstance(b, float) else b.min()
+    if not low > _B_FLOOR:
+        cause = "B is not positive definite" if low <= _B_FLOOR else "the bracket is not finite"
+        raise ValueError(f"<B> = {low:.3e} at the evaluated state; {cause}")
+    return b
+
+
+def check_int(name: str, value, minimum: int) -> None:
+    """Require an integer (not a bool) no smaller than ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
+def rayleigh_quotient(a, b):
+    """F = <A>/<B>, after the <B> positivity check; floats or arrays."""
+    return a / check_b(b)

@@ -21,8 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import pauli
-
 _HERM_TOL = 1e-10
 DEFAULT_CLUSTER_GAP = 1e-6  # relative to the largest |eigenvalue|
 _EPS = np.finfo(np.float64).eps
@@ -386,12 +384,12 @@ def generalized_eig_dense(a: np.ndarray, b: np.ndarray) -> EigenDecomposition:
 
 
 def generalized_eig(pencil) -> EigenDecomposition:
-    """Oracle decomposition of a Pauli-sum pencil via dense reconstruction.
+    """Oracle decomposition of a Pauli-sum pencil via dense reconstruction
+    from the pencil's one compiled table.
 
     Refuses n above ``pauli.DEFAULT_DENSE_CAP`` before anything is allocated.
     """
-    a = pauli.dense_matrix(pencil.A)
-    b = pauli.dense_matrix(pencil.B)
+    a, b = pencil.dense()
     return generalized_eig_dense(a, b)
 
 

@@ -1,4 +1,4 @@
-"""Dense complex statevectors with inner products and expectations.
+"""Dense complex statevectors with inner products.
 
 Amplitudes are indexed so that qubit 0 is the most significant basis-index
 bit, i.e. ``|q0 q1 ... q_{n-1}>`` read as a binary number.  States are value
@@ -92,21 +92,3 @@ def fidelity(u: StateVector, v: StateVector) -> float:
     """Squared overlap |<u|v>|^2."""
     return abs(inner(u, v)) ** 2
 
-
-def expectation(s, v: StateVector) -> float:
-    """Real expectation value <v|s|v> of a Hermitian Pauli sum.
-
-    Requires a normalized state; the imaginary part, which only rounding
-    reaches for a real-weighted sum, must vanish to 1e-10 max(1, sum_k
-    |c_k|) and is discarded.
-    """
-    if not v.normalized:
-        raise ValueError("expectation requires a normalized state")
-    from . import pauli
-
-    val = inner(v, pauli.apply_sum(s, v))
-    if abs(val.imag) > 1e-10 * max(1.0, float(np.sum(np.abs(s.coeffs)))):
-        raise ValueError(
-            f"expectation has non-real value {val}; operator is not Hermitian"
-        )
-    return val.real

@@ -6,9 +6,10 @@ In exact mode (``shots == 0``) a loss and its gradient come from one fused
 pass on raw arrays: a forward sweep, then one adjoint (reverse) sweep of the
 circuit, for a whole batch of angle grids at once, both sweeps on one tensor
 of Ry gates; ``solve_spectrum`` runs all restarts of a level as one batch,
-and the min and max levels as one batch with a sign per row.  ``Pencil``
-compiles A and B into one table on first use, and the exact pass runs in
-float64 when that table and the states are real.
+and the min and max levels as one batch with a sign per row.  The solver
+reads the problem through ``geig.pencil``: the pencil's one compiled table,
+the <B> check and the quotient; the exact pass runs in float64 when that
+table and the states are real.
 
 With ``shots > 0`` every expectation is a sampled Hadamard test and
 gradients use the pi-shift rule.  The restarts of a level run one after
@@ -25,24 +26,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cache, cached_property
+from functools import cache
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .ansatz import AnsatzParams, apply_ansatz, compile_ansatz, random_params, ry_gates
 from .measurement import sample_overlaps
-from .pauli import (
-    PauliSum,
-    apply_compiled,
-    compile_sums,
-    gather_kets,
-    overlaps,
-    term_overlaps,
-)
+from .pauli import PauliSum, gather_kets, overlaps, term_overlaps
+from .pencil import Pencil, check_b, check_int, rayleigh_quotient
 from .statevector import StateVector, norm, scale, zero_state
 
-_B_FLOOR = 1e-12
 # gathered kets (rows x B terms x 2^n) above which shot mode takes the
 # record overlaps in blocks of rows, so that a large circuit batch never
 # holds every row's kets at once (about 2 MB of complex128)
@@ -51,74 +45,6 @@ _KET_BLOCK_ENTRIES = 1 << 17
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
 _ADAM_EPS = 1e-8
-
-
-@dataclass(frozen=True)
-class Pencil:
-    """The operator pair (A, B) of the generalized eigenproblem; B must be
-    positive definite (validated at desk scale by the reference solver)."""
-
-    A: PauliSum
-    B: PauliSum
-
-    def __post_init__(self):
-        if self.A.n != self.B.n:
-            raise ValueError(
-                f"qubit counts differ: A has {self.A.n}, B has {self.B.n}"
-            )
-
-    @property
-    def n(self) -> int:
-        return self.A.n
-
-    @cached_property
-    def _compiled(self) -> tuple:
-        """A and B compiled into one table, ``compile_sums((A, B))``, on
-        first use: one gather per X-mask serves both sides."""
-        return compile_sums((self.A, self.B))
-
-    @property
-    def real(self) -> bool:
-        """True when every compiled diagonal is float64 (no string of the
-        pencil has an odd number of Y factors): real rows stay real."""
-        return self._compiled[1].dtype == np.float64
-
-    def apply(self, amps: np.ndarray) -> tuple:
-        """(A psi, B psi, <A>, <B>) for raw amplitude rows psi of shape
-        (..., 2^n): both sides through the compiled table, and the real
-        brackets <psi|A|psi>, <psi|B|psi> of each row (unchecked).  Real
-        rows on a real pencil give float64 results.  A single state takes
-        ``np.vdot``, whose rounding ``inner`` on states has."""
-        a_psi, b_psi = apply_compiled(self._compiled, amps)
-        if amps.ndim == 1:
-            return a_psi, b_psi, np.vdot(amps, a_psi).real, np.vdot(amps, b_psi).real
-        bra = amps.conj()
-        a = np.einsum("...d,...d->...", bra, a_psi).real
-        return a_psi, b_psi, a, np.einsum("...d,...d->...", bra, b_psi).real
-
-
-def check_b(b):
-    """Return <B> (a float, or an array with one entry per state) after
-    checking that it is positive, as it is for every state when B is
-    positive definite.  NaN fails the one comparison too."""
-    low = b if isinstance(b, float) else b.min()
-    if not low > _B_FLOOR:
-        cause = "B is not positive definite" if low <= _B_FLOOR else "the bracket is not finite"
-        raise ValueError(f"<B> = {low:.3e} at the evaluated state; {cause}")
-    return b
-
-
-def check_int(name: str, value, minimum: int) -> None:
-    """Require an integer (not a bool) no smaller than ``minimum``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
-
-
-def rayleigh_quotient(a, b):
-    """F = <A>/<B>, after the <B> positivity check; floats or arrays."""
-    return a / check_b(b)
 
 
 @dataclass(frozen=True)
@@ -382,16 +308,14 @@ def _abs_sq(t: np.ndarray) -> np.ndarray:
     return np.array([abs(z) ** 2 for z in t.ravel().tolist()]).reshape(t.shape)
 
 
-def _at(
-    p: AnsatzParams, pencil: Pencil, records, v_in, entangler, shots, rng, grad, pi_shift=False
-):
+def _at(p: AnsatzParams, pencil: Pencil, records, v_in, entangler, shots, rng, grad):
     """The value of loss_fj at one angle grid, or with ``grad`` its
-    gradient: by the fused exact pass when ``shots == 0`` (unless
-    ``pi_shift``), else from Hadamard tests and the pi-shift rule."""
+    gradient: by the fused exact pass when ``shots == 0``, else from
+    Hadamard tests and the pi-shift rule."""
     v_in = zero_state(pencil.n) if v_in is None else v_in
     if p.n != v_in.n:
         raise ValueError(f"qubit counts differ: params {p.n}, state {v_in.n}")
-    if shots == 0 and not pi_shift:
+    if shots == 0:
         values, grads = _exact_objective(pencil, records, v_in, entangler)(p.theta[None], grad)
     else:
         objective = _shot_objective(pencil, records, v_in, entangler, 1.0, shots, [rng])
@@ -447,21 +371,6 @@ def loss_fj(
     return _at(p, pencil, records, v_in, entangler, shots, rng, grad=False)
 
 
-def _pi_shift_gradient(
-    p: AnsatzParams,
-    pencil: Pencil,
-    records: Sequence[DeflationRecord],
-    v_in,
-    entangler,
-    shots,
-    rng,
-) -> np.ndarray:
-    """Gradient of loss_fj by the pi-shift rule: one shifted circuit per
-    angle, with Hadamard-test estimates when ``shots > 0``.  Shot mode uses
-    it; with ``shots == 0`` it is the reference for the adjoint pass."""
-    return _at(p, pencil, records, v_in, entangler, shots, rng, grad=True, pi_shift=True)
-
-
 def grad_f(
     p: AnsatzParams, pencil: Pencil, v_in=None, entangler="linear", shots=0, rng=None
 ) -> np.ndarray:
@@ -501,24 +410,28 @@ def _descend(value_and_grad: Callable, theta0: np.ndarray, config: OptConfig) ->
     theta = theta0.astype(float)
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
-    for s in range(config.iters + 1):
-        if not np.all(np.isfinite(theta)):
-            raise ValueError("angles must be finite")
-        values[s], g = value_and_grad(theta)
-        bad = ~np.isfinite(values[s])
-        if bad.any():
-            raise RuntimeError(f"non-finite loss {values[s][bad][0]} at step {s}")
-        thetas[s], grads[s] = theta, g
-        if s == config.iters:
-            break
-        if config.method == "adam":
-            m = _ADAM_BETA1 * m + (1.0 - _ADAM_BETA1) * g
-            v = _ADAM_BETA2 * v + (1.0 - _ADAM_BETA2) * g**2
-            m_hat = m / (1.0 - _ADAM_BETA1 ** (s + 1))
-            v_hat = v / (1.0 - _ADAM_BETA2 ** (s + 1))
-            theta = theta - config.lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
-        else:
-            theta = theta - config.lr * g
+    if not np.all(np.isfinite(theta)):
+        raise ValueError("angles must be finite")
+    # an overflow ends in the check of the loss or of the update, not in a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(config.iters + 1):
+            values[s], g = value_and_grad(theta)
+            bad = ~np.isfinite(values[s])
+            if bad.any():
+                raise RuntimeError(f"non-finite loss {values[s][bad][0]} at step {s}")
+            thetas[s], grads[s] = theta, g
+            if s == config.iters:
+                break
+            if config.method == "adam":
+                m = _ADAM_BETA1 * m + (1.0 - _ADAM_BETA1) * g
+                v = _ADAM_BETA2 * v + (1.0 - _ADAM_BETA2) * g**2
+                m_hat = m / (1.0 - _ADAM_BETA1 ** (s + 1))
+                v_hat = v / (1.0 - _ADAM_BETA2 ** (s + 1))
+                theta = theta - config.lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
+            else:
+                theta = theta - config.lr * g
+            if not np.all(np.isfinite(theta)):
+                raise ValueError(f"step {s}: the update at lr = {config.lr:.3e} is not finite")
     flat = grads.reshape(config.iters + 1, rows, 1, n * layers)
     norms = np.sqrt(flat @ flat.swapaxes(-1, -2))[..., 0, 0]
     best = np.argmin(values, axis=0)
@@ -569,6 +482,7 @@ def solve_spectrum(pencil: Pencil, r: int, config: SolveConfig = SolveConfig()) 
     shared batch (a <B> that is not positive, a non-finite loss) may report
     a value from either level's rows.
     """
+    check_int("r", r, 1)
     if not 1 <= r <= 2**pencil.n:
         raise ValueError(f"r must be between 1 and {2**pencil.n}, got {r}")
     n = pencil.n

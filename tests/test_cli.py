@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import subprocess
 import sys
@@ -528,6 +529,13 @@ class TestDenseCap:
             if raw == "13":
                 assert "12" in payload["message"]
 
+    def test_negative_cap_refused(self, capsys, monkeypatch):
+        # a negative cap would refuse every pencil with a message naming it
+        monkeypatch.setenv("GEIG_DENSE_CAP", "-3")
+        payload = error_of(capsys, ["reference"])
+        assert payload["error"] == "ValueError"
+        assert payload["message"] == "GEIG_DENSE_CAP must be between 0 and 12, got -3"
+
 
 class TestModuleEntryPoint:
     def test_python_dash_m(self):
@@ -555,6 +563,41 @@ class TestModuleEntryPoint:
         _, stderr = proc.communicate(timeout=120)
         assert proc.returncode == 1
         assert stderr == b""
+
+
+class TestOverflowingStep:
+    """A step that overflows ends in one JSON line on stderr that names the
+    step and its size, with no numpy warning ahead of it.  Run as a
+    subprocess without ``PYTHONWARNINGS``, so that a warning would show."""
+
+    @pytest.mark.parametrize(
+        "argv, cause",
+        [
+            (["vqge", "--lr", "1e308", "--r", "1", "--restarts", "1", "--iters", "5"], "lr"),
+            (["fqge", "--delta", "1e308"], "delta"),
+            (["fqge", "--noise-sigma", "1e200", "--seed", "2", "--max-iters", "3"], "noise_sigma"),
+        ],
+        ids=["vqge-lr", "fqge-delta", "fqge-noise"],
+    )
+    def test_one_json_line(self, argv, cause):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "geig", *argv],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=env,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        payload = json.loads(lines[0])
+        assert set(payload) == {"error", "message"}
+        assert payload["error"] == "ValueError"
+        assert re.match(r"step \d+: ", payload["message"])
+        assert cause in payload["message"]
+        assert "positive definite" not in payload["message"]
 
 
 class TestNonFiniteSummary:

@@ -3,14 +3,16 @@
 against float64 rows in the exact objective and in ``run_fqge``, and the
 complex path a pencil with an odd-Y string takes."""
 
+import json
+
 import numpy as np
 import pytest
 
-import geig.vqge
+import geig.pencil
 from conftest import BENCH_PROBLEMS, two_qubit_pencil
 from geig import pauli
 from geig.ansatz import apply_ansatz, random_params
-from geig.cli import parse_problem
+from geig.cli import main, parse_problem
 from geig.fqge import FqgeConfig, run_fqge
 from geig.pauli import PauliSum, _phase, apply_compiled, apply_sum_array, dense_matrix
 from geig.reference import generalized_eig
@@ -209,13 +211,13 @@ class TestOddYPencil:
 class TestCompileOnce:
     def test_one_compile_per_pencil_and_none_shared(self, monkeypatch):
         compiled = []
-        compile_sums = geig.vqge.compile_sums
+        compile_sums = geig.pencil.compile_sums
 
         def counting(sums):
             compiled.append(sums)
             return compile_sums(sums)
 
-        monkeypatch.setattr(geig.vqge, "compile_sums", counting)
+        monkeypatch.setattr(geig.pencil, "compile_sums", counting)
         pencil = ising(4)
         assert compiled == [], "parsing compiles nothing"
         run_fqge(pencil, basis_state(4, 0), FqgeConfig(line_search=True))
@@ -226,3 +228,57 @@ class TestCompileOnce:
         assert again == pencil
         again.apply(basis_state(4, 0).amps)
         assert len(compiled) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["vqge", "--r", "2", "--restarts", "1", "--iters", "3"],
+            ["vqge", "--r", "2", "--restarts", "1", "--iters", "3", "--shots", "100"],
+            ["fqge", "--line-search"],
+            ["reference"],
+        ],
+        ids=["vqge", "vqge-shots", "fqge", "reference"],
+    )
+    @pytest.mark.parametrize("problem", ["demo", "ising4"])
+    def test_one_compile_per_cli_run(self, argv, problem, monkeypatch, tmp_path, capsys):
+        """The solver and the dense oracle read the one table of the run's
+        pencil: no side is compiled again through ``PauliSum``."""
+        compiled = []
+        for module in (pauli, geig.pencil):
+
+            def counting(sums, compile_sums=module.compile_sums):
+                compiled.append(sums)
+                return compile_sums(sums)
+
+            monkeypatch.setattr(module, "compile_sums", counting)
+        if problem == "ising4":
+            path = tmp_path / "ising4.json"
+            path.write_text(json.dumps(BENCH_PROBLEMS.ising_problem(4, 1)))
+            argv = argv + [str(path)]
+        assert main(argv) == 0, capsys.readouterr().err
+        assert len(compiled) == 1
+
+
+class TestDenseFromTable:
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    @pytest.mark.parametrize("odd_y", ["neither", "A", "B", "both"])
+    def test_bitwise_equal_to_each_side_alone(self, n, odd_y):
+        """The pencil's two dense matrices, scattered from its one table,
+        are bitwise those of ``dense_matrix`` on each side, also when only
+        one side has an odd-Y string (a complex table for a real side)."""
+        rng = np.random.default_rng([n, len(odd_y)])
+        a = seeded_sum(rng, n, odd_y in ("A", "both"))
+        b = seeded_sum(rng, n, odd_y in ("B", "both"))
+        pencil = Pencil(a, b)
+        assert pencil.real == (odd_y == "neither")
+        dense = pencil.dense()
+        assert dense.shape == (2, 2**n, 2**n) and dense.dtype == np.complex128
+        for got, side in zip(dense, (a, b)):
+            assert got.tobytes() == dense_matrix(side).tobytes()
+
+    def test_demo_with_y(self):
+        pencil = demo_with_y()
+        a, b = pencil.dense()
+        assert a.tobytes() == dense_matrix(pencil.A).tobytes()
+        assert b.tobytes() == dense_matrix(pencil.B).tobytes()
+        assert a.imag.any() and not b.imag.any()

@@ -3,11 +3,10 @@ import pytest
 
 from conftest import A_TERMS, B_TERMS, random_state
 from geig.ansatz import apply_ry, cnot_index, ry_gates
-from geig.pauli import PauliSum, apply_sum, dense_matrix
+from geig.pauli import PauliSum, apply_sum, dense_matrix, expectation
 from geig.statevector import (
     StateVector,
     basis_state,
-    expectation,
     fidelity,
     inner,
     norm,

@@ -18,7 +18,6 @@ from geig.vqge import OptConfig, SolveConfig
 bounded = settings(deadline=None, max_examples=60)
 
 NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
-FINITE = st.floats(allow_nan=False, allow_infinity=False)
 POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 NOT_AN_INT = st.one_of(st.floats(), st.booleans(), st.text(max_size=3), st.none())
 
@@ -96,7 +95,7 @@ class TestFqgeConfig:
     @bounded
     @given(
         delta=POSITIVE,
-        epsilon=FINITE,
+        epsilon=st.floats(min_value=0.0, allow_infinity=False),
         noise_sigma=st.floats(min_value=0.0, allow_infinity=False),
         max_iters=st.integers(1, 10**6),
     )
@@ -112,6 +111,13 @@ class TestFqgeConfig:
     @given(value=st.floats(max_value=0.0, exclude_max=True))
     def test_negative_noise_rejected(self, value):
         _raises(FqgeConfig, noise_sigma=value)
+
+    @bounded
+    @given(value=st.floats(max_value=0.0, exclude_max=True, allow_infinity=False))
+    def test_negative_epsilon_rejected(self, value):
+        # a negative tolerance is never met, so the run could only end at max_iters
+        with pytest.raises(ValueError, match="epsilon must be >= 0"):
+            FqgeConfig(epsilon=value)
 
     @bounded
     @given(value=st.floats(max_value=0.0))

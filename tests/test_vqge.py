@@ -344,6 +344,13 @@ class TestSolveSpectrum:
         with pytest.raises(ValueError):
             solve_spectrum(pencil, 0)
 
+    @pytest.mark.parametrize("r", [2.0, True, "2"])
+    def test_r_must_be_an_integer(self, demo, r):
+        # 2.0 reached numpy's seed check, and True solved one level
+        pencil, _ = demo
+        with pytest.raises(ValueError, match=f"^r must be an integer, got {r!r}$"):
+            solve_spectrum(pencil, r)
+
     def test_deterministic_given_seed(self, demo):
         pencil, _ = demo
         cfg = SolveConfig(restarts=2, seed=5, opt=OptConfig(iters=30))
