@@ -19,7 +19,7 @@ from .pauli import DEFAULT_DENSE_CAP, PauliSum, decompose
 from .pencil import Pencil
 from .reference import count_distinct, distinct_values, generalized_eig
 from .statevector import basis_state
-from .vqge import OptConfig, SolveConfig, solve_spectrum
+from .vqge import OptConfig, SolveConfig, check_levels, solve_spectrum
 
 _DEFAULT_ORACLE_CAP = 10
 
@@ -60,12 +60,15 @@ def _parse_terms(entries, n: int, side: str) -> PauliSum:
     if not isinstance(entries, list) or not entries:
         raise ValueError(f"{side!r} must be a non-empty list of terms")
     terms = []
-    for entry in entries:
+    for k, entry in enumerate(entries):
         if not isinstance(entry, dict) or set(entry) != {"coeff", "ops"}:
             raise ValueError(
                 f"each {side!r} term needs exactly the keys 'coeff' and 'ops'"
             )
-        terms.append((float(entry["coeff"]), str(entry["ops"])))
+        coeff = entry["coeff"]
+        if isinstance(coeff, bool) or not isinstance(coeff, (int, float)):
+            raise ValueError(f"{side!r} term {k}: 'coeff' must be a JSON number, got {coeff!r}")
+        terms.append((float(coeff), str(entry["ops"])))
     return PauliSum(n, terms)
 
 
@@ -145,7 +148,8 @@ def _check_finite(value, path: str = "") -> None:
 
 def cmd_vqge(args) -> dict:
     pencil = _load_problem(args)
-    # built before the oracle runs, so a bad option fails at once
+    # the options, --r and the shot plan are checked before the oracle
+    # runs, so a bad one fails at once
     config = SolveConfig(
         layers=args.layers,
         restarts=args.restarts,
@@ -154,20 +158,21 @@ def cmd_vqge(args) -> dict:
         opt=OptConfig(lr=args.lr, iters=args.iters, method=args.method),
         shots=args.shots,
     )
-    ref = _reference_or_none(pencil)
     r = args.r
+    if r is not None:
+        check_levels(r, pencil.n)
+    plan = None
+    if args.target_eps is not None:
+        alphas = [abs(c) for c in pencil.A.coeffs]
+        betas = [abs(c) for c in pencil.B.coeffs]
+        plan = shot_allocation(alphas, betas, betas, args.target_eps)
+    ref = _reference_or_none(pencil)
     if r is None:
         if ref is None:
             raise ValueError(
                 "--r is required when the problem exceeds the dense reference cap"
             )
         r = count_distinct(ref.eigenvalues)
-    plan = None
-    if args.target_eps is not None:
-        # planned before the solve, so a bad --target-eps fails at once
-        alphas = [abs(c) for c in pencil.A.coeffs]
-        betas = [abs(c) for c in pencil.B.coeffs]
-        plan = shot_allocation(alphas, betas, betas, args.target_eps)
     levels = solve_spectrum(pencil, r, config)
     summary = {
         "command": "vqge",

@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .pauli import PauliString, _string_action
+from .pauli import PauliString, gather_kets, term_gathers
 from .pencil import check_b, check_int, rayleigh_quotient
 from .statevector import StateVector, normalize
 
@@ -181,7 +181,7 @@ def apply_g(lcu: LcuOperator, state: StateVector):
     for g, ps in zip(lcu.coeffs, lcu.strings):
         if ps.n != state.n:
             raise ValueError(f"qubit counts differ: operator {ps.n}, state {state.n}")
-        amps = amps + g * _string_action(ps, state.amps)
+        amps = amps + g * gather_kets(term_gathers((ps,), state.n), state.amps)[0]
     return StateVector(state.n, amps, normalized=False), _post_select(amps, lcu.norm_c, lcu.d)[1]
 
 

@@ -17,6 +17,12 @@ and imaginary parts.  A ``PauliSum`` compiles itself on first use and keeps
 its table; ``dense_compiled`` scatters the dense matrix of every sum of a
 table, and ``decompose`` reads those per-mask bands back from a dense
 matrix.
+
+``term_gathers`` is the one per-term form: the gather index and phase of
+each string of a list, so that ``gather_kets`` takes every P_k|w> by one
+gather.  ``apply_string``, ``term_kets`` and the solvers' per-string
+actions (the Hadamard-test kets and the LCU step) all read it; no sum
+caches it.
 """
 
 from __future__ import annotations
@@ -101,7 +107,8 @@ class PauliSum:
     """A real-weighted (hence Hermitian) sum of distinct Pauli strings.
 
     Terms are canonicalized: duplicates merged, exact zeros dropped,
-    order fixed by (x_mask, z_mask), so equality is structural.
+    order fixed by (x_mask, z_mask), so equality is structural.  Each
+    coefficient, and each sum of merged ones, must be finite.
     """
 
     n: int
@@ -127,7 +134,9 @@ class PauliSum:
             if not np.isfinite(coeff):
                 raise ValueError(f"coefficient must be finite, got {coeff}")
             key = (string.x_mask, string.z_mask)
-            merged[key] = merged.get(key, 0.0) + coeff
+            merged[key] = total = merged.get(key, 0.0) + coeff
+            if not np.isfinite(total):
+                raise ValueError(f"coefficients of {string.ops!r} sum to {total}")
         canonical = tuple(
             (c, PauliString(self.n, x, z))
             for (x, z), c in sorted(merged.items())
@@ -156,23 +165,13 @@ class PauliSum:
         on first use."""
         return compile_sums((self,))
 
-    @cached_property
-    def _gathers(self) -> tuple:
-        """(src, phase), two (terms, 2^n) arrays with P_k|w> = phase[k] *
-        w[src[k]]: row k holds the operands ``apply_string`` uses for term
-        k.  Built on first use."""
-        index = np.arange(2**self.n, dtype=np.int64)
-        src = index ^ np.array([p.x_mask for p in self.strings], dtype=np.int64).reshape(-1, 1)
-        phase = np.array([_phase(p, row) for p, row in zip(self.strings, src)], dtype=complex)
-        return src, phase.reshape(src.shape)
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
         return " + ".join(f"{c:g}*{s.ops}" for c, s in self.terms)
 
 
-def _check_dense_cap(n: int) -> None:
+def check_dense_cap(n: int) -> None:
     """Refuse n above ``DEFAULT_DENSE_CAP``, the guard on holding a dense
     2^n x 2^n matrix."""
     if n > DEFAULT_DENSE_CAP:
@@ -186,7 +185,7 @@ def dense_matrix(p) -> np.ndarray:
     of its X-mask; no two masks share an entry.  Refuses n above
     ``DEFAULT_DENSE_CAP`` before anything is allocated.
     """
-    _check_dense_cap(p.n)
+    check_dense_cap(p.n)
     if isinstance(p, PauliString):
         p = PauliSum(p.n, [(1.0, p)])
     return dense_compiled(p._action)[0]
@@ -298,21 +297,29 @@ def _parity(x: np.ndarray) -> np.ndarray:
 
 def _phase(p: PauliString, src: np.ndarray) -> np.ndarray:
     """(1j)^n_y (-1)^parity(j & z) at each basis index j in ``src``: the
-    phase in P|j> = phase(j) |j ^ x>."""
+    phase in P|j> = phase(j) |j ^ x>, string by string.  ``term_gathers``,
+    ``compile_sums`` and ``decompose`` are tested against this rule."""
     return (1j) ** p.n_y * (1.0 - 2.0 * _parity(src & p.z_mask))
 
 
-def _string_action(p: PauliString, amps: np.ndarray) -> np.ndarray:
-    """Amplitudes of P|v> for a basis-index-space masked string."""
-    src = np.arange(amps.size, dtype=np.int64) ^ p.x_mask
-    return _phase(p, src) * amps[src]
+def term_gathers(strings: Sequence, n: int) -> tuple:
+    """(src, phase), two (strings, 2^n) arrays with P_k|w> = phase[k] *
+    w[src[k]] for the k-th string on n qubits: one ``index ^ x_mask``
+    table, one parity pass over ``src & z_mask`` and ``(1j)^n_y`` per row,
+    so each row of ``phase`` is ``_phase`` of its string bitwise."""
+    index = np.arange(1 << n, dtype=np.int64)
+    src = index ^ np.array([p.x_mask for p in strings], dtype=np.int64).reshape(-1, 1)
+    z_masks = np.array([p.z_mask for p in strings], dtype=np.int64).reshape(-1, 1)
+    powers = np.array([(1j) ** p.n_y for p in strings], dtype=complex).reshape(-1, 1)
+    return src, powers * (1.0 - 2.0 * _parity(src & z_masks))
 
 
 def apply_string(p: PauliString, v: StateVector) -> StateVector:
     """P|v>; norm-preserving (Pauli strings are unitary)."""
     if p.n != v.n:
         raise ValueError(f"qubit counts differ: operator {p.n}, state {v.n}")
-    return StateVector(v.n, _string_action(p, v.amps), normalized=v.normalized)
+    amps = gather_kets(term_gathers((p,), v.n), v.amps)[0]
+    return StateVector(v.n, amps, normalized=v.normalized)
 
 
 def apply_sum_array(s: PauliSum, amps: np.ndarray) -> np.ndarray:
@@ -334,7 +341,7 @@ def term_kets(s: PauliSum, w: np.ndarray) -> np.ndarray:
     """P_k|w> for every term P_k of ``s``, in term order: shape (terms, 2^n)
     for one raw amplitude vector, (..., terms, 2^n) for rows (..., 2^n);
     each ket is the ``phase * w[src]`` that ``apply_string`` computes."""
-    return gather_kets(s._gathers, w)
+    return gather_kets(term_gathers(s.strings, s.n), w)
 
 
 def overlaps(bras: np.ndarray, kets: np.ndarray) -> np.ndarray:
@@ -401,7 +408,7 @@ def decompose(m: np.ndarray, tol: float = DEFAULT_DECOMPOSE_TOL) -> PauliSum:
     n = dim.bit_length() - 1
     if dim != 2**n or dim < 2:
         raise ValueError(f"matrix dimension {dim} is not a power of two >= 2")
-    _check_dense_cap(n)
+    check_dense_cap(n)
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix has non-finite entries")
     if np.max(np.abs(m - m.conj().T)) > max(tol, 1e-12):

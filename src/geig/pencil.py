@@ -11,7 +11,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .pauli import PauliSum, _check_dense_cap, apply_compiled, compile_sums, dense_compiled
+from .pauli import PauliSum, apply_compiled, check_dense_cap, compile_sums, dense_compiled
 
 _B_FLOOR = 1e-12
 
@@ -64,7 +64,7 @@ class Pencil:
         from the compiled table; each equals ``dense_matrix`` of its side
         bitwise.  Refuses n above ``pauli.DEFAULT_DENSE_CAP`` before
         anything is allocated."""
-        _check_dense_cap(self.n)
+        check_dense_cap(self.n)
         return dense_compiled(self._compiled)
 
 

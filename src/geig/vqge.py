@@ -31,9 +31,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .ansatz import AnsatzParams, apply_ansatz, compile_ansatz, random_params, ry_gates
+from .ansatz import (
+    AnsatzParams,
+    apply_ansatz,
+    compile_ansatz,
+    entangler_pairs,
+    random_params,
+    ry_gates,
+)
 from .measurement import sample_overlaps
-from .pauli import PauliSum, gather_kets, overlaps, term_overlaps
+from .pauli import PauliSum, gather_kets, overlaps, term_gathers, term_overlaps
 from .pencil import Pencil, check_b, check_int, rayleigh_quotient
 from .statevector import StateVector, norm, scale, zero_state
 
@@ -101,6 +108,9 @@ class SolveConfig:
         check_int("restarts", self.restarts, 1)
         check_int("shots", self.shots, 0)
         check_int("seed", self.seed, 0)
+        if isinstance(self.entangler, str):
+            # a name resolves without the qubit count; a pair list needs it
+            entangler_pairs(1, self.entangler)
 
 
 @dataclass(frozen=True)
@@ -203,13 +213,15 @@ def _shot_objective(
     One circuit batch holds, per row, psi and, layer-major, each circuit
     with pi added to one angle.  Every state phi of a row gives the exact
     overlaps <phi|A_k|psi>, <phi|B_k|psi> and, per record, <x|B_k|phi> for
-    the unit vector x; phi = psi is all the loss needs.  One gather takes
-    the A and B kets of every row's psi, one the B kets of every state (in
-    blocks of states above ``_KET_BLOCK_ENTRIES``), and each family of
-    overlaps is one stacked product.  One sampler call per row, on the
-    row's generator, draws psi for the loss and then every state of the
-    row afresh for the gradient, as two calls would; ``shots == 0`` keeps
-    the overlaps exact.  The A, B and record sums of every draw are groups
+    the unit vector x; phi = psi is all the loss needs.  One
+    ``term_gathers`` table of the strings of A then B is built per
+    objective, and ``gather_kets`` reads it: one gather takes the A and B
+    kets of every row's psi, one the B kets (the table's tail rows) of
+    every state (in blocks of states above ``_KET_BLOCK_ENTRIES``), and
+    each family of overlaps is one stacked product.  One sampler call per
+    row, on the row's generator, draws psi for the loss and then every
+    state of the row afresh for the gradient, as two calls would;
+    ``shots == 0`` keeps the overlaps exact.  The A, B and record sums of every draw are groups
     of one accumulation in term order, and the values and gradient entries
     are (R, ...) arrays in the scalar rule's order of operations, so each
     row rounds and draws as a term-by-term loop on its own.  An error
@@ -218,8 +230,8 @@ def _shot_objective(
     """
     circuit = compile_ansatz(pencil.n, entangler)
     n_x = len(records)
-    b_gathers = pencil.B._gathers
-    gathers = tuple(np.concatenate(pair) for pair in zip(pencil.A._gathers, b_gathers))
+    gathers = term_gathers(pencil.A.strings + pencil.B.strings, pencil.n)
+    b_gathers = tuple(part[len(pencil.A) :] for part in gathers)
     penalties = [(gamma, m) for gamma, _, m in _penalties(pencil, records)]
     scales = np.array([gamma / m for gamma, m in penalties])
     norms = np.array([norm(rec.state) for rec in records])
@@ -467,6 +479,14 @@ def _b_normalized(state: StateVector, pencil: Pencil) -> StateVector:
     return scale(state, factor)
 
 
+def check_levels(r, n: int) -> None:
+    """Require a level count ``r``: an integer between 1 and 2^n, the
+    dimension of a pencil on n qubits."""
+    check_int("r", r, 1)
+    if not 1 <= r <= 2**n:
+        raise ValueError(f"r must be between 1 and {2**n}, got {r}")
+
+
 def solve_spectrum(pencil: Pencil, r: int, config: SolveConfig = SolveConfig()) -> list:
     """Recover ``r`` eigenpairs: minimize F for the smallest, maximize F for
     the largest, then deflate level by level; returns SpectrumLevel entries
@@ -482,9 +502,7 @@ def solve_spectrum(pencil: Pencil, r: int, config: SolveConfig = SolveConfig()) 
     shared batch (a <B> that is not positive, a non-finite loss) may report
     a value from either level's rows.
     """
-    check_int("r", r, 1)
-    if not 1 <= r <= 2**pencil.n:
-        raise ValueError(f"r must be between 1 and {2**pencil.n}, got {r}")
+    check_levels(r, pencil.n)
     n = pencil.n
     v_in = zero_state(n)
     entangler = config.entangler

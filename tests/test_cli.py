@@ -195,6 +195,27 @@ class TestParseProblem:
         with pytest.raises(ValueError, match="exactly the keys"):
             parse_problem(obj)
 
+    @pytest.mark.parametrize(
+        "coeff, shown",
+        [(True, "True"), ("2", "'2'"), ([1], r"\[1\]"), (None, "None")],
+        ids=["bool", "string", "list", "null"],
+    )
+    def test_coefficients_must_be_json_numbers(self, coeff, shown):
+        """Only an int or a float (not a bool) is a coefficient; the message
+        names the side and the term's index."""
+        obj = {"n": 1, "A": [{"coeff": 1, "ops": "I"}], "B": [{"coeff": 1.0, "ops": "I"}]}
+        obj["B"].append({"coeff": coeff, "ops": "Z"})
+        with pytest.raises(ValueError, match=f"'B' term 1: 'coeff' must be a JSON number, got {shown}"):
+            parse_problem(obj)
+
+    def test_an_overflowing_merge_names_the_string(self, capsys, tmp_path):
+        path = tmp_path / "p.json"
+        terms = [{"coeff": 1e308, "ops": "ZI"}, {"coeff": 1e308, "ops": "ZI"}]
+        path.write_text(json.dumps({"n": 2, "A": terms, "B": [{"coeff": 1, "ops": "II"}]}))
+        for command in ("reference", "fqge"):
+            payload = error_of(capsys, [command, str(path)])
+            assert payload == {"error": "ValueError", "message": "coefficients of 'ZI' sum to inf"}
+
 
 class TestSchemas:
     def test_all_schema_files_are_valid(self):
@@ -461,6 +482,31 @@ class TestErrorContract:
         payload = error_of(capsys, argv)
         assert payload["error"] == "ValueError"
         assert name in payload["message"]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--r", "2000"], "r must be between 1 and 1024, got 2000"),
+            (["--r", "0"], "r must be >= 1, got 0"),
+            (["--entangler", "star"], "unknown entangler 'star'"),
+            (["--r", "1", "--target-eps", "-1"], "pseudo-error must be finite and > 0"),
+            (["--target-eps", "0"], "pseudo-error must be finite and > 0"),
+        ],
+        ids=["r-above-dim", "r-zero", "entangler", "target-eps-negative", "target-eps-zero"],
+    )
+    def test_vqge_options_fail_before_the_oracle(self, capsys, monkeypatch, tmp_path, argv, message):
+        """A bad --r, entangler name or --target-eps is refused before the
+        dense oracle runs, on a 10-qubit pencil where the oracle takes a
+        second."""
+        calls = []
+        monkeypatch.setattr("geig.cli.generalized_eig", lambda *args: calls.append(args))
+        path = tmp_path / "p.json"
+        a = [{"coeff": 1, "ops": "ZZ" + "I" * 8}, {"coeff": 0.5, "ops": "X" + "I" * 9}]
+        path.write_text(json.dumps({"n": 10, "A": a, "B": [{"coeff": 1, "ops": "I" * 10}]}))
+        payload = error_of(capsys, ["vqge", *argv, str(path)])
+        assert payload["error"] == "ValueError"
+        assert message in payload["message"]
+        assert calls == []
 
     @pytest.mark.parametrize("command", ["vqge", "fqge"])
     def test_bad_trace_path_fails_before_the_solve(self, capsys, monkeypatch, tmp_path, command):

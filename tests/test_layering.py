@@ -1,6 +1,9 @@
 """The package's import graph is a layering: every import sits at module
 level, no module reaches itself through its imports, and neither solver
-(``vqge``, ``fqge``) is imported by anything below the command line."""
+(``vqge``, ``fqge``) is imported by anything below the command line.  No
+module reaches into another one's private names: it imports no underscore
+name from the package, and reads no underscore attribute of an object
+other than ``self`` or ``cls`` unless it defines that name itself."""
 
 import ast
 from pathlib import Path
@@ -37,6 +40,48 @@ def function_imports(tree: ast.Module) -> list:
         if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
         for node in ast.walk(fn)
         if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+
+
+def private_imports(tree: ast.Module) -> list:
+    """``module.name`` of every underscore name imported from the package."""
+    return [
+        f"{node.module}.{a.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").split(".")[0] == "geig")
+        for a in node.names
+        if a.name.startswith("_")
+    ]
+
+
+def defined_names(tree: ast.Module) -> set:
+    """Every name a module binds: functions, classes, methods, assigned
+    names and assigned attributes."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            out.add(node.attr)
+    return out
+
+
+def foreign_private_reads(tree: ast.Module) -> list:
+    """(attribute, line) of every underscore attribute, dunders aside, read
+    from an object other than ``self`` or ``cls`` that the module does not
+    define."""
+    own = defined_names(tree)
+    return [
+        (node.attr, node.lineno)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr.startswith("_")
+        and not node.attr.endswith("__")
+        and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
+        and node.attr not in own
     ]
 
 
@@ -81,3 +126,26 @@ def test_the_solvers_and_the_cli_import_the_pencil_module():
     for name in ("vqge", "fqge", "cli"):
         assert "pencil" in GRAPH[name], name
     assert GRAPH["pencil"] & (SOLVERS | {"reference", "cli"}) == set()
+
+
+@pytest.mark.parametrize("name", sorted(TREES))
+def test_no_private_name_is_imported_from_the_package(name):
+    assert private_imports(TREES[name]) == []
+
+
+@pytest.mark.parametrize("name", sorted(TREES))
+def test_no_private_attribute_of_another_module_is_read(name):
+    assert foreign_private_reads(TREES[name]) == []
+
+
+def test_the_private_name_checks_see_a_reach_in():
+    tree = ast.parse(
+        "from .pauli import _phase, apply_string\n"
+        "from geig.pencil import _B_FLOOR\n"
+        "from numpy import _private_but_not_ours\n"
+        "def f(pencil, self):\n"
+        "    return pencil.A._action, self._own, pencil.__class__, g._kept\n"
+        "def _kept(): pass\n"
+    )
+    assert private_imports(tree) == ["pauli._phase", "geig.pencil._B_FLOOR"]
+    assert foreign_private_reads(tree) == [("_action", 5)]

@@ -14,7 +14,6 @@ from geig.pauli import (
     DEFAULT_DENSE_CAP,
     PauliString,
     PauliSum,
-    _string_action,
     apply_string,
     apply_sum,
     decompose,
@@ -86,6 +85,11 @@ class TestPauliSum:
     def test_rejects_nonfinite_coefficients(self):
         with pytest.raises(ValueError):
             PauliSum(1, [(np.inf, "Z")])
+
+    def test_rejects_a_merged_sum_that_overflows(self):
+        """Finite inputs whose merged sum is inf are refused, naming the string."""
+        with pytest.raises(ValueError, match="coefficients of 'ZI' sum to inf"):
+            PauliSum(2, [(1e308, "ZI"), (0.5, "XX"), (1e308, "ZI")])
 
     def test_canonical_term_order(self):
         s = PauliSum(2, [(0.2, "XX"), (1.0, "II"), (0.4, "ZI"), (0.4, "IZ")])
@@ -242,7 +246,7 @@ class TestCompiledApplySum:
             state = StateVector(n, v / np.linalg.norm(v))
             got = apply_sum(s, state).amps
             dense = dense_matrix(s) @ state.amps
-            per_string = sum(c * _string_action(p, state.amps) for c, p in s.terms)
+            per_string = sum(c * apply_string(p, state).amps for c, p in s.terms)
             assert np.max(np.abs(got - dense)) <= 1e-12
             assert np.max(np.abs(got - per_string)) <= 1e-12
 

@@ -15,10 +15,11 @@ from geig.pauli import (
     PauliString,
     PauliSum,
     _parity,
-    _string_action,
+    _phase,
     apply_string,
     apply_sum,
     gather_kets,
+    term_gathers,
     term_kets,
     term_overlaps,
 )
@@ -356,4 +357,22 @@ class TestPhaseFormula:
         idx = np.arange(amps.size, dtype=np.int64)
         src = idx ^ p.x_mask
         want = (1j) ** p.n_y * (1.0 - 2.0 * _parity(src & p.z_mask)) * amps[src]
-        np.testing.assert_array_equal(_string_action(p, amps), want)
+        np.testing.assert_array_equal(apply_string(p, StateVector(p.n, amps)).amps, want)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_term_gathers_equal_phase_per_string(self, n):
+        """Each row of ``term_gathers`` is its string's ``index ^ x_mask``
+        and ``_phase`` bitwise, zero signs included, for every n_y % 4 that
+        n qubits allow."""
+        rng = np.random.default_rng(60 + n)
+        strings = [PauliString(n, int(x), int(z)) for x, z in rng.integers(0, 1 << n, (40, 2))]
+        strings += [PauliString.from_ops("Y" * k + "I" * (n - k)) for k in range(n + 1)]
+        assert {p.n_y % 4 for p in strings} == set(range(min(n, 3) + 1))
+        src, phase = term_gathers(strings, n)
+        index = np.arange(1 << n, dtype=np.int64)
+        assert src.shape == phase.shape == (len(strings), 1 << n)
+        for p, row_src, row_phase in zip(strings, src, phase):
+            np.testing.assert_array_equal(row_src, index ^ p.x_mask)
+            want = _phase(p, index ^ p.x_mask)
+            assert row_phase.dtype == want.dtype == np.complex128
+            np.testing.assert_array_equal(row_phase.view(np.int64), want.view(np.int64))

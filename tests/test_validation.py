@@ -64,6 +64,13 @@ class TestSolveConfig:
     def test_non_negative_seeds_construct(self, value):
         assert SolveConfig(seed=value).seed == value
 
+    def test_entangler_names_resolve_at_construction(self):
+        assert SolveConfig(entangler="ring").entangler == "ring"
+        # a pair list is checked against the qubit count where it is compiled
+        assert SolveConfig(entangler=[(0, 5)]).entangler == [(0, 5)]
+        with pytest.raises(ValueError, match="unknown entangler 'star'"):
+            SolveConfig(entangler="star")
+
 
 class TestOptConfig:
     @bounded
