@@ -15,7 +15,7 @@ import numpy as np
 
 from .fqge import FqgeConfig, run_fqge
 from .measurement import shot_allocation
-from .pauli import DEFAULT_DENSE_CAP, PauliSum, decompose
+from .pauli import DEFAULT_DECOMPOSE_TOL, DEFAULT_DENSE_CAP, PauliSum, decompose
 from .pencil import Pencil
 from .reference import count_distinct, distinct_values, generalized_eig
 from .statevector import basis_state
@@ -43,17 +43,37 @@ def _oracle_cap() -> int:
     return cap
 
 
-def _parse_matrix(rows) -> np.ndarray:
-    """Rows of equal length whose entries are [re, im] pairs of numbers."""
+def _number(value, where) -> float:
+    """The one number rule of problem and matrix files: an int or a float,
+    not a bool, that converts to a finite float.  ``where()`` names the
+    value in the message; it is called only for a value that fails."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{where()} must be a JSON number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        x = np.inf if value > 0 else -np.inf
+    if not np.isfinite(x):
+        raise ValueError(f"{where()} is non-finite as a float: {x}")
+    return x
+
+
+def _parse_matrix(rows, name: str) -> np.ndarray:
+    """Rows of equal length whose entries are [re, im] pairs of numbers;
+    ``name`` names the matrix in a message about one entry."""
     if not isinstance(rows, list) or not rows:
         raise ValueError("dense matrix must be a non-empty list of rows")
-    try:
-        width = len(rows[0])
-        if all(len(row) == width and all(len(c) == 2 for c in row) for row in rows):
-            return np.array([[complex(*c) for c in row] for row in rows], dtype=complex)
-    except TypeError:
-        pass
-    raise ValueError("dense matrix entries must be [re, im] pairs in row-major order")
+    width = len(rows[0]) if isinstance(rows[0], list) else -1
+    pairs = [c for row in rows if isinstance(row, list) and len(row) == width for c in row]
+    parts = [x for c in pairs if isinstance(c, list) and len(c) == 2 for x in c]
+    if len(parts) != 2 * len(rows) * width:
+        raise ValueError("dense matrix entries must be [re, im] pairs in row-major order")
+    # finite floats pass in one check; else the number rule names the first bad part
+    if {type(x) for x in parts} != {float} or not np.isfinite(np.array(parts)).all():
+        for k, x in enumerate(parts):
+            _number(x, lambda: f"{name} entry {divmod(k // 2, width)}")
+    # the float pairs (re, im) in row-major order are the complex entries' bytes
+    return np.array(parts, dtype=float).view(complex).reshape(len(rows), width)
 
 
 def _parse_terms(entries, n: int, side: str) -> PauliSum:
@@ -65,10 +85,10 @@ def _parse_terms(entries, n: int, side: str) -> PauliSum:
             raise ValueError(
                 f"each {side!r} term needs exactly the keys 'coeff' and 'ops'"
             )
-        coeff = entry["coeff"]
-        if isinstance(coeff, bool) or not isinstance(coeff, (int, float)):
-            raise ValueError(f"{side!r} term {k}: 'coeff' must be a JSON number, got {coeff!r}")
-        terms.append((float(coeff), str(entry["ops"])))
+        ops = entry["ops"]
+        if not isinstance(ops, str):
+            raise ValueError(f"{side!r} term {k}: 'ops' must be a JSON string, got {ops!r}")
+        terms.append((_number(entry["coeff"], lambda: f"{side!r} term {k}: 'coeff'"), ops))
     return PauliSum(n, terms)
 
 
@@ -91,7 +111,7 @@ def parse_problem(obj) -> Pencil:
         if has_terms:
             sides.append(_parse_terms(obj[side], n, side))
         else:
-            m = _parse_matrix(obj[f"{side}_dense"])
+            m = _parse_matrix(obj[f"{side}_dense"], f"'{side}_dense'")
             if m.shape != (2**n, 2**n):
                 raise ValueError(
                     f"'{side}_dense' has shape {m.shape}, expected {(2**n, 2**n)}"
@@ -310,7 +330,7 @@ def cmd_decompose(args) -> dict:
         if "matrix" not in obj:
             raise ValueError("decompose input object needs a 'matrix' key")
         obj = obj["matrix"]
-    m = _parse_matrix(obj)
+    m = _parse_matrix(obj, "'matrix'")
     s = decompose(m, tol=args.tol)
     return {
         "command": "decompose",
@@ -364,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pd = sub.add_parser("decompose", help="Pauli decomposition of a dense matrix")
     pd.add_argument("matrix", help="JSON file with a row-major [re, im] matrix")
-    pd.add_argument("--tol", type=float, default=1e-10)
+    pd.add_argument("--tol", type=float, default=DEFAULT_DECOMPOSE_TOL)
     pd.set_defaults(func=cmd_decompose)
     return ap
 

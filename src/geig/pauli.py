@@ -13,22 +13,25 @@ that sum s acts as ``out[i] = sum_m diags[s, m, i] v[i ^ x_m]``.  The
 diagonals are float64 unless a mask carries an odd number of Y factors.
 ``apply_compiled`` applies every sum of a table with one gather of the
 rows and one contraction; complex rows on a real table run as their real
-and imaginary parts.  A ``PauliSum`` compiles itself on first use and keeps
-its table; ``dense_compiled`` scatters the dense matrix of every sum of a
-table, and ``decompose`` reads those per-mask bands back from a dense
-matrix.
+and imaginary parts.  ``dense_compiled`` scatters the dense matrix of every
+sum of a table, and ``decompose`` reads those per-mask bands back from a
+dense matrix.  A ``PauliSum`` is a plain value that keeps no table:
+``apply_sum``, ``expectation`` and ``dense_matrix`` compile it on each
+call, and ``geig.pencil`` keeps the one table the solvers read.
 
 ``term_gathers`` is the one per-term form: the gather index and phase of
 each string of a list, so that ``gather_kets`` takes every P_k|w> by one
-gather.  ``apply_string``, ``term_kets`` and the solvers' per-string
-actions (the Hadamard-test kets and the LCU step) all read it; no sum
-caches it.
+gather.  ``apply_string`` and the solvers' per-string actions (the
+Hadamard-test kets and the LCU step) all read it.
+
+``overlaps`` is the one bracket: <u|w> for every pair of broadcast rows,
+each bitwise equal to ``np.vdot`` of the pair, so a row of a batch rounds
+as the same state alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -159,12 +162,6 @@ class PauliSum:
     def __len__(self) -> int:
         return len(self.terms)
 
-    @cached_property
-    def _action(self) -> tuple:
-        """The compiled action of the sum, ``compile_sums((self,))``, built
-        on first use."""
-        return compile_sums((self,))
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
@@ -179,16 +176,14 @@ def check_dense_cap(n: int) -> None:
 
 
 def dense_matrix(p) -> np.ndarray:
-    """Dense 2^n x 2^n matrix of a PauliString or PauliSum.
-
-    Each diagonal of the compiled form fills the entries (i, i ^ x_mask)
-    of its X-mask; no two masks share an entry.  Refuses n above
-    ``DEFAULT_DENSE_CAP`` before anything is allocated.
+    """Dense 2^n x 2^n matrix of a PauliString or PauliSum, scattered from
+    its compiled form.  Refuses n above ``DEFAULT_DENSE_CAP`` before
+    anything is allocated.
     """
     check_dense_cap(p.n)
     if isinstance(p, PauliString):
         p = PauliSum(p.n, [(1.0, p)])
-    return dense_compiled(p._action)[0]
+    return dense_compiled(compile_sums((p,)))[0]
 
 
 def dense_compiled(compiled: tuple) -> np.ndarray:
@@ -322,12 +317,6 @@ def apply_string(p: PauliString, v: StateVector) -> StateVector:
     return StateVector(v.n, amps, normalized=v.normalized)
 
 
-def apply_sum_array(s: PauliSum, amps: np.ndarray) -> np.ndarray:
-    """(sum_k c_k P_k) applied to every row of a raw amplitude array of
-    shape (..., 2^n), through the compiled form."""
-    return apply_compiled(s._action, amps)[0]
-
-
 def gather_kets(gathers: tuple, w: np.ndarray) -> np.ndarray:
     """``phase[k] * w[..., src[k]]`` for every row k of ``gathers = (src,
     phase)``, shape (..., rows, 2^n), by one gather.  ``take`` keeps the
@@ -335,13 +324,6 @@ def gather_kets(gathers: tuple, w: np.ndarray) -> np.ndarray:
     round as those of a ket gathered on its own."""
     src, phase = gathers
     return phase * w.take(src, axis=-1)
-
-
-def term_kets(s: PauliSum, w: np.ndarray) -> np.ndarray:
-    """P_k|w> for every term P_k of ``s``, in term order: shape (terms, 2^n)
-    for one raw amplitude vector, (..., terms, 2^n) for rows (..., 2^n);
-    each ket is the ``phase * w[src]`` that ``apply_string`` computes."""
-    return gather_kets(term_gathers(s.strings, s.n), w)
 
 
 def overlaps(bras: np.ndarray, kets: np.ndarray) -> np.ndarray:
@@ -353,19 +335,12 @@ def overlaps(bras: np.ndarray, kets: np.ndarray) -> np.ndarray:
     return (bras.conj()[..., None, :] @ kets[..., :, None])[..., 0, 0]
 
 
-def term_overlaps(s: PauliSum, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """<u|P_k|w> for every term P_k of ``s``, in term order, from raw
-    amplitude vectors; each equals ``inner(u, apply_string(P_k, w))``
-    bitwise."""
-    return overlaps(u, term_kets(s, w))
-
-
 def apply_sum(s: PauliSum, v: StateVector) -> StateVector:
-    """(sum_k c_k P_k)|v> through the compiled form; output
-    flagged unnormalized."""
+    """(sum_k c_k P_k)|v> through the compiled form, compiled for this
+    call; output flagged unnormalized."""
     if s.n != v.n:
         raise ValueError(f"qubit counts differ: operator {s.n}, state {v.n}")
-    return StateVector(v.n, apply_sum_array(s, v.amps), normalized=False)
+    return StateVector(v.n, apply_compiled(compile_sums((s,)), v.amps)[0], normalized=False)
 
 
 def expectation(s: PauliSum, v: StateVector) -> float:

@@ -1,8 +1,8 @@
 """The operator pair (A, B) of A|psi> = lambda B|psi>, as both solvers and
 the dense oracle read it: one table compiled from both sides on first use,
-its action on raw amplitude rows, its dense matrices, the <B> positivity
-check and the Rayleigh quotient <A>/<B>.  Also the integer check every
-configuration shares."""
+its action on raw amplitude rows and their brackets, its dense matrices,
+the <B> positivity check and the Rayleigh quotient <A>/<B>.  Also the
+integer check every configuration shares."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .pauli import PauliSum, apply_compiled, check_dense_cap, compile_sums, dense_compiled
+from .pauli import PauliSum, apply_compiled, check_dense_cap, compile_sums, dense_compiled, overlaps
 
 _B_FLOOR = 1e-12
 
@@ -49,15 +49,13 @@ class Pencil:
     def apply(self, amps: np.ndarray) -> tuple:
         """(A psi, B psi, <A>, <B>) for raw amplitude rows psi of shape
         (..., 2^n): both sides through the compiled table, and the real
-        brackets <psi|A|psi>, <psi|B|psi> of each row (unchecked).  Real
-        rows on a real pencil give float64 results.  A single state takes
-        ``np.vdot``, whose rounding ``inner`` on states has."""
+        brackets <psi|A|psi>, <psi|B|psi> of each row (unchecked), scalars
+        for a single state.  Real rows on a real pencil give float64
+        results.  Both brackets are ``pauli.overlaps``, bitwise equal to
+        ``np.vdot`` of each row, so a row of a batch gets the brackets of
+        the same state alone."""
         a_psi, b_psi = apply_compiled(self._compiled, amps)
-        if amps.ndim == 1:
-            return a_psi, b_psi, np.vdot(amps, a_psi).real, np.vdot(amps, b_psi).real
-        bra = amps.conj()
-        a = np.einsum("...d,...d->...", bra, a_psi).real
-        return a_psi, b_psi, a, np.einsum("...d,...d->...", bra, b_psi).real
+        return a_psi, b_psi, overlaps(amps, a_psi).real[()], overlaps(amps, b_psi).real[()]
 
     def dense(self) -> np.ndarray:
         """The dense matrices of A and B, shape (2, 2^n, 2^n), scattered

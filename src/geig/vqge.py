@@ -40,7 +40,7 @@ from .ansatz import (
     ry_gates,
 )
 from .measurement import sample_overlaps
-from .pauli import PauliSum, gather_kets, overlaps, term_gathers, term_overlaps
+from .pauli import PauliSum, gather_kets, overlaps, term_gathers
 from .pencil import Pencil, check_b, check_int, rayleigh_quotient
 from .statevector import StateVector, norm, scale, zero_state
 
@@ -177,7 +177,7 @@ def _exact_objective(
     """
     circuit = compile_ansatz(pencil.n, entangler)
     real = pencil.real and not any(v.amps.imag.any() for v in (v_in, *(r.state for r in records)))
-    penalties = [(gamma, bx, bx.conj(), m) for gamma, bx, m in _penalties(pencil, records, real)]
+    penalties = _penalties(pencil, records, real)
     start = v_in.amps.real if real else v_in.amps
 
     def value_and_grad(theta: np.ndarray, grad: bool = True) -> tuple:
@@ -186,8 +186,8 @@ def _exact_objective(
         a_psi, b_psi, a, b = pencil.apply(psi)
         value = f = rayleigh_quotient(a, b)
         chi = a_psi - f[:, None] * b_psi
-        for gamma, bx, bx_conj, m in penalties:
-            t = psi @ bx_conj
+        for gamma, bx, m in penalties:
+            t = overlaps(bx, psi)
             t_sq = np.abs(t) ** 2
             value = value + gamma * t_sq / (m * b)
             chi += (gamma / m) * (t[:, None] * bx - (t_sq / b)[:, None] * b_psi)
@@ -359,7 +359,8 @@ def overlap_sq(
     psi = apply_ansatz(p, v_in, entangler)
     psi_star = apply_ansatz(p_star, v_in, entangler)
     x_norm = norm(psi)
-    exact = term_overlaps(b_sum, psi.amps / x_norm, psi_star.amps)
+    kets = gather_kets(term_gathers(b_sum.strings, b_sum.n), psi_star.amps)
+    exact = overlaps(psi.amps / x_norm, kets)
     t = x_norm * _weighted_sums(sample_overlaps(exact, shots, rng), b_sum.coeffs).item()
     return abs(t) ** 2
 
@@ -411,7 +412,7 @@ def _descend(value_and_grad: Callable, theta0: np.ndarray, config: OptConfig) ->
     ``value_and_grad`` maps theta (R, n, L) to (values (R,), grads
     (R, n, L)); grads may be None when a value is not finite.  Every step's
     values, angles and gradients go into (S, R, ...) arrays; after the loop
-    the gradient norms come from one batched product, which rounds as
+    the gradient norms come from one ``overlaps`` call, which rounds as
     ``np.linalg.norm`` of each row does, and the best iterate of each row
     from one argmin (its first minimum).  Returns one OptTrace per row.
     """
@@ -444,8 +445,8 @@ def _descend(value_and_grad: Callable, theta0: np.ndarray, config: OptConfig) ->
                 theta = theta - config.lr * g
             if not np.all(np.isfinite(theta)):
                 raise ValueError(f"step {s}: the update at lr = {config.lr:.3e} is not finite")
-    flat = grads.reshape(config.iters + 1, rows, 1, n * layers)
-    norms = np.sqrt(flat @ flat.swapaxes(-1, -2))[..., 0, 0]
+    flat = grads.reshape(config.iters + 1, rows, n * layers)
+    norms = np.sqrt(overlaps(flat, flat))
     best = np.argmin(values, axis=0)
     return [
         OptTrace(losses, grad_norms, grids, float(losses[k]), AnsatzParams(n, layers, grids[k]))

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import random_pencil, random_state, two_qubit_pencil
 from geig.ansatz import apply_ansatz, compile_ansatz, random_params
-from geig.pauli import PauliSum, apply_sum, apply_sum_array
+from geig.pauli import PauliSum, apply_compiled, apply_sum, compile_sums
 from geig.statevector import StateVector, zero_state
 from geig.vqge import (
     DeflationRecord,
@@ -164,19 +164,19 @@ class TestCompiledAnsatz:
             assert abs(grad[idx] - fd) < 1e-8
 
 
-class TestApplySumArray:
+class TestApplyCompiledRows:
     def test_rows_equal_apply_sum(self):
         rng = np.random.default_rng(10)
         pencil, a, _ = random_pencil(rng, 3)
         rows = np.stack([random_state(rng, 3).amps for _ in range(4)])
-        out = apply_sum_array(pencil.A, rows)
+        out = apply_compiled(compile_sums((pencil.A,)), rows)[0]
         for row, amps in zip(out, rows):
             np.testing.assert_array_equal(row, apply_sum(pencil.A, StateVector(3, amps)).amps)
             np.testing.assert_allclose(row, a @ amps, atol=1e-12)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="qubit counts differ"):
-            apply_sum_array(two_qubit_pencil().A, np.zeros(8, dtype=complex))
+            apply_compiled(compile_sums((two_qubit_pencil().A,)), np.zeros(8, dtype=complex))
 
 
 class TestBatchedDescent:

@@ -12,13 +12,14 @@ import pytest
 from conftest import DENSE_A, two_qubit_pencil
 from geig.cli import (
     _check_finite,
+    _parse_matrix,
     build_parser,
     bundled_problem_path,
     main,
     parse_problem,
     serialize_problem,
 )
-from geig.pauli import dense_matrix
+from geig.pauli import DEFAULT_DECOMPOSE_TOL, dense_matrix
 from geig.reference import generalized_eig
 
 
@@ -208,6 +209,92 @@ class TestParseProblem:
         with pytest.raises(ValueError, match=f"'B' term 1: 'coeff' must be a JSON number, got {shown}"):
             parse_problem(obj)
 
+    @pytest.mark.parametrize(
+        "ops, shown",
+        [(["Z"], r"\['Z'\]"), (12, "12"), (None, "None")],
+        ids=["list", "number", "null"],
+    )
+    def test_ops_must_be_json_strings(self, ops, shown):
+        obj = {"n": 1, "A": [{"coeff": 1, "ops": "I"}], "B": [{"coeff": 1.0, "ops": "I"}]}
+        obj["B"].append({"coeff": 1, "ops": ops})
+        with pytest.raises(ValueError, match=f"^'B' term 1: 'ops' must be a JSON string, got {shown}$"):
+            parse_problem(obj)
+
+    @pytest.mark.parametrize(
+        "coeff, shown",
+        [(10**400, "inf"), (-(10**400), "-inf"), (float("inf"), "inf"), (float("nan"), "nan")],
+        ids=["401-digit-int", "negative-401-digit-int", "inf", "nan"],
+    )
+    def test_coefficients_must_convert_to_finite_floats(self, coeff, shown):
+        obj = {"n": 1, "A": [{"coeff": 1, "ops": "I"}], "B": [{"coeff": 1.0, "ops": "I"}]}
+        obj["B"].append({"coeff": coeff, "ops": "Z"})
+        with pytest.raises(ValueError, match=f"^'B' term 1: 'coeff' is non-finite as a float: {shown}$"):
+            parse_problem(obj)
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ([True, 0], "must be a JSON number, got True"),
+            ([0, None], "must be a JSON number, got None"),
+            ([10**400, 0], "is non-finite as a float: inf"),
+            ([0, float("-inf")], "is non-finite as a float: -inf"),
+        ],
+        ids=["bool", "null", "401-digit-int", "inf"],
+    )
+    def test_dense_entries_follow_the_coefficient_rule(self, entry, message):
+        """A dense entry's parts are numbers by the rule a coefficient
+        follows; the message names the side and the entry's (row, column)."""
+        dense = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+        dense[1][0] = entry
+        obj = {"n": 1, "A": [{"coeff": 1, "ops": "I"}], "B_dense": dense}
+        with pytest.raises(ValueError, match=re.escape(f"'B_dense' entry (1, 0) {message}") + "$"):
+            parse_problem(obj)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_an_all_float_matrix_names_its_non_finite_entry(self, bad):
+        """A matrix of floats only is checked at once; a non-finite part
+        still gets the message that names its entry."""
+        dense = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+        dense[0][1] = [0.0, bad]
+        obj = {"n": 1, "A": [{"coeff": 1, "ops": "I"}], "B_dense": dense}
+        with pytest.raises(ValueError, match=re.escape(f"'B_dense' entry (0, 1) is non-finite as a float: {bad}")):
+            parse_problem(obj)
+
+    def test_dense_parts_convert_as_complex_does(self):
+        """Int, float and mixed parts, signed zeros included, give the bits
+        of ``complex(re, im)`` entry by entry."""
+        rng = np.random.default_rng(7)
+        parts = [float(x) for x in rng.normal(size=34)] + [0.0, -0.0, 3, -2, 2**60 + 1, 0]
+        rows = [[parts[2 * (4 * i + j): 2 * (4 * i + j) + 2] for j in range(4)] for i in range(5)]
+        for matrix in (rows, [[[float(x) for x in c] for c in row] for row in rows]):
+            want = np.array([[complex(*c) for c in row] for row in matrix])
+            assert _parse_matrix(matrix, "'m'").tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('"A": [{"coeff": 1, "ops": ["Z"]}]', "'A' term 0: 'ops' must be a JSON string, got ['Z']"),
+            (f'"A": [{{"coeff": 1{"0" * 400}, "ops": "Z"}}]', "'A' term 0: 'coeff' is non-finite as a float: inf"),
+            ('"A": [{"coeff": 1e400, "ops": "Z"}]', "'A' term 0: 'coeff' is non-finite as a float: inf"),
+            (
+                '"A_dense": [[[true, 0], [0, 0]], [[0, 0], [1, 0]]]',
+                "'A_dense' entry (0, 0) must be a JSON number, got True",
+            ),
+            (
+                f'"A_dense": [[[1, 0], [0, 1{"0" * 400}]], [[0, 0], [1, 0]]]',
+                "'A_dense' entry (0, 1) is non-finite as a float: inf",
+            ),
+        ],
+        ids=["ops-list", "coeff-401-digits", "coeff-1e400", "dense-true", "dense-401-digits"],
+    )
+    def test_bad_numbers_and_ops_end_in_the_error_contract(self, capsys, tmp_path, text, message):
+        """No OverflowError leaks from a problem file, and a dense ``true``
+        is refused: each ends in one JSON line naming the side."""
+        path = tmp_path / "p.json"
+        path.write_text('{"n": 1, ' + text + ', "B": [{"coeff": 1, "ops": "I"}]}')
+        payload = error_of(capsys, ["reference", str(path)])
+        assert payload == {"error": "ValueError", "message": message}
+
     def test_an_overflowing_merge_names_the_string(self, capsys, tmp_path):
         path = tmp_path / "p.json"
         terms = [{"coeff": 1e308, "ops": "ZI"}, {"coeff": 1e308, "ops": "ZI"}]
@@ -377,6 +464,15 @@ class TestDecomposeCommand:
         assert set(got) == set(want)
         for ops, coeff in want.items():
             assert got[ops] == pytest.approx(coeff, abs=1e-12)
+
+    def test_default_tol_is_the_library_default(self):
+        assert build_parser().parse_args(["decompose", "m.json"]).tol is DEFAULT_DECOMPOSE_TOL
+
+    def test_entries_follow_the_number_rule(self, capsys, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text('[[[1, 0], [0, 0]], [[0, 0], [false, 0]]]')
+        payload = error_of(capsys, ["decompose", str(path)])
+        assert payload["message"] == "'matrix' entry (1, 1) must be a JSON number, got False"
 
     def test_object_wrapper_and_tol(self, capsys, tmp_path):
         mat = [[[1.0, 0.0], [1e-6, 0.0]], [[1e-6, 0.0], [1.0, 0.0]]]

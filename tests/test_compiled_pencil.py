@@ -1,5 +1,5 @@
 """The compiled pencil kernel against the paths it replaced: the per-mask
-``apply_sum_array`` loop (kept here as ``per_mask_apply``), complex rows
+``apply_sum`` loop on raw rows (kept here as ``per_mask_apply``), complex rows
 against float64 rows in the exact objective and in ``run_fqge``, and the
 complex path a pencil with an odd-Y string takes."""
 
@@ -14,14 +14,14 @@ from geig import pauli
 from geig.ansatz import apply_ansatz, random_params
 from geig.cli import main, parse_problem
 from geig.fqge import FqgeConfig, run_fqge
-from geig.pauli import PauliSum, _phase, apply_compiled, apply_sum_array, dense_matrix
+from geig.pauli import PauliSum, _phase, apply_compiled, compile_sums, dense_matrix
 from geig.reference import generalized_eig
 from geig.statevector import StateVector, basis_state, zero_state
 from geig.vqge import DeflationRecord, Pencil, _exact_objective
 
 
 def per_mask_apply(s, amps):
-    """apply_sum_array as it was: one complex diagonal per X-mask built term
+    """The action of a sum on raw rows as it was: one complex diagonal per X-mask built term
     by term (stored as float64 when its imaginary part is zero), applied by
     one gather and one multiply-add per mask."""
     index = np.arange(2**s.n, dtype=np.int64)
@@ -64,12 +64,13 @@ class TestKernelMatchesPerMaskLoop:
     def test_complex_rows_bitwise(self, n, odd_y):
         rng = np.random.default_rng([n, odd_y])
         s = seeded_sum(rng, n, odd_y)
-        assert (s._action[1].dtype == np.complex128) == odd_y
+        compiled = compile_sums((s,))
+        assert (compiled[1].dtype == np.complex128) == odd_y
         # one row, a small batch, and a batch spanning several blocks
-        blocks = 3 * pauli._BLOCK_ENTRIES // s._action[0].size + 1
+        blocks = 3 * pauli._BLOCK_ENTRIES // compiled[0].size + 1
         for shape in ((2**n,), (5, 2**n), (2, blocks, 2**n)):
             amps = rows(rng, shape, complex_rows=True)
-            got = apply_sum_array(s, amps)
+            got = apply_compiled(compiled, amps)[0]
             assert got.shape == shape and got.dtype == np.complex128
             np.testing.assert_array_equal(got, per_mask_apply(s, amps))
 
@@ -82,7 +83,7 @@ class TestKernelMatchesPerMaskLoop:
         s = seeded_sum(rng, n, odd_y)
         for shape in ((2**n,), (5, 2**n)):
             amps = rows(rng, shape, complex_rows=False)
-            got = apply_sum_array(s, amps)
+            got = apply_compiled(compile_sums((s,)), amps)[0]
             assert got.dtype == (np.complex128 if odd_y else np.float64)
             np.testing.assert_array_equal(got, per_mask_apply(s, amps + 0j))
 
@@ -102,8 +103,34 @@ class TestKernelMatchesPerMaskLoop:
 
     def test_empty_sum_on_a_table(self):
         s = PauliSum(2, [(1.0, "XI"), (-1.0, "XI")])
-        assert s._action[0].shape == (0, 4)
-        np.testing.assert_array_equal(apply_sum_array(s, np.ones((3, 4))), np.zeros((3, 4)))
+        compiled = compile_sums((s,))
+        assert compiled[0].shape == (0, 4)
+        np.testing.assert_array_equal(apply_compiled(compiled, np.ones((3, 4)))[0], np.zeros((3, 4)))
+
+
+class TestOneBracketRule:
+    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize(
+        "odd_y, complex_rows",
+        [(False, False), (False, True), (True, True)],
+        ids=["real", "complex-rows", "complex"],
+    )
+    def test_batch_rows_bracket_as_one_state(self, n, odd_y, complex_rows):
+        """Each row of a batch gets the brackets <A>, <B> of the same state
+        applied alone, bitwise, and both equal ``np.vdot`` of the row and
+        its image; a single state gives scalars."""
+        rng = np.random.default_rng([n, odd_y, complex_rows, 2])
+        pencil = Pencil(seeded_sum(rng, n, odd_y), seeded_sum(rng, n, odd_y))
+        for count in range(1, 6):
+            amps = rows(rng, (count, 2**n), complex_rows)
+            a_psi, b_psi, a, b = pencil.apply(amps)
+            for k, row in enumerate(amps):
+                _, _, a_one, b_one = pencil.apply(row)
+                assert isinstance(a_one, float) and isinstance(b_one, float)
+                assert a[k].tobytes() == a_one.tobytes()
+                assert b[k].tobytes() == b_one.tobytes()
+                assert a_one == np.vdot(row, a_psi[k]).real
+                assert b_one == np.vdot(row, b_psi[k]).real
 
 
 def ising(n):

@@ -34,7 +34,7 @@ from geig.vqge import (
 )
 
 # The term-by-term objective, as it was before the stacked one replaced
-# it; ``term_kets`` is its per-term list of kets.
+# it; ``ref_term_kets`` is its per-term list of kets.
 
 
 def ref_term_kets(s, w):

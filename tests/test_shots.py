@@ -18,10 +18,10 @@ from geig.pauli import (
     _phase,
     apply_string,
     apply_sum,
+    compile_sums,
     gather_kets,
+    overlaps,
     term_gathers,
-    term_kets,
-    term_overlaps,
 )
 from geig.statevector import StateVector, inner, norm, zero_state
 from geig.vqge import (
@@ -264,6 +264,11 @@ def random_sum(rng, n):
     return PauliSum(n, [(float(rng.normal()), o) for o in ops])
 
 
+def kets_of(s, w):
+    """P_k|w> for every term of ``s``, by the one per-term kernel."""
+    return gather_kets(term_gathers(s.strings, s.n), w)
+
+
 class TestTermOverlaps:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_bitwise_equal_exact_hadamard_tests(self, n):
@@ -271,22 +276,22 @@ class TestTermOverlaps:
         s = random_sum(rng, n)
         for _ in range(3):
             u, w = random_state(rng, n), random_state(rng, n)
-            got = term_overlaps(s, u.amps, w.amps)
+            got = overlaps(u.amps, kets_of(s, w.amps))
             want = [complex(*hadamard_test(u, term, w)) for _, term in s.terms]
             np.testing.assert_array_equal(got, want)
 
     def test_empty_sum(self):
         s = PauliSum(2, [(0.0, "XX")])
         u = random_state(np.random.default_rng(0), 2).amps
-        assert term_overlaps(s, u, u).shape == (0,)
-        assert term_kets(s, u).shape == (0, 4)
+        assert overlaps(u, kets_of(s, u)).shape == (0,)
+        assert kets_of(s, u).shape == (0, 4)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_kets_bitwise_equal_apply_string(self, n):
         rng = np.random.default_rng(10 + n)
         s = random_sum(rng, n)
         w = random_state(rng, n)
-        kets = term_kets(s, w.amps)
+        kets = kets_of(s, w.amps)
         assert len(kets) == len(s)
         for ket, (_, term) in zip(kets, s.terms):
             np.testing.assert_array_equal(ket, apply_string(term, w).amps)
@@ -342,7 +347,7 @@ class TestPhaseFormula:
         rng = np.random.default_rng(10 + n)
         for _ in range(4):
             s = random_sum(rng, n)
-            table, diags = s._action
+            table, diags = compile_sums((s,))
             want = old_compiled_diagonals(s)
             assert table[:, 0].tolist() == [x for x, _ in want]
             # one table dtype: complex as soon as one mask is complex

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import random_pencil, random_state, two_qubit_pencil
+from conftest import BENCH_PROBLEMS, random_pencil, random_state, two_qubit_pencil
 from geig.ansatz import AnsatzParams, apply_ansatz, random_params, shift
+from geig.cli import parse_problem
 from geig.pauli import PauliSum, apply_sum, decompose, dense_matrix
 from geig.reference import generalized_eig, hermitian_eig
 from geig.statevector import StateVector, inner, zero_state
@@ -297,7 +298,26 @@ class TestOptimize:
             OptConfig(method="sgd")
 
 
+# exact-mode eigenvalues of ising_problem(n, 1) under the default
+# SolveConfig, as the solver gave them before every bracket became
+# pauli.overlaps (batch brackets by einsum, deflation overlaps by gemv)
+ISING_EIGENVALUES = {
+    4: [-31.406741800699617, -19.076464897307094, 31.579290218131206],
+    6: [-46.452211948030175, -34.11646571071663, 46.54396334164568],
+    8: [-62.590093347665, 63.18515141929642],
+}
+
+
 class TestSolveSpectrum:
+    @pytest.mark.parametrize("n", sorted(ISING_EIGENVALUES))
+    def test_ising_eigenvalues_keep_their_recorded_values(self, n):
+        """Rounding the brackets row by row moves only the last bits of the
+        exact descent: every level stays within 1e-12 relative."""
+        want = ISING_EIGENVALUES[n]
+        pencil = parse_problem(BENCH_PROBLEMS.ising_problem(n, 1))
+        got = [lv.eigenvalue for lv in solve_spectrum(pencil, len(want), SolveConfig())]
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
     def test_recovers_full_demo_spectrum(self, demo_solution, demo):
         _, ref = demo
         _, levels = demo_solution
