@@ -88,6 +88,13 @@ def _parse_terms(entries, n: int, side: str) -> PauliSum:
         ops = entry["ops"]
         if not isinstance(ops, str):
             raise ValueError(f"{side!r} term {k}: 'ops' must be a JSON string, got {ops!r}")
+        stray = [ch for ch in ops if ch not in "IXYZ"]
+        if len(ops) != n or stray:
+            which = f" ({stray[0]!r} is not one)" if stray else ""
+            raise ValueError(
+                f"{side!r} term {k}: 'ops' must be n = {n} characters from I, X, Y, Z,"
+                f" got {ops!r}{which}"
+            )
         terms.append((_number(entry["coeff"], lambda: f"{side!r} term {k}: 'coeff'"), ops))
     return PauliSum(n, terms)
 

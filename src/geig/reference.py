@@ -6,9 +6,13 @@ factor of B reduces the pencil to one Hermitian matrix.  Householder
 reflections bring that to a real symmetric tridiagonal matrix T (Golub &
 Van Loan 8.3, the pattern of LAPACK's ``zhetrd``).  All eigenvalues of T
 come at once from Sturm-count bisection vectorised over the distinct
-brackets, which eigenvalues in one bracket share (GvL 8.4, ``dstebz``).
-Eigenvectors come from inverse iteration on T (``dstein``) and are
-computed only when they are read.  The reduction
+brackets, which eigenvalues in one bracket share (GvL 8.4, ``dstebz``);
+equal brackets are found as neighbours along the ascending indices.  A
+Sturm row costs one divide and one subtract: the pivot clamp of ``dstebz``
+runs only for a sweep whose unclamped pass met a pivot below the clamp or
+a NaN, and gives the same counts as the unclamped pass wherever that met
+none (``dlaneg``).  Eigenvectors come from inverse iteration on T
+(``dstein``) and are computed only when they are read.  The reduction
 costs O(dim^3); the CLI caps the oracle at 10 qubits by default
 (``GEIG_DENSE_CAP``, at most ``pauli.DEFAULT_DENSE_CAP``).
 """
@@ -30,8 +34,12 @@ _SIGN = np.int64(-0x8000_0000_0000_0000)
 # Sturm counts per bisection sweep, split among the distinct open brackets
 # (eigenvalues in one bracket share its probes): a few brackets get many
 # points each, which cuts the sweeps (and the per-row Python overhead) from
-# 64 to as few as 7.  768 gave the fastest oracle at 7 and 8 qubits among
-# 256..1024 (one BLAS thread)
+# 64 to as few as 7.  With two ufuncs per Sturm row, bisecting all
+# eigenvalues and eta1 of the benchmark's Ising pencil (seed 1) took, at
+# 384 / 512 / 768 / 1024 points, medians of 23.7 / 24.2 / 25.4 / 28.9 ms at
+# 7 qubits and 67.9 / 65.1 / 68.3 / 72.7 ms at 8 (60 interleaved rounds, one
+# BLAS thread, 2-vCPU host).  No value beat 768 at both sizes by more than
+# the quartile spread (3-7 ms), so it stays
 _SWEEP_POINTS = 768
 _PANEL = 32  # Householder reflectors per blocked update
 _INVERSE_STEPS = 3
@@ -58,17 +66,17 @@ def cholesky(b: np.ndarray) -> np.ndarray:
     Raises ValueError on a non-positive pivot, which doubles as the
     positive-definiteness check.
     """
-    return _cholesky(_check_hermitian(b, "matrix"))
+    return _cholesky(_check_hermitian(b, "matrix"), "matrix")
 
 
-def _cholesky(b: np.ndarray) -> np.ndarray:
+def _cholesky(b: np.ndarray, name: str) -> np.ndarray:
     dim = b.shape[0]
     low = np.zeros_like(b)
     for j in range(dim):
         pivot = b[j, j].real - float(np.sum(np.abs(low[j, :j]) ** 2))
         if pivot <= 0.0:
             raise ValueError(
-                f"matrix is not positive definite (pivot {pivot:.3e} at row {j})"
+                f"{name} is not positive definite (pivot {pivot:.3e} at row {j})"
             )
         low[j, j] = np.sqrt(pivot)
         if j + 1 < dim:
@@ -98,15 +106,41 @@ def _gershgorin(d: np.ndarray, e: np.ndarray) -> float:
 def _sturm_count(d: np.ndarray, e2: np.ndarray, x: np.ndarray, pivmin: float) -> np.ndarray:
     """Number of eigenvalues of the tridiagonal (d, e), given e2 = e * e,
     below each shift in ``x``: the negative pivots of the LDL^T
-    factorization of T - x.
+    factorization of T - x, by the clamped rule of ``_clamped_pivots``.
 
-    A pivot smaller than ``pivmin`` keeps its sign (+0 counts as positive)
-    and takes magnitude ``pivmin``, so ``e^2 / q`` cannot overflow.  The
-    clamped pivots of every row are kept and counted once at the end.
+    A fast pass runs the recurrence without the clamp, one divide and one
+    subtract per row, as LAPACK's ``dlaneg`` does.  Its count stands when
+    no pivot is below ``pivmin`` in magnitude (a NaN fails that test): the
+    clamp is then the identity on every pivot, so the clamped rule would
+    do the same operations in the same order and count the same, and no
+    pivot can overflow, since e^2 / q <= 1 / tiny while |q| >= pivmin.
+    Otherwise the same rows are filled again and the clamped rule runs in
+    full.  The pivots of every row are kept and counted once at the end.
     """
     q = np.subtract.outer(d, x)
     t = np.empty_like(x)
-    for i in range(d.size):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for i in range(1, d.size):
+            np.divide(e2[i - 1], q[i - 1], out=t)
+            q[i] -= t
+    below = np.count_nonzero(q < 0, axis=0)
+    # in place: a new |q| array costs more in page faults than it saves
+    if np.abs(q, out=q).min() >= pivmin:
+        return below
+    np.subtract.outer(d, x, out=q)
+    _clamped_pivots(q, e2, pivmin, t)
+    return np.count_nonzero(q < 0, axis=0)
+
+
+def _clamped_pivots(q: np.ndarray, e2: np.ndarray, pivmin: float, t: np.ndarray) -> None:
+    """Overwrite the rows d[i] - x of ``q`` with the pivots of T - x, ``t``
+    one row of scratch.
+
+    A pivot smaller than ``pivmin`` keeps its sign (+0 counts as positive)
+    and takes magnitude ``pivmin``, so ``e^2 / q`` cannot overflow
+    (``dstebz``).
+    """
+    for i in range(q.shape[0]):
         row = q[i]
         if i:
             np.divide(e2[i - 1], q[i - 1], out=t)
@@ -114,7 +148,6 @@ def _sturm_count(d: np.ndarray, e2: np.ndarray, x: np.ndarray, pivmin: float) ->
         np.abs(row, out=t)
         np.maximum(t, pivmin, out=t)
         np.copysign(t, row, out=row)
-    return np.count_nonzero(q < 0, axis=0)
 
 
 def _bisect(d: np.ndarray, e: np.ndarray, indices: np.ndarray) -> np.ndarray:
@@ -139,10 +172,14 @@ def _bisect(d: np.ndarray, e: np.ndarray, indices: np.ndarray) -> np.ndarray:
         live = hi.view(np.uint64) - lo.view(np.uint64) > 1
         if not live.any():
             return _from_key(lo)
-        pairs = np.stack([lo[live], hi[live]], axis=1)
-        brackets, which = np.unique(pairs, axis=0, return_inverse=True)
-        start, stop = brackets.T.copy()
-        points = max(1, _SWEEP_POINTS // len(brackets))
+        # two brackets that once split are disjoint and stay in index order,
+        # so equal brackets are neighbours along the ascending indices
+        low, high = lo[live], hi[live]
+        first = np.ones(low.size, dtype=bool)
+        first[1:] = (low[1:] != low[:-1]) | (high[1:] != high[:-1])
+        which = np.cumsum(first) - 1
+        start, stop = low[first], high[first]
+        points = max(1, _SWEEP_POINTS // start.size)
         width = stop.view(np.uint64) - start.view(np.uint64)
         step = np.maximum(width // np.uint64(points + 1), np.uint64(1))
         offsets = np.arange(1, points + 1, dtype=np.uint64)
@@ -376,7 +413,7 @@ def generalized_eig_dense(a: np.ndarray, b: np.ndarray) -> EigenDecomposition:
         raise ValueError(f"shape mismatch: A {a.shape}, B {b.shape}")
     if not (a.imag.any() or b.imag.any()):
         a, b = a.real, b.real  # a real pencil is reduced in real arithmetic
-    low = _cholesky(b)
+    low = _cholesky(b, "B")
     x = np.linalg.solve(low, a)
     mid = np.linalg.solve(low, x.conj().T).conj().T
     reduced = _Tridiagonal((mid + mid.conj().T) / 2.0)
@@ -393,25 +430,31 @@ def generalized_eig(pencil) -> EigenDecomposition:
     return generalized_eig_dense(a, b)
 
 
+def _cluster_breaks(eigenvalues) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalues sorted, and where neighbours among them are more
+    than ``DEFAULT_CLUSTER_GAP`` times the largest |eigenvalue| apart: the
+    boundaries between clusters, so the count does not change with the
+    pencil's scale."""
+    values = np.sort(np.asarray(eigenvalues, dtype=float))
+    if values.size == 0:
+        return values, np.zeros(0, dtype=bool)
+    width = DEFAULT_CLUSTER_GAP * max(abs(values[0]), abs(values[-1]))
+    return values, np.diff(values) > width
+
+
 def distinct_values(eigenvalues) -> list:
     """One representative (cluster mean) per eigenvalue cluster, where
     clusters are separated by more than ``DEFAULT_CLUSTER_GAP`` times the
     largest |eigenvalue|, so the count does not change with the pencil's
     scale."""
-    values = np.sort(np.asarray(eigenvalues, dtype=float))
+    values, breaks = _cluster_breaks(eigenvalues)
     if values.size == 0:
         return []
-    width = DEFAULT_CLUSTER_GAP * max(abs(values[0]), abs(values[-1]))
-    reps = []
-    start = 0
-    for i in range(1, values.size + 1):
-        if i == values.size or values[i] - values[i - 1] > width:
-            reps.append(float(np.mean(values[start:i])))
-            start = i
-    return reps
+    return [float(np.mean(part)) for part in np.split(values, np.flatnonzero(breaks) + 1)]
 
 
 def count_distinct(eigenvalues) -> int:
     """Number of eigenvalue clusters separated by more than
     ``DEFAULT_CLUSTER_GAP`` times the largest |eigenvalue|."""
-    return len(distinct_values(eigenvalues))
+    values, breaks = _cluster_breaks(eigenvalues)
+    return 0 if values.size == 0 else 1 + int(np.count_nonzero(breaks))

@@ -284,8 +284,24 @@ class TestParseProblem:
                 f'"A_dense": [[[1, 0], [0, 1{"0" * 400}]], [[0, 0], [1, 0]]]',
                 "'A_dense' entry (0, 1) is non-finite as a float: inf",
             ),
+            *(
+                (
+                    f'"A": [{{"coeff": 1, "ops": "I"}}, {{"coeff": 1, "ops": "{ops}"}}]',
+                    f"'A' term 1: 'ops' must be n = 1 characters from I, X, Y, Z, got {shown}",
+                )
+                for ops, shown in (("Q", "'Q' ('Q' is not one)"), ("ZZ", "'ZZ'"), ("", "''"))
+            ),
         ],
-        ids=["ops-list", "coeff-401-digits", "coeff-1e400", "dense-true", "dense-401-digits"],
+        ids=[
+            "ops-list",
+            "coeff-401-digits",
+            "coeff-1e400",
+            "dense-true",
+            "dense-401-digits",
+            "ops-letter",
+            "ops-length",
+            "ops-empty",
+        ],
     )
     def test_bad_numbers_and_ops_end_in_the_error_contract(self, capsys, tmp_path, text, message):
         """No OverflowError leaks from a problem file, and a dense ``true``
@@ -293,6 +309,14 @@ class TestParseProblem:
         path = tmp_path / "p.json"
         path.write_text('{"n": 1, ' + text + ', "B": [{"coeff": 1, "ops": "I"}]}')
         payload = error_of(capsys, ["reference", str(path)])
+        assert payload == {"error": "ValueError", "message": message}
+
+    def test_an_indefinite_b_is_named(self, capsys, tmp_path):
+        path = tmp_path / "p.json"
+        side = [{"coeff": 1, "ops": "ZI"}]
+        path.write_text(json.dumps({"n": 2, "A": side, "B": side}))
+        payload = error_of(capsys, ["reference", str(path)])
+        message = "B is not positive definite (pivot -1.000e+00 at row 2)"
         assert payload == {"error": "ValueError", "message": message}
 
     def test_an_overflowing_merge_names_the_string(self, capsys, tmp_path):

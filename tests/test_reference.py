@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     BENCH_PROBLEMS,
@@ -149,6 +151,71 @@ class TestSharedBracketBisection:
         reference._bisect(d, e, np.arange(d.size))
         assert max(sizes) <= reference._SWEEP_POINTS
         assert len(sizes) <= 12
+
+
+def _clamped_sturm_count(d, e2, x, pivmin):
+    """The Sturm count ``reference._sturm_count`` replaced, kept to check it
+    against: every pivot of every row is clamped to magnitude ``pivmin``."""
+    q = np.subtract.outer(d, x)
+    t = np.empty_like(x)
+    for i in range(d.size):
+        row = q[i]
+        if i:
+            np.divide(e2[i - 1], q[i - 1], out=t)
+            row -= t
+        np.abs(row, out=t)
+        np.maximum(t, pivmin, out=t)
+        np.copysign(t, row, out=row)
+    return np.count_nonzero(q < 0, axis=0)
+
+
+class TestSturmCount:
+    """The unclamped fast pass with its clamped fallback counts exactly as
+    the clamped rule.  A ``RuntimeWarning`` fails a test here (pytest
+    config), so these also show that the unclamped divide warns nothing."""
+
+    @staticmethod
+    def _probes(d, e):
+        """Random doubles across the Gershgorin interval, every d[i], and
+        every eigenvalue with its neighbouring doubles."""
+        bound = 2.0 * reference._gershgorin(d, e)
+        values = reference._bisect(d, e, np.arange(d.size))
+        rng = np.random.default_rng(d.size)
+        return np.concatenate(
+            [
+                rng.uniform(-bound, bound, 64),
+                d,
+                values,
+                np.nextafter(values, -np.inf),
+                np.nextafter(values, np.inf),
+            ]
+        )
+
+    @pytest.mark.parametrize("label", list(_tridiagonals()))
+    def test_equals_clamped_rule(self, label):
+        d, e = _tridiagonals()[label]
+        e2 = e * e
+        pivmin = reference._TINY * max(1.0, float(np.max(e2, initial=0.0)))
+        x = self._probes(d, e)
+        got = reference._sturm_count(d, e2, x, pivmin)
+        assert np.array_equal(got, _clamped_sturm_count(d, e2, x, pivmin))
+
+    @pytest.mark.parametrize("label, falls_back", [("diagonal", True), ("ising7-reduced", False)])
+    def test_each_path_runs(self, monkeypatch, label, falls_back):
+        """The zero couplings of ``diagonal`` give zero pivots, so some sweep
+        takes the clamped fallback; no sweep of the 7-qubit benchmark
+        pencil does."""
+        calls = []
+        clamped = reference._clamped_pivots
+
+        def counting(*args):
+            calls.append(1)
+            clamped(*args)
+
+        monkeypatch.setattr(reference, "_clamped_pivots", counting)
+        d, e = _tridiagonals()[label]
+        reference._bisect(d, e, np.arange(d.size))
+        assert (len(calls) > 0) == falls_back
 
 
 class TestTridiagonalOracle:
@@ -356,6 +423,14 @@ class TestGeneralizedEig:
         with pytest.raises(ValueError, match="positive definite"):
             generalized_eig_dense(a, b)
 
+    def test_indefinite_matrix_is_named(self):
+        """The pencil's solver names B; the public factor says "matrix"."""
+        b = np.diag([1.0, -1.0])
+        with pytest.raises(ValueError, match=r"^B is not positive definite \(pivot -1.000e\+00 at row 1\)$"):
+            generalized_eig_dense(np.eye(2), b)
+        with pytest.raises(ValueError, match="^matrix is not positive definite"):
+            cholesky(b)
+
     def test_eta1_positive_iff_cholesky_succeeds(self):
         rng = np.random.default_rng(15)
         b = random_pd(rng, 4)
@@ -413,6 +488,46 @@ class TestDistinct:
         got = generalized_eig(scaled).eigenvalues
         np.testing.assert_allclose(got, np.asarray(vals) * 2.0**exponent, rtol=1e-12)
         assert count_distinct(got) == count_distinct(vals) == 4
+
+
+def _loop_distinct_values(eigenvalues):
+    """The cluster loop ``distinct_values`` replaced, kept to check it
+    against: one mean per run of neighbours at most the gap apart."""
+    values = np.sort(np.asarray(eigenvalues, dtype=float))
+    if values.size == 0:
+        return []
+    width = reference.DEFAULT_CLUSTER_GAP * max(abs(values[0]), abs(values[-1]))
+    reps = []
+    start = 0
+    for i in range(1, values.size + 1):
+        if i == values.size or values[i] - values[i - 1] > width:
+            reps.append(float(np.mean(values[start:i])))
+            start = i
+    return reps
+
+
+LEVEL = st.floats(-100.0, 100.0)
+ALL_EQUAL = st.tuples(LEVEL, st.integers(1, 8)).map(lambda t: [t[0]] * t[1])
+# levels with a few values each, spread well below or near the relative gap
+CLUSTERED = st.lists(
+    st.tuples(LEVEL, st.lists(st.floats(-1e-4, 1e-4), min_size=1, max_size=4)),
+    max_size=6,
+).map(lambda groups: [level + off for level, offs in groups for off in offs])
+
+
+class TestDistinctProperty:
+    @settings(deadline=None, max_examples=200)
+    @given(
+        values=st.one_of(st.just([]), ALL_EQUAL, CLUSTERED),
+        scale=st.sampled_from([1e-300, 1.0, 1e300]),
+    )
+    def test_count_is_the_number_of_values(self, values, scale):
+        """``count_distinct`` counts the gaps that ``distinct_values`` splits
+        at, and the values are bitwise the cluster loop's."""
+        v = np.asarray(values, dtype=float) * scale
+        reps = distinct_values(v)
+        assert count_distinct(v) == len(reps)
+        assert np.asarray(reps).tobytes() == np.asarray(_loop_distinct_values(v)).tobytes()
 
 
 class TestJacobiScale:
