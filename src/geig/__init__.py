@@ -11,10 +11,8 @@ from .fqge import (
     LcuOperator,
     apply_g,
     build_lcu,
-    gradient_direction,
     line_search,
     loss_state,
-    noise_inject,
     residual,
     run_fqge,
 )
@@ -22,20 +20,17 @@ from .measurement import (
     ErrorBudget,
     ShotPlan,
     error_bound,
-    hadamard_test,
     per_term_precision,
     shot_allocation,
 )
-from .pauli import PauliString, PauliSum, apply_string, apply_sum, decompose, dense_matrix
+from .pauli import PauliString, PauliSum, apply_sum, decompose, dense_matrix
 from .pauli import expectation
 from .pencil import Pencil
 from .reference import (
     EigenDecomposition,
-    cholesky,
     count_distinct,
     generalized_eig,
     generalized_eig_dense,
-    hermitian_eig,
 )
 from .statevector import StateVector, basis_state, fidelity, zero_state
 from .vqge import (
@@ -48,8 +43,6 @@ from .vqge import (
     grad_fj,
     loss_f,
     loss_fj,
-    optimize,
-    overlap_sq,
     solve_spectrum,
 )
 
@@ -75,11 +68,9 @@ __all__ = [
     "StateVector",
     "apply_ansatz",
     "apply_g",
-    "apply_string",
     "apply_sum",
     "basis_state",
     "build_lcu",
-    "cholesky",
     "count_distinct",
     "decompose",
     "dense_matrix",
@@ -91,16 +82,10 @@ __all__ = [
     "generalized_eig_dense",
     "grad_f",
     "grad_fj",
-    "gradient_direction",
-    "hadamard_test",
-    "hermitian_eig",
     "line_search",
     "loss_f",
     "loss_fj",
     "loss_state",
-    "noise_inject",
-    "optimize",
-    "overlap_sq",
     "per_term_precision",
     "random_params",
     "residual",

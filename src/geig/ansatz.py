@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .statevector import StateVector, scale
+from .statevector import StateVector
 
 _ENTANGLER_NAMES = ("linear", "ring")
 
@@ -203,11 +203,3 @@ def shift(p: AnsatzParams, t: int, i: int, delta: float) -> AnsatzParams:
     theta = p.theta.copy()
     theta[i, t] += delta
     return AnsatzParams(p.n, p.L, theta)
-
-
-def derivative_state(
-    p: AnsatzParams, t: int, i: int, v_in: StateVector, entangler="linear"
-) -> StateVector:
-    """Exact dU/dtheta[i][t] |v_in| as half the pi-shifted circuit output."""
-    shifted = apply_ansatz(shift(p, t, i, np.pi), v_in, entangler)
-    return scale(shifted, 0.5)

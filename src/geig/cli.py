@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from importlib import resources
@@ -99,6 +100,20 @@ def _parse_terms(entries, n: int, side: str) -> PauliSum:
     return PauliSum(n, terms)
 
 
+def _decompose_side(m: np.ndarray, side: str) -> PauliSum:
+    """``decompose`` of a dense side divided by the power of two nearest
+    its largest |entry|, with the kept coefficients scaled back.  Both
+    scalings are exact, so the tolerance and the Hermitian checks act
+    relative to the side, and a side of small entries keeps its terms."""
+    frac, exp = math.frexp(float(np.max(np.abs(m))))
+    exp -= int(frac < math.sqrt(0.5))
+    try:
+        unit = decompose(np.ldexp(m.view(np.float64), -exp).view(np.complex128))
+    except ValueError as err:
+        raise ValueError(f"'{side}_dense': {err}") from None
+    return PauliSum(unit.n, [(math.ldexp(c, exp), p) for c, p in unit.terms])
+
+
 def parse_problem(obj) -> Pencil:
     """Build a pencil from a problem dict: qubit count ``n`` plus, for each
     side, either a term list ("A") or a dense matrix ("A_dense")."""
@@ -123,7 +138,7 @@ def parse_problem(obj) -> Pencil:
                 raise ValueError(
                     f"'{side}_dense' has shape {m.shape}, expected {(2**n, 2**n)}"
                 )
-            sides.append(decompose(m))
+            sides.append(_decompose_side(m, side))
     return Pencil(sides[0], sides[1])
 
 

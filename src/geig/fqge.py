@@ -112,14 +112,6 @@ def loss_state(state: StateVector, pencil) -> float:
     return rayleigh_quotient(*pencil.apply(state.amps)[2:])
 
 
-def gradient_direction(state: StateVector, pencil, f_value: float) -> StateVector:
-    """Unnormalized steepest-descent direction -(2/<B>)(A - F B)|psi>;
-    exactly orthogonal to |psi> when f_value is the Rayleigh quotient."""
-    a_psi, b_psi, _, b = pencil.apply(state.amps)
-    direction = -(2.0 / check_b(b)) * _residual(a_psi, b_psi, f_value)[0]
-    return StateVector(state.n, direction, normalized=False)
-
-
 def residual(state: StateVector, pencil) -> float:
     """Relative residual ||(A - F B)psi|| / (||A psi|| + |F| ||B psi||),
     bounded in [0, 1]."""
@@ -273,13 +265,6 @@ def _perturbed(amps: np.ndarray, n: int, sigma: float, rng, where: str = "") -> 
     if not math.isfinite(out_norm):
         raise ValueError(f"{where}the perturbed norm is not finite at noise_sigma = {sigma:.3e}")
     return out / out_norm
-
-
-def noise_inject(state: StateVector, sigma: float, rng) -> StateVector:
-    """Add the perturbation and renormalize; sigma = 0 leaves the state
-    untouched."""
-    amps = _perturbed(state.amps, state.n, sigma, rng)
-    return state if amps is state.amps else StateVector(state.n, amps)
 
 
 def run_fqge(pencil, initial: StateVector, cfg: FqgeConfig = FqgeConfig()) -> FqgeResult:

@@ -9,9 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .pauli import PauliString, apply_string
 from .pencil import check_int
-from .statevector import StateVector, inner
 
 
 @dataclass(frozen=True)
@@ -71,15 +69,6 @@ def sample_overlaps(values, shots: int = 0, rng=None) -> np.ndarray:
     estimates /= shots
     estimates -= 1.0
     return estimates.view(np.complex128)
-
-
-def hadamard_test(
-    u: StateVector, term: PauliString, w: StateVector, shots: int = 0, rng=None
-) -> tuple[float, float]:
-    """(Re, Im) of <u|P|w>, exactly (shots=0) or as unbiased binomial
-    estimates with the given shot count per part."""
-    value = sample_overlaps(inner(u, apply_string(term, w)), shots, rng)[0]
-    return float(value.real), float(value.imag)
 
 
 def error_bound(budget: ErrorBudget) -> float:

@@ -21,8 +21,8 @@ call, and ``geig.pencil`` keeps the one table the solvers read.
 
 ``term_gathers`` is the one per-term form: the gather index and phase of
 each string of a list, so that ``gather_kets`` takes every P_k|w> by one
-gather.  ``apply_string`` and the solvers' per-string actions (the
-Hadamard-test kets and the LCU step) all read it.
+gather.  The solvers' per-string actions (the Hadamard-test kets and the
+LCU step) all read it.
 
 ``overlaps`` is the one bracket: <u|w> for every pair of broadcast rows,
 each bitwise equal to ``np.vdot`` of the pair, so a row of a batch rounds
@@ -307,14 +307,6 @@ def term_gathers(strings: Sequence, n: int) -> tuple:
     z_masks = np.array([p.z_mask for p in strings], dtype=np.int64).reshape(-1, 1)
     powers = np.array([(1j) ** p.n_y for p in strings], dtype=complex).reshape(-1, 1)
     return src, powers * (1.0 - 2.0 * _parity(src & z_masks))
-
-
-def apply_string(p: PauliString, v: StateVector) -> StateVector:
-    """P|v>; norm-preserving (Pauli strings are unitary)."""
-    if p.n != v.n:
-        raise ValueError(f"qubit counts differ: operator {p.n}, state {v.n}")
-    amps = gather_kets(term_gathers((p,), v.n), v.amps)[0]
-    return StateVector(v.n, amps, normalized=v.normalized)
 
 
 def gather_kets(gathers: tuple, w: np.ndarray) -> np.ndarray:

@@ -60,23 +60,14 @@ def _check_hermitian(m: np.ndarray, name: str) -> np.ndarray:
     return m
 
 
-def cholesky(b: np.ndarray) -> np.ndarray:
-    """Lower-triangular L with L L^dagger = b.
-
-    Raises ValueError on a non-positive pivot, which doubles as the
-    positive-definiteness check.
-    """
-    return _cholesky(_check_hermitian(b, "matrix"), "matrix")
-
-
-def _cholesky(b: np.ndarray, name: str) -> np.ndarray:
+def _cholesky(b: np.ndarray) -> np.ndarray:
     dim = b.shape[0]
     low = np.zeros_like(b)
     for j in range(dim):
         pivot = b[j, j].real - float(np.sum(np.abs(low[j, :j]) ** 2))
         if pivot <= 0.0:
             raise ValueError(
-                f"{name} is not positive definite (pivot {pivot:.3e} at row {j})"
+                f"B is not positive definite (pivot {pivot:.3e} at row {j})"
             )
         low[j, j] = np.sqrt(pivot)
         if j + 1 < dim:
@@ -362,20 +353,6 @@ class _Tridiagonal:
         return vecs.astype(np.complex128)
 
 
-def hermitian_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian
-    matrix, by Householder tridiagonalization, Sturm bisection and inverse
-    iteration.
-
-    The eigenvalues are exact to adjacent doubles for the tridiagonal
-    matrix, so the result is as accurate at coefficient scale 1e-300 or
-    1e300 as at 1, and scaling the input by a power of two scales the
-    eigenvalues exactly and leaves the eigenvectors unchanged.
-    """
-    tri = _Tridiagonal(_check_hermitian(m, "matrix"))
-    return tri.eigenvalues, tri.eigenvectors()
-
-
 @dataclass(frozen=True)
 class EigenDecomposition:
     """Ascending eigenvalues, B-orthonormal eigenvector columns, and the
@@ -413,7 +390,7 @@ def generalized_eig_dense(a: np.ndarray, b: np.ndarray) -> EigenDecomposition:
         raise ValueError(f"shape mismatch: A {a.shape}, B {b.shape}")
     if not (a.imag.any() or b.imag.any()):
         a, b = a.real, b.real  # a real pencil is reduced in real arithmetic
-    low = _cholesky(b, "B")
+    low = _cholesky(b)
     x = np.linalg.solve(low, a)
     mid = np.linalg.solve(low, x.conj().T).conj().T
     reduced = _Tridiagonal((mid + mid.conj().T) / 2.0)

@@ -40,7 +40,7 @@ from .ansatz import (
     ry_gates,
 )
 from .measurement import sample_overlaps
-from .pauli import PauliSum, gather_kets, overlaps, term_gathers
+from .pauli import gather_kets, overlaps, term_gathers
 from .pencil import Pencil, check_b, check_int, rayleigh_quotient
 from .statevector import StateVector, norm, scale, zero_state
 
@@ -343,28 +343,6 @@ def loss_f(
     return loss_fj(p, pencil, (), v_in, entangler, shots, rng)
 
 
-def overlap_sq(
-    p: AnsatzParams,
-    p_star: AnsatzParams,
-    b_sum: PauliSum,
-    v_in=None,
-    entangler="linear",
-    shots=0,
-    rng=None,
-) -> float:
-    """Squared magnitude |<psi(p)|B|psi(p_star)>|^2 between two prepared
-    states."""
-    if v_in is None:
-        v_in = zero_state(b_sum.n)
-    psi = apply_ansatz(p, v_in, entangler)
-    psi_star = apply_ansatz(p_star, v_in, entangler)
-    x_norm = norm(psi)
-    kets = gather_kets(term_gathers(b_sum.strings, b_sum.n), psi_star.amps)
-    exact = overlaps(psi.amps / x_norm, kets)
-    t = x_norm * _weighted_sums(sample_overlaps(exact, shots, rng), b_sum.coeffs).item()
-    return abs(t) ** 2
-
-
 def loss_fj(
     p: AnsatzParams,
     pencil: Pencil,
@@ -452,25 +430,6 @@ def _descend(value_and_grad: Callable, theta0: np.ndarray, config: OptConfig) ->
         OptTrace(losses, grad_norms, grids, float(losses[k]), AnsatzParams(n, layers, grids[k]))
         for losses, grad_norms, grids, k in zip(values.T, norms.T, thetas.swapaxes(0, 1), best)
     ]
-
-
-def optimize(
-    loss_fn: Callable[[AnsatzParams], float],
-    grad_fn: Callable[[AnsatzParams], np.ndarray],
-    p0: AnsatzParams,
-    config: OptConfig = OptConfig(),
-) -> OptTrace:
-    """Adam (or plain gradient descent) on the given loss; records every
-    step and reports the first best iterate seen over the whole run."""
-
-    def value_and_grad(theta: np.ndarray) -> tuple:
-        params = AnsatzParams(p0.n, p0.L, theta[0])
-        value = float(loss_fn(params))
-        if not np.isfinite(value):
-            return np.array([value]), None
-        return np.array([value]), np.asarray(grad_fn(params), dtype=float)[None]
-
-    return _descend(value_and_grad, p0.theta[None], config)[0]
 
 
 def _b_normalized(state: StateVector, pencil: Pencil) -> StateVector:

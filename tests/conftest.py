@@ -1,18 +1,22 @@
 """Shared helpers: the two-qubit demonstration pencil, random
 positive-definite pencil generators and the dense-cap refusal check used
-across the test modules."""
+across the test modules, and verbatim copies of ``pauli.apply_string`` and
+``vqge.optimize``, which the package no longer exports, as the one-string
+and one-restart references that several modules compare against."""
 
 import importlib.util
 import sys
 import tracemalloc
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 import pytest
 
-from geig.pauli import PauliSum, decompose
+from geig.ansatz import AnsatzParams
+from geig.pauli import PauliString, PauliSum, decompose, gather_kets, term_gathers
 from geig.statevector import StateVector
-from geig.vqge import Pencil
+from geig.vqge import OptConfig, OptTrace, Pencil, _descend
 
 
 def _bench_problems():
@@ -98,3 +102,30 @@ def refused_without_allocating(call, match):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def apply_string(p: PauliString, v: StateVector) -> StateVector:
+    """P|v>; norm-preserving (Pauli strings are unitary)."""
+    if p.n != v.n:
+        raise ValueError(f"qubit counts differ: operator {p.n}, state {v.n}")
+    amps = gather_kets(term_gathers((p,), v.n), v.amps)[0]
+    return StateVector(v.n, amps, normalized=v.normalized)
+
+
+def optimize(
+    loss_fn: Callable[[AnsatzParams], float],
+    grad_fn: Callable[[AnsatzParams], np.ndarray],
+    p0: AnsatzParams,
+    config: OptConfig = OptConfig(),
+) -> OptTrace:
+    """Adam (or plain gradient descent) on the given loss; records every
+    step and reports the first best iterate seen over the whole run."""
+
+    def value_and_grad(theta: np.ndarray) -> tuple:
+        params = AnsatzParams(p0.n, p0.L, theta[0])
+        value = float(loss_fn(params))
+        if not np.isfinite(value):
+            return np.array([value]), None
+        return np.array([value]), np.asarray(grad_fn(params), dtype=float)[None]
+
+    return _descend(value_and_grad, p0.theta[None], config)[0]

@@ -6,7 +6,7 @@ StateVector circuit and sequential one-restart optimization."""
 import numpy as np
 import pytest
 
-from conftest import random_pencil, random_state, two_qubit_pencil
+from conftest import optimize, random_pencil, random_state, two_qubit_pencil
 from geig.ansatz import apply_ansatz, compile_ansatz, random_params
 from geig.pauli import PauliSum, apply_compiled, apply_sum, compile_sums
 from geig.statevector import StateVector, zero_state
@@ -22,7 +22,6 @@ from geig.vqge import (
     grad_fj,
     loss_f,
     loss_fj,
-    optimize,
     solve_spectrum,
 )
 

@@ -19,7 +19,7 @@ from geig.cli import (
     parse_problem,
     serialize_problem,
 )
-from geig.pauli import DEFAULT_DECOMPOSE_TOL, dense_matrix
+from geig.pauli import DEFAULT_DECOMPOSE_TOL, decompose, dense_matrix
 from geig.reference import generalized_eig
 
 
@@ -135,6 +135,35 @@ class TestParser:
         }
 
 
+def dense_json(m):
+    return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(m, dtype=complex)]
+
+
+def one_qubit(a, b):
+    """A one-qubit problem dict; a side given as a matrix is written dense,
+    one given as [(coeff, ops)] as terms."""
+    obj = {"n": 1}
+    for side, value in (("A", a), ("B", b)):
+        if isinstance(value, list):
+            obj[side] = [{"coeff": c, "ops": ops} for c, ops in value]
+        else:
+            obj[f"{side}_dense"] = dense_json(value)
+    return obj
+
+
+DEMO = serialize_problem(two_qubit_pencil())
+# (dense form, term form): the demo's A, and sides whose entries all lie
+# below decompose's absolute tolerance of 1e-10, which a dense side must keep
+DENSE_SIDES = {
+    "demo-A": ({"n": 2, "A_dense": dense_json(DENSE_A), "B": DEMO["B"]}, DEMO),
+    **{
+        f"A-{c:g}": (one_qubit(np.diag([c, -c]), [(1.0, "I")]), one_qubit([(c, "Z")], [(1.0, "I")]))
+        for c in (1e-11, 1e-13, 1e-15)
+    },
+    "B-1e-11": (one_qubit([(1.0, "Z")], 1e-11 * np.eye(2)), one_qubit([(1.0, "Z")], [(1e-11, "I")])),
+}
+
+
 class TestParseProblem:
     def test_bundled_file(self):
         path = bundled_problem_path()
@@ -148,18 +177,25 @@ class TestParseProblem:
         obj = json.loads(bundled_problem_path().read_text())
         assert serialize_problem(parse_problem(obj)) == obj
 
-    def test_dense_side_matches_term_side(self):
-        pencil = two_qubit_pencil()
-        obj = serialize_problem(pencil)
-        dense_obj = {
-            "n": 2,
-            "A_dense": [[[float(v), 0.0] for v in row] for row in DENSE_A],
-            "B": obj["B"],
-        }
-        got = parse_problem(dense_obj)
-        np.testing.assert_allclose(
-            dense_matrix(got.A), dense_matrix(pencil.A), atol=1e-12
-        )
+    @pytest.mark.parametrize("dense_obj, term_obj", DENSE_SIDES.values(), ids=DENSE_SIDES.keys())
+    def test_dense_side_matches_term_side(self, dense_obj, term_obj):
+        """The tolerance acts relative to each dense side: its terms and
+        their coefficients are those of the term form, at any scale."""
+        got, want = parse_problem(dense_obj), parse_problem(term_obj)
+        for got_side, want_side in ((got.A, want.A), (got.B, want.B)):
+            assert [p.ops for p in got_side.strings] == [p.ops for p in want_side.strings]
+            np.testing.assert_allclose(got_side.coeffs, want_side.coeffs, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("side", ["A", "B"])
+    def test_non_hermitian_dense_side_is_named(self, side):
+        """A problem file's message names the side; ``geig decompose``
+        keeps its own wording."""
+        bad = np.array([[1.0, 0.5], [0.0, 1.0]])
+        obj = one_qubit(bad, [(1.0, "I")]) if side == "A" else one_qubit([(1.0, "Z")], bad)
+        with pytest.raises(ValueError, match=f"^'{side}_dense': matrix is not Hermitian within tolerance$"):
+            parse_problem(obj)
+        with pytest.raises(ValueError, match="^matrix is not Hermitian within tolerance$"):
+            decompose(bad)
 
     def test_rejects_unknown_pauli_letter(self):
         obj = {"n": 2, "A": [{"coeff": 1.0, "ops": "QX"}], "B": [{"coeff": 1.0, "ops": "II"}]}

@@ -3,12 +3,16 @@ level, no module reaches itself through its imports, and neither solver
 (``vqge``, ``fqge``) is imported by anything below the command line.  No
 module reaches into another one's private names: it imports no underscore
 name from the package, and reads no underscore attribute of an object
-other than ``self`` or ``cls`` unless it defines that name itself."""
+other than ``self`` or ``cls`` unless it defines that name itself.  The
+package's ``__all__`` lists each public name ``__init__`` imports, once,
+and every name it lists resolves on the package."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import geig
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "geig"
 SOLVERS = {"vqge", "fqge"}
@@ -140,7 +144,7 @@ def test_no_private_attribute_of_another_module_is_read(name):
 
 def test_the_private_name_checks_see_a_reach_in():
     tree = ast.parse(
-        "from .pauli import _phase, apply_string\n"
+        "from .pauli import _phase, apply_sum\n"
         "from geig.pencil import _B_FLOOR\n"
         "from numpy import _private_but_not_ours\n"
         "def f(pencil, self):\n"
@@ -149,3 +153,20 @@ def test_the_private_name_checks_see_a_reach_in():
     )
     assert private_imports(tree) == ["pauli._phase", "geig.pencil._B_FLOOR"]
     assert foreign_private_reads(tree) == [("_action", 5)]
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in geig.__all__ if not hasattr(geig, name)]
+    assert missing == []
+    assert len(set(geig.__all__)) == len(geig.__all__), "a name is listed twice"
+
+
+def test_every_public_import_of_the_package_is_exported():
+    imported = {
+        a.asname or a.name
+        for node in TREES["__init__"].body
+        if isinstance(node, ast.ImportFrom)
+        for a in node.names
+        if not (a.asname or a.name).startswith("_")
+    }
+    assert sorted(imported - set(geig.__all__)) == []

@@ -5,33 +5,40 @@ from conftest import random_state
 from geig.measurement import (
     ErrorBudget,
     error_bound,
-    hadamard_test,
     per_term_precision,
     pseudo_error_sq,
+    sample_overlaps,
     shot_allocation,
 )
-from geig.pauli import PauliString, apply_string
-from geig.statevector import basis_state, inner
+from geig.pauli import PauliString, PauliSum, dense_matrix, gather_kets, overlaps, term_gathers
+from geig.statevector import basis_state
+
+
+def hadamard_test(u, ops, w, shots=0, rng=None) -> complex:
+    """<u|P|w> as shot mode takes it: the string's ket by one gather, the
+    exact overlap, then one sampler call."""
+    p = PauliString.from_ops(ops)
+    exact = overlaps(u.amps, gather_kets(term_gathers((p,), p.n), w.amps)[0])
+    return sample_overlaps(exact, shots, rng)[0]
 
 
 class TestHadamardTest:
     def test_z_diagonal(self):
-        re, im = hadamard_test(basis_state(1, 0), PauliString.from_ops("Z"), basis_state(1, 0))
-        assert (re, im) == (1.0, 0.0)
+        value = hadamard_test(basis_state(1, 0), "Z", basis_state(1, 0))
+        assert (value.real, value.imag) == (1.0, 0.0)
 
     def test_y_off_diagonal(self):
-        re, im = hadamard_test(basis_state(1, 0), PauliString.from_ops("Y"), basis_state(1, 0))
-        assert abs(re) < 1e-15 and abs(im) < 1e-15
+        value = hadamard_test(basis_state(1, 0), "Y", basis_state(1, 0))
+        assert abs(value.real) < 1e-15 and abs(value.imag) < 1e-15
 
     def test_exact_matches_inner_product(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
             u, w = random_state(rng, 2), random_state(rng, 2)
             ops = "".join(np.random.default_rng(2).choice(list("IXYZ"), size=2))
-            p = PauliString.from_ops(ops)
-            re, im = hadamard_test(u, p, w)
-            want = inner(u, apply_string(p, w))
-            assert abs(re - want.real) < 1e-12 and abs(im - want.imag) < 1e-12
+            value = hadamard_test(u, ops, w)
+            want = np.vdot(u.amps, dense_matrix(PauliSum(2, [(1.0, ops)])) @ w.amps)
+            assert abs(value - want) < 1e-12
 
     def test_shot_noise_within_binomial_bounds(self):
         """Sampled estimates stay within 5 sigma of the exact value."""
@@ -39,23 +46,22 @@ class TestHadamardTest:
         shots = 100_000
         for _ in range(20):
             u, w = random_state(rng, 2), random_state(rng, 2)
-            p = PauliString.from_ops("XZ")
-            re0, im0 = hadamard_test(u, p, w)
-            re1, im1 = hadamard_test(u, p, w, shots=shots, rng=rng)
-            for exact, sampled in [(re0, re1), (im0, im1)]:
-                sigma = np.sqrt(max(1.0 - exact**2, 1e-12) / shots)
-                assert abs(sampled - exact) <= 5 * sigma + 1e-9
+            exact = hadamard_test(u, "XZ", w)
+            sampled = hadamard_test(u, "XZ", w, shots=shots, rng=rng)
+            for e, s in [(exact.real, sampled.real), (exact.imag, sampled.imag)]:
+                sigma = np.sqrt(max(1.0 - e**2, 1e-12) / shots)
+                assert abs(s - e) <= 5 * sigma + 1e-9
 
     def test_estimator_is_unbiased(self):
         u, w = basis_state(1, 0), basis_state(1, 0)
-        p = PauliString.from_ops("X")  # <0|X|0> = 0, maximal variance
+        # <0|X|0> = 0, maximal variance
         rng = np.random.default_rng(4)
-        means = [hadamard_test(u, p, w, shots=100, rng=rng)[0] for _ in range(2000)]
+        means = [hadamard_test(u, "X", w, shots=100, rng=rng).real for _ in range(2000)]
         assert abs(np.mean(means)) < 0.01
 
     def test_integer_seed_accepted(self):
-        a = hadamard_test(basis_state(1, 0), PauliString.from_ops("X"), basis_state(1, 1), 50, 7)
-        b = hadamard_test(basis_state(1, 0), PauliString.from_ops("X"), basis_state(1, 1), 50, 7)
+        a = hadamard_test(basis_state(1, 0), "X", basis_state(1, 1), 50, 7)
+        b = hadamard_test(basis_state(1, 0), "X", basis_state(1, 1), 50, 7)
         assert a == b
 
 

@@ -21,14 +21,19 @@ from geig import reference
 from geig.cli import main, parse_problem
 from geig.pauli import DEFAULT_DENSE_CAP, PauliSum, dense_matrix
 from geig.reference import (
-    cholesky,
     count_distinct,
     distinct_values,
     generalized_eig,
     generalized_eig_dense,
-    hermitian_eig,
 )
 from geig.vqge import Pencil
+
+
+def hermitian_eig(m):
+    """Eigenvalues (ascending) and orthonormal eigenvectors of a Hermitian
+    matrix: the oracle on the pencil (m, I)."""
+    ref = generalized_eig_dense(m, np.eye(len(m)))
+    return ref.eigenvalues, ref.eigenvectors
 
 
 def _ring_pencil(n):
@@ -307,42 +312,55 @@ class TestNonFiniteInput:
     def test_every_entry_point_rejects_at_once(self, bad):
         m = np.eye(4, dtype=complex)
         m[1, 1] = bad
-        with pytest.raises(ValueError, match="non-finite"):
-            hermitian_eig(m)
-        with pytest.raises(ValueError, match="non-finite"):
-            cholesky(m)
         with pytest.raises(ValueError, match="^A has non-finite"):
             generalized_eig_dense(m, np.eye(4))
         with pytest.raises(ValueError, match="^B has non-finite"):
             generalized_eig_dense(np.eye(4), m)
 
 
+def inverse_b(b):
+    """The oracle on the pencil (I, b): eigenvalues 1 / eig(b), ascending,
+    with b-orthonormal eigenvectors, through the Cholesky factor of b."""
+    return generalized_eig_dense(np.eye(len(b)), b)
+
+
 class TestCholesky:
     def test_identity(self):
-        np.testing.assert_allclose(cholesky(np.eye(3)), np.eye(3))
+        ref = inverse_b(np.eye(3))
+        np.testing.assert_allclose(ref.eigenvalues, np.ones(3))
+        np.testing.assert_allclose(ref.eigenvectors, np.eye(3))
 
     def test_scalar(self):
-        np.testing.assert_allclose(cholesky(np.array([[4.0]])), [[2.0]])
+        ref = inverse_b(np.array([[4.0]]))
+        np.testing.assert_allclose(ref.eigenvalues, [0.25])
+        np.testing.assert_allclose(np.abs(ref.eigenvectors), [[0.5]])
 
     def test_diagonal_b_of_demo_pencil(self):
-        l = cholesky(DENSE_B)
-        np.testing.assert_allclose(l, np.diag(np.sqrt([1.9, 0.7, 0.9, 0.5])), atol=1e-14)
+        ref = inverse_b(DENSE_B)
+        diag = np.array([1.9, 0.7, 0.9, 0.5])
+        np.testing.assert_allclose(ref.eigenvalues, np.sort(1.0 / diag), atol=1e-14)
+        order = np.argsort(1.0 / diag)
+        want = np.diag(1.0 / np.sqrt(diag))[:, order]
+        np.testing.assert_allclose(np.abs(ref.eigenvectors), want, atol=1e-14)
 
     def test_factorizes_random_pd(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
             b = random_pd(rng, int(rng.integers(2, 9)))
-            l = cholesky(b)
-            np.testing.assert_allclose(l @ l.conj().T, b, atol=1e-10)
-            assert np.max(np.abs(np.triu(l, 1))) == 0.0, "lower triangular"
+            ref = inverse_b(b)
+            want = np.sort(1.0 / np.linalg.eigvalsh(b))
+            np.testing.assert_allclose(ref.eigenvalues, want, atol=1e-10)
+            vecs = ref.eigenvectors
+            np.testing.assert_allclose(vecs.conj().T @ b @ vecs, np.eye(len(b)), atol=1e-10)
+            np.testing.assert_allclose(vecs, (b @ vecs) * ref.eigenvalues, atol=1e-10)
 
     def test_rejects_indefinite(self):
-        with pytest.raises(ValueError, match="positive definite"):
-            cholesky(np.diag([1.0, -2.0]))
+        with pytest.raises(ValueError, match="^B is not positive definite"):
+            inverse_b(np.diag([1.0, -2.0]))
 
     def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            cholesky(np.array([[1.0, 2.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="^B is not Hermitian"):
+            inverse_b(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
 class TestHermitianEig:
@@ -424,19 +442,17 @@ class TestGeneralizedEig:
             generalized_eig_dense(a, b)
 
     def test_indefinite_matrix_is_named(self):
-        """The pencil's solver names B; the public factor says "matrix"."""
+        """The pencil's solver names B."""
         b = np.diag([1.0, -1.0])
         with pytest.raises(ValueError, match=r"^B is not positive definite \(pivot -1.000e\+00 at row 1\)$"):
             generalized_eig_dense(np.eye(2), b)
-        with pytest.raises(ValueError, match="^matrix is not positive definite"):
-            cholesky(b)
 
     def test_eta1_positive_iff_cholesky_succeeds(self):
         rng = np.random.default_rng(15)
         b = random_pd(rng, 4)
         ref = generalized_eig_dense(random_hermitian(rng, 4), b)
         assert ref.eta1 > 0
-        cholesky(b)
+        inverse_b(b)
 
     def test_refuses_above_dense_cap(self):
         big = PauliSum.identity(DEFAULT_DENSE_CAP + 1, 1.0)

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import BENCH_PROBLEMS, random_pencil, random_state, two_qubit_pencil
+from conftest import BENCH_PROBLEMS, optimize, random_pencil, random_state, two_qubit_pencil
 from geig.ansatz import AnsatzParams, apply_ansatz, random_params, shift
 from geig.cli import parse_problem
-from geig.pauli import PauliSum, apply_sum, decompose, dense_matrix
-from geig.reference import generalized_eig, hermitian_eig
+from geig.pauli import PauliSum, apply_sum, decompose
+from geig.reference import generalized_eig, generalized_eig_dense
 from geig.statevector import StateVector, inner, zero_state
 from geig.vqge import (
     DeflationRecord,
@@ -16,8 +16,6 @@ from geig.vqge import (
     grad_fj,
     loss_f,
     loss_fj,
-    optimize,
-    overlap_sq,
     solve_spectrum,
 )
 
@@ -123,23 +121,6 @@ class TestLossF:
         exact = loss_f(p, pencil)
         noisy = loss_f(p, pencil, shots=200_000, rng=np.random.default_rng(4))
         assert abs(noisy - exact) < 0.02
-
-
-class TestOverlapSq:
-    def test_same_params_identity_b(self):
-        p = random_params(2, 2, np.random.default_rng(5))
-        assert abs(overlap_sq(p, p, PauliSum.identity(2, 1.0)) - 1.0) < 1e-12
-
-    def test_matches_dense_bracket(self, demo):
-        pencil, _ = demo
-        bd = dense_matrix(pencil.B)
-        rng = np.random.default_rng(6)
-        for _ in range(5):
-            p, q = random_params(2, 2, rng), random_params(2, 2, rng)
-            psi = apply_ansatz(p, zero_state(2)).amps
-            phi = apply_ansatz(q, zero_state(2)).amps
-            want = abs(np.vdot(psi, bd @ phi)) ** 2
-            assert abs(overlap_sq(p, q, pencil.B) - want) < 1e-12
 
 
 class TestLossFj:
@@ -345,7 +326,7 @@ class TestSolveSpectrum:
         a = rng.normal(size=(4, 4))
         a = (a + a.T) / 2
         pencil = Pencil(decompose(a), PauliSum.identity(2, 1.0))
-        want, _ = hermitian_eig(a)
+        want = generalized_eig_dense(a, np.eye(4)).eigenvalues
         levels = solve_spectrum(pencil, 4, SolveConfig(restarts=5, seed=3))
         np.testing.assert_allclose([lv.eigenvalue for lv in levels], want, atol=1e-2)
 
