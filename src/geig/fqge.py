@@ -4,10 +4,13 @@ unitaries.  Includes the exact two-dimensional line search for the step
 size, a relative residual diagnostic, and depolarizing-style statevector
 noise injection.
 
-``run_fqge`` works on raw amplitudes: it applies the pencil once per iterate
-(once more on a line-search direction), forms the residual (A - F B)psi
-once, and steps the state as psi + delta*direction, which equals G|psi>;
-the rows are float64 when the pencil and the start state are real.  Each
+``run_fqge`` works on raw amplitudes: it applies the pencil once per iterate,
+forms the residual (A - F B)psi once, and steps the state as
+psi + delta*direction, which equals G|psi>; the rows are float64 when the
+pencil and the start state are real.  A noiseless line-search iterate
+applies the pencil to the part of the direction orthogonal to psi only:
+the next state's images are the step's combination of the images it
+holds, and the row that ends the run is evaluated on psi's own.  Each
 iterate keeps its raw row and builds its ``StateVector`` only when
 ``state`` is read.  The explicit combination (``build_lcu`` / ``apply_g``)
 is kept as a public oracle.  Both it and the LCU size reported per step
@@ -26,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .pauli import PauliString, gather_kets, term_gathers
+from .pauli import PauliString, gather_kets, overlaps, term_gathers
 from .pencil import check_b, check_int, rayleigh_quotient
 from .statevector import StateVector, normalize
 
@@ -187,26 +190,43 @@ def line_search(state: StateVector, direction: StateVector, pencil):
     psi = (state if state.normalized else normalize(state)).amps
     a_psi, b_psi, a, b = applied = pencil.apply(psi)
     scale = _residual(a_psi, b_psi, rayleigh_quotient(a, b))[1]
-    return _line_search(psi, direction.amps, applied, scale, pencil)
+    return _line_search(psi, direction.amps, applied, scale, pencil)[:2]
+
+
+def _exponent(*entries) -> int:
+    """The ``frexp`` exponent e of the largest |entry|, at least -1022, so
+    2^-e is a finite float that scales every entry below 1 exactly."""
+    return max(math.frexp(max(map(abs, entries)))[1], -1022)
 
 
 def _line_search(psi: np.ndarray, direction: np.ndarray, applied: tuple, scale: float, pencil):
     """line_search for normalized raw amplitudes psi, with the direction,
     ``pencil.apply(psi)`` and the residual's ``scale`` given; applies the
-    pencil only to the part of the direction orthogonal to psi."""
-    _, _, a00, b00 = applied
+    pencil only to the part of the direction orthogonal to psi.  Returns
+    (delta, predicted, images): images is (A d, B d) for the direction d,
+    combined from A psi, B psi and that part's images, or None where no
+    direction is searched."""
+    a_psi, b_psi, a00, b00 = applied
     f00 = rayleigh_quotient(a00, b00)
-    w = direction - np.vdot(psi, direction) * psi
+    c = np.vdot(psi, direction)
+    w = direction - c * psi
     wn = float(np.linalg.norm(w))
     # w below the rounding of the terms (2/<B>)(A psi - F B psi) is formed
     # from is no direction, at any pencil scale
     if wn <= 1e-14 * (2.0 / b00) * scale:
-        return 0.0 + 0.0j, f00
+        return 0.0 + 0.0j, f00, None
     tilde = w / wn
     a_til, b_til, a11, b11 = pencil.apply(tilde)
+    # d = wn*tilde + c*psi, so its images combine those of tilde and psi
+    images = (wn * a_til + c * a_psi, wn * b_til + c * b_psi)
     a01 = np.vdot(psi, a_til)
     b01 = np.vdot(psi, b_til)
 
+    # each side's entries over the power of two of its largest (exact), so
+    # no product below overflows or underflows at any pencil scale
+    ea, eb = _exponent(a00, a01, a11), _exponent(b00, b01, b11)
+    ka, kb = 2.0**-ea, 2.0**-eb
+    a00, a01, a11, b00, b01, b11 = a00 * ka, a01 * ka, a11 * ka, b00 * kb, b01 * kb, b11 * kb
     c2 = b00 * b11 - abs(b01) ** 2
     c1 = a00 * b11 + a11 * b00 - 2.0 * (a01 * np.conj(b01)).real
     c0 = a00 * a11 - abs(a01) ** 2
@@ -220,7 +240,7 @@ def _line_search(psi: np.ndarray, direction: np.ndarray, applied: tuple, scale: 
     if q != 0.0:
         roots.append(c0 / q)
     if not roots:
-        return 0.0 + 0.0j, f00
+        return 0.0 + 0.0j, f00, None
     u1 = min(roots)
 
     m00 = a00 - u1 * b00
@@ -240,7 +260,7 @@ def _line_search(psi: np.ndarray, direction: np.ndarray, applied: tuple, scale: 
         delta_tilde = _DELTA_CAP * phase
     else:
         delta_tilde = v1 / v0
-    return complex(delta_tilde) / wn, float(u1)
+    return complex(delta_tilde) / wn, float(np.ldexp(u1, ea - eb)), images
 
 
 def noise_vector(n: int, sigma: float, rng) -> np.ndarray:
@@ -275,10 +295,16 @@ def run_fqge(pencil, initial: StateVector, cfg: FqgeConfig = FqgeConfig()) -> Fq
     update); the final row is terminal with a zero step.  The iteration
     runs on raw amplitudes: one ``pencil.apply`` per iterate gives the
     quotient and one residual (A - F B)psi gives the relative residual,
-    the direction and the step G psi = psi + delta*direction.  Rows keep
-    these raw amplitudes; a row's ``state``, and the result's (the last
-    row's), is built when it is first read.  When the pencil is real and
-    the start state has no imaginary part, the rows, the step and the
+    the direction and the step G psi = psi + delta*direction.  Without
+    noise, a line-search step applies the pencil to its search direction
+    only and takes the next state's images, hence its quotient and
+    residual, as the step's combination of the images of psi and of the
+    direction; the first state, every fixed-step and every perturbed state
+    and the row that ends the run get ``pencil.apply`` of their own, so
+    the reported eigenvalue and residual are those of the returned state.
+    Rows keep the raw amplitudes; a row's ``state``, and the result's (the
+    last row's), is built when it is first read.  When the pencil is real
+    and the start state has no imaginary part, the rows, the step and the
     noise are float64; states stay complex.
     """
     rng = np.random.default_rng(cfg.seed)
@@ -287,25 +313,33 @@ def run_fqge(pencil, initial: StateVector, cfg: FqgeConfig = FqgeConfig()) -> Fq
     psi = state.amps.real if real else state.amps
     basis = _lcu_basis(pencil)
     rows = []
+    applied = None  # (A psi, B psi, <A>, <B>) when a line-search step combined them
     # an overflow ends in the check of the step or of the noise, not in a warning
     with np.errstate(over="ignore", invalid="ignore"):
         for s in count(1):
-            a_psi, b_psi, a, b = applied = pencil.apply(psi)
-            value = rayleigh_quotient(a, b)
-            r, scale, res = _residual(a_psi, b_psi, value)
-            direction = -(2.0 / b) * r
-            delta = cfg.delta if real else complex(cfg.delta)
-            status = None
-            if res <= cfg.epsilon:
-                status = "converged"
-            elif s > cfg.max_iters:
-                status = "max_iters"
-            elif cfg.line_search:
-                delta = _line_search(psi, direction, applied, scale, pencil)[0]
-                # on real rows every quantity of the 2x2 pencil, hence delta, is real
-                delta = delta.real if real else delta
-                if delta == 0:
+            # combined images carry the step's rounding: a row they would
+            # end is evaluated again on psi's own images
+            for explicit in (applied is None, True):
+                if explicit:
+                    applied = pencil.apply(psi)
+                a_psi, b_psi, a, b = applied
+                value = rayleigh_quotient(a, b)
+                r, scale, res = _residual(a_psi, b_psi, value)
+                direction = -(2.0 / b) * r
+                delta = cfg.delta if real else complex(cfg.delta)
+                status = None
+                if res <= cfg.epsilon:
                     status = "converged"
+                elif s > cfg.max_iters:
+                    status = "max_iters"
+                elif cfg.line_search:
+                    delta, _, images = _line_search(psi, direction, applied, scale, pencil)
+                    # on real rows every quantity of the 2x2 pencil, hence delta, is real
+                    delta = delta.real if real else delta
+                    if delta == 0:
+                        status = "converged"
+                if status is None or explicit:
+                    break
             if status is not None:  # a terminal row: zero step, trivial LCU
                 rows.append(FqgeIterate(s, psi, value, res, 0.0 + 0.0j, 1.0, 1.0, 1))
                 break
@@ -316,6 +350,12 @@ def run_fqge(pencil, initial: StateVector, cfg: FqgeConfig = FqgeConfig()) -> Fq
                 raise ValueError(f"step {s}: the step overflows at |delta| = {abs(delta):.3e}")
             rows.append(FqgeIterate(s, psi, value, res, complex(delta), success, norm_c, d))
             psi = raw / out_norm
+            applied = None
             if cfg.noise_sigma > 0:
                 psi = _perturbed(psi, pencil.n, cfg.noise_sigma, rng, f"step {s}: ")
+            elif cfg.line_search:
+                # psi + delta*d is in span{psi, d}: A and B act on it by the same step
+                a_psi = (a_psi + delta * images[0]) / out_norm
+                b_psi = (b_psi + delta * images[1]) / out_norm
+                applied = a_psi, b_psi, overlaps(psi, a_psi).real[()], overlaps(psi, b_psi).real[()]
     return FqgeResult(tuple(rows), status, value, rows[-1].state)

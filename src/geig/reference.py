@@ -55,8 +55,8 @@ def _check_hermitian(m: np.ndarray, name: str) -> np.ndarray:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{name} has non-finite entries")
-    if np.max(np.abs(m - m.conj().T)) > _HERM_TOL:
-        raise ValueError(f"{name} is not Hermitian within {_HERM_TOL}")
+    if np.max(np.abs(m - m.conj().T)) > _HERM_TOL * np.max(np.abs(m)):
+        raise ValueError(f"{name} is not Hermitian within {_HERM_TOL} of its largest entry")
     return m
 
 

@@ -807,10 +807,10 @@ class TestNonFiniteSummary:
     as a subprocess: the overflow on the way is a numpy RuntimeWarning, which
     the test session turns into an error of its own."""
 
-    @pytest.mark.parametrize(
-        "scale, flags", [(1e150, ["--line-search"]), (1e200, [])], ids=["line-search", "fixed-step"]
-    )
-    def test_fqge_exits_1(self, tmp_path, scale, flags):
+    @staticmethod
+    def run_fqge_at_scale(tmp_path, scale, flags):
+        """``geig fqge`` on {A: [c ZI, c XX], B: [c II, 0.5 IZ]}, whose
+        eigenvalues are +-sqrt(2) at every c."""
         problem = {
             "n": 2,
             "A": [{"coeff": scale, "ops": "ZI"}, {"coeff": scale, "ops": "XX"}],
@@ -818,19 +818,37 @@ class TestNonFiniteSummary:
         }
         path = tmp_path / "big.json"
         path.write_text(json.dumps(problem))
-        proc = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-m", "geig", "fqge", *flags, str(path)],
             capture_output=True,
             text=True,
             timeout=120,
         )
+
+    @pytest.mark.parametrize(
+        "scale, flags", [(1e155, ["--line-search"]), (1e200, [])], ids=["line-search", "fixed-step"]
+    )
+    def test_fqge_exits_1(self, tmp_path, scale, flags):
+        """||A psi|| overflows: the residual is NaN, and the one stderr line
+        names its field."""
+        proc = self.run_fqge_at_scale(tmp_path, scale, flags)
         assert proc.returncode == 1
         assert proc.stdout == ""
-        payload = json.loads(proc.stderr.strip().splitlines()[-1])
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, lines
+        payload = json.loads(lines[0])
         assert payload["error"] == "ValueError"
-        if not flags:
-            # the NaN is in the summary, and the message names its field
-            assert "residual" in payload["message"]
+        assert "residual" in payload["message"]
+
+    @pytest.mark.parametrize("scale", [1e100, 1e140, 1e150])
+    def test_line_search_converges_where_its_products_would_overflow(self, tmp_path, scale):
+        """The 2x2 line-search pencil is solved on each side scaled by a
+        power of two, so squares of entries near 1e150 do not overflow."""
+        proc = self.run_fqge_at_scale(tmp_path, scale, ["--line-search"])
+        assert proc.returncode == 0 and proc.stderr == ""
+        summary = json.loads(proc.stdout)
+        assert summary["status"] == "converged"
+        assert abs(summary["eigenvalue"] + np.sqrt(2.0)) <= 1e-12
 
     def test_vqge_shot_gradient_names_b(self, tmp_path):
         """The pi-shift gradient divides by <B>^2, which overflows at this

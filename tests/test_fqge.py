@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import random_pencil, random_state, two_qubit_pencil
+from conftest import BENCH_PROBLEMS, random_pencil, random_state, two_qubit_pencil
 from geig.ansatz import random_params
+from geig.cli import parse_problem
 from geig.fqge import (
     FqgeConfig,
     LcuOperator,
@@ -492,6 +493,44 @@ class TestRawAmplitudeIteration:
             state = normalize(StateVector(2, raw, normalized=False))
             want = noise_inject(state, 0.05, rng_states)
             np.testing.assert_allclose(nxt.state.amps, want.amps, rtol=0, atol=1e-15)
+
+
+class TestPencilApplications:
+    """A noiseless line-search iterate applies the pencil once, to its
+    search direction: the next state's images are the step's combination
+    of images already computed.  The first state and the row that ends
+    the run are applied too.  A fixed step applies it once per row."""
+
+    @staticmethod
+    def run_counted(monkeypatch, n, cfg):
+        """(updates, Pencil.apply calls, result) of run_fqge on the seeded
+        Ising pencil from |0...0>."""
+        pencil = parse_problem(BENCH_PROBLEMS.ising_problem(n, 1))
+        calls = []
+        apply = Pencil.apply
+
+        def counting(self, amps):
+            calls.append(amps.shape)
+            return apply(self, amps)
+
+        monkeypatch.setattr(Pencil, "apply", counting)
+        result = run_fqge(pencil, basis_state(n, 0), cfg)
+        return len(result.iterates) - 1, len(calls), result
+
+    @pytest.mark.parametrize("n, epsilon", [(4, 1e-8), (8, 1e-8), (11, 1e-6)])
+    def test_line_search_applies_once_per_iterate(self, monkeypatch, n, epsilon):
+        cfg = FqgeConfig(line_search=True, epsilon=epsilon)
+        updates, calls, result = self.run_counted(monkeypatch, n, cfg)
+        assert result.status == "converged" and result.iterates[-1].residual <= epsilon
+        assert calls == updates + 2
+        if n == 11:
+            assert calls == 75
+
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_fixed_step_applies_once_per_row(self, monkeypatch, n):
+        updates, calls, result = self.run_counted(monkeypatch, n, FqgeConfig())
+        assert result.status == "max_iters"
+        assert calls == updates + 1
 
 
 def close(x, y, tol=1e-12):

@@ -363,6 +363,26 @@ class TestCholesky:
             inverse_b(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
+class TestHermitianCheckIsRelative:
+    """The asymmetry the oracle allows is 1e-10 of the largest |entry|, so
+    the check means the same at every scale."""
+
+    def test_rounded_symmetric_matrix_at_scale_1e6_is_accepted(self):
+        q, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(8, 8)))
+        want = 1e6 * np.arange(1, 9)
+        m = q @ np.diag(want) @ q.T
+        assert np.max(np.abs(m - m.T)) > 1e-10  # refused by an absolute 1e-10
+        vals, _ = hermitian_eig(m)
+        np.testing.assert_allclose(vals, want, rtol=1e-12)
+
+    def test_non_hermitian_matrix_at_scale_1e_20_is_refused(self):
+        m = 1e-20 * np.array([[1.0, 2.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="^A is not Hermitian"):
+            generalized_eig_dense(m, np.eye(2))
+        with pytest.raises(ValueError, match="^B is not Hermitian"):
+            generalized_eig_dense(np.eye(2), m)
+
+
 class TestHermitianEig:
     def test_diagonal(self):
         vals, _ = hermitian_eig(np.diag([3.0, 1.0]))
