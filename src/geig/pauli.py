@@ -249,7 +249,7 @@ def apply_compiled(compiled: tuple, amps: np.ndarray) -> np.ndarray:
             f"qubit counts differ: operator {diags.shape[-1].bit_length() - 1}, "
             f"amplitudes of length {amps.shape[-1]}"
         )
-    if np.iscomplexobj(amps) and not np.iscomplexobj(diags):
+    if amps.dtype.kind == "c" and diags.dtype.kind != "c":
         parts = _contract(table, diags, np.stack((amps.real, amps.imag)))
         out = np.empty(parts.shape[:1] + parts.shape[2:], dtype=complex)
         out.real = parts[:, 0]
@@ -260,25 +260,30 @@ def apply_compiled(compiled: tuple, amps: np.ndarray) -> np.ndarray:
 
 def _contract(table: np.ndarray, diags: np.ndarray, amps: np.ndarray) -> np.ndarray:
     """sum_m diags[s, m] * amps[..., table[m]] for every sum s, with one
-    gather per block of rows.  Real products are summed by ``einsum``, in
-    mask order; complex ones are formed first and summed by ``sum``, also
-    in mask order, since ``einsum`` rounds a complex sum differently."""
+    gather per block of rows; a batch that fits one block is contracted
+    whole.  Real products are summed by ``einsum``, in mask order; complex
+    ones are formed first and summed by ``sum``, also in mask order, since
+    ``einsum`` rounds a complex sum differently."""
 
     def contract(block: np.ndarray) -> np.ndarray:
-        if np.iscomplexobj(diags):
+        if diags.dtype.kind == "c":
             return (diags[:, None] * block).sum(axis=2)
         return np.einsum("smd,rmd->srd", diags, block)
 
     rows = amps.reshape(-1, amps.shape[-1])
     step = max(1, _BLOCK_ENTRIES // max(table.size, 1))
-    # each gathered block is freed before the next is taken: with two alive
-    # at once the allocator returned them to the system and faulted them in
-    # again on every call, which tripled the time of a two-block apply
-    blocks = [
-        contract(rows[lo : lo + step].take(table, axis=-1))
-        for lo in range(0, max(rows.shape[0], 1), step)
-    ]
-    out = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
+    if len(rows) <= step:
+        out = contract(rows.take(table, axis=-1))
+    else:
+        # each gathered block is freed before the next is taken: with two
+        # alive at once the allocator returned them to the system and
+        # faulted them in again on every call, which tripled the time of a
+        # two-block apply
+        blocks = [
+            contract(rows[lo : lo + step].take(table, axis=-1))
+            for lo in range(0, len(rows), step)
+        ]
+        out = np.concatenate(blocks, axis=1)
     return out.reshape(diags.shape[:1] + amps.shape)
 
 
@@ -358,6 +363,10 @@ def decompose(m: np.ndarray, tol: float = DEFAULT_DECOMPOSE_TOL) -> PauliSum:
     The coefficient of string P is Tr[P m]/2^n (the exact minimizer of the
     Hilbert-Schmidt distance); terms with |coeff| <= tol are dropped, so
     ``tol`` must be finite and >= 0.  Refuses n above ``DEFAULT_DENSE_CAP``.
+    The Hermitian check allows an asymmetry of max(tol, 1e-12 s) and the
+    non-real check an imaginary part of 1e-10 s, s = max(1, max|m|): both
+    grow with the matrix, so rounding at a large scale passes, and neither
+    shrinks below its unit-scale value; ``tol`` itself stays absolute.
 
     The inverse of ``dense_matrix``: one gather reads the band of every
     X-mask, and a Walsh-Hadamard transform of each band, n in-place
@@ -378,7 +387,8 @@ def decompose(m: np.ndarray, tol: float = DEFAULT_DECOMPOSE_TOL) -> PauliSum:
     check_dense_cap(n)
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix has non-finite entries")
-    if np.max(np.abs(m - m.conj().T)) > max(tol, 1e-12):
+    scale = max(1.0, float(np.max(np.abs(m))))
+    if np.max(np.abs(m - m.conj().T)) > max(tol, 1e-12 * scale):
         raise ValueError("matrix is not Hermitian within tolerance")
 
     # row x: the band dense_matrix writes for X-mask x, m[i ^ x, i]
@@ -390,7 +400,7 @@ def decompose(m: np.ndarray, tol: float = DEFAULT_DECOMPOSE_TOL) -> PauliSum:
         low, high = np.moveaxis(coeffs.reshape(dim // (2 * h), 2, h, -1, 2, h), 4, 0)
         low[...], high[...] = low + high, low - high
         high[:, 1] *= -1j
-    bad = np.abs(coeffs.imag) > 1e-10
+    bad = np.abs(coeffs.imag) > 1e-10 * scale
     if bad.any():
         x, z = divmod(int(np.argmax(bad)), dim)
         raise ValueError(

@@ -51,11 +51,12 @@ class Pencil:
         (..., 2^n): both sides through the compiled table, and the real
         brackets <psi|A|psi>, <psi|B|psi> of each row (unchecked), scalars
         for a single state.  Real rows on a real pencil give float64
-        results.  Both brackets are ``pauli.overlaps``, bitwise equal to
-        ``np.vdot`` of each row, so a row of a batch gets the brackets of
-        the same state alone."""
-        a_psi, b_psi = apply_compiled(self._compiled, amps)
-        return a_psi, b_psi, overlaps(amps, a_psi).real[()], overlaps(amps, b_psi).real[()]
+        results.  Both brackets come from one ``pauli.overlaps`` call on
+        the stacked images, each bitwise equal to ``np.vdot`` of its row,
+        so a row of a batch gets the brackets of the same state alone."""
+        images = apply_compiled(self._compiled, amps)
+        a, b = overlaps(amps, images).real
+        return images[0], images[1], a, b
 
     def dense(self) -> np.ndarray:
         """The dense matrices of A and B, shape (2, 2^n, 2^n), scattered

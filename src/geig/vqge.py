@@ -171,13 +171,21 @@ def _exact_objective(
 
         chi = (A psi - F B psi)/b + sum_x gamma/(m b) (t Bx - |t|^2/b B psi),
 
-    taken by one adjoint sweep of the circuit.  The ansatz is real, so when
+    taken by one adjoint sweep of the circuit.  The records are stacked:
+    one ``overlaps`` call takes every record's t, one set of array
+    operations every penalty and co-state term, and the terms are added to
+    F and chi one record at a time, in record order, as a loop over the
+    records adds them.  The ansatz is real, so when
     the pencil is real and neither the input state nor a record has an
     imaginary part, every row (psi, A psi, B psi, Bx, chi) is float64.
     """
     circuit = compile_ansatz(pencil.n, entangler)
     real = pencil.real and not any(v.amps.imag.any() for v in (v_in, *(r.state for r in records)))
     penalties = _penalties(pencil, records, real)
+    if penalties:
+        # the records stacked: gamma (X, 1), Bx (X, 1, 2^n) and m (X, 1)
+        gammas, bxs, ms = (np.array(part)[:, None] for part in zip(*penalties))
+        scales = (gammas / ms)[..., None]
     start = v_in.amps.real if real else v_in.amps
 
     def value_and_grad(theta: np.ndarray, grad: bool = True) -> tuple:
@@ -186,11 +194,15 @@ def _exact_objective(
         a_psi, b_psi, a, b = pencil.apply(psi)
         value = f = rayleigh_quotient(a, b)
         chi = a_psi - f[:, None] * b_psi
-        for gamma, bx, m in penalties:
-            t = overlaps(bx, psi)
+        if penalties:
+            t = overlaps(bxs, psi)
             t_sq = np.abs(t) ** 2
-            value = value + gamma * t_sq / (m * b)
-            chi += (gamma / m) * (t[:, None] * bx - (t_sq / b)[:, None] * b_psi)
+            # one add per record: for up to three records these beat one
+            # np.add.accumulate over the concatenated terms
+            for term in gammas * t_sq / (ms * b):
+                value = value + term
+            for term in scales * (t[..., None] * bxs - (t_sq / b)[..., None] * b_psi):
+                chi += term
         value = value * sign
         if not grad:
             return value, None
@@ -401,15 +413,15 @@ def _descend(value_and_grad: Callable, theta0: np.ndarray, config: OptConfig) ->
     theta = theta0.astype(float)
     m = np.zeros_like(theta)
     v = np.zeros_like(theta)
-    if not np.all(np.isfinite(theta)):
+    if not np.isfinite(theta).all():
         raise ValueError("angles must be finite")
     # an overflow ends in the check of the loss or of the update, not in a warning
     with np.errstate(over="ignore", invalid="ignore"):
         for s in range(config.iters + 1):
             values[s], g = value_and_grad(theta)
-            bad = ~np.isfinite(values[s])
-            if bad.any():
-                raise RuntimeError(f"non-finite loss {values[s][bad][0]} at step {s}")
+            finite = np.isfinite(values[s])
+            if not finite.all():
+                raise RuntimeError(f"non-finite loss {values[s][~finite][0]} at step {s}")
             thetas[s], grads[s] = theta, g
             if s == config.iters:
                 break
@@ -421,7 +433,7 @@ def _descend(value_and_grad: Callable, theta0: np.ndarray, config: OptConfig) ->
                 theta = theta - config.lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
             else:
                 theta = theta - config.lr * g
-            if not np.all(np.isfinite(theta)):
+            if not np.isfinite(theta).all():
                 raise ValueError(f"step {s}: the update at lr = {config.lr:.3e} is not finite")
     flat = grads.reshape(config.iters + 1, rows, n * layers)
     norms = np.sqrt(overlaps(flat, flat))

@@ -525,6 +525,14 @@ class TestDecomposeCommand:
         for ops, coeff in want.items():
             assert got[ops] == pytest.approx(coeff, abs=1e-12)
 
+    def test_hermitian_to_rounding_at_scale_1e6(self, capsys, tmp_path):
+        q, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(8, 8)))
+        m = q @ np.diag(1e6 * np.arange(1.0, 9.0)) @ q.T
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps([[[v, 0.0] for v in row] for row in m.tolist()]))
+        summary = summary_of(capsys, ["decompose", str(path)], "decompose_summary.schema.json")
+        assert summary["n"] == 3
+
     def test_default_tol_is_the_library_default(self):
         assert build_parser().parse_args(["decompose", "m.json"]).tol is DEFAULT_DECOMPOSE_TOL
 

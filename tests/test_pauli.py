@@ -398,3 +398,21 @@ class TestDecompose:
         m = random_hermitian(rng, 8)
         s = decompose(m, tol=1e-10)
         np.testing.assert_allclose(dense_matrix(s), m, atol=1e-9)
+
+    @pytest.mark.parametrize("scale", [1e6, 1e8])
+    def test_hermitian_to_rounding_at_large_scale(self, scale):
+        """Q diag(scale (1..8)) Q^T is asymmetric from rounding alone (4.7e-10
+        at 1e6), and its Y strings get imaginary coefficients (5.8e-11 at
+        1e6, above 1e-10 at 1e8): both checks grow with max|m| and accept
+        it.  They never shrink below their unit-scale values, and a real
+        asymmetry is still refused."""
+        q, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(8, 8)))
+        m = q @ np.diag(scale * np.arange(1.0, 9.0)) @ q.T
+        assert 1e-16 * scale < np.max(np.abs(m - m.T)) < 1e-15 * scale
+        np.testing.assert_allclose(dense_matrix(decompose(m)), m, rtol=0, atol=8e-15 * scale)
+        skew = np.zeros((8, 8))
+        skew[0, 1] = 1e-11 * scale
+        with pytest.raises(ValueError, match="not Hermitian"):
+            decompose(m + skew)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            decompose(np.eye(2) * 1e-6 + np.array([[0.0, 1e-9], [0.0, 0.0]]))

@@ -1,10 +1,12 @@
 """The multiply-add Ry kernel, ``CompiledAnsatz.run`` and ``.vjp`` against
 the subtract form they replaced, kept here verbatim as the reference: every
-output must be bitwise equal, for real and complex rows."""
+output must be bitwise equal, for real and complex rows, however ``vjp``
+splits its gates into buffered blocks."""
 
 import numpy as np
 import pytest
 
+import geig.ansatz
 from geig.ansatz import apply_ry, compile_ansatz, ry_gates
 
 
@@ -108,8 +110,11 @@ class TestKernel:
 
 class TestCircuit:
     @pytest.mark.parametrize("complex_rows", [False, True])
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 9, 10])
     def test_run_and_vjp_bitwise_equal_the_reference(self, n, complex_rows):
+        """From n = 9 an entry sums 2^(n-1) > 128 terms, where numpy's
+        pairwise sum recurses; at n = 9 the sweep flushes its buffer several
+        times, and at n = 10 with 5 rows each gate is read in place."""
         rng = np.random.default_rng(10 + n)
         for entangler in ENTANGLERS:
             if not isinstance(entangler, str) and n < 2:
@@ -140,6 +145,31 @@ class TestCircuit:
         np.testing.assert_array_equal(
             circuit.vjp(theta, psi, chi), reference_vjp(circuit, theta, psi, chi)
         )
+
+    @pytest.mark.parametrize("complex_rows", [False, True])
+    @pytest.mark.parametrize("budget", [1, 64, 96, 128, 1 << 20])
+    def test_vjp_bitwise_equal_at_every_block_size(self, budget, complex_rows, monkeypatch):
+        """Nine gates of 2 x 2 rows of 8 amplitudes (32 per gate): each gate
+        read in place, blocks of 2 (the last one short), 3, 4 and all nine."""
+        monkeypatch.setattr(geig.ansatz, "_SWEEP_BLOCK_ENTRIES", budget)
+        rng = np.random.default_rng([budget, complex_rows])
+        circuit = compile_ansatz(3, "ring")
+        theta = rng.uniform(0.0, 2.0 * np.pi, size=(2, 3, 3))
+        psi = circuit.run(theta, rows_of(rng, (2, 8), complex_rows))
+        chi = rows_of(rng, (2, 8), complex_rows)
+        want = reference_vjp(circuit, theta, psi, chi)
+        np.testing.assert_array_equal(circuit.vjp(theta, psi, chi), want)
+
+    @pytest.mark.parametrize(
+        "psi_shape, chi_shape",
+        [((3, 8), (3, 8)), ((2, 4), (2, 4)), ((3, 4), (2, 4)), ((4,), (4,)), ((3, 4), (3, 8))],
+        ids=["long-rows", "few-rows", "chi-rows", "one-state", "chi-long"],
+    )
+    def test_vjp_rows_must_be_R_by_2_to_the_n(self, psi_shape, chi_shape):
+        """Rows of another length were read as a wrong gradient; a row count
+        that differs from theta's failed inside numpy."""
+        with pytest.raises(ValueError, match=r"do not fit 3 rows of 4 amplitudes$"):
+            compile_ansatz(2).vjp(np.zeros((3, 2, 2)), np.zeros(psi_shape), np.zeros(chi_shape))
 
     @pytest.mark.parametrize("start_rows", [2, 3])
     def test_start_rows_must_be_one_or_R(self, start_rows):
