@@ -3,13 +3,18 @@ losses with exact gradients, a from-scratch Adam loop, and the
 min / max / deflate pipeline that recovers the full spectrum.
 
 In exact mode (``shots == 0``) a loss and its gradient come from one fused
-pass on raw arrays: a forward sweep, then one adjoint (reverse) sweep of the
-circuit, for a whole batch of angle grids at once, both sweeps on one tensor
-of Ry gates; ``solve_spectrum`` runs all restarts of a level as one batch,
-and the min and max levels as one batch with a sign per row.  The solver
-reads the problem through ``geig.pencil``: the pencil's one compiled table,
-the <B> check and the quotient; the exact pass runs in float64 when that
-table and the states are real.
+pass on raw arrays for a whole batch of angle grids at once.  A small
+circuit, whose row and n L pi-shifted rows hold at most
+``_SHIFT_ROW_ENTRIES`` amplitudes, runs every grid with its pi-shifted grids
+as one circuit batch, and each gradient entry is one overlap of a shifted
+state with the co-state: n L gate applications per step, the fewest where
+the cost of a numpy call dominates.  A larger circuit takes a forward sweep
+and one adjoint (reverse) sweep, both on one tensor of Ry gates, whose work
+grows with n L rather than with its square.  ``solve_spectrum`` runs all
+restarts of a level as one batch, and the min and max levels as one batch
+with a sign per row.  The solver reads the problem through ``geig.pencil``:
+the pencil's one compiled table, the <B> check and the quotient; the exact
+pass runs in float64 when that table and the states are real.
 
 With ``shots > 0`` every expectation is a sampled Hadamard test and
 gradients use the pi-shift rule.  The restarts of a level run one after
@@ -26,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -36,6 +40,7 @@ from .ansatz import (
     apply_ansatz,
     compile_ansatz,
     entangler_pairs,
+    pi_shifted,
     random_params,
     ry_gates,
 )
@@ -48,6 +53,13 @@ from .statevector import StateVector, norm, scale, zero_state
 # record overlaps in blocks of rows, so that a large circuit batch never
 # holds every row's kets at once (about 2 MB of complex128)
 _KET_BLOCK_ENTRIES = 1 << 17
+# amplitudes per row, (1 + n L) 2^n, up to which an exact gradient comes
+# from theta and its n L pi-shifted grids run as one batch rather than from
+# the reverse sweep.  Measured per call on batches of 5 and 10 rows: the
+# batch took 0.69-0.92 of the sweep's time up to n = 3 at two layers (56)
+# and n = 2 at six (52, 0.84 and 1.16), 0.95-1.72 at 60 and 64, and
+# 0.97-1.25 at n = 4 with two layers (144)
+_SHIFT_ROW_ENTRIES = 56
 # Adam's moment decays and denominator guard (Kingma & Ba 2015 defaults)
 _ADAM_BETA1 = 0.9
 _ADAM_BETA2 = 0.999
@@ -152,6 +164,36 @@ def _penalties(pencil: Pencil, records: Sequence[DeflationRecord], real: bool = 
     return out
 
 
+def _psi_and_gradient(circuit, theta: np.ndarray, start: np.ndarray, grad: bool) -> tuple:
+    """psi = U(theta[r]) start for every row, shape (R, 2^n), and with
+    ``grad`` the function chi -> 2 Re<d psi/d theta[r, i, t]|chi>, shape
+    (R, n, L), for co-states chi (R, 2^n); without ``grad``, None.
+
+    While a row's circuits hold at most ``_SHIFT_ROW_ENTRIES`` amplitudes,
+    theta and its pi-shifted grids run as one batch: psi is a contiguous
+    copy of each row's first state, bitwise that of theta alone, and the
+    entries are Re<U(theta + pi e_k) start|chi> by one ``overlaps`` call
+    (dU/dtheta_k = U(theta + pi e_k)/2, Crooks, arXiv:1905.13311).  Above
+    the bound the entries come from one reverse sweep, ``CompiledAnsatz.vjp``.
+    The bound reads no row count, so a row rounds in any batch as it does
+    alone.
+    """
+    rows, n, layers = theta.shape
+    if not grad:
+        return circuit.run(theta, start), None
+    if (1 + n * layers) << n <= _SHIFT_ROW_ENTRIES:
+        states = circuit.run(pi_shifted(theta), start).reshape(rows, 1 + n * layers, -1)
+
+        def gradient(chi: np.ndarray) -> np.ndarray:
+            entries = overlaps(states[:, 1:], chi[:, None]).real
+            return entries.reshape(rows, layers, n).transpose(0, 2, 1)
+
+        return np.ascontiguousarray(states[:, 0]), gradient
+    gates = ry_gates(theta)
+    psi = circuit.run(theta, start, gates)
+    return psi, lambda chi: circuit.vjp(theta, psi, chi, gates)
+
+
 def _exact_objective(
     pencil: Pencil,
     records: Sequence[DeflationRecord],
@@ -164,14 +206,15 @@ def _exact_objective(
     ``sign`` for every row or an (R,) array of them (+1 or -1, so that rows
     minimizing and rows maximizing F share a batch).
 
-    One forward sweep gives psi, A psi and B psi, hence F = a/b and each
+    The circuit pass gives psi, hence A psi, B psi, F = a/b and each
     penalty gamma |t|^2 / (m b) with t = <Bx|psi> and m = <x|B|x>; Bx and m
     are computed here, once per objective.  The gradient is 2 Re<d psi|chi> for
     the co-state
 
         chi = (A psi - F B psi)/b + sum_x gamma/(m b) (t Bx - |t|^2/b B psi),
 
-    taken by one adjoint sweep of the circuit.  The records are stacked:
+    taken by ``_psi_and_gradient``: from the pi-shifted batch of a small
+    circuit, else by one adjoint sweep.  The records are stacked:
     one ``overlaps`` call takes every record's t, one set of array
     operations every penalty and co-state term, and the terms are added to
     F and chi one record at a time, in record order, as a loop over the
@@ -189,8 +232,7 @@ def _exact_objective(
     start = v_in.amps.real if real else v_in.amps
 
     def value_and_grad(theta: np.ndarray, grad: bool = True) -> tuple:
-        gates = ry_gates(theta)
-        psi = circuit.run(theta, start, gates)
+        psi, gradient = _psi_and_gradient(circuit, theta, start, grad)
         a_psi, b_psi, a, b = pencil.apply(psi)
         value = f = rayleigh_quotient(a, b)
         chi = a_psi - f[:, None] * b_psi
@@ -207,7 +249,7 @@ def _exact_objective(
         if not grad:
             return value, None
         chi *= (sign / b)[:, None]
-        return value, circuit.vjp(theta, psi, chi, gates)
+        return value, gradient(chi)
 
     return value_and_grad
 
@@ -262,19 +304,10 @@ def _shot_objective(
         coeffs[g, width - len(c) :] = c
         first += len(c)
 
-    @cache
-    def shifts(layers: int) -> np.ndarray:
-        """(1 + n L, n, L) offsets: pi on angle k of shifted circuit k, -0.0
-        elsewhere, which adds to every angle exactly."""
-        k = np.arange(pencil.n * layers)
-        out = np.full((1 + len(k), pencil.n, layers), -0.0)
-        out[1 + k, k % pencil.n, k // pencil.n] = np.pi
-        return out
-
     def value_and_grad(theta: np.ndarray, value: bool = True, grad: bool = True) -> tuple:
         rows, n, layers = theta.shape
         per_row = 1 + n * layers if grad else 1
-        grid = (theta[:, None] + shifts(layers)).reshape(-1, n, layers) if grad else theta
+        grid = pi_shifted(theta) if grad else theta
         states = circuit.run(grid, v_in.amps)
         kets = gather_kets(gathers, states[::per_row])
         exact = overlaps(states.reshape(rows, per_row, 1, -1), kets[:, None])
@@ -377,8 +410,9 @@ def loss_fj(
 def grad_f(
     p: AnsatzParams, pencil: Pencil, v_in=None, entangler="linear", shots=0, rng=None
 ) -> np.ndarray:
-    """Gradient of loss_f, shape (n, L) matching the parameter grid: the
-    adjoint pass in exact mode, the pi-shift rule with shots."""
+    """Gradient of loss_f, shape (n, L) matching the parameter grid: exact
+    by the pi-shift rule on a small circuit and the adjoint sweep on a
+    larger one, from Hadamard tests and the pi-shift rule with shots."""
     return grad_fj(p, pencil, (), v_in, entangler, shots, rng)
 
 

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from conftest import BENCH_PROBLEMS, optimize, random_pencil, random_state, two_qubit_pencil
-from geig.ansatz import apply_ansatz, compile_ansatz, random_params, ry_gates
+from geig import vqge
+from geig.ansatz import CompiledAnsatz, apply_ansatz, compile_ansatz, pi_shifted, random_params
 from geig.cli import parse_problem
 from geig.pauli import PauliSum, apply_compiled, apply_sum, compile_sums, overlaps
 from geig.pencil import rayleigh_quotient
@@ -20,6 +21,7 @@ from geig.vqge import (
     _descend,
     _exact_objective,
     _penalties,
+    _psi_and_gradient,
     _shot_objective,
     grad_f,
     grad_fj,
@@ -131,16 +133,18 @@ class TestFusedPass:
 
 
 def loop_exact_objective(pencil, records, v_in, entangler="linear", sign=1.0):
-    """``_exact_objective`` as it was, one pass of the record loop per
-    deflation record, kept verbatim as the reference of the stacked form."""
+    """``_exact_objective`` with one pass of the record loop per deflation
+    record, the reference of the stacked form.  Its circuit pass (psi and
+    the gradient of 2 Re<d psi|chi>) is ``_psi_and_gradient``, the one
+    ``_exact_objective`` takes, so both take the same gradient on either
+    side of its size bound; the records' arithmetic is the loop's."""
     circuit = compile_ansatz(pencil.n, entangler)
     real = pencil.real and not any(v.amps.imag.any() for v in (v_in, *(r.state for r in records)))
     penalties = _penalties(pencil, records, real)
     start = v_in.amps.real if real else v_in.amps
 
     def value_and_grad(theta: np.ndarray, grad: bool = True) -> tuple:
-        gates = ry_gates(theta)
-        psi = circuit.run(theta, start, gates)
+        psi, gradient = _psi_and_gradient(circuit, theta, start, grad)
         a_psi, b_psi, a, b = pencil.apply(psi)
         value = f = rayleigh_quotient(a, b)
         chi = a_psi - f[:, None] * b_psi
@@ -153,9 +157,35 @@ def loop_exact_objective(pencil, records, v_in, entangler="linear", sign=1.0):
         if not grad:
             return value, None
         chi *= (sign / b)[:, None]
-        return value, circuit.vjp(theta, psi, chi, gates)
+        return value, gradient(chi)
 
     return value_and_grad
+
+
+def real_case(rng, n, n_records):
+    """A real pencil (the demo at n = 2, an Ising pencil otherwise) with
+    real unit records and the start |0>."""
+    pencil = two_qubit_pencil() if n == 2 else parse_problem(BENCH_PROBLEMS.ising_problem(n, 1))
+    states = [rng.normal(size=2**n) for _ in range(n_records)]
+    records = [
+        DeflationRecord(0.0, float(rng.uniform(0.5, 3.0)), StateVector(n, v / np.linalg.norm(v)))
+        for v in states
+    ]
+    assert pencil.real
+    return pencil, records, zero_state(n)
+
+
+def complex_case(rng, n, n_records):
+    """A random complex pencil with complex records and start."""
+    pencil, _, _ = random_pencil(rng, n)
+    assert not pencil.real
+    return pencil, random_records(rng, n, n_records), random_state(rng, n)
+
+
+def shifted(n, layers):
+    """Whether an exact gradient on n qubits and ``layers`` layers comes from
+    the pi-shifted batch."""
+    return (1 + n * layers) << n <= vqge._SHIFT_ROW_ENTRIES
 
 
 class TestStackedRecords:
@@ -167,20 +197,7 @@ class TestStackedRecords:
         bitwise: float64 rows on a real pencil with real records, complex
         rows on a pencil with Y strings and complex records and start."""
         rng = np.random.default_rng([n, n_records, kind == "real"])
-        if kind == "real":
-            pencil = two_qubit_pencil() if n == 2 else parse_problem(BENCH_PROBLEMS.ising_problem(n, 1))
-            states = [rng.normal(size=2**n) for _ in range(n_records)]
-            records = [
-                DeflationRecord(0.0, float(rng.uniform(0.5, 3.0)), StateVector(n, v / np.linalg.norm(v)))
-                for v in states
-            ]
-            v_in = zero_state(n)
-            assert pencil.real
-        else:
-            pencil, _, _ = random_pencil(rng, n)
-            records = random_records(rng, n, n_records)
-            v_in = random_state(rng, n)
-            assert not pencil.real
+        pencil, records, v_in = (real_case if kind == "real" else complex_case)(rng, n, n_records)
         theta = np.stack([random_params(n, 2, rng).theta for _ in range(4)])
         sign = np.array([1.0, -1.0, 1.0, -1.0])
         got = _exact_objective(pencil, records, v_in, "linear", sign)
@@ -192,6 +209,92 @@ class TestStackedRecords:
                 assert grads.tobytes() == want_grads.tobytes()
             else:
                 assert grads is None and want_grads is None
+
+
+class TestShiftedBatch:
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("entangler", ["linear", "ring"])
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_gradient_equals_the_sweep(self, n, layers, entangler, kind, monkeypatch):
+        """The batch's gradient equals the reverse sweep's within 1e-12 of
+        the largest entry, and the losses are bitwise equal, for 0 to 2
+        records and rows with signs +1 and -1.  The bound is moved to force
+        each path."""
+        for n_records in range(3):
+            rng = np.random.default_rng([n, layers, n_records, kind == "real", entangler == "ring"])
+            case = real_case if kind == "real" else complex_case
+            pencil, records, v_in = case(rng, n, n_records)
+            objective = _exact_objective(pencil, records, v_in, entangler, np.array([1.0, -1.0, -1.0]))
+            theta = np.stack([random_params(n, layers, rng).theta for _ in range(3)])
+            monkeypatch.setattr(vqge, "_SHIFT_ROW_ENTRIES", 1 << 60)
+            values, grads = objective(theta)
+            monkeypatch.setattr(vqge, "_SHIFT_ROW_ENTRIES", 0)
+            want_values, want_grads = objective(theta)
+            assert values.tobytes() == want_values.tobytes()
+            assert grads.shape == want_grads.shape == theta.shape
+            assert np.max(np.abs(grads - want_grads)) <= 1e-12 * np.max(np.abs(want_grads))
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_rows_bitwise_equal_alone(self, n, kind):
+        """At two layers n = 3 takes the batch and n = 4 the sweep; on both
+        sides a row of a 10-row batch gives the values and gradient it gives
+        alone, bitwise."""
+        assert shifted(n, 2) == (n == 3)
+        rng = np.random.default_rng([n, kind == "real"])
+        pencil, records, v_in = (real_case if kind == "real" else complex_case)(rng, n, 2)
+        signs = np.tile([1.0, -1.0], 5)
+        theta = np.stack([random_params(n, 2, rng).theta for _ in range(10)])
+        values, grads = _exact_objective(pencil, records, v_in, "ring", signs)(theta)
+        for r in range(10):
+            objective = _exact_objective(pencil, records, v_in, "ring", signs[r])
+            value, grad = objective(theta[r : r + 1])
+            assert value.tobytes() == values[r : r + 1].tobytes()
+            assert grad.tobytes() == grads[r : r + 1].tobytes()
+
+    @pytest.mark.parametrize("n, layers", [(2, 2), (3, 2), (4, 2), (2, 7)])
+    def test_circuits_run_per_call(self, n, layers, monkeypatch):
+        """Below the bound a gradient call runs theta and its n L shifted
+        grids as one batch and no sweep; above it, theta alone and one
+        sweep.  A value-only call runs theta alone on either side."""
+        runs, sweeps = [], []
+        run, vjp = CompiledAnsatz.run, CompiledAnsatz.vjp
+
+        def counted_run(self, theta, *args):
+            runs.append(theta.shape)
+            return run(self, theta, *args)
+
+        def counted_vjp(self, *args):
+            sweeps.append(1)
+            return vjp(self, *args)
+
+        monkeypatch.setattr(CompiledAnsatz, "run", counted_run)
+        monkeypatch.setattr(CompiledAnsatz, "vjp", counted_vjp)
+        rng = np.random.default_rng(n)
+        pencil, records, v_in = real_case(rng, n, 1)
+        objective = _exact_objective(pencil, records, v_in)
+        theta = np.stack([random_params(n, layers, rng).theta for _ in range(5)])
+        objective(theta)
+        below = shifted(n, layers)
+        assert runs == [(5 * (1 + n * layers) if below else 5, n, layers)]
+        assert sweeps == ([] if below else [1])
+        runs.clear()
+        sweeps.clear()
+        assert objective(theta, grad=False)[1] is None
+        assert runs == [(5, n, layers)] and sweeps == []
+
+    def test_shifted_grids_layer_major(self):
+        """Grid 1 + k of a row has pi on qubit k % n of layer k // n, and the
+        row's own grid is theta bitwise, -0.0 angles included."""
+        theta = np.array([[[0.5, -0.0, 1.0], [-0.0, 2.0, 3.0]]])
+        grids = pi_shifted(theta)
+        assert grids.shape == (7, 2, 3)
+        assert grids[0].tobytes() == theta[0].tobytes()
+        for k in range(6):
+            want = theta[0].copy()
+            want[k % 2, k // 2] += np.pi
+            np.testing.assert_array_equal(grids[1 + k], want)
 
 
 class TestCompiledAnsatz:

@@ -171,6 +171,17 @@ class TestCircuit:
         with pytest.raises(ValueError, match=r"do not fit 3 rows of 4 amplitudes$"):
             compile_ansatz(2).vjp(np.zeros((3, 2, 2)), np.zeros(psi_shape), np.zeros(chi_shape))
 
+    @pytest.mark.parametrize("method", ["run", "vjp"])
+    @pytest.mark.parametrize("shape", [(3, 3, 2), (3, 1, 2), (3, 2)], ids=["3-qubits", "1-qubit", "2-d"])
+    def test_angle_grid_must_be_R_by_n_by_L(self, shape, method):
+        """A grid with a qubit too many ran with one row of angles ignored;
+        one with a qubit too few leaked numpy's IndexError."""
+        circuit = compile_ansatz(2)
+        args = (np.zeros(4),) if method == "run" else (np.zeros((3, 4)), np.zeros((3, 4)))
+        pattern = rf"angle grid of shape \({', '.join(map(str, shape))}\) is not \(R, 2, L\)$"
+        with pytest.raises(ValueError, match=pattern):
+            getattr(circuit, method)(np.zeros(shape), *args)
+
     @pytest.mark.parametrize("start_rows", [2, 3])
     def test_start_rows_must_be_one_or_R(self, start_rows):
         circuit = compile_ansatz(2)
