@@ -11,9 +11,7 @@ from .fqge import (
     LcuOperator,
     apply_g,
     build_lcu,
-    line_search,
     loss_state,
-    residual,
     run_fqge,
 )
 from .measurement import (
@@ -24,7 +22,6 @@ from .measurement import (
     shot_allocation,
 )
 from .pauli import PauliString, PauliSum, apply_sum, decompose, dense_matrix
-from .pauli import expectation
 from .pencil import Pencil
 from .reference import (
     EigenDecomposition,
@@ -32,7 +29,7 @@ from .reference import (
     generalized_eig,
     generalized_eig_dense,
 )
-from .statevector import StateVector, basis_state, fidelity, zero_state
+from .statevector import StateVector, basis_state, zero_state
 from .vqge import (
     DeflationRecord,
     OptConfig,
@@ -76,19 +73,15 @@ __all__ = [
     "dense_matrix",
     "entangler_pairs",
     "error_bound",
-    "expectation",
-    "fidelity",
     "generalized_eig",
     "generalized_eig_dense",
     "grad_f",
     "grad_fj",
-    "line_search",
     "loss_f",
     "loss_fj",
     "loss_state",
     "per_term_precision",
     "random_params",
-    "residual",
     "run_fqge",
     "shot_allocation",
     "solve_spectrum",

@@ -18,7 +18,7 @@ from .fqge import FqgeConfig, run_fqge
 from .measurement import shot_allocation
 from .pauli import DEFAULT_DECOMPOSE_TOL, DEFAULT_DENSE_CAP, PauliSum, decompose
 from .pencil import Pencil
-from .reference import count_distinct, distinct_values, generalized_eig
+from .reference import count_distinct, distinct_values, generalized_eig, ground_multiplicity
 from .statevector import basis_state
 from .vqge import OptConfig, SolveConfig, check_levels, solve_spectrum
 
@@ -311,12 +311,17 @@ def cmd_fqge(args) -> dict:
     ref = _reference_or_none(pencil)
     if ref is not None:
         nearest = min(ref.eigenvalues, key=lambda lam: abs(result.eigenvalue - lam))
-        ground = ref.eigenvectors[:, 0]
-        ground = ground / np.linalg.norm(ground)
+        k = ground_multiplicity(ref.eigenvalues)
+        if k == 1:
+            ground = ref.eigenvectors[:, 0]
+            fidelity = abs(np.vdot(ground / np.linalg.norm(ground), result.state.amps)) ** 2
+        else:  # the weight on the whole degenerate ground level, from an orthonormal basis
+            basis = np.linalg.qr(ref.eigenvectors[:, :k])[0]
+            fidelity = min(1.0, np.linalg.norm(basis.conj().T @ result.state.amps) ** 2)
         summary["reference"] = {
             "nearest_eigenvalue": float(nearest),
             "abs_error": abs(result.eigenvalue - float(nearest)),
-            "fidelity_ground": float(abs(np.vdot(ground, result.state.amps)) ** 2),
+            "fidelity_ground": float(fidelity),
         }
     if args.trace:
         header = "s,value,residual,delta_re,delta_im,success_prob,C,d"

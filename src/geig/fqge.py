@@ -1,8 +1,9 @@
 """Iterative eigensolver driven by the non-unitary step operator
 G = I - 2*delta*(A - F*B)/<B>, realized as a linear combination of Pauli
 unitaries.  Includes the exact two-dimensional line search for the step
-size, a relative residual diagnostic, and depolarizing-style statevector
-noise injection.
+size, a relative residual diagnostic, and statevector noise: one Gaussian
+draw per step, added uniformly to every amplitude before the state is
+renormalized.
 
 ``run_fqge`` works on raw amplitudes: it applies the pencil once per iterate,
 forms the residual (A - F B)psi once, and steps the state as
@@ -115,13 +116,6 @@ def loss_state(state: StateVector, pencil) -> float:
     return rayleigh_quotient(*pencil.apply(state.amps)[2:])
 
 
-def residual(state: StateVector, pencil) -> float:
-    """Relative residual ||(A - F B)psi|| / (||A psi|| + |F| ||B psi||),
-    bounded in [0, 1]."""
-    a_psi, b_psi, a, b = pencil.apply(state.amps)
-    return _residual(a_psi, b_psi, rayleigh_quotient(a, b))[2]
-
-
 def _lcu_basis(pencil) -> tuple:
     """(keys, identity, alpha, beta) of a pencil, built once per solve: the
     sorted (x_mask, z_mask) keys of the identity and of every string of A
@@ -180,19 +174,6 @@ def apply_g(lcu: LcuOperator, state: StateVector):
     return StateVector(state.n, amps, normalized=False), _post_select(amps, lcu.norm_c, lcu.d)[1]
 
 
-def line_search(state: StateVector, direction: StateVector, pencil):
-    """Exact minimizer of the Rayleigh quotient over span{psi, direction}.
-
-    Solves the 2x2 projected pencil; returns (delta, predicted) where
-    psi + delta*direction attains the predicted quotient.  A near-singular
-    leading component caps |delta| at 1e12 with a warning.
-    """
-    psi = (state if state.normalized else normalize(state)).amps
-    a_psi, b_psi, a, b = applied = pencil.apply(psi)
-    scale = _residual(a_psi, b_psi, rayleigh_quotient(a, b))[1]
-    return _line_search(psi, direction.amps, applied, scale, pencil)[:2]
-
-
 def _exponent(*entries) -> int:
     """The ``frexp`` exponent e of the largest |entry|, at least -1022, so
     2^-e is a finite float that scales every entry below 1 exactly."""
@@ -200,10 +181,13 @@ def _exponent(*entries) -> int:
 
 
 def _line_search(psi: np.ndarray, direction: np.ndarray, applied: tuple, scale: float, pencil):
-    """line_search for normalized raw amplitudes psi, with the direction,
-    ``pencil.apply(psi)`` and the residual's ``scale`` given; applies the
-    pencil only to the part of the direction orthogonal to psi.  Returns
-    (delta, predicted, images): images is (A d, B d) for the direction d,
+    """Exact minimizer of the Rayleigh quotient over span{psi, direction}
+    for normalized raw amplitudes psi, with ``pencil.apply(psi)`` and the
+    residual's ``scale`` given: it solves the 2x2 projected pencil, and a
+    near-singular leading component caps |delta| at 1e12 with a warning.
+    The pencil is applied only to the part of the direction orthogonal to
+    psi.  Returns (delta, predicted, images): psi + delta*direction attains
+    the predicted quotient, and images is (A d, B d) for the direction d,
     combined from A psi, B psi and that part's images, or None where no
     direction is searched."""
     a_psi, b_psi, a00, b00 = applied
@@ -263,22 +247,16 @@ def _line_search(psi: np.ndarray, direction: np.ndarray, applied: tuple, scale: 
     return complex(delta_tilde) / wn, float(np.ldexp(u1, ea - eb)), images
 
 
-def noise_vector(n: int, sigma: float, rng) -> np.ndarray:
-    """Uniform perturbation tau * 2^(-n/2) * (1,...,1) with a single draw
-    tau ~ N(0, sigma^2); its norm is |tau|."""
-    tau = rng.normal(0.0, sigma)
-    return np.full(2**n, tau * 2.0 ** (-n / 2), dtype=complex)
-
-
 def _perturbed(amps: np.ndarray, n: int, sigma: float, rng, where: str = "") -> np.ndarray:
-    """Raw amplitudes plus the perturbation, renormalized; sigma = 0
-    returns ``amps`` itself (the zero-width draw is exactly zero).  Real
-    rows take the perturbation's real value and stay real.  A norm that
-    is not finite is an error."""
-    pert = noise_vector(n, sigma, rng)
-    if pert[0] == 0:
+    """Raw amplitudes plus the uniform perturbation tau * 2^(-n/2) on every
+    amplitude, from one draw tau ~ N(0, sigma^2) (its norm is |tau|),
+    renormalized; sigma = 0 returns ``amps`` itself (the zero-width draw
+    is exactly zero).  Real rows add the real shift and stay real.  A norm
+    that is not finite is an error."""
+    shift = rng.normal(0.0, sigma) * 2.0 ** (-n / 2)
+    if shift == 0:
         return amps
-    out = amps + (pert if np.iscomplexobj(amps) else pert.real)
+    out = amps + (complex(shift) if np.iscomplexobj(amps) else shift)
     out_norm = float(np.linalg.norm(out))
     if out_norm == 0.0:
         raise ValueError("cannot normalize the zero vector")

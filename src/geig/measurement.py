@@ -78,68 +78,49 @@ def error_bound(budget: ErrorBudget) -> float:
     return (budget.eps_a + abs(budget.lambda_r) * budget.eps_b) / budget.eta1 + budget.eps_o
 
 
-def _families(coeffs: Sequence, sigmas: Sequence) -> list:
-    """Validated (coeffs, sigmas) arrays of the A, B and overlap families;
-    variances default to ones."""
+def _families(coeffs: Sequence) -> list:
+    """Validated coefficient arrays of the A, B and overlap families."""
     out = []
-    for c, s, name in zip(coeffs, sigmas, ("A", "B", "overlap")):
+    for c, name in zip(coeffs, ("A", "B", "overlap")):
         c = np.asarray(list(c), dtype=float)
         if np.any(c < 0.0):
             raise ValueError(f"{name} coefficients must be >= 0")
-        if s is None:
-            s = np.ones_like(c)
-        else:
-            s = np.asarray(list(s), dtype=float)
-            if s.shape != c.shape:
-                raise ValueError(f"{name}: {c.size} coefficients, {s.size} variances")
-            if np.any(s <= 0.0):
-                raise ValueError(f"{name} variances must be > 0")
-        out.append((c, s))
+        out.append(c)
     return out
 
 
 def shot_allocation(
-    alphas: Sequence[float],
-    betas: Sequence[float],
-    gammas: Sequence[float],
-    eps: float,
-    sigmas_a=None,
-    sigmas_b=None,
-    sigmas_o=None,
+    alphas: Sequence[float], betas: Sequence[float], gammas: Sequence[float], eps: float
 ) -> ShotPlan:
     """Minimal-total shot counts meeting pseudo-error eps.
 
-    Lagrange closed form: M_term = (Lam_a + Lam_b + Lam_o)/eps^2 *
-    coeff*sqrt(sigma), with Lam = sum coeff*sqrt(sigma) per family; counts
-    are ceil-rounded with a floor of one shot.  Variances default to 1.
+    Lagrange closed form: M_term = (Lam_a + Lam_b + Lam_o)/eps^2 * coeff,
+    with Lam = sum coeff per family; counts are ceil-rounded with a floor
+    of one shot.  Every term's variance is taken as 1, which bounds the
+    variance of a +-1 Hadamard-test outcome.
     """
     if not (math.isfinite(eps) and eps > 0.0):
         raise ValueError(f"target pseudo-error must be finite and > 0, got {eps}")
-    families = _families((alphas, betas, gammas), (sigmas_a, sigmas_b, sigmas_o))
-    lam = sum(float(np.sum(c * np.sqrt(s))) for c, s in families)
+    families = _families((alphas, betas, gammas))
+    lam = sum(float(np.sum(c)) for c in families)
     if lam <= 0.0:
         raise ValueError("all coefficients are zero; nothing to allocate")
     mu_root = lam / eps**2
-    counts = [
-        tuple(max(1, math.ceil(mu_root * c * math.sqrt(s))) for c, s in zip(*family))
-        for family in families
-    ]
+    counts = [tuple(max(1, math.ceil(mu_root * c)) for c in family) for family in families]
     return ShotPlan(*counts, sum(map(sum, counts)), eps)
 
 
-def pseudo_error_sq(
-    alphas, betas, gammas, m_a, m_b, m_o, sigmas_a=None, sigmas_b=None, sigmas_o=None
-) -> float:
-    """Pseudo-error eps^2 = sum coeff^2*sigma/M over all allocated terms."""
-    families = _families((alphas, betas, gammas), (sigmas_a, sigmas_b, sigmas_o))
+def pseudo_error_sq(alphas, betas, gammas, m_a, m_b, m_o) -> float:
+    """Pseudo-error eps^2 = sum coeff^2/M over all allocated terms (unit
+    variances, as in ``shot_allocation``)."""
     total = 0.0
-    for (coeffs, sigmas), counts in zip(families, (m_a, m_b, m_o)):
+    for coeffs, counts in zip(_families((alphas, betas, gammas)), (m_a, m_b, m_o)):
         counts = np.asarray(list(counts), dtype=float)
         if counts.shape != coeffs.shape:
             raise ValueError("shot counts do not match coefficient count")
         if np.any(counts < 1):
             raise ValueError("shot counts must be >= 1")
-        total += float(np.sum(coeffs**2 * sigmas / counts))
+        total += float(np.sum(coeffs**2 / counts))
     return total
 
 

@@ -1,6 +1,5 @@
 """Pauli-string algebra: representation, dense matrices, sparse action,
-expectations, and decomposition of Hermitian matrices into real-weighted
-Pauli sums.
+and decomposition of Hermitian matrices into real-weighted Pauli sums.
 
 A string is stored as X/Z bitmasks over basis-index space.  Text form "ZX"
 means qubit 0 = Z, and qubit 0 is the leftmost tensor factor (most
@@ -16,8 +15,8 @@ rows and one contraction; complex rows on a real table run as their real
 and imaginary parts.  ``dense_compiled`` scatters the dense matrix of every
 sum of a table, and ``decompose`` reads those per-mask bands back from a
 dense matrix.  A ``PauliSum`` is a plain value that keeps no table:
-``apply_sum``, ``expectation`` and ``dense_matrix`` compile it on each
-call, and ``geig.pencil`` keeps the one table the solvers read.
+``apply_sum`` and ``dense_matrix`` compile it on each call, and
+``geig.pencil`` keeps the one table the solvers read.
 
 ``term_gathers`` is the one per-term form: the gather index and phase of
 each string of a list, so that ``gather_kets`` takes every P_k|w> by one
@@ -36,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .statevector import StateVector, inner
+from .statevector import StateVector
 
 DEFAULT_DENSE_CAP = 12
 DEFAULT_DECOMPOSE_TOL = 1e-10
@@ -338,23 +337,6 @@ def apply_sum(s: PauliSum, v: StateVector) -> StateVector:
     if s.n != v.n:
         raise ValueError(f"qubit counts differ: operator {s.n}, state {v.n}")
     return StateVector(v.n, apply_compiled(compile_sums((s,)), v.amps)[0], normalized=False)
-
-
-def expectation(s: PauliSum, v: StateVector) -> float:
-    """Real expectation value <v|s|v> of a Hermitian Pauli sum.
-
-    Requires a normalized state; the imaginary part, which only rounding
-    reaches for a real-weighted sum, must vanish to 1e-10 max(1, sum_k
-    |c_k|) and is discarded.
-    """
-    if not v.normalized:
-        raise ValueError("expectation requires a normalized state")
-    val = inner(v, apply_sum(s, v))
-    if abs(val.imag) > 1e-10 * max(1.0, float(np.sum(np.abs(s.coeffs)))):
-        raise ValueError(
-            f"expectation has non-real value {val}; operator is not Hermitian"
-        )
-    return val.real
 
 
 def decompose(m: np.ndarray, tol: float = DEFAULT_DECOMPOSE_TOL) -> PauliSum:

@@ -430,6 +430,12 @@ def distinct_values(eigenvalues) -> list:
     return [float(np.mean(part)) for part in np.split(values, np.flatnonzero(breaks) + 1)]
 
 
+def ground_multiplicity(eigenvalues) -> int:
+    """Number of eigenvalues in the lowest cluster, by the rule of
+    ``count_distinct``."""
+    return int(np.argmax(np.append(_cluster_breaks(eigenvalues)[1], True))) + 1
+
+
 def count_distinct(eigenvalues) -> int:
     """Number of eigenvalue clusters separated by more than
     ``DEFAULT_CLUSTER_GAP`` times the largest |eigenvalue|."""

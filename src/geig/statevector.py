@@ -86,9 +86,3 @@ def normalize(v: StateVector) -> StateVector:
     if nrm <= 0.0:
         raise ValueError("cannot normalize the zero vector")
     return StateVector(v.n, v.amps / nrm, normalized=True)
-
-
-def fidelity(u: StateVector, v: StateVector) -> float:
-    """Squared overlap |<u|v>|^2."""
-    return abs(inner(u, v)) ** 2
-

@@ -1,8 +1,9 @@
 """Shared helpers: the two-qubit demonstration pencil, random
 positive-definite pencil generators and the dense-cap refusal check used
-across the test modules, and verbatim copies of ``pauli.apply_string`` and
-``vqge.optimize``, which the package no longer exports, as the one-string
-and one-restart references that several modules compare against."""
+across the test modules, and verbatim copies of ``pauli.apply_string``,
+``vqge.optimize``, ``fqge.line_search`` and ``fqge.residual``, which the
+package no longer exports, as the one-string, one-restart and one-state
+references that several modules compare against."""
 
 import importlib.util
 import sys
@@ -14,8 +15,10 @@ import numpy as np
 import pytest
 
 from geig.ansatz import AnsatzParams
+from geig.fqge import _line_search, _residual
 from geig.pauli import PauliString, PauliSum, decompose, gather_kets, term_gathers
-from geig.statevector import StateVector
+from geig.pencil import rayleigh_quotient
+from geig.statevector import StateVector, normalize
 from geig.vqge import OptConfig, OptTrace, Pencil, _descend
 
 
@@ -129,3 +132,23 @@ def optimize(
         return np.array([value]), np.asarray(grad_fn(params), dtype=float)[None]
 
     return _descend(value_and_grad, p0.theta[None], config)[0]
+
+
+def residual(state: StateVector, pencil) -> float:
+    """Relative residual ||(A - F B)psi|| / (||A psi|| + |F| ||B psi||),
+    bounded in [0, 1]."""
+    a_psi, b_psi, a, b = pencil.apply(state.amps)
+    return _residual(a_psi, b_psi, rayleigh_quotient(a, b))[2]
+
+
+def line_search(state: StateVector, direction: StateVector, pencil):
+    """Exact minimizer of the Rayleigh quotient over span{psi, direction}.
+
+    Solves the 2x2 projected pencil; returns (delta, predicted) where
+    psi + delta*direction attains the predicted quotient.  A near-singular
+    leading component caps |delta| at 1e12 with a warning.
+    """
+    psi = (state if state.normalized else normalize(state)).amps
+    a_psi, b_psi, a, b = applied = pencil.apply(psi)
+    scale = _residual(a_psi, b_psi, rayleigh_quotient(a, b))[1]
+    return _line_search(psi, direction.amps, applied, scale, pencil)[:2]

@@ -504,6 +504,31 @@ class TestFqgeCommand:
         )
         assert summary["reference"]["fidelity_ground"] < 1e-12
 
+    @pytest.mark.parametrize("initial", [0, 1])
+    @pytest.mark.parametrize("line_search", [False, True], ids=["fixed", "line-search"])
+    def test_fidelity_is_the_weight_on_a_degenerate_ground_level(
+        self, capsys, tmp_path, initial, line_search
+    ):
+        """ZI + 0.3 XI against II + 0.2 ZI leaves the second qubit free, so
+        each level is doubly degenerate and both start states reach the
+        ground level.  The overlap with one oracle eigenvector of that level
+        alone reads 0.0128 from |00> and 0.987 from |01>."""
+        problem = tmp_path / "degenerate.json"
+        problem.write_text(
+            json.dumps(
+                {
+                    "n": 2,
+                    "A": [{"coeff": 1.0, "ops": "ZI"}, {"coeff": 0.3, "ops": "XI"}],
+                    "B": [{"coeff": 1.0, "ops": "II"}, {"coeff": 0.2, "ops": "ZI"}],
+                }
+            )
+        )
+        argv = ["fqge", str(problem), "--initial", str(initial)] + ["--line-search"] * line_search
+        summary = summary_of(capsys, argv, "fqge_summary.schema.json")
+        assert summary["status"] == "converged"
+        assert summary["reference"]["abs_error"] <= 1e-12
+        assert summary["reference"]["fidelity_ground"] >= 1 - 1e-9
+
     def test_noisy_run_reports_seeded_result(self, capsys):
         argv = ["fqge", "--noise-sigma", "0.01", "--seed", "5", "--max-iters", "50"]
         one = summary_of(capsys, argv, "fqge_summary.schema.json")

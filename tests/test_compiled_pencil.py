@@ -133,6 +133,32 @@ class TestOneBracketRule:
                 assert b_one == np.vdot(row, b_psi[k]).real
 
 
+class TestBracketsAgainstDense:
+    """The brackets <A>, <B> of ``Pencil.apply`` are the package's one
+    expectation-value path; here they meet the dense matrices."""
+
+    def test_diagonal_entries_of_the_demo_pencil(self):
+        pencil = two_qubit_pencil()
+        assert abs(pencil.apply(basis_state(2, 0).amps)[2] - 1.8) < 1e-12
+        assert abs(pencil.apply(basis_state(2, 3).amps)[3] - 0.5) < 1e-12
+
+    @pytest.mark.parametrize("scale", [1e9, 1e12])
+    def test_large_coefficients_match_dense(self, scale):
+        """Rounding leaves an error on the scale of sum_k |c_k|, on complex
+        rows of a pencil with odd-Y strings as well."""
+        rng = np.random.default_rng(47)
+        terms = [(0.3, "XYZ"), (-1.0, "YYI"), (0.7, "IXY"), (0.2, "ZZZ")]
+        s = PauliSum(3, [(scale * c, ops) for c, ops in terms])
+        pencil = Pencil(s, PauliSum(3, [(scale * abs(c), ops) for c, ops in terms[::-1]]))
+        dense = [dense_matrix(pencil.A), dense_matrix(pencil.B)]
+        for _ in range(50):
+            v = rows(rng, 8, True)
+            v /= np.linalg.norm(v)
+            _, _, a, b = pencil.apply(v)
+            for got, m in zip((a, b), dense):
+                assert abs(got - np.vdot(v, m @ v).real) <= 1e-12 * scale
+
+
 def ising(n):
     return parse_problem(BENCH_PROBLEMS.ising_problem(n, 1))
 

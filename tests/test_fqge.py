@@ -1,21 +1,17 @@
 import numpy as np
 import pytest
 
-from conftest import BENCH_PROBLEMS, random_pencil, random_state, two_qubit_pencil
+from conftest import (
+    BENCH_PROBLEMS,
+    line_search,
+    random_pencil,
+    random_state,
+    residual,
+    two_qubit_pencil,
+)
 from geig.ansatz import random_params
 from geig.cli import parse_problem
-from geig.fqge import (
-    FqgeConfig,
-    LcuOperator,
-    _perturbed,
-    apply_g,
-    build_lcu,
-    line_search,
-    loss_state,
-    noise_vector,
-    residual,
-    run_fqge,
-)
+from geig.fqge import FqgeConfig, LcuOperator, _perturbed, apply_g, build_lcu, loss_state, run_fqge
 from geig.pauli import PauliString, PauliSum, decompose, dense_matrix
 from geig.reference import generalized_eig
 from geig.statevector import StateVector, basis_state, inner, norm, normalize
@@ -47,7 +43,15 @@ def gradient_direction(state, pencil, f_value):
     return StateVector(state.n, raw.amps - state.amps, normalized=False)
 
 
-# the state-level noise step, kept verbatim as it was in geig.fqge
+# the noise vector and the state-level noise step, kept verbatim as they
+# were in geig.fqge
+def noise_vector(n: int, sigma: float, rng) -> np.ndarray:
+    """Uniform perturbation tau * 2^(-n/2) * (1,...,1) with a single draw
+    tau ~ N(0, sigma^2); its norm is |tau|."""
+    tau = rng.normal(0.0, sigma)
+    return np.full(2**n, tau * 2.0 ** (-n / 2), dtype=complex)
+
+
 def noise_inject(state: StateVector, sigma: float, rng) -> StateVector:
     """Add the perturbation and renormalize; sigma = 0 leaves the state
     untouched."""
@@ -298,11 +302,18 @@ class TestLineSearch:
 
 
 class TestNoise:
+    @staticmethod
+    def shift(out: np.ndarray) -> complex:
+        """The shift t added to every amplitude of |0...0> by the noise step,
+        from its renormalized output (1 + t, t, ..., t) / norm."""
+        return out[1] / (out[0] - out[1])
+
     def test_vector_norm_is_tau_magnitude(self):
-        rng = np.random.default_rng(7)
-        v = noise_vector(3, 0.5, rng)
-        assert v.shape == (8,)
-        assert np.allclose(v, v[0]), "uniform perturbation"
+        tau = np.random.default_rng(7).normal(0.0, 0.5)
+        out = _perturbed(basis_state(3, 0).amps, 3, 0.5, np.random.default_rng(7))
+        assert out.shape == (8,)
+        assert np.allclose(out[1:], out[1]), "uniform perturbation"
+        assert abs(abs(self.shift(out)) * 2.0**1.5 - abs(tau)) < 1e-12
 
     def test_sigma_zero_is_identity(self):
         s = basis_state(2, 1)
@@ -313,7 +324,8 @@ class TestNoise:
         """E |tau| = sigma * sqrt(2/pi) for the half-normal magnitude."""
         rng = np.random.default_rng(9)
         sigma = 0.01
-        norms = [np.linalg.norm(noise_vector(2, sigma, rng)) for _ in range(10_000)]
+        amps = basis_state(2, 0).amps
+        norms = [2 * abs(self.shift(_perturbed(amps, 2, sigma, rng))) for _ in range(10_000)]
         want = sigma * np.sqrt(2 / np.pi)
         assert abs(np.mean(norms) - want) < 0.05 * want
 

@@ -19,7 +19,16 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from conftest import A_TERMS, B_TERMS, BENCH_PROBLEMS, apply_string, random_pencil, random_state
+from conftest import (
+    A_TERMS,
+    B_TERMS,
+    BENCH_PROBLEMS,
+    apply_string,
+    line_search,
+    random_pencil,
+    random_state,
+    residual,
+)
 from geig.cli import parse_problem
 from geig.fqge import (
     _DELTA_CAP,
@@ -30,9 +39,7 @@ from geig.fqge import (
     _perturbed,
     apply_g,
     build_lcu,
-    line_search,
     loss_state,
-    residual,
     run_fqge,
 )
 from geig.pauli import PauliSum

@@ -5,16 +5,20 @@ module reaches into another one's private names: it imports no underscore
 name from the package, and reads no underscore attribute of an object
 other than ``self`` or ``cls`` unless it defines that name itself.  The
 package's ``__all__`` lists each public name ``__init__`` imports, once,
-and every name it lists resolves on the package."""
+and every name it lists resolves on the package.  Every function it lists
+has a caller outside the tests of its own behaviour: the package itself
+(``__init__`` aside), a demo or the acceptance tests calls or imports it."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
 
 import geig
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "geig"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "geig"
 SOLVERS = {"vqge", "fqge"}
 FRONT = {"cli", "__init__"}
 
@@ -57,6 +61,21 @@ def private_imports(tree: ast.Module) -> list:
         for a in node.names
         if a.name.startswith("_")
     ]
+
+
+def called_or_imported(tree: ast.Module) -> set:
+    """Every name a parsed module calls, as ``f(...)`` or ``obj.f(...)``, or
+    imports by name; a plain attribute such as ``cfg.line_search`` is
+    neither."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            out.add(node.func.id)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            out.add(node.func.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(a.name for a in node.names)
+    return out
 
 
 def defined_names(tree: ast.Module) -> set:
@@ -170,3 +189,21 @@ def test_every_public_import_of_the_package_is_exported():
         if not (a.asname or a.name).startswith("_")
     }
     assert sorted(imported - set(geig.__all__)) == []
+
+
+def test_the_caller_check_counts_calls_and_imports_only():
+    tree = ast.parse(
+        "from geig import run_fqge\n"
+        "cfg = FqgeConfig(line_search=True)\n"
+        "flag, value = cfg.line_search, summary['residual']\n"
+        "pauli.apply_sum(s, v)\n"
+    )
+    assert called_or_imported(tree) == {"run_fqge", "FqgeConfig", "apply_sum"}
+
+
+def test_every_exported_function_has_a_caller():
+    users = [path for path in PACKAGE.glob("*.py") if path.stem != "__init__"]
+    users += [*(ROOT / "demos").glob("*.py"), ROOT / "tests" / "test_acceptance.py"]
+    used = set().union(*(called_or_imported(ast.parse(path.read_text())) for path in users))
+    functions = {name for name in geig.__all__ if inspect.isfunction(getattr(geig, name))}
+    assert sorted(functions - used) == []

@@ -154,8 +154,6 @@ class TestShotAllocation:
             shot_allocation([-1.0], [1.0], [], 0.1)
         with pytest.raises(ValueError):
             shot_allocation([], [], [], 0.1)
-        with pytest.raises(ValueError):
-            shot_allocation([1.0], [], [], 0.1, sigmas_a=[0.0])
 
 
 class TestPerTermPrecision:

@@ -25,6 +25,7 @@ from geig.reference import (
     distinct_values,
     generalized_eig,
     generalized_eig_dense,
+    ground_multiplicity,
 )
 from geig.vqge import Pencil
 
@@ -525,6 +526,23 @@ class TestDistinct:
         np.testing.assert_allclose(got, np.asarray(vals) * 2.0**exponent, rtol=1e-12)
         assert count_distinct(got) == count_distinct(vals) == 4
 
+    def test_ground_multiplicity(self):
+        assert ground_multiplicity([1.0, 1.0 + 1e-9, 2.0, 3.0, 3.0 + 1e-8]) == 2
+        assert ground_multiplicity([3.0 + 1e-8, 2.0, 1.0 + 1e-9, 3.0, 1.0]) == 2
+        assert ground_multiplicity([0.33, 0.97, 1.01, 1.56]) == 1
+        assert ground_multiplicity([0.5, 0.5, 0.5]) == 3
+
+    def test_ground_multiplicity_of_a_degenerate_pencil(self):
+        """ZI + 0.3 XI against II + 0.2 ZI leaves the second qubit free, so
+        each of its two levels is doubly degenerate."""
+        pencil = Pencil(
+            PauliSum(2, [(1.0, "ZI"), (0.3, "XI")]), PauliSum(2, [(1.0, "II"), (0.2, "ZI")])
+        )
+        vals = generalized_eig(pencil).eigenvalues
+        np.testing.assert_allclose(vals, [-1.2941, -1.2941, 0.8774, 0.8774], atol=1e-4)
+        assert ground_multiplicity(vals) == 2
+        assert ground_multiplicity(generalized_eig(two_qubit_pencil()).eigenvalues) == 1
+
 
 def _loop_distinct_values(eigenvalues):
     """The cluster loop ``distinct_values`` replaced, kept to check it
@@ -564,6 +582,18 @@ class TestDistinctProperty:
         reps = distinct_values(v)
         assert count_distinct(v) == len(reps)
         assert np.asarray(reps).tobytes() == np.asarray(_loop_distinct_values(v)).tobytes()
+
+    @settings(deadline=None, max_examples=200)
+    @given(values=st.one_of(ALL_EQUAL, CLUSTERED.filter(bool)))
+    def test_ground_multiplicity_is_the_lowest_cluster_size(self, values):
+        """The lowest cluster's mean is the mean of exactly the
+        ``ground_multiplicity`` smallest values, which are all the values
+        only when there is one cluster."""
+        v = np.sort(np.asarray(values, dtype=float))
+        k = ground_multiplicity(v)
+        assert 1 <= k <= v.size
+        assert float(np.mean(v[:k])) == distinct_values(v)[0]
+        assert (k == v.size) == (count_distinct(v) == 1)
 
 
 class TestJacobiScale:

@@ -1,15 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import A_TERMS, B_TERMS, random_state
+from conftest import random_state
 from geig.ansatz import apply_ry, cnot_index, ry_gates
-from geig.pauli import PauliSum, apply_sum, dense_matrix, expectation
 from geig.statevector import (
     StateVector,
     basis_state,
-    fidelity,
     inner,
-    norm,
     normalize,
     zero_state,
 )
@@ -146,18 +143,6 @@ class TestInnerProducts:
         u, v = random_state(rng, 2), random_state(rng, 2)
         assert abs(inner(u, v) - np.conj(inner(v, u))) < 1e-12
 
-    def test_fidelity_orthogonal(self):
-        assert fidelity(basis_state(1, 0), basis_state(1, 1)) == 0.0
-
-    def test_fidelity_symmetric_and_phase_invariant(self):
-        rng = np.random.default_rng(21)
-        for _ in range(10):
-            u, v = random_state(rng, 2), random_state(rng, 2)
-            f = fidelity(u, v)
-            assert abs(f - fidelity(v, u)) < 1e-12
-            w = StateVector(2, np.exp(1j * rng.normal()) * u.amps)
-            assert abs(fidelity(w, v) - f) < 1e-12
-
     def test_normalize(self):
         out = normalize(StateVector(1, np.array([3.0, 4.0]), normalized=False))
         np.testing.assert_allclose(out.amps, [0.6, 0.8])
@@ -166,37 +151,3 @@ class TestInnerProducts:
     def test_normalize_zero_vector(self):
         with pytest.raises(ValueError):
             normalize(StateVector(1, np.zeros(2), normalized=False))
-
-
-class TestExpectation:
-    def test_z_on_zero(self):
-        assert expectation(PauliSum(1, [(1.0, "Z")]), zero_state(1)) == 1.0
-
-    def test_diagonal_entries_of_the_demo_pencil(self):
-        assert abs(expectation(PauliSum(2, A_TERMS), basis_state(2, 0)) - 1.8) < 1e-12
-        assert abs(expectation(PauliSum(2, B_TERMS), basis_state(2, 3)) - 0.5) < 1e-12
-
-    def test_requires_normalized_state(self):
-        v = StateVector(1, np.array([2.0, 0.0]), normalized=False)
-        with pytest.raises(ValueError):
-            expectation(PauliSum.identity(1, 1.0), v)
-
-    def test_agrees_with_apply_sum(self):
-        rng = np.random.default_rng(31)
-        s = PauliSum(2, [(0.7, "XY"), (-0.2, "ZZ"), (1.1, "IX")])
-        for _ in range(20):
-            v = random_state(rng, 2)
-            want = inner(v, apply_sum(s, v)).real
-            assert abs(expectation(s, v) - want) < 1e-12
-
-    @pytest.mark.parametrize("scale", [1e9, 1e12])
-    def test_large_coefficients_are_not_called_non_hermitian(self, scale):
-        """Rounding leaves an imaginary part on the scale of sum_k |c_k|."""
-        rng = np.random.default_rng(47)
-        terms = [(0.3, "XYZ"), (-1.0, "YYI"), (0.7, "IXY"), (0.2, "ZZZ")]
-        s = PauliSum(3, [(scale * c, ops) for c, ops in terms])
-        m = dense_matrix(s)
-        for _ in range(50):
-            v = random_state(rng, 3)
-            want = np.vdot(v.amps, m @ v.amps).real
-            assert abs(expectation(s, v) - want) <= 1e-12 * scale
