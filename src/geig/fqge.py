@@ -103,12 +103,25 @@ class FqgeResult:
     state: StateVector
 
 
+def _norm(v: np.ndarray) -> float:
+    """||v|| by ``np.linalg.norm``, which squares the entries: where that
+    overflows, or lies below 1e-140 where squares underflow, the norm of v
+    scaled exactly by the power of two of its largest |entry|, scaled back
+    (inf if it overflows still).  The first norm may overflow: callers run
+    it under ``np.errstate(over="ignore")``, as ``run_fqge`` does."""
+    out = float(np.linalg.norm(v))
+    if 1e-140 < out < math.inf:
+        return out
+    e = _exponent(np.max(np.abs(v)))
+    return float(np.ldexp(np.linalg.norm(v * 2.0**-e), e))
+
+
 def _residual(a_psi, b_psi, f: float) -> tuple:
     """(r, scale, relative): r = (A - F B) psi, the scale ||A psi|| +
     |F| ||B psi|| of its terms, and ||r|| / scale (0 at zero scale)."""
     r = a_psi - f * b_psi
-    scale = float(np.linalg.norm(a_psi)) + abs(f) * float(np.linalg.norm(b_psi))
-    return r, scale, float(np.linalg.norm(r)) / scale if scale != 0.0 else 0.0
+    scale = _norm(a_psi) + abs(f) * _norm(b_psi)
+    return r, scale, _norm(r) / scale if scale != 0.0 else 0.0
 
 
 def loss_state(state: StateVector, pencil) -> float:
@@ -194,7 +207,7 @@ def _line_search(psi: np.ndarray, direction: np.ndarray, applied: tuple, scale: 
     f00 = rayleigh_quotient(a00, b00)
     c = np.vdot(psi, direction)
     w = direction - c * psi
-    wn = float(np.linalg.norm(w))
+    wn = _norm(w)
     # w below the rounding of the terms (2/<B>)(A psi - F B psi) is formed
     # from is no direction, at any pencil scale
     if wn <= 1e-14 * (2.0 / b00) * scale:

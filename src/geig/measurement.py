@@ -97,7 +97,8 @@ def shot_allocation(
     Lagrange closed form: M_term = (Lam_a + Lam_b + Lam_o)/eps^2 * coeff,
     with Lam = sum coeff per family; counts are ceil-rounded with a floor
     of one shot.  Every term's variance is taken as 1, which bounds the
-    variance of a +-1 Hadamard-test outcome.
+    variance of a +-1 Hadamard-test outcome.  An eps whose square, Lam /
+    eps^2 or any count is not a finite float is refused.
     """
     if not (math.isfinite(eps) and eps > 0.0):
         raise ValueError(f"target pseudo-error must be finite and > 0, got {eps}")
@@ -105,8 +106,15 @@ def shot_allocation(
     lam = sum(float(np.sum(c)) for c in families)
     if lam <= 0.0:
         raise ValueError("all coefficients are zero; nothing to allocate")
-    mu_root = lam / eps**2
-    counts = [tuple(max(1, math.ceil(mu_root * c)) for c in family) for family in families]
+    try:
+        mu_root = lam / eps**2
+    except (OverflowError, ZeroDivisionError):  # eps^2 over- or underflows
+        mu_root = math.inf
+    scaled = [[mu_root * c for c in family.tolist()] for family in families]
+    if not all(math.isfinite(x) for family in scaled for x in family):
+        msg = "its square, Lam / eps^2 or a shot count is not a finite float"
+        raise ValueError(f"target pseudo-error {eps!r} is out of range: {msg}")
+    counts = [tuple(max(1, math.ceil(x)) for x in family) for family in scaled]
     return ShotPlan(*counts, sum(map(sum, counts)), eps)
 
 

@@ -2,8 +2,9 @@
 losses with exact gradients, a from-scratch Adam loop, and the
 min / max / deflate pipeline that recovers the full spectrum.
 
-In exact mode (``shots == 0``) a loss and its gradient come from one fused
-pass on raw arrays for a whole batch of angle grids at once.  A small
+In exact mode a loss and its gradient come from one fused pass on raw
+arrays for a whole batch of angle grids at once; ``loss_f``, ``loss_fj``,
+``grad_f`` and ``grad_fj`` are that pass at one grid.  A small
 circuit, whose row and n L pi-shifted rows hold at most
 ``_SHIFT_ROW_ENTRIES`` amplitudes, runs every grid with its pi-shifted grids
 as one circuit batch, and each gradient entry is one overlap of a shifted
@@ -16,16 +17,17 @@ with a sign per row.  The solver reads the problem through ``geig.pencil``:
 the pencil's one compiled table, the <B> check and the quotient; the exact
 pass runs in float64 when that table and the states are real.
 
-With ``shots > 0`` every expectation is a sampled Hadamard test and
-gradients use the pi-shift rule.  The restarts of a level run one after
-another on the level's sampling stream, but restart k of the min and max
-levels descends as one batch of two rows, each row drawing from its own
-level's stream.  Per step, one circuit batch gives every row's psi and
-pi-shifted states, one gather the Pauli kets, one stacked product each
-family of overlaps, and one sampler call per row all the draws the row's
-loss and gradient need.  Weighted sums and gradient entries run on arrays
-in the scalar loop's order of operations, so each row rounds and draws as
-the term-by-term evaluation of its level alone does."""
+Shot mode is ``solve_spectrum`` with ``SolveConfig.shots > 0``: every
+expectation is a sampled Hadamard test and gradients use the pi-shift
+rule.  The restarts of a level run one after another on the level's
+sampling stream, but restart k of the min and max levels descends as one
+batch of two rows, each row drawing from its own level's stream.  Per
+step, one circuit batch gives every row's psi and pi-shifted states, one
+gather the Pauli kets, one stacked product each family of overlaps, and
+one sampler call per row all the draws the row's loss and gradient need.
+Weighted sums and gradient entries run on arrays in the scalar loop's
+order of operations, so each row rounds and draws as the term-by-term
+evaluation of its level alone does."""
 
 from __future__ import annotations
 
@@ -259,28 +261,28 @@ def _shot_objective(
 ) -> Callable:
     """The deflated loss ``sign * F_j`` from Hadamard tests, with its
     gradient by the pi-shift rule, as a batched function
-    ``theta (R, n, L) -> (values (R,) or None, grads (R, n, L) or None)``,
-    with one ``sign`` for every row or an (R,) array of them and one
-    generator per row in ``rngs``: levels with the same records share a
-    batch while each row draws from its own stream.
+    ``theta (R, n, L) -> (values (R,), grads (R, n, L))``, with one
+    ``sign`` for every row or an (R,) array of them and one generator per
+    row in ``rngs``: levels with the same records share a batch while each
+    row draws from its own stream.
 
     One circuit batch holds, per row, psi and, layer-major, each circuit
     with pi added to one angle.  Every state phi of a row gives the exact
     overlaps <phi|A_k|psi>, <phi|B_k|psi> and, per record, <x|B_k|phi> for
-    the unit vector x; phi = psi is all the loss needs.  One
-    ``term_gathers`` table of the strings of A then B is built per
-    objective, and ``gather_kets`` reads it: one gather takes the A and B
-    kets of every row's psi, one the B kets (the table's tail rows) of
-    every state (in blocks of states above ``_KET_BLOCK_ENTRIES``), and
-    each family of overlaps is one stacked product.  One sampler call per
-    row, on the row's generator, draws psi for the loss and then every
-    state of the row afresh for the gradient, as two calls would;
-    ``shots == 0`` keeps the overlaps exact.  The A, B and record sums of every draw are groups
-    of one accumulation in term order, and the values and gradient entries
-    are (R, ...) arrays in the scalar rule's order of operations, so each
-    row rounds and draws as a term-by-term loop on its own.  An error
-    raised in a batch (a <B> that is not positive, or whose square
-    overflows) may report a value from any row.
+    the unit vector x.  One ``term_gathers`` table of the strings of A then
+    B is built per objective, and ``gather_kets`` reads it: one gather
+    takes the A and B kets of every row's psi, one the B kets (the table's
+    tail rows) of every state (in blocks of states above
+    ``_KET_BLOCK_ENTRIES``), and each family of overlaps is one stacked
+    product.  One sampler call per row, on the row's generator, draws psi
+    for the loss and then every state of the row afresh for the gradient,
+    as two calls would; ``shots == 0`` keeps the overlaps exact.  The A, B
+    and record sums of every draw are groups of one accumulation in term
+    order, and the values and gradient entries are (R, ...) arrays in the
+    scalar rule's order of operations, so each row rounds and draws as a
+    term-by-term loop on its own.  An error raised in a batch (a <B> that
+    is not positive, or whose square overflows) may report a value from
+    any row.
     """
     circuit = compile_ansatz(pencil.n, entangler)
     n_x = len(records)
@@ -304,11 +306,10 @@ def _shot_objective(
         coeffs[g, width - len(c) :] = c
         first += len(c)
 
-    def value_and_grad(theta: np.ndarray, value: bool = True, grad: bool = True) -> tuple:
+    def value_and_grad(theta: np.ndarray) -> tuple:
         rows, n, layers = theta.shape
-        per_row = 1 + n * layers if grad else 1
-        grid = pi_shifted(theta) if grad else theta
-        states = circuit.run(grid, v_in.amps)
+        per_row = 1 + n * layers
+        states = circuit.run(pi_shifted(theta), v_in.amps)
         kets = gather_kets(gathers, states[::per_row])
         exact = overlaps(states.reshape(rows, per_row, 1, -1), kets[:, None])
         if n_x:
@@ -317,44 +318,37 @@ def _shot_objective(
                 for lo in range(0, len(states), step)
             ]
             exact = np.concatenate((exact, np.concatenate(at_x).reshape(rows, per_row, -1)), -1)
-        if value and grad:
-            exact = np.concatenate((exact[:, :1], exact), axis=1)
+        # psi drawn for the loss, then psi and every shifted state for the gradient
+        exact = np.concatenate((exact[:, :1], exact), axis=1)
         est = np.zeros(exact.shape[:-1] + (exact.shape[-1] + 1,), dtype=np.complex128)
         for row_est, row_exact, rng in zip(est, exact, rngs, strict=True):
             row_est[:, :-1] = sample_overlaps(row_exact, shots, rng)
         sums = _weighted_sums(est.take(columns, axis=-1), coeffs)
         a, b, t = sums[..., 0].real, sums[..., 1].real, sums[..., 2:] * norms
-        values = grads = None
-        if value:
-            b0 = b[:, 0]
-            values = rayleigh_quotient(a[:, 0], b0)
+        values = rayleigh_quotient(a[:, 0], b[:, 0])
+        if n_x:
+            for (gamma, m), t_sq in zip(penalties, _abs_sq(t[:, 0]).T):
+                values += gamma * t_sq / (m * b[:, 0])
+        values *= signs[:, 0, 0]
+        a0, b0, t0 = a[:, 1, None], b[:, 1, None], t[:, 1, None]
+        check_b(b0)
+        for b_row in b0.ravel().tolist():
+            if not math.isfinite(b_row * b_row):
+                raise ValueError(f"<B> = {b_row:.3e} at the evaluated state; its square overflows")
+        b0_sq = np.array([[b_row**2] for b_row in b0.ravel().tolist()])
+        da, db, t_plus = a[:, 2:], b[:, 2:], t[:, 2:]
+        # an entry that overflows is inf, silently, as in scalar arithmetic
+        with np.errstate(over="ignore", invalid="ignore"):
+            entries = (da * b0 - a0 * db) / b0_sq
             if n_x:
-                for (gamma, m), t_sq in zip(penalties, _abs_sq(t[:, 0]).T):
-                    values += gamma * t_sq / (m * b0)
-            values *= signs[:, 0, 0]
-        if grad:
-            g = 1 if value else 0  # the gradient's draw of psi
-            a0, b0, t0 = a[:, g, None], b[:, g], t[:, g, None]
-            check_b(b0)
-            for b_row in b0.tolist():
-                if not math.isfinite(b_row * b_row):
-                    msg = f"<B> = {b_row:.3e} at the evaluated state; its square overflows"
-                    raise ValueError(msg)
-            b0_sq = np.array([b_row**2 for b_row in b0.tolist()])[:, None]
-            b0 = b0[:, None]
-            da, db, t_plus = a[:, g + 1 :], b[:, g + 1 :], t[:, g + 1 :]
-            # an entry that overflows is inf, silently, as in scalar arithmetic
-            with np.errstate(over="ignore", invalid="ignore"):
-                entries = (da * b0 - a0 * db) / b0_sq
-                if n_x:
-                    # Re(conj(t) t_plus) in real parts, as the scalar product rounds it
-                    dt2 = t0.real * t_plus.real - (-t0.imag) * t_plus.imag
-                    t_sq = _abs_sq(t0)
-                    terms = scales * (dt2 * b0[..., None] - t_sq * db[..., None])
-                    terms /= b0_sq[..., None]
-                    parts = np.concatenate((entries[..., None], terms), axis=-1)
-                    entries = np.add.accumulate(parts, axis=-1)[..., -1]
-            grads = signs * entries.reshape(rows, layers, n).transpose(0, 2, 1).copy()
+                # Re(conj(t) t_plus) in real parts, as the scalar product rounds it
+                dt2 = t0.real * t_plus.real - (-t0.imag) * t_plus.imag
+                t_sq = _abs_sq(t0)
+                terms = scales * (dt2 * b0[..., None] - t_sq * db[..., None])
+                terms /= b0_sq[..., None]
+                parts = np.concatenate((entries[..., None], terms), axis=-1)
+                entries = np.add.accumulate(parts, axis=-1)[..., -1]
+        grads = signs * entries.reshape(rows, layers, n).transpose(0, 2, 1).copy()
         return values, grads
 
     return value_and_grad
@@ -365,27 +359,20 @@ def _abs_sq(t: np.ndarray) -> np.ndarray:
     return np.array([abs(z) ** 2 for z in t.ravel().tolist()]).reshape(t.shape)
 
 
-def _at(p: AnsatzParams, pencil: Pencil, records, v_in, entangler, shots, rng, grad):
+def _at(p: AnsatzParams, pencil: Pencil, records, v_in, entangler, grad):
     """The value of loss_fj at one angle grid, or with ``grad`` its
-    gradient: by the fused exact pass when ``shots == 0``, else from
-    Hadamard tests and the pi-shift rule."""
+    gradient, by the fused exact pass."""
     v_in = zero_state(pencil.n) if v_in is None else v_in
     if p.n != v_in.n:
         raise ValueError(f"qubit counts differ: params {p.n}, state {v_in.n}")
-    if shots == 0:
-        values, grads = _exact_objective(pencil, records, v_in, entangler)(p.theta[None], grad)
-    else:
-        objective = _shot_objective(pencil, records, v_in, entangler, 1.0, shots, [rng])
-        values, grads = objective(p.theta[None], value=not grad, grad=grad)
+    values, grads = _exact_objective(pencil, records, v_in, entangler)(p.theta[None], grad)
     return grads[0] if grad else float(values[0])
 
 
-def loss_f(
-    p: AnsatzParams, pencil: Pencil, v_in=None, entangler="linear", shots=0, rng=None
-) -> float:
+def loss_f(p: AnsatzParams, pencil: Pencil, v_in=None, entangler="linear") -> float:
     """Rayleigh quotient <A>/<B> on the prepared state; lies in
     [lambda_1, lambda_r]."""
-    return loss_fj(p, pencil, (), v_in, entangler, shots, rng)
+    return loss_fj(p, pencil, (), v_in, entangler)
 
 
 def loss_fj(
@@ -394,8 +381,6 @@ def loss_fj(
     records: Sequence[DeflationRecord],
     v_in=None,
     entangler="linear",
-    shots=0,
-    rng=None,
 ) -> float:
     """Deflated loss: the Rayleigh quotient plus, per record, the penalty
     gamma * |<x|B|psi>|^2 / (<x|B|x> <psi|B|psi>).
@@ -404,16 +389,14 @@ def loss_fj(
     lower bound F_j >= lambda_j valid for every trial state; the minimum
     over states is exactly lambda_j.
     """
-    return _at(p, pencil, records, v_in, entangler, shots, rng, grad=False)
+    return _at(p, pencil, records, v_in, entangler, grad=False)
 
 
-def grad_f(
-    p: AnsatzParams, pencil: Pencil, v_in=None, entangler="linear", shots=0, rng=None
-) -> np.ndarray:
-    """Gradient of loss_f, shape (n, L) matching the parameter grid: exact
+def grad_f(p: AnsatzParams, pencil: Pencil, v_in=None, entangler="linear") -> np.ndarray:
+    """Gradient of loss_f, shape (n, L) matching the parameter grid: exact,
     by the pi-shift rule on a small circuit and the adjoint sweep on a
-    larger one, from Hadamard tests and the pi-shift rule with shots."""
-    return grad_fj(p, pencil, (), v_in, entangler, shots, rng)
+    larger one."""
+    return grad_fj(p, pencil, (), v_in, entangler)
 
 
 def grad_fj(
@@ -422,12 +405,10 @@ def grad_fj(
     records: Sequence[DeflationRecord],
     v_in=None,
     entangler="linear",
-    shots=0,
-    rng=None,
 ) -> np.ndarray:
     """Gradient of loss_fj (quotient rule plus the normalized-penalty
     derivative); equals grad_f when records is empty."""
-    return _at(p, pencil, records, v_in, entangler, shots, rng, grad=True)
+    return _at(p, pencil, records, v_in, entangler, grad=True)
 
 
 def _descend(value_and_grad: Callable, theta0: np.ndarray, config: OptConfig) -> list:

@@ -79,7 +79,7 @@ class TestFusedPass:
             p = random_params(n, layers, rng)
             values, grads = _exact_objective(pencil, records, v_in, entangler)(p.theta[None])
             objective = _shot_objective(pencil, records, v_in, entangler, 1.0, 0, [None])
-            want_g = objective(p.theta[None], value=False)[1][0]
+            want_g = objective(p.theta[None])[1][0]
             psi = apply_ansatz(p, v_in, entangler).amps
             assert grads.shape == (1, n, layers)
             np.testing.assert_allclose(grads[0], want_g, rtol=0, atol=TOL)

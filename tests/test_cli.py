@@ -680,8 +680,18 @@ class TestErrorContract:
             (["--entangler", "star"], "unknown entangler 'star'"),
             (["--r", "1", "--target-eps", "-1"], "pseudo-error must be finite and > 0"),
             (["--target-eps", "0"], "pseudo-error must be finite and > 0"),
+            (["--r", "1", "--target-eps", "1e-300"], "target pseudo-error 1e-300 is out of range"),
+            (["--r", "1", "--target-eps", "1e-160"], "target pseudo-error 1e-160 is out of range"),
         ],
-        ids=["r-above-dim", "r-zero", "entangler", "target-eps-negative", "target-eps-zero"],
+        ids=[
+            "r-above-dim",
+            "r-zero",
+            "entangler",
+            "target-eps-negative",
+            "target-eps-zero",
+            "target-eps-square-underflows",
+            "target-eps-counts-overflow",
+        ],
     )
     def test_vqge_options_fail_before_the_oracle(self, capsys, monkeypatch, tmp_path, argv, message):
         """A bad --r, entangler name or --target-eps is refused before the
@@ -861,17 +871,15 @@ class TestNonFiniteSummary:
     @pytest.mark.parametrize(
         "scale, flags", [(1e155, ["--line-search"]), (1e200, [])], ids=["line-search", "fixed-step"]
     )
-    def test_fqge_exits_1(self, tmp_path, scale, flags):
-        """||A psi|| overflows: the residual is NaN, and the one stderr line
-        names its field."""
+    def test_fqge_converges_where_its_norms_would_overflow(self, tmp_path, scale, flags):
+        """The squares of the entries of A psi overflow: ||A psi||, ||B psi||
+        and ||r|| are taken again on the scaled vectors, so the run converges
+        to the ground value."""
         proc = self.run_fqge_at_scale(tmp_path, scale, flags)
-        assert proc.returncode == 1
-        assert proc.stdout == ""
-        lines = proc.stderr.splitlines()
-        assert len(lines) == 1, lines
-        payload = json.loads(lines[0])
-        assert payload["error"] == "ValueError"
-        assert "residual" in payload["message"]
+        assert proc.returncode == 0 and proc.stderr == ""
+        summary = json.loads(proc.stdout)
+        assert summary["status"] == "converged"
+        assert abs(summary["eigenvalue"] + np.sqrt(2.0)) <= 1e-9
 
     @pytest.mark.parametrize("scale", [1e100, 1e140, 1e150])
     def test_line_search_converges_where_its_products_would_overflow(self, tmp_path, scale):
@@ -916,3 +924,50 @@ class TestNonFiniteSummary:
         ]:
             with pytest.raises(ValueError, match=re.escape(field)):
                 _check_finite(summary)
+
+
+def scaled_pencil(a, b):
+    """{A: [a ZI, a XX], B: [b II, 0.5 b IZ]} and its ground value, numpy's
+    ``eigvalsh`` of the unit pencil reduced by the Cholesky factor of B,
+    times a / b."""
+    z, x = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
+    unit_a = np.kron(z, np.eye(2)) + np.kron(x, x)
+    unit_b = np.eye(4) + 0.5 * np.kron(np.eye(2), z)
+    inv_l = np.linalg.inv(np.linalg.cholesky(unit_b))
+    ground = np.linalg.eigvalsh(inv_l @ unit_a @ inv_l.T)[0] * (a / b)
+    problem = {
+        "n": 2,
+        "A": [{"coeff": a, "ops": "ZI"}, {"coeff": a, "ops": "XX"}],
+        "B": [{"coeff": b, "ops": "II"}, {"coeff": 0.5 * b, "ops": "IZ"}],
+    }
+    return problem, ground
+
+
+class TestFqgeAtNormScales:
+    """Where the squares of the amplitudes of A psi, B psi or the residual
+    over- or underflow, ``geig fqge`` in either mode reports "converged"
+    only at the ground value, or ends at ``max_iters`` or in one JSON
+    line on stderr."""
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [(1e154, 1e154), (1e155, 1e155), (1e156, 1e156), (1e-170, 1.0), (1.0, 1e175)],
+        ids=["both-1e154", "both-1e155", "both-1e156", "A-1e-170", "B-1e175"],
+    )
+    @pytest.mark.parametrize("flags", [[], ["--line-search"]], ids=["fixed-step", "line-search"])
+    def test_converged_only_at_the_ground_value(self, capsys, tmp_path, a, b, flags):
+        problem, ground = scaled_pencil(a, b)
+        path = tmp_path / "scaled.json"
+        path.write_text(json.dumps(problem))
+        rc, out, err = run_main(capsys, ["fqge", *flags, str(path)])
+        if rc == 1:
+            assert out == ""
+            lines = err.splitlines()
+            assert len(lines) == 1, lines
+            assert set(json.loads(lines[0])) == {"error", "message"}
+            return
+        assert rc == 0 and err == ""
+        summary = json.loads(out)
+        assert summary["status"] in ("converged", "max_iters")
+        if summary["status"] == "converged":
+            assert abs(summary["eigenvalue"] - ground) <= 1e-9 * abs(ground), summary

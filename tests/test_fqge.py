@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,16 @@ from conftest import (
 )
 from geig.ansatz import random_params
 from geig.cli import parse_problem
-from geig.fqge import FqgeConfig, LcuOperator, _perturbed, apply_g, build_lcu, loss_state, run_fqge
+from geig.fqge import (
+    FqgeConfig,
+    LcuOperator,
+    _norm,
+    _perturbed,
+    apply_g,
+    build_lcu,
+    loss_state,
+    run_fqge,
+)
 from geig.pauli import PauliString, PauliSum, decompose, dense_matrix
 from geig.reference import generalized_eig
 from geig.statevector import StateVector, basis_state, inner, norm, normalize
@@ -174,6 +185,33 @@ class TestResidual:
         for _ in range(50):
             r = residual(random_state(rng, 2), pencil)
             assert 0.0 <= r <= 1.0
+
+
+class TestNorm:
+    def test_np_linalg_norm_in_range(self):
+        """Between 1e-140 and the overflow the norm is numpy's, bit for bit."""
+        rng = np.random.default_rng(4)
+        for scale in (1e-130, 1e-10, 1.0, 1e100, 1e150):
+            for v in (rng.normal(size=16), rng.normal(size=16) + 1j * rng.normal(size=16)):
+                assert _norm(scale * v) == float(np.linalg.norm(scale * v))
+
+    @pytest.mark.parametrize("scale", [2.0**-1070, 1e-300, 1e-170, 1e-145, 1e160, 1e300])
+    def test_scaled_where_the_squares_leave_the_range(self, scale):
+        """Where the squares over- or underflow, the norm of the vector
+        scaled by a power of two, scaled back, is ``math.hypot``'s within
+        rounding."""
+        rng = np.random.default_rng(5)
+        for v in (rng.normal(size=16), rng.normal(size=16) + 1j * rng.normal(size=16)):
+            x = scale * v / np.max(np.abs(v))
+            want = math.hypot(*np.abs(x).tolist())
+            with np.errstate(over="ignore"):  # as in run_fqge
+                assert abs(_norm(x) - want) <= 1e-14 * want
+
+    def test_zero_nan_and_overflow(self):
+        assert _norm(np.zeros(4)) == 0.0
+        assert np.isnan(_norm(np.array([1.0, np.nan])))
+        with np.errstate(over="ignore"):
+            assert _norm(np.array([1e308, 1e308, 1e308, 1e308])) == np.inf
 
 
 class TestBuildLcu:

@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -154,6 +157,26 @@ class TestShotAllocation:
             shot_allocation([-1.0], [1.0], [], 0.1)
         with pytest.raises(ValueError):
             shot_allocation([], [], [], 0.1)
+
+    @pytest.mark.parametrize(
+        "coeffs, eps",
+        [([1.0], 1e-300), ([1.0], 1e-160), ([1.0], 1e200), ([1e300], 1e-5), ([1e-300], 1e-300)],
+        ids=["square-underflows", "counts-overflow", "square-overflows", "lam-overflows", "tiny"],
+    )
+    def test_targets_without_a_finite_plan_are_refused(self, coeffs, eps):
+        """An eps whose square, Lam / eps^2 or any count is not a finite
+        float ends in a ValueError that names the target."""
+        message = re.escape(f"target pseudo-error {eps!r} is out of range")
+        with pytest.raises(ValueError, match=message):
+            shot_allocation(coeffs, coeffs, [], eps)
+
+    def test_smallest_float_targets_still_plan(self):
+        """Targets down to where Lam / eps^2 still fits a float plan as
+        before: ceil(Lam / eps^2 * c) per term."""
+        for eps in (1e-150, 1e-100, 1e-20):
+            plan = shot_allocation([1.0], [0.5], [], eps)
+            assert plan.m_a == (math.ceil(1.5 / eps**2 * 1.0),)
+            assert plan.m_b == (math.ceil(1.5 / eps**2 * 0.5),)
 
 
 class TestPerTermPrecision:

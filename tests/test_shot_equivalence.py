@@ -71,36 +71,33 @@ def ref_shot_objective(pencil, records, v_in, entangler, sign, shots, rng):
         ts = [x * ref_weighted(coeffs_b, est[n_a + n_b * j :]) for j, x in enumerate(norms, 1)]
         return ref_weighted(coeffs_a, est).real, ref_weighted(coeffs_b, est[n_a:]).real, ts
 
-    def value_and_grad(theta, value=True, grad=True):
+    def value_and_grad(theta):
         _, n, layers = theta.shape
-        grid = np.repeat(theta, 1 + n * layers if grad else 1, axis=0)
+        grid = np.repeat(theta, 1 + n * layers, axis=0)
         k = np.arange(len(grid) - 1)
         grid[1 + k, k % n, k // n] += np.pi
         states = circuit.run(grid, v_in.amps)
         kets = ref_term_kets(pencil.A, states[0]) + ref_term_kets(pencil.B, states[0])
         exact = np.array([overlaps(phi, kets) for phi in states], dtype=complex)
-        values = grads = None
-        if value:
-            a, b, ts = brackets(sample_overlaps(exact[0], shots, rng))
-            loss = rayleigh_quotient(a, b)
-            for (gamma, m), t in zip(penalties, ts):
-                loss += gamma * abs(t) ** 2 / (m * b)
-            values = np.array([sign * loss])
-        if grad:
-            est = sample_overlaps(exact, shots, rng)
-            a, b, ts = brackets(est[0])
-            check_b(b)
-            if not math.isfinite(b * b):
-                raise ValueError(f"<B> = {b:.3e} at the evaluated state; its square overflows")
-            entries = []
-            for row in est[1:]:
-                da, db, ts_plus = brackets(row)
-                entry = (da * b - a * db) / b**2
-                for (gamma, m), t, t_plus in zip(penalties, ts, ts_plus):
-                    dt2 = (np.conj(t) * t_plus).real
-                    entry += gamma / m * (dt2 * b - abs(t) ** 2 * db) / b**2
-                entries.append(entry)
-            grads = sign * np.array(entries).reshape(layers, n).T.copy()[None]
+        a, b, ts = brackets(sample_overlaps(exact[0], shots, rng))
+        loss = rayleigh_quotient(a, b)
+        for (gamma, m), t in zip(penalties, ts):
+            loss += gamma * abs(t) ** 2 / (m * b)
+        values = np.array([sign * loss])
+        est = sample_overlaps(exact, shots, rng)
+        a, b, ts = brackets(est[0])
+        check_b(b)
+        if not math.isfinite(b * b):
+            raise ValueError(f"<B> = {b:.3e} at the evaluated state; its square overflows")
+        entries = []
+        for row in est[1:]:
+            da, db, ts_plus = brackets(row)
+            entry = (da * b - a * db) / b**2
+            for (gamma, m), t, t_plus in zip(penalties, ts, ts_plus):
+                dt2 = (np.conj(t) * t_plus).real
+                entry += gamma / m * (dt2 * b - abs(t) ** 2 * db) / b**2
+            entries.append(entry)
+        grads = sign * np.array(entries).reshape(layers, n).T.copy()[None]
         return values, grads
 
     return value_and_grad
@@ -140,9 +137,6 @@ def real_state(rng, n):
 
 
 def assert_bitwise(got, want):
-    if want is None:
-        assert got is None
-        return
     assert got.dtype == want.dtype and got.shape == want.shape
     np.testing.assert_array_equal(got, want)
     assert got.tobytes() == want.tobytes()
@@ -161,8 +155,7 @@ class TestShotObjectiveBitwise:
     def test_values_grads_and_draws(self, n, layers, entangler):
         """n = 1..4, L = 1..2, both entanglers; real and odd-Y pencils,
         |0> and a complex start, 0..3 records, shots 0, 400 and 2000; each
-        objective called for value and gradient, value only and gradient
-        only, twice over, on one generator per objective."""
+        objective called twice, on one generator per objective."""
         rng = np.random.default_rng([n, layers, len(entangler)])
         for make_pencil, make_state in ((real_pencil, real_state), (odd_y_pencil, random_state)):
             pencil = make_pencil(rng, n)
@@ -180,10 +173,10 @@ class TestShotObjectiveBitwise:
                         args = (pencil, records, v_in, entangler, sign, shots)
                         got = _shot_objective(*args, [got_rng])
                         want = ref_shot_objective(*args, want_rng)
-                        for value, grad in ((True, True), (True, False), (False, True)) * 2:
+                        for _ in range(2):
                             theta = rng.uniform(0.0, 2.0 * np.pi, size=(1, n, layers))
-                            got_out = got(theta, value, grad)
-                            want_out = want(theta, value, grad)
+                            got_out = got(theta)
+                            want_out = want(theta)
                             assert_bitwise(got_out[0], want_out[0])
                             assert_bitwise(got_out[1], want_out[1])
                             assert got_rng.bit_generator.state == want_rng.bit_generator.state
@@ -198,11 +191,10 @@ class TestShotObjectiveBitwise:
         got_rng, want_rng = np.random.default_rng(1), np.random.default_rng(1)
         got = _shot_objective(pencil, records, v_in, "ring", 1.0, 2000, [got_rng])
         want = ref_shot_objective(pencil, records, v_in, "ring", 1.0, 2000, want_rng)
-        for value, grad in ((True, True), (True, False), (False, True)):
-            theta = rng.uniform(0.0, 2.0 * np.pi, size=(1, 3, 2))
-            for got_part, want_part in zip(got(theta, value, grad), want(theta, value, grad)):
-                assert_bitwise(got_part, want_part)
-            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        theta = rng.uniform(0.0, 2.0 * np.pi, size=(1, 3, 2))
+        for got_part, want_part in zip(got(theta), want(theta)):
+            assert_bitwise(got_part, want_part)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
     def test_record_overlaps_in_blocks_of_rows(self, monkeypatch):
         """With a block size that splits the circuit batch (one row, then
@@ -240,14 +232,13 @@ class TestShotObjectiveBitwise:
         same message on both paths."""
         pencil = Pencil(PauliSum(1, [(1.0, "Z")]), PauliSum(1, [(1.0, "Z")]))
         theta = np.full((1, 1, 1), np.pi)
-        for value, grad in ((True, True), (False, True), (True, False)):
-            messages = []
-            for build, rng in ((_shot_objective, [None]), (ref_shot_objective, None)):
-                objective = build(pencil, (), zero_state(1), "linear", 1.0, 0, rng)
-                with pytest.raises(ValueError) as info:
-                    objective(theta, value, grad)
-                messages.append(str(info.value))
-            assert messages[0] == messages[1]
+        messages = []
+        for build, rng in ((_shot_objective, [None]), (ref_shot_objective, None)):
+            objective = build(pencil, (), zero_state(1), "linear", 1.0, 0, rng)
+            with pytest.raises(ValueError) as info:
+                objective(theta)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
 
 
 class TestRowBatchBitwise:
@@ -267,15 +258,14 @@ class TestRowBatchBitwise:
             args = (pencil, records, zero_state(n), "linear")
             got = _shot_objective(*args, signs, 500, got_rngs)
             want = [ref_shot_objective(*args, sign, 500, g) for sign, g in zip(signs, want_rngs)]
-            for value, grad in ((True, True), (True, False), (False, True)):
-                theta = rng.uniform(0.0, 2.0 * np.pi, size=(rows, n, 2))
-                got_out = got(theta, value, grad)
-                for r, objective in enumerate(want):
-                    want_out = objective(theta[r : r + 1], value, grad)
-                    for part, want_part in zip(got_out, want_out):
-                        assert_bitwise(None if part is None else part[r : r + 1], want_part)
-                for got_rng, want_rng in zip(got_rngs, want_rngs):
-                    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+            theta = rng.uniform(0.0, 2.0 * np.pi, size=(rows, n, 2))
+            got_out = got(theta)
+            for r, objective in enumerate(want):
+                want_out = objective(theta[r : r + 1])
+                for part, want_part in zip(got_out, want_out):
+                    assert_bitwise(part[r : r + 1], want_part)
+            for got_rng, want_rng in zip(got_rngs, want_rngs):
+                assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 def sequential_shot_spectrum(pencil: Pencil, r: int, config: SolveConfig) -> list:

@@ -24,14 +24,7 @@ from geig.pauli import (
     term_gathers,
 )
 from geig.statevector import StateVector, inner, norm, zero_state
-from geig.vqge import (
-    DeflationRecord,
-    OptConfig,
-    SolveConfig,
-    grad_fj,
-    loss_fj,
-    solve_spectrum,
-)
+from geig.vqge import DeflationRecord, OptConfig, SolveConfig, solve_spectrum
 
 TOL = 1e-12
 
@@ -145,13 +138,15 @@ class TestShotObjective:
         p = random_params(n, layers, rng)
         for shots in (0, 400):
             got_rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
-            got = loss_fj(p, pencil, records, v_in, entangler, shots, got_rng)
+            objective = geig.vqge._shot_objective(
+                pencil, records, v_in, entangler, 1.0, shots, [got_rng]
+            )
+            values, grads = objective(p.theta[None])
             want = ref_loss(p, pencil, records, v_in, entangler, shots, want_rng)
-            assert abs(got - want) <= TOL
-            got_g = grad_fj(p, pencil, records, v_in, entangler, shots, got_rng)
+            assert abs(values[0] - want) <= TOL
             want_g = ref_grad(p, pencil, records, v_in, entangler, shots, want_rng)
-            assert got_g.shape == (n, layers)
-            np.testing.assert_allclose(got_g, want_g, rtol=0, atol=TOL)
+            assert grads.shape == (1, n, layers)
+            np.testing.assert_allclose(grads[0], want_g, rtol=0, atol=TOL)
             assert got_rng.random() == want_rng.random()
 
     def test_solve_spectrum_matches_sequential_optimize(self):
@@ -316,11 +311,10 @@ class TestTermOverlaps:
             objective = geig.vqge._shot_objective(
                 pencil, records, zero_state(2), "linear", 1.0, 100, [np.random.default_rng(0)]
             )
-            for value, grad in ((True, True), (True, False), (False, True)):
-                calls.clear()
-                objective(theta, value, grad)
-                assert calls.count("sample") == 1
-                assert calls.count("gather") == (2 if n_records else 1)
+            calls.clear()
+            objective(theta)
+            assert calls.count("sample") == 1
+            assert calls.count("gather") == (2 if n_records else 1)
 
 
 def old_compiled_diagonals(s):

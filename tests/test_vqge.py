@@ -12,6 +12,7 @@ from geig.vqge import (
     OptConfig,
     Pencil,
     SolveConfig,
+    _shot_objective,
     grad_f,
     grad_fj,
     loss_f,
@@ -119,7 +120,10 @@ class TestLossF:
         pencil, _ = demo
         p = random_params(2, 2, np.random.default_rng(3))
         exact = loss_f(p, pencil)
-        noisy = loss_f(p, pencil, shots=200_000, rng=np.random.default_rng(4))
+        objective = _shot_objective(
+            pencil, (), zero_state(2), "linear", 1.0, 200_000, [np.random.default_rng(4)]
+        )
+        noisy = objective(p.theta[None])[0][0]
         assert abs(noisy - exact) < 0.02
 
 
