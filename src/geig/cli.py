@@ -310,7 +310,9 @@ def cmd_fqge(args) -> dict:
     }
     ref = _reference_or_none(pencil)
     if ref is not None:
-        nearest = min(ref.eigenvalues, key=lambda lam: abs(result.eigenvalue - lam))
+        # Python floats: a distance past the float range is inf, with no warning
+        value = float(result.eigenvalue)
+        nearest = min(ref.eigenvalues.tolist(), key=lambda lam: abs(value - lam))
         k = ground_multiplicity(ref.eigenvalues)
         if k == 1:
             ground = ref.eigenvectors[:, 0]
@@ -319,8 +321,8 @@ def cmd_fqge(args) -> dict:
             basis = np.linalg.qr(ref.eigenvectors[:, :k])[0]
             fidelity = min(1.0, np.linalg.norm(basis.conj().T @ result.state.amps) ** 2)
         summary["reference"] = {
-            "nearest_eigenvalue": float(nearest),
-            "abs_error": abs(result.eigenvalue - float(nearest)),
+            "nearest_eigenvalue": nearest,
+            "abs_error": abs(value - nearest),
             "fidelity_ground": float(fidelity),
         }
     if args.trace:

@@ -118,10 +118,24 @@ def _norm(v: np.ndarray) -> float:
 
 def _residual(a_psi, b_psi, f: float) -> tuple:
     """(r, scale, relative): r = (A - F B) psi, the scale ||A psi|| +
-    |F| ||B psi|| of its terms, and ||r|| / scale (0 at zero scale)."""
+    |F| ||B psi|| of its terms as a pair (s, e) with scale = s 2^e, and
+    ||r|| / scale (0 at zero scale).
+
+    e is 0 wherever the sum is finite, so the ratio is the plain one.  Where
+    finite norms sum past the float range, both terms and ||r|| are taken
+    over 2^e, the power of two of the larger term, so a finite ||r|| cannot
+    read as 0; a norm past the range itself gives NaN, which no stop test
+    passes.
+    """
     r = a_psi - f * b_psi
-    scale = _norm(a_psi) + abs(f) * _norm(b_psi)
-    return r, scale, _norm(r) / scale if scale != 0.0 else 0.0
+    na, nb, nr = _norm(a_psi), _norm(b_psi), _norm(r)
+    scale, e = na + abs(f) * nb, 0
+    if scale == math.inf:
+        (ma, ea), (mf, ef), (mb, eb) = math.frexp(na), math.frexp(abs(f)), math.frexp(nb)
+        e = max(ea, ef + eb)
+        scale = math.ldexp(ma, ea - e) + math.ldexp(mf * mb, ef + eb - e)
+        scale, nr = (scale if max(na, nb) < math.inf else math.nan), math.ldexp(nr, -e)
+    return r, (scale, e), nr / scale if scale != 0.0 else 0.0
 
 
 def loss_state(state: StateVector, pencil) -> float:
@@ -193,7 +207,7 @@ def _exponent(*entries) -> int:
     return max(math.frexp(max(map(abs, entries)))[1], -1022)
 
 
-def _line_search(psi: np.ndarray, direction: np.ndarray, applied: tuple, scale: float, pencil):
+def _line_search(psi: np.ndarray, direction: np.ndarray, applied: tuple, scale: tuple, pencil):
     """Exact minimizer of the Rayleigh quotient over span{psi, direction}
     for normalized raw amplitudes psi, with ``pencil.apply(psi)`` and the
     residual's ``scale`` given: it solves the 2x2 projected pencil, and a
@@ -209,8 +223,8 @@ def _line_search(psi: np.ndarray, direction: np.ndarray, applied: tuple, scale: 
     w = direction - c * psi
     wn = _norm(w)
     # w below the rounding of the terms (2/<B>)(A psi - F B psi) is formed
-    # from is no direction, at any pencil scale
-    if wn <= 1e-14 * (2.0 / b00) * scale:
+    # from is no direction, at any pencil scale; the scale is s 2^e
+    if wn <= np.ldexp(1e-14 * (2.0 / b00) * scale[0], scale[1]):
         return 0.0 + 0.0j, f00, None
     tilde = w / wn
     a_til, b_til, a11, b11 = pencil.apply(tilde)

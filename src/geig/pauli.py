@@ -203,7 +203,8 @@ def compile_sums(sums: Sequence) -> tuple:
     each sum's diagonal on each mask, zero where the sum has no term.  A
     term's signs are read from one parity vector at ``src & z_mask``, src
     the table row, and added in term order, so each diagonal is the one a
-    term-by-term complex accumulation gives.
+    term-by-term complex accumulation gives.  Terms that add past the float
+    range leave that entry inf, with no warning; ``Pencil`` refuses it.
     """
     n = sums[0].n
     index = np.arange(1 << n, dtype=np.int64)
@@ -214,15 +215,16 @@ def compile_sums(sums: Sequence) -> tuple:
     odd = any(p.n_y % 2 for s in sums for p in s.strings)
     diags = np.zeros((len(sums), len(masks), 1 << n), dtype=complex if odd else float)
     for k, s in enumerate(sums):
-        for coeff, p in s.terms:
-            # (1j)^n_y is 1, 1j, -1 or -1j: one part of the diagonal, one sign
-            m = row[p.x_mask]
-            part = diags[k, m].imag if p.n_y % 2 else diags[k, m].real
-            term = coeff * signs[table[m] & p.z_mask]
-            if p.n_y % 4 < 2:
-                part += term
-            else:
-                part -= term
+        with np.errstate(over="ignore"):
+            for coeff, p in s.terms:
+                # (1j)^n_y is 1, 1j, -1 or -1j: one part of the diagonal, one sign
+                m = row[p.x_mask]
+                part = diags[k, m].imag if p.n_y % 2 else diags[k, m].real
+                term = coeff * signs[table[m] & p.z_mask]
+                if p.n_y % 4 < 2:
+                    part += term
+                else:
+                    part -= term
     return table, diags
 
 

@@ -2,19 +2,23 @@
 
 The eigensolver is deliberately self-contained (no external eigensolver) so
 it stays independent of the solvers it validates.  A hand-rolled Cholesky
-factor of B reduces the pencil to one Hermitian matrix.  Householder
-reflections bring that to a real symmetric tridiagonal matrix T (Golub &
-Van Loan 8.3, the pattern of LAPACK's ``zhetrd``).  All eigenvalues of T
-come at once from Sturm-count bisection vectorised over the distinct
-brackets, which eigenvalues in one bracket share (GvL 8.4, ``dstebz``);
-equal brackets are found as neighbours along the ascending indices.  A
-Sturm row costs one divide and one subtract: the pivot clamp of ``dstebz``
-runs only for a sweep whose unclamped pass met a pivot below the clamp or
-a NaN, and gives the same counts as the unclamped pass wherever that met
-none (``dlaneg``).  Eigenvectors come from inverse iteration on T
-(``dstein``) and are computed only when they are read.  The reduction
-costs O(dim^3); the CLI caps the oracle at 10 qubits by default
-(``GEIG_DENSE_CAP``, at most ``pauli.DEFAULT_DENSE_CAP``).
+factor of B, blocked in panels as LAPACK's ``zpotrf``, reduces the pencil
+to one Hermitian matrix by blocked triangular solves with the factor
+(``ztrsm``).  Householder reflections bring that to a real symmetric
+tridiagonal matrix T (Golub & Van Loan 8.3, the pattern of LAPACK's
+``zhetrd``).  All eigenvalues of T come at once from Sturm-count bisection
+vectorised over the distinct brackets, which eigenvalues in one bracket
+share (GvL 8.4, ``dstebz``); equal brackets are found as neighbours along
+the ascending indices.  A Sturm row costs one divide and one subtract: the
+pivot clamp of ``dstebz`` runs only for a sweep whose unclamped pass met a
+pivot below the clamp or a NaN, and gives the same counts as the unclamped
+pass wherever that met none (``dlaneg``).  The smallest eigenvalue of B
+(``eta1``) is one eigenvalue, so it is bisected alone, by scalar Sturm
+passes that stop at the first negative pivot, to the same double.
+Eigenvectors come from inverse iteration on T (``dstein``) and are computed
+only when they are read.  The reduction costs O(dim^3); the CLI caps the
+oracle at 10 qubits by default (``GEIG_DENSE_CAP``, at most
+``pauli.DEFAULT_DENSE_CAP``).
 """
 
 from __future__ import annotations
@@ -34,14 +38,13 @@ _SIGN = np.int64(-0x8000_0000_0000_0000)
 # Sturm counts per bisection sweep, split among the distinct open brackets
 # (eigenvalues in one bracket share its probes): a few brackets get many
 # points each, which cuts the sweeps (and the per-row Python overhead) from
-# 64 to as few as 7.  With two ufuncs per Sturm row, bisecting all
-# eigenvalues and eta1 of the benchmark's Ising pencil (seed 1) took, at
-# 384 / 512 / 768 / 1024 points, medians of 23.7 / 24.2 / 25.4 / 28.9 ms at
-# 7 qubits and 67.9 / 65.1 / 68.3 / 72.7 ms at 8 (60 interleaved rounds, one
-# BLAS thread, 2-vCPU host).  No value beat 768 at both sizes by more than
-# the quartile spread (3-7 ms), so it stays
+# 64 to as few as 7.  Bisecting all eigenvalues of the benchmark's Ising
+# pencil (seed 1) at 384 / 512 / 768 / 1024 points took medians of
+# 14.5 / 15.3 / 16.0 / 16.7 ms at 7 qubits and 48.6 / 45.1 / 44.0 / 47.2 ms
+# at 8 (40 interleaved rounds, one BLAS thread, 1-vCPU host).  No value beat
+# 768 at both sizes by more than the quartile spread (2-7 ms), so it stays
 _SWEEP_POINTS = 768
-_PANEL = 32  # Householder reflectors per blocked update
+_PANEL = 32  # Householder reflectors per blocked update, and Cholesky columns per panel
 _INVERSE_STEPS = 3
 # shifts sit this far (relative to ||T||) below their eigenvalues, so that
 # rounding cannot favour some directions of a degenerate eigenspace
@@ -60,21 +63,56 @@ def _check_hermitian(m: np.ndarray, name: str) -> np.ndarray:
     return m
 
 
-def _cholesky(b: np.ndarray) -> np.ndarray:
-    dim = b.shape[0]
-    low = np.zeros_like(b)
-    for j in range(dim):
-        pivot = b[j, j].real - float(np.sum(np.abs(low[j, :j]) ** 2))
-        if pivot <= 0.0:
-            raise ValueError(
-                f"B is not positive definite (pivot {pivot:.3e} at row {j})"
-            )
-        low[j, j] = np.sqrt(pivot)
-        if j + 1 < dim:
-            low[j + 1 :, j] = (
-                b[j + 1 :, j] - low[j + 1 :, :j] @ low[j, :j].conj()
-            ) / low[j, j]
-    return low
+class _Factor:
+    """The Cholesky factor ``low`` of a positive definite b = L L^H, and
+    the triangular solves with it.
+
+    The factor is blocked as LAPACK's ``zpotrf`` (GvL 4.2): each panel of
+    ``_PANEL`` columns takes the earlier panels' part of L L^H off by one
+    product, the row loop runs only inside the panel's diagonal block, and
+    the rows below it come from one product with the inverse of that block.
+    The inverses are kept in ``blocks`` as (first row, end row, inverse), so
+    that ``forward`` (L^-1 c) and ``back`` (L^-H c) are blocked
+    substitutions (GvL 3.1, ``ztrsm``) of one or two products per block; L
+    is never factored again.
+    """
+
+    def __init__(self, b: np.ndarray):
+        dim = b.shape[0]
+        low = np.zeros_like(b)
+        self.blocks = []
+        for k0 in range(0, dim, _PANEL):
+            k1 = min(k0 + _PANEL, dim)
+            col = b[k0:, k0:k1] - low[k0:, :k0] @ low[k0:k1, :k0].conj().T
+            diag = low[k0:k1, k0:k1]
+            for i in range(k1 - k0):
+                row = diag[i, :i]
+                pivot = col[i, i].real - np.vdot(row, row).real
+                if pivot <= 0.0:
+                    raise ValueError(
+                        f"B is not positive definite (pivot {pivot:.3e} at row {k0 + i})"
+                    )
+                diag[i, i] = math.sqrt(pivot)
+                below = col[i + 1 : k1 - k0, i] - diag[i + 1 :, :i] @ row.conj()
+                diag[i + 1 :, i] = below / diag[i, i]
+            inverse = np.linalg.inv(diag)
+            low[k1:, k0:k1] = col[k1 - k0 :] @ inverse.conj().T
+            self.blocks.append((k0, k1, inverse))
+        self.low = low
+
+    def forward(self, c: np.ndarray) -> np.ndarray:
+        """L^-1 c, one block of rows at a time from the top."""
+        x = np.empty(c.shape, dtype=np.result_type(self.low, c))
+        for k0, k1, inverse in self.blocks:
+            x[k0:k1] = inverse @ (c[k0:k1] - self.low[k0:k1, :k0] @ x[:k0])
+        return x
+
+    def back(self, c: np.ndarray) -> np.ndarray:
+        """L^-H c, one block of rows at a time from the bottom."""
+        x = np.empty(c.shape, dtype=np.result_type(self.low, c))
+        for k0, k1, inverse in reversed(self.blocks):
+            x[k0:k1] = inverse.conj().T @ (c[k0:k1] - self.low[k1:, k0:k1].conj().T @ x[k1:])
+        return x
 
 
 def _to_key(x: np.ndarray) -> np.ndarray:
@@ -94,7 +132,9 @@ def _gershgorin(d: np.ndarray, e: np.ndarray) -> float:
     return float(np.max(np.abs(d) + np.append(ae, 0.0) + np.insert(ae, 0, 0.0)))
 
 
-def _sturm_count(d: np.ndarray, e2: np.ndarray, x: np.ndarray, pivmin: float) -> np.ndarray:
+def _sturm_count(
+    d: np.ndarray, e2: np.ndarray, x: np.ndarray, pivmin: float, buf: np.ndarray
+) -> np.ndarray:
     """Number of eigenvalues of the tridiagonal (d, e), given e2 = e * e,
     below each shift in ``x``: the negative pivots of the LDL^T
     factorization of T - x, by the clamped rule of ``_clamped_pivots``.
@@ -106,21 +146,37 @@ def _sturm_count(d: np.ndarray, e2: np.ndarray, x: np.ndarray, pivmin: float) ->
     do the same operations in the same order and count the same, and no
     pivot can overflow, since e^2 / q <= 1 / tiny while |q| >= pivmin.
     Otherwise the same rows are filled again and the clamped rule runs in
-    full.  The pivots of every row are kept and counted once at the end.
+    full.  The pivots of every row are kept in ``buf``, a flat float64
+    array of at least ``d.size * x.size`` entries that ``_bisect`` reuses
+    for all its sweeps, and counted once at the end.
     """
-    q = np.subtract.outer(d, x)
+    q = buf[: d.size * x.size].reshape(d.size, x.size)
     t = np.empty_like(x)
+    _start_rows(q, d, x)
+    rows = list(q)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for i in range(1, d.size):
-            np.divide(e2[i - 1], q[i - 1], out=t)
-            q[i] -= t
-    below = np.count_nonzero(q < 0, axis=0)
+        for prev, row, e2i in zip(rows, rows[1:], e2.tolist()):
+            np.divide(e2i, prev, out=t)
+            np.subtract(row, t, out=row)
+    below = _negatives(q)
     # in place: a new |q| array costs more in page faults than it saves
     if np.abs(q, out=q).min() >= pivmin:
         return below
-    np.subtract.outer(d, x, out=q)
+    _start_rows(q, d, x)
     _clamped_pivots(q, e2, pivmin, t)
-    return np.count_nonzero(q < 0, axis=0)
+    return _negatives(q)
+
+
+def _start_rows(q: np.ndarray, d: np.ndarray, x: np.ndarray) -> None:
+    """Fill the rows of ``q`` with d[i] - x: -x + d[i] is that bitwise."""
+    np.copyto(q, -x)
+    q += d[:, None]
+
+
+def _negatives(q: np.ndarray) -> np.ndarray:
+    """The count of negative entries in each column of ``q``, by one int16
+    sum over the rows (the oracle's 2^12 rows at most fit in int16)."""
+    return (q < 0).view(np.int8).sum(axis=0, dtype=np.int16)
 
 
 def _clamped_pivots(q: np.ndarray, e2: np.ndarray, pivmin: float, t: np.ndarray) -> None:
@@ -158,6 +214,7 @@ def _bisect(d: np.ndarray, e: np.ndarray, indices: np.ndarray) -> np.ndarray:
     bound = 2.0 * _gershgorin(d, e)
     lo = np.full(indices.shape, _to_key(-bound))
     hi = np.full(indices.shape, _to_key(bound))
+    buf = np.empty(d.size * max(_SWEEP_POINTS, indices.size))  # every sweep's pivots
     while True:
         # keys differ by up to 2^64, so widths and offsets are taken in uint64
         live = hi.view(np.uint64) - lo.view(np.uint64) > 1
@@ -176,10 +233,44 @@ def _bisect(d: np.ndarray, e: np.ndarray, indices: np.ndarray) -> np.ndarray:
         offsets = np.arange(1, points + 1, dtype=np.uint64)
         probe = (start.view(np.uint64)[:, None] + step[:, None] * offsets).view(np.int64)
         probe = np.minimum(probe, (stop - 1)[:, None])
-        counts = _sturm_count(d, e2, _from_key(probe).ravel(), pivmin).reshape(probe.shape)
+        counts = _sturm_count(d, e2, _from_key(probe).ravel(), pivmin, buf).reshape(probe.shape)
         below = np.sum(counts[which] <= indices[live, None], axis=1)
         lo[live] = np.where(below > 0, probe[which, np.maximum(below - 1, 0)], lo[live])
         hi[live] = np.where(below < points, probe[which, np.minimum(below, points - 1)], hi[live])
+
+
+def _bisect_smallest(d: np.ndarray, e: np.ndarray) -> float:
+    """``_bisect(d, e, [0])[0]``, the smallest eigenvalue of the tridiagonal
+    (d, e), by halving the one key bracket (as ``dstebz`` bisects a single
+    eigenvalue).
+
+    Each probe asks only whether T - x has a negative pivot, so one scalar
+    pass of Python floats runs the rows until the first one.  It applies
+    the clamp of ``_clamped_pivots`` to a pivot below ``pivmin``, a zero or
+    a NaN as it meets one; the other pivots are those of the unclamped
+    pass, so every probe counts as ``_sturm_count`` does and the bisection
+    ends on the same double.
+    """
+    e2 = [0.0] + (e * e).tolist()  # row 0 subtracts 0.0 / 1.0: d[0] - x bitwise
+    pivmin = float(_TINY) * max(1.0, max(e2))
+    bound = 2.0 * _gershgorin(d, e)
+    lo, hi = int(_to_key(-bound)), int(_to_key(bound))
+    rows = list(zip(d.tolist(), e2))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        x = float(np.int64(abs(mid)).view(np.float64))
+        x = -x if mid < 0 else x
+        q = 1.0
+        for di, ei in rows:
+            q = (di - x) - ei / q
+            if not abs(q) >= pivmin:
+                q = math.copysign(max(abs(q), pivmin), q)
+            if q < 0.0:
+                hi = mid
+                break
+        else:
+            lo = mid
+    return float(_from_key(np.int64(lo)))
 
 
 def _inverse_iteration(d: np.ndarray, e: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -317,8 +408,8 @@ class _Tridiagonal:
         return np.ldexp(self.values, self.exponent)
 
     def smallest(self) -> float:
-        """Smallest eigenvalue of M, by one bisection for index 0."""
-        return float(np.ldexp(_bisect(self.d, self.e, [0])[0], self.exponent))
+        """Smallest eigenvalue of M, by the one-point bisection."""
+        return float(np.ldexp(_bisect_smallest(self.d, self.e), self.exponent))
 
     def eigenvectors(self) -> np.ndarray:
         """Orthonormal eigenvector columns of M, in the order of
@@ -365,12 +456,12 @@ class EigenDecomposition:
 
     eigenvalues: np.ndarray
     _reduced: _Tridiagonal = field(repr=False)
-    _low: np.ndarray = field(repr=False)
+    _factor: _Factor = field(repr=False)
     _b: np.ndarray = field(repr=False)
 
     @functools.cached_property
     def eigenvectors(self) -> np.ndarray:
-        return np.linalg.solve(self._low.conj().T, self._reduced.eigenvectors())
+        return self._factor.back(self._reduced.eigenvectors())
 
     @functools.cached_property
     def eta1(self) -> float:
@@ -390,11 +481,11 @@ def generalized_eig_dense(a: np.ndarray, b: np.ndarray) -> EigenDecomposition:
         raise ValueError(f"shape mismatch: A {a.shape}, B {b.shape}")
     if not (a.imag.any() or b.imag.any()):
         a, b = a.real, b.real  # a real pencil is reduced in real arithmetic
-    low = _cholesky(b)
-    x = np.linalg.solve(low, a)
-    mid = np.linalg.solve(low, x.conj().T).conj().T
-    reduced = _Tridiagonal((mid + mid.conj().T) / 2.0)
-    return EigenDecomposition(reduced.eigenvalues, reduced, low, b)
+    factor = _Factor(b)
+    mid = factor.forward(factor.forward(a).conj().T).conj().T
+    # each half first: the sum of two entries near the float limit overflows
+    reduced = _Tridiagonal(mid / 2.0 + mid.conj().T / 2.0)
+    return EigenDecomposition(reduced.eigenvalues, reduced, factor, b)
 
 
 def generalized_eig(pencil) -> EigenDecomposition:
@@ -416,7 +507,8 @@ def _cluster_breaks(eigenvalues) -> tuple[np.ndarray, np.ndarray]:
     if values.size == 0:
         return values, np.zeros(0, dtype=bool)
     width = DEFAULT_CLUSTER_GAP * max(abs(values[0]), abs(values[-1]))
-    return values, np.diff(values) > width
+    with np.errstate(over="ignore"):  # a gap past the float range is a break
+        return values, np.diff(values) > width
 
 
 def distinct_values(eigenvalues) -> list:

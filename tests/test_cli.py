@@ -971,3 +971,58 @@ class TestFqgeAtNormScales:
         assert summary["status"] in ("converged", "max_iters")
         if summary["status"] == "converged":
             assert abs(summary["eigenvalue"] - ground) <= 1e-9 * abs(ground), summary
+
+
+class TestPencilsAtTheFloatLimit:
+    """An fqge residual scale past the float range, a diagonal of B whose
+    terms add past it, and oracle levels near 1e308: each command converges
+    or exits 1 with one JSON line, and prints no warning."""
+
+    @pytest.mark.parametrize("flags", [[], ["--line-search"]], ids=["fixed-step", "line-search"])
+    def test_fqge_where_the_residual_scale_overflows(self, capsys, tmp_path, flags):
+        """||A psi|| + |F| ||B psi|| overflows at the start, which read as a
+        relative residual of 0 and "converged" at iteration 0 on the start's
+        value 0.667."""
+        problem, ground = scaled_pencil(1e308, 1e308)
+        path = tmp_path / "limit.json"
+        path.write_text(json.dumps(problem))
+        rc, out, err = run_main(capsys, ["fqge", *flags, str(path)])
+        if rc == 1 and flags:
+            assert out == "" and len(err.splitlines()) == 1
+            assert set(json.loads(err)) == {"error", "message"}
+            return
+        assert rc == 0 and err == ""
+        summary = json.loads(out)
+        assert summary["status"] == "converged" and summary["iterations"] > 0
+        assert abs(summary["eigenvalue"] - ground) <= 1e-9 * abs(ground)
+
+    def test_fqge_reference_block_near_1e308(self, capsys, tmp_path):
+        """The oracle's levels of {A: [1.5e308 ZI, XX], B: [1.5 II]} are
+        +-1e308, and the distances to them, past the float range, pick the
+        nearest level without a warning."""
+        path = tmp_path / "limit.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "n": 2,
+                    "A": [{"coeff": 1.5e308, "ops": "ZI"}, {"coeff": 1.0, "ops": "XX"}],
+                    "B": [{"coeff": 1.5, "ops": "II"}],
+                }
+            )
+        )
+        summary = summary_of(capsys, ["fqge", str(path)])
+        nearest = summary["reference"]["nearest_eigenvalue"]
+        assert abs(nearest - summary["eigenvalue"]) <= 1e-12 * abs(nearest)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["reference"], ["fqge"], ["fqge", "--line-search"], ["vqge", "--r", "1"]],
+        ids=["reference", "fqge", "fqge-line-search", "vqge"],
+    )
+    def test_diagonal_past_the_range_names_the_side(self, capsys, tmp_path, argv):
+        """B = c II + 0.5c IZ at c = 1.7e308: 1.5c is past the float range."""
+        problem, _ = scaled_pencil(1.7e308, 1.7e308)
+        path = tmp_path / "limit.json"
+        path.write_text(json.dumps(problem))
+        payload = error_of(capsys, [*argv, str(path)])
+        assert payload["message"] == "the terms of B add past the float range on a basis state"

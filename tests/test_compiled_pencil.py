@@ -335,3 +335,15 @@ class TestDenseFromTable:
         assert a.tobytes() == dense_matrix(pencil.A).tobytes()
         assert b.tobytes() == dense_matrix(pencil.B).tobytes()
         assert a.imag.any() and not b.imag.any()
+
+
+class TestDiagonalPastTheFloatRange:
+    def test_compile_sums_leaves_inf_without_a_warning(self):
+        s = PauliSum(1, [(1.7e308, "I"), (1.7e308, "Z")])
+        diags = compile_sums((s,))[1]
+        assert diags[0, 0].tolist() == [np.inf, 0.0]
+
+    def test_pencil_names_the_side(self):
+        big = PauliSum(1, [(1.7e308, "I"), (1.7e308, "Z")])
+        with pytest.raises(ValueError, match="^the terms of A add past the float range"):
+            Pencil(big, PauliSum.identity(1)).apply(np.array([1.0, 0.0]))

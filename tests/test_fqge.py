@@ -18,6 +18,7 @@ from geig.fqge import (
     LcuOperator,
     _norm,
     _perturbed,
+    _residual,
     apply_g,
     build_lcu,
     loss_state,
@@ -185,6 +186,34 @@ class TestResidual:
         for _ in range(50):
             r = residual(random_state(rng, 2), pencil)
             assert 0.0 <= r <= 1.0
+
+
+class TestResidualScale:
+    """The residual's scale ||A psi|| + |F| ||B psi|| comes as (s, e),
+    scale = s 2^e: e = 0 and the plain sum wherever it is finite, and the
+    terms over a power of two where finite norms sum past the float range,
+    so the relative residual is not 0 there."""
+
+    def test_plain_sum_in_range(self):
+        rng = np.random.default_rng(6)
+        a_psi, b_psi = rng.normal(size=8), rng.normal(size=8)
+        r, (s, e), relative = _residual(a_psi, b_psi, -0.7)
+        want = float(np.linalg.norm(a_psi)) + 0.7 * float(np.linalg.norm(b_psi))
+        assert (s, e) == (want, 0)
+        assert relative == float(np.linalg.norm(r)) / want
+
+    def test_sum_past_the_float_range(self):
+        a_psi, b_psi = np.array([1e308, 0.0]), np.array([0.0, 1e308])
+        with np.errstate(over="ignore"):  # as in run_fqge
+            r, (s, e), relative = _residual(a_psi, b_psi, 1.2)
+        want = math.ldexp(1e308, -e) + math.ldexp(1.2e308, -e)  # 2.2e308 / 2^e
+        assert e > 0 and abs(s - want) <= 1e-15 * want
+        assert abs(relative - math.sqrt(2.44) / 2.2) <= 1e-15
+
+    def test_norm_past_the_float_range_is_nan(self):
+        a_psi = np.full(4, 1.5e308)
+        with np.errstate(over="ignore"):
+            assert math.isnan(_residual(a_psi, a_psi, 0.5)[2])
 
 
 class TestNorm:

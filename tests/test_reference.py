@@ -149,9 +149,9 @@ class TestSharedBracketBisection:
         sizes = []
         count = reference._sturm_count
 
-        def counting(d, e2, x, pivmin):
+        def counting(d, e2, x, pivmin, buf):
             sizes.append(x.size)
-            return count(d, e2, x, pivmin)
+            return count(d, e2, x, pivmin, buf)
 
         monkeypatch.setattr(reference, "_sturm_count", counting)
         reference._bisect(d, e, np.arange(d.size))
@@ -203,14 +203,14 @@ class TestSturmCount:
         e2 = e * e
         pivmin = reference._TINY * max(1.0, float(np.max(e2, initial=0.0)))
         x = self._probes(d, e)
-        got = reference._sturm_count(d, e2, x, pivmin)
+        got = reference._sturm_count(d, e2, x, pivmin, np.empty(d.size * x.size))
         assert np.array_equal(got, _clamped_sturm_count(d, e2, x, pivmin))
 
-    @pytest.mark.parametrize("label, falls_back", [("diagonal", True), ("ising7-reduced", False)])
+    @pytest.mark.parametrize("label, falls_back", [("diagonal", True), ("ising7-B", False)])
     def test_each_path_runs(self, monkeypatch, label, falls_back):
         """The zero couplings of ``diagonal`` give zero pivots, so some sweep
         takes the clamped fallback; no sweep of the 7-qubit benchmark
-        pencil does."""
+        pencil's B does."""
         calls = []
         clamped = reference._clamped_pivots
 
@@ -222,6 +222,143 @@ class TestSturmCount:
         d, e = _tridiagonals()[label]
         reference._bisect(d, e, np.arange(d.size))
         assert (len(calls) > 0) == falls_back
+
+
+    def test_a_reused_buffer_counts_as_the_clamped_rule(self):
+        """``_bisect`` passes one pivot buffer to every sweep: whatever an
+        earlier, larger sweep left in it, a count equals the clamped rule's."""
+        d, e = _tridiagonals()["diagonal"]
+        e2 = e * e
+        pivmin = reference._TINY * max(1.0, float(np.max(e2, initial=0.0)))
+        buf = np.full(d.size * 200, np.nan)
+        for x in (self._probes(d, e), np.array([0.0, 3.0, -1e-300]), self._probes(d, e)[:7]):
+            got = reference._sturm_count(d, e2, x, pivmin, buf)
+            assert got.dtype == np.int16
+            assert np.array_equal(got, _clamped_sturm_count(d, e2, x, pivmin))
+
+
+def _seeded_tridiagonals(scale: float) -> list:
+    """(d, e) of sizes 1..64 from a seeded generator, about a quarter of the
+    couplings exactly zero, with d at ``scale`` and e at up to 1e150, where
+    e * e is still finite (the oracle bisects the unit-scale T of a
+    rescaled matrix)."""
+    rng = np.random.default_rng(64)
+    cases = []
+    for size in range(1, 65):
+        d = rng.normal(size=size) * scale
+        e = np.abs(rng.normal(size=size - 1)) * min(scale, 1e150)
+        e[rng.uniform(size=size - 1) < 0.25] = 0.0
+        cases.append((d, e))
+    return cases
+
+
+class TestOnePointBisection:
+    """``_bisect_smallest``, which ``_Tridiagonal.smallest`` (eta1) runs,
+    gives bit for bit the double of the vectorized ``_bisect(d, e, [0])``
+    and of the per-bracket bisection before it."""
+
+    @pytest.mark.parametrize("label", list(_tridiagonals()))
+    def test_equals_vectorized_bisection(self, label):
+        d, e = _tridiagonals()[label]
+        got = np.float64(reference._bisect_smallest(d, e))
+        assert got.tobytes() == reference._bisect(d, e, [0]).tobytes()
+        assert got.tobytes() == _per_bracket_bisect(d, e, [0]).tobytes()
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-150, 1.0, 1e150, 1e300])
+    def test_seeded_tridiagonals(self, scale):
+        for d, e in _seeded_tridiagonals(scale):
+            got = np.float64(reference._bisect_smallest(d, e))
+            assert got.tobytes() == reference._bisect(d, e, [0]).tobytes(), (d.size, scale)
+
+    def test_diagonal_t(self):
+        """A diagonal T meets zero pivots at its own entries, which the
+        scalar pass clamps; the sweeps' fallback agrees."""
+        d = np.array([2.0, -1.0, -1.0, 0.0, 5.0])
+        e = np.zeros(4)
+        assert reference._bisect_smallest(d, e) == -1.0 == reference._bisect(d, e, [0])[0]
+
+    def test_eta1_reads_it(self, monkeypatch):
+        tri = reference._Tridiagonal(DENSE_B)
+        calls = []
+        smallest = reference._bisect_smallest
+
+        def counting(d, e):
+            calls.append(1)
+            return smallest(d, e)
+
+        monkeypatch.setattr(reference, "_bisect_smallest", counting)
+        want = np.ldexp(reference._bisect(tri.d, tri.e, [0])[0], tri.exponent)
+        assert tri.smallest() == want and calls == [1]
+
+
+def _relative(got, want) -> float:
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+class TestBlockedFactor:
+    """The blocked Cholesky factor and its triangular solves against
+    numpy's ``cholesky`` and ``solve``, across panel edges."""
+
+    @pytest.mark.parametrize("dim", [1, 5, 31, 32, 33, 64, 100])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_agrees_with_numpy(self, dim, kind):
+        rng = np.random.default_rng(dim)
+        b = random_pd(rng, dim)
+        c = rng.normal(size=(dim, 6)) + 1j * rng.normal(size=(dim, 6))
+        if kind == "real":
+            b, c = b.real, c.real
+        factor = reference._Factor(b)
+        low = np.linalg.cholesky(b)
+        assert factor.low.dtype == b.dtype
+        assert np.array_equal(factor.low, np.tril(factor.low))
+        assert _relative(factor.low, low) <= 1e-13
+        assert _relative(factor.forward(c), np.linalg.solve(low, c)) <= 1e-13
+        assert _relative(factor.back(c), np.linalg.solve(low.conj().T, c)) <= 1e-13
+
+    def test_indefinite_b_names_a_row_in_a_later_panel(self):
+        """B = L D L^T with D = diag(1, ..., -1 at row 70, ..., 1): every
+        pivot before row 70 is positive, and row 70 lies in the third panel."""
+        rng = np.random.default_rng(70)
+        low = np.tril(rng.normal(size=(100, 100)), -1) + np.diag(rng.uniform(1.0, 2.0, 100))
+        signs = np.ones(100)
+        signs[70] = -1.0
+        b = (low * signs) @ low.T
+        assert 70 // reference._PANEL == 2
+        with pytest.raises(ValueError, match=r"^B is not positive definite \(pivot -\S+ at row 70\)$"):
+            generalized_eig_dense(np.eye(100), b)
+
+
+class TestSymmetrizationAtTheFloatLimit:
+    """L^-1 A L^-H is symmetrized as half plus half, so entries near the
+    float limit do not overflow where the spectrum is finite."""
+
+    def test_matches_eigvalsh(self):
+        z, x = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
+        a = 1.5e308 * np.kron(z, np.eye(2)) + np.kron(x, x)
+        b = 1.5 * np.eye(4)
+        ref = generalized_eig_dense(a, b)
+        want = np.linalg.eigvalsh(a / 1.5)
+        assert np.all(np.abs(ref.eigenvalues - want) <= 1e-12 * np.abs(want))
+        assert ref.eta1 == 1.5
+
+    def test_cli_reference(self, tmp_path, capsys):
+        path = tmp_path / "limit.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "n": 2,
+                    "A": [{"coeff": 1.5e308, "ops": "ZI"}, {"coeff": 1.0, "ops": "XX"}],
+                    "B": [{"coeff": 1.5, "ops": "II"}],
+                }
+            )
+        )
+        assert main(["reference", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        summary = json.loads(captured.out)
+        want = np.array([-1.0, -1.0, 1.0, 1.0]) * 1e308
+        assert np.all(np.abs(np.array(summary["eigenvalues"]) - want) <= 1e-12 * 1e308)
+        assert summary["distinct"] == 2
 
 
 class TestTridiagonalOracle:
