@@ -195,7 +195,7 @@ def dense_compiled(compiled: tuple) -> np.ndarray:
     return out
 
 
-def compile_sums(sums: Sequence) -> tuple:
+def compile_sums(sums: Sequence, names: Sequence[str] | None = None) -> tuple:
     """``(table, diags)`` of a list of sums on the same n qubits.
 
     ``table`` (masks, 2^n) holds ``index ^ x_mask`` for each distinct X-mask
@@ -203,8 +203,9 @@ def compile_sums(sums: Sequence) -> tuple:
     each sum's diagonal on each mask, zero where the sum has no term.  A
     term's signs are read from one parity vector at ``src & z_mask``, src
     the table row, and added in term order, so each diagonal is the one a
-    term-by-term complex accumulation gives.  Terms that add past the float
-    range leave that entry inf, with no warning; ``Pencil`` refuses it.
+    term-by-term complex accumulation gives.  A sum whose terms add past
+    the float range on some entry is refused by one ``ValueError`` that
+    names it, ``names[k]`` or "sum k", with no ``RuntimeWarning``.
     """
     n = sums[0].n
     index = np.arange(1 << n, dtype=np.int64)
@@ -225,6 +226,9 @@ def compile_sums(sums: Sequence) -> tuple:
                     part += term
                 else:
                     part -= term
+        if not np.isfinite(diags[k]).all():
+            name = names[k] if names else f"sum {k}"
+            raise ValueError(f"the terms of {name} add past the float range on a basis state")
     return table, diags
 
 

@@ -11,10 +11,11 @@ vectorised over the distinct brackets, which eigenvalues in one bracket
 share (GvL 8.4, ``dstebz``); equal brackets are found as neighbours along
 the ascending indices.  A Sturm row costs one divide and one subtract: the
 pivot clamp of ``dstebz`` runs only for a sweep whose unclamped pass met a
-pivot below the clamp or a NaN, and gives the same counts as the unclamped
-pass wherever that met none (``dlaneg``).  The smallest eigenvalue of B
-(``eta1``) is one eigenvalue, so it is bisected alone, by scalar Sturm
-passes that stop at the first negative pivot, to the same double.
+pivot below the clamp or a NaN above the last row, and gives the same
+counts as the unclamped pass wherever that met none (``dlaneg``).  The
+smallest eigenvalue of B (``eta1``) is one eigenvalue, so it is bisected
+alone, by scalar Sturm passes that stop at the first negative pivot, to
+the same double.
 Eigenvectors come from inverse iteration on T (``dstein``) and are computed
 only when they are read.  The reduction costs O(dim^3); the CLI caps the
 oracle at 10 qubits by default (``GEIG_DENSE_CAP``, at most
@@ -141,10 +142,14 @@ def _sturm_count(
 
     A fast pass runs the recurrence without the clamp, one divide and one
     subtract per row, as LAPACK's ``dlaneg`` does.  Its count stands when
-    no pivot is below ``pivmin`` in magnitude (a NaN fails that test): the
-    clamp is then the identity on every pivot, so the clamped rule would
-    do the same operations in the same order and count the same, and no
-    pivot can overflow, since e^2 / q <= 1 / tiny while |q| >= pivmin.
+    no pivot above the last row is below ``pivmin`` in magnitude (a NaN
+    fails that test): the clamp is then the identity on those pivots, so
+    the clamped rule would do the same operations in the same order, and
+    no pivot can overflow, since e^2 / q <= 1 / tiny while |q| >= pivmin.
+    The last pivot feeds no later row, and the clamp keeps its sign bit, so
+    it counts the same unless it is -0.0, which the clamped rule counts as
+    negative.  (A probe on an eigenvalue can make the last pivot exactly
+    +0.0; such a sweep needs no second pass.)
     Otherwise the same rows are filled again and the clamped rule runs in
     full.  The pivots of every row are kept in ``buf``, a flat float64
     array of at least ``d.size * x.size`` entries that ``_bisect`` reuses
@@ -160,7 +165,8 @@ def _sturm_count(
             np.subtract(row, t, out=row)
     below = _negatives(q)
     # in place: a new |q| array costs more in page faults than it saves
-    if np.abs(q, out=q).min() >= pivmin:
+    head, last = q[:-1], q[-1]
+    if np.abs(head, out=head).min(initial=np.inf) >= pivmin and not np.signbit(last[last == 0]).any():
         return below
     _start_rows(q, d, x)
     _clamped_pivots(q, e2, pivmin, t)
@@ -483,8 +489,9 @@ def generalized_eig_dense(a: np.ndarray, b: np.ndarray) -> EigenDecomposition:
         a, b = a.real, b.real  # a real pencil is reduced in real arithmetic
     factor = _Factor(b)
     mid = factor.forward(factor.forward(a).conj().T).conj().T
-    # each half first: the sum of two entries near the float limit overflows
-    reduced = _Tridiagonal(mid / 2.0 + mid.conj().T / 2.0)
+    # each half first (exactly): the sum of two entries near the float limit overflows
+    mid *= 0.5
+    reduced = _Tridiagonal(mid + mid.conj().T)
     return EigenDecomposition(reduced.eigenvalues, reduced, factor, b)
 
 

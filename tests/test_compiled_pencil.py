@@ -14,7 +14,7 @@ from geig import pauli
 from geig.ansatz import apply_ansatz, random_params
 from geig.cli import main, parse_problem
 from geig.fqge import FqgeConfig, run_fqge
-from geig.pauli import PauliSum, _phase, apply_compiled, compile_sums, dense_matrix
+from geig.pauli import PauliSum, _phase, apply_compiled, apply_sum, compile_sums, dense_matrix
 from geig.reference import generalized_eig
 from geig.statevector import StateVector, basis_state, zero_state
 from geig.vqge import DeflationRecord, Pencil, _exact_objective
@@ -266,9 +266,9 @@ class TestCompileOnce:
         compiled = []
         compile_sums = geig.pencil.compile_sums
 
-        def counting(sums):
+        def counting(sums, *names):
             compiled.append(sums)
-            return compile_sums(sums)
+            return compile_sums(sums, *names)
 
         monkeypatch.setattr(geig.pencil, "compile_sums", counting)
         pencil = ising(4)
@@ -299,9 +299,9 @@ class TestCompileOnce:
         compiled = []
         for module in (pauli, geig.pencil):
 
-            def counting(sums, compile_sums=module.compile_sums):
+            def counting(sums, *names, compile_sums=module.compile_sums):
                 compiled.append(sums)
-                return compile_sums(sums)
+                return compile_sums(sums, *names)
 
             monkeypatch.setattr(module, "compile_sums", counting)
         if problem == "ising4":
@@ -338,10 +338,16 @@ class TestDenseFromTable:
 
 
 class TestDiagonalPastTheFloatRange:
-    def test_compile_sums_leaves_inf_without_a_warning(self):
+    def test_compile_sums_refuses_without_a_warning(self):
+        """Every caller of ``compile_sums`` (``apply_sum`` and
+        ``dense_matrix`` too) meets one ``ValueError``, not an inf."""
         s = PauliSum(1, [(1.7e308, "I"), (1.7e308, "Z")])
-        diags = compile_sums((s,))[1]
-        assert diags[0, 0].tolist() == [np.inf, 0.0]
+        with pytest.raises(ValueError, match="^the terms of sum 1 add past the float range"):
+            compile_sums((PauliSum.identity(1), s))
+        with pytest.raises(ValueError, match="^the terms of sum 0 add past"):
+            apply_sum(s, basis_state(1, 0))
+        with pytest.raises(ValueError, match="^the terms of sum 0 add past"):
+            dense_matrix(s)
 
     def test_pencil_names_the_side(self):
         big = PauliSum(1, [(1.7e308, "I"), (1.7e308, "Z")])

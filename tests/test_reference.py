@@ -206,11 +206,11 @@ class TestSturmCount:
         got = reference._sturm_count(d, e2, x, pivmin, np.empty(d.size * x.size))
         assert np.array_equal(got, _clamped_sturm_count(d, e2, x, pivmin))
 
-    @pytest.mark.parametrize("label, falls_back", [("diagonal", True), ("ising7-B", False)])
+    @pytest.mark.parametrize("label, falls_back", [("diagonal", True), ("ising7-reduced", False)])
     def test_each_path_runs(self, monkeypatch, label, falls_back):
         """The zero couplings of ``diagonal`` give zero pivots, so some sweep
         takes the clamped fallback; no sweep of the 7-qubit benchmark
-        pencil's B does."""
+        pencil does."""
         calls = []
         clamped = reference._clamped_pivots
 
@@ -223,6 +223,33 @@ class TestSturmCount:
         reference._bisect(d, e, np.arange(d.size))
         assert (len(calls) > 0) == falls_back
 
+    @pytest.mark.parametrize(
+        "d, e, falls_back",
+        [
+            ([1.0, 1.0], [1.0], False),  # last pivot 1 - 1 / 1 = +0.0 at x = 0
+            ([1.0, -0.0], [0.0], True),  # last pivot -0.0 - 0.0 = -0.0 at x = 0
+            ([-0.0], [], True),
+            ([0.0, 1.0], [1.0], True),  # a zero pivot above the last row
+        ],
+    )
+    def test_a_zero_last_pivot(self, monkeypatch, d, e, falls_back):
+        """A zero last pivot feeds no later row: +0.0 counts as the clamped
+        rule without a second pass, and -0.0, which the clamped rule counts
+        as negative, takes the fallback."""
+        calls = []
+        clamped = reference._clamped_pivots
+
+        def counting(*args):
+            calls.append(1)
+            clamped(*args)
+
+        monkeypatch.setattr(reference, "_clamped_pivots", counting)
+        d, e2 = np.array(d), np.square(e)
+        pivmin = reference._TINY * max(1.0, float(np.max(e2, initial=0.0)))
+        x = np.array([0.0])
+        got = reference._sturm_count(d, e2, x, pivmin, np.empty(d.size))
+        assert np.array_equal(got, _clamped_sturm_count(d, e2, x, pivmin))
+        assert (len(calls) > 0) == falls_back
 
     def test_a_reused_buffer_counts_as_the_clamped_rule(self):
         """``_bisect`` passes one pivot buffer to every sweep: whatever an
