@@ -235,12 +235,13 @@ def cmd_vqge(args) -> dict:
         ],
     }
     if ref is not None:
-        found = [level.eigenvalue for level in levels]
+        # Python floats: a distance past the float range is inf, with no warning
+        found = [float(level.eigenvalue) for level in levels]
         distinct = distinct_values(ref.eigenvalues)
         if len(found) == len(distinct):
             errors = [abs(f - lam) for f, lam in zip(found, distinct)]
         else:
-            errors = [min(abs(f - lam) for lam in ref.eigenvalues) for f in found]
+            errors = [min(abs(f - lam) for lam in ref.eigenvalues.tolist()) for f in found]
         summary["reference"] = {
             "eigenvalues": list(ref.eigenvalues),
             "distinct": distinct,
@@ -308,11 +309,16 @@ def cmd_fqge(args) -> dict:
             f"(d={d_max} unitaries, {ancillas} ancilla qubits)"
         ),
     }
-    ref = _reference_or_none(pencil)
+    # the oracle of the unit pencil the solver ran on, which holds the one
+    # compiled table; its levels times 2^e are the pencil's
+    unit, e, _ = pencil.unit
+    ref = _reference_or_none(unit)
     if ref is not None:
+        with np.errstate(over="ignore"):  # a level past the float range is inf
+            levels = np.ldexp(ref.eigenvalues, e).tolist()
         # Python floats: a distance past the float range is inf, with no warning
         value = float(result.eigenvalue)
-        nearest = min(ref.eigenvalues.tolist(), key=lambda lam: abs(value - lam))
+        nearest = min(levels, key=lambda lam: abs(value - lam))
         k = ground_multiplicity(ref.eigenvalues)
         if k == 1:
             ground = ref.eigenvectors[:, 0]

@@ -5,8 +5,9 @@ size, a relative residual diagnostic, and statevector noise: one Gaussian
 draw per step, added uniformly to every amplitude before the state is
 renormalized.
 
-``run_fqge`` works on raw amplitudes: it applies the pencil once per iterate,
-forms the residual (A - F B)psi once, and steps the state as
+``run_fqge`` works on ``Pencil.unit``, the pencil with each side divided
+by an even power of two, and on raw amplitudes: it applies the pencil once
+per iterate, forms the residual (A - F B)psi once, and steps the state as
 psi + delta*direction, which equals G|psi>; the rows are float64 when the
 pencil and the start state are real.  A noiseless line-search iterate
 applies the pencil to the part of the direction orthogonal to psi only:
@@ -17,7 +18,10 @@ iterate keeps its raw row and builds its ``StateVector`` only when
 is kept as a public oracle.  Both it and the LCU size reported per step
 come from coefficient vectors over the strings of A and B, built once per
 solve.  The solver reads the problem only through ``geig.pencil``: its
-``apply``, the <B> check and the quotient."""
+unit pencil, ``apply``, the <B> check and the quotient.  The scale rule
+lives in ``Pencil.unit``: on the unit pencil no norm or product here
+overflows at any coefficient scale, and only ``_norm`` keeps a guard, for a
+state near A's null space, where the squares of a tiny A psi underflow."""
 
 from __future__ import annotations
 
@@ -104,38 +108,24 @@ class FqgeResult:
 
 
 def _norm(v: np.ndarray) -> float:
-    """||v|| by ``np.linalg.norm``, which squares the entries: where that
-    overflows, or lies below 1e-140 where squares underflow, the norm of v
-    scaled exactly by the power of two of its largest |entry|, scaled back
-    (inf if it overflows still).  The first norm may overflow: callers run
-    it under ``np.errstate(over="ignore")``, as ``run_fqge`` does."""
+    """||v|| by ``np.linalg.norm``; at or below 1e-140, where its squares
+    underflow, the norm of v over 2^e, the power of two of its largest
+    |entry| (at least 2^-1022, so 2^-e is finite and scales exactly), times
+    2^e, so a nonzero v never reads 0.  On the unit pencil no norm
+    overflows, but A psi is tiny for a state near A's null space."""
     out = float(np.linalg.norm(v))
-    if 1e-140 < out < math.inf:
-        return out
-    e = _exponent(np.max(np.abs(v)))
-    return float(np.ldexp(np.linalg.norm(v * 2.0**-e), e))
+    if out <= 1e-140:  # NaN is not
+        e = max(math.frexp(float(np.max(np.abs(v))))[1], -1022)
+        out = math.ldexp(float(np.linalg.norm(v * 2.0**-e)), e)
+    return out
 
 
 def _residual(a_psi, b_psi, f: float) -> tuple:
     """(r, scale, relative): r = (A - F B) psi, the scale ||A psi|| +
-    |F| ||B psi|| of its terms as a pair (s, e) with scale = s 2^e, and
-    ||r|| / scale (0 at zero scale).
-
-    e is 0 wherever the sum is finite, so the ratio is the plain one.  Where
-    finite norms sum past the float range, both terms and ||r|| are taken
-    over 2^e, the power of two of the larger term, so a finite ||r|| cannot
-    read as 0; a norm past the range itself gives NaN, which no stop test
-    passes.
-    """
+    |F| ||B psi|| of its terms, and ||r|| / scale (0 at zero scale)."""
     r = a_psi - f * b_psi
-    na, nb, nr = _norm(a_psi), _norm(b_psi), _norm(r)
-    scale, e = na + abs(f) * nb, 0
-    if scale == math.inf:
-        (ma, ea), (mf, ef), (mb, eb) = math.frexp(na), math.frexp(abs(f)), math.frexp(nb)
-        e = max(ea, ef + eb)
-        scale = math.ldexp(ma, ea - e) + math.ldexp(mf * mb, ef + eb - e)
-        scale, nr = (scale if max(na, nb) < math.inf else math.nan), math.ldexp(nr, -e)
-    return r, (scale, e), nr / scale if scale != 0.0 else 0.0
+    scale = _norm(a_psi) + abs(f) * _norm(b_psi)
+    return r, scale, _norm(r) / scale if scale != 0.0 else 0.0
 
 
 def loss_state(state: StateVector, pencil) -> float:
@@ -201,13 +191,7 @@ def apply_g(lcu: LcuOperator, state: StateVector):
     return StateVector(state.n, amps, normalized=False), _post_select(amps, lcu.norm_c, lcu.d)[1]
 
 
-def _exponent(*entries) -> int:
-    """The ``frexp`` exponent e of the largest |entry|, at least -1022, so
-    2^-e is a finite float that scales every entry below 1 exactly."""
-    return max(math.frexp(max(map(abs, entries)))[1], -1022)
-
-
-def _line_search(psi: np.ndarray, direction: np.ndarray, applied: tuple, scale: tuple, pencil):
+def _line_search(psi: np.ndarray, direction: np.ndarray, applied: tuple, scale: float, pencil):
     """Exact minimizer of the Rayleigh quotient over span{psi, direction}
     for normalized raw amplitudes psi, with ``pencil.apply(psi)`` and the
     residual's ``scale`` given: it solves the 2x2 projected pencil, and a
@@ -223,8 +207,8 @@ def _line_search(psi: np.ndarray, direction: np.ndarray, applied: tuple, scale: 
     w = direction - c * psi
     wn = _norm(w)
     # w below the rounding of the terms (2/<B>)(A psi - F B psi) is formed
-    # from is no direction, at any pencil scale; the scale is s 2^e
-    if wn <= np.ldexp(1e-14 * (2.0 / b00) * scale[0], scale[1]):
+    # from is no direction
+    if wn <= 1e-14 * (2.0 / b00) * scale:
         return 0.0 + 0.0j, f00, None
     tilde = w / wn
     a_til, b_til, a11, b11 = pencil.apply(tilde)
@@ -233,11 +217,6 @@ def _line_search(psi: np.ndarray, direction: np.ndarray, applied: tuple, scale: 
     a01 = np.vdot(psi, a_til)
     b01 = np.vdot(psi, b_til)
 
-    # each side's entries over the power of two of its largest (exact), so
-    # no product below overflows or underflows at any pencil scale
-    ea, eb = _exponent(a00, a01, a11), _exponent(b00, b01, b11)
-    ka, kb = 2.0**-ea, 2.0**-eb
-    a00, a01, a11, b00, b01, b11 = a00 * ka, a01 * ka, a11 * ka, b00 * kb, b01 * kb, b11 * kb
     c2 = b00 * b11 - abs(b01) ** 2
     c1 = a00 * b11 + a11 * b00 - 2.0 * (a01 * np.conj(b01)).real
     c0 = a00 * a11 - abs(a01) ** 2
@@ -271,7 +250,7 @@ def _line_search(psi: np.ndarray, direction: np.ndarray, applied: tuple, scale: 
         delta_tilde = _DELTA_CAP * phase
     else:
         delta_tilde = v1 / v0
-    return complex(delta_tilde) / wn, float(np.ldexp(u1, ea - eb)), images
+    return complex(delta_tilde) / wn, float(u1), images
 
 
 def _perturbed(amps: np.ndarray, n: int, sigma: float, rng, where: str = "") -> np.ndarray:
@@ -311,56 +290,70 @@ def run_fqge(pencil, initial: StateVector, cfg: FqgeConfig = FqgeConfig()) -> Fq
     last row's), is built when it is first read.  When the pencil is real
     and the start state has no imaginary part, the rows, the step and the
     noise are float64; states stay complex.
+
+    The iteration runs on ``pencil.unit`` = (unit, e, e_b), whose
+    eigenvalues are the pencil's times 2^-e: the fixed step there is
+    cfg.delta 2^e, which makes the iterates the same bits, and each row's
+    value and step, and the result's eigenvalue, are scaled back exactly
+    (inf or 0 past the float range, which the caller's summary check
+    reports).  The <B> check is the unit pencil's, so its floor is 1e-12
+    of B's scale 2^e_b; its message and the step's name the pencil's own
+    <B> and |delta|.
     """
+    unit, e, e_b = pencil.unit
     rng = np.random.default_rng(cfg.seed)
     state = initial if initial.normalized else normalize(initial)
-    real = pencil.real and not state.amps.imag.any()
+    real = unit.real and not state.amps.imag.any()
     psi = state.amps.real if real else state.amps
-    basis = _lcu_basis(pencil)
+    basis = _lcu_basis(unit)
     rows = []
     applied = None  # (A psi, B psi, <A>, <B>) when a line-search step combined them
-    # an overflow ends in the check of the step or of the noise, not in a warning
+    # an overflow ends in the check of the step, of the noise or of the
+    # caller's summary, not in a warning
     with np.errstate(over="ignore", invalid="ignore"):
+        step = np.ldexp(cfg.delta, e)  # the fixed step on the unit pencil
         for s in count(1):
             # combined images carry the step's rounding: a row they would
             # end is evaluated again on psi's own images
             for explicit in (applied is None, True):
                 if explicit:
-                    applied = pencil.apply(psi)
+                    applied = unit.apply(psi)
                 a_psi, b_psi, a, b = applied
-                value = rayleigh_quotient(a, b)
+                value = a / check_b(b, e_b)
                 r, scale, res = _residual(a_psi, b_psi, value)
                 direction = -(2.0 / b) * r
-                delta = cfg.delta if real else complex(cfg.delta)
+                delta, own = (step if real else complex(step)), complex(cfg.delta)
                 status = None
                 if res <= cfg.epsilon:
                     status = "converged"
                 elif s > cfg.max_iters:
                     status = "max_iters"
                 elif cfg.line_search:
-                    delta, _, images = _line_search(psi, direction, applied, scale, pencil)
+                    delta, _, images = _line_search(psi, direction, applied, scale, unit)
                     # on real rows every quantity of the 2x2 pencil, hence delta, is real
                     delta = delta.real if real else delta
+                    # the pencil's own step is delta 2^-e
+                    own = complex(np.ldexp(delta.real, -e), np.ldexp(delta.imag, -e))
                     if delta == 0:
                         status = "converged"
                 if status is None or explicit:
                     break
             if status is not None:  # a terminal row: zero step, trivial LCU
-                rows.append(FqgeIterate(s, psi, value, res, 0.0 + 0.0j, 1.0, 1.0, 1))
+                rows.append(FqgeIterate(s, psi, np.ldexp(value, e), res, 0.0 + 0.0j, 1.0, 1.0, 1))
                 break
             norm_c, d = _lcu_size(_lcu_coeffs(basis, delta, value, b))
             raw = psi + delta * direction
             out_norm, success = _post_select(raw, norm_c, d, f"step {s}: ")
             if not (math.isfinite(out_norm) and math.isfinite(norm_c)):
-                raise ValueError(f"step {s}: the step overflows at |delta| = {abs(delta):.3e}")
-            rows.append(FqgeIterate(s, psi, value, res, complex(delta), success, norm_c, d))
+                raise ValueError(f"step {s}: the step overflows at |delta| = {abs(own):.3e}")
+            rows.append(FqgeIterate(s, psi, np.ldexp(value, e), res, own, success, norm_c, d))
             psi = raw / out_norm
             applied = None
             if cfg.noise_sigma > 0:
-                psi = _perturbed(psi, pencil.n, cfg.noise_sigma, rng, f"step {s}: ")
+                psi = _perturbed(psi, unit.n, cfg.noise_sigma, rng, f"step {s}: ")
             elif cfg.line_search:
                 # psi + delta*d is in span{psi, d}: A and B act on it by the same step
                 a_psi = (a_psi + delta * images[0]) / out_norm
                 b_psi = (b_psi + delta * images[1]) / out_norm
                 applied = a_psi, b_psi, overlaps(psi, a_psi).real[()], overlaps(psi, b_psi).real[()]
-    return FqgeResult(tuple(rows), status, value, rows[-1].state)
+    return FqgeResult(tuple(rows), status, rows[-1].value, rows[-1].state)

@@ -30,6 +30,7 @@ as the same state alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -133,17 +134,16 @@ class PauliSum:
                     raise ValueError(f"coefficients must be real, got {coeff}")
                 coeff = complex(coeff).real
             coeff = float(coeff)
-            if not np.isfinite(coeff):
+            if not math.isfinite(coeff):
                 raise ValueError(f"coefficient must be finite, got {coeff}")
             key = (string.x_mask, string.z_mask)
-            merged[key] = total = merged.get(key, 0.0) + coeff
-            if not np.isfinite(total):
+            # the first string of each key is kept: equal strings are equal values
+            total, first = merged.get(key, (0.0, string))
+            total += coeff
+            if not math.isfinite(total):
                 raise ValueError(f"coefficients of {string.ops!r} sum to {total}")
-        canonical = tuple(
-            (c, PauliString(self.n, x, z))
-            for (x, z), c in sorted(merged.items())
-            if c != 0.0
-        )
+            merged[key] = total, first
+        canonical = tuple(term for _, term in sorted(merged.items()) if term[0] != 0.0)
         object.__setattr__(self, "terms", canonical)
 
     @classmethod

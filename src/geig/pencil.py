@@ -2,10 +2,19 @@
 the dense oracle read it: one table compiled from both sides on first use,
 its action on raw amplitude rows and their brackets, its dense matrices,
 the <B> positivity check and the Rayleigh quotient <A>/<B>.  Also the
-integer check every configuration shares."""
+integer check every configuration shares.
+
+``Pencil.unit`` is the pencil at unit scale: each side divided by an even
+power of two, which is exact, so the unit pencil's eigenvalues are the
+pencil's times one power of two, bit for bit wherever nothing under- or
+overflows.  A solver that runs on it needs no guard against overflow, and
+its <B> floor is 1e-12 of B's scale.  ``fqge`` runs on it;
+``vqge`` and ``geig reference`` run on the pencil itself, since Adam's
+epsilon and gradient descent's step are not scale-covariant."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -40,6 +49,22 @@ class Pencil:
         first use: one gather per X-mask serves both sides."""
         return compile_sums((self.A, self.B), "AB")
 
+    @cached_property
+    def unit(self) -> tuple:
+        """(unit, e, b): the pencil with A divided by 2^a and B by 2^b, for
+        each side the even exponent that brings its largest |coefficient|
+        into [1/2, 2) (0 for a side with no terms), and e = a - b.  Every
+        eigenvalue of the pencil is 2^e times the matching one of ``unit``,
+        its eta1 2^b times unit's and an eigenvector 2^(-b/2) times unit's,
+        bit for bit wherever nothing leaves the float range.  A coefficient
+        more than 2^1022 below its side's largest rounds into the subnormals
+        or to zero, far below that side's rounding."""
+        largest = (max(map(abs, side.coeffs), default=0.0) for side in (self.A, self.B))
+        a, b = (math.frexp(x)[1] & ~1 for x in largest)
+        sides = ((self.A, a), (self.B, b))
+        unit = Pencil(*(PauliSum(s.n, [(math.ldexp(c, -k), p) for c, p in s.terms]) for s, k in sides))
+        return unit, a - b, b
+
     @property
     def real(self) -> bool:
         """True when every compiled diagonal is float64 (no string of the
@@ -67,14 +92,22 @@ class Pencil:
         return dense_compiled(self._compiled)
 
 
-def check_b(b):
+def check_b(b, e: int = 0):
     """Return <B> (a float, or an array with one entry per state) after
-    checking that it is positive, as it is for every state when B is
-    positive definite.  NaN fails the one comparison too."""
+    checking that it is above 1e-12, as it is for every state when B is
+    positive definite and not near singular.  NaN fails the one comparison
+    too.  ``b`` may be a bracket of B / 2^e, the B of ``Pencil.unit``: the
+    floor is then 1e-12 of B's scale 2^e, and the message names the
+    pencil's own bracket 2^e b."""
     low = b if isinstance(b, float) else b.min()
     if not low > _B_FLOOR:
-        cause = "B is not positive definite" if low <= _B_FLOOR else "the bracket is not finite"
-        raise ValueError(f"<B> = {low:.3e} at the evaluated state; {cause}")
+        cause = "B is not positive definite"
+        if low != low:
+            cause = "the bracket is not finite"
+        elif low > 0.0 and e != 0:
+            cause = f"that is at most {_B_FLOOR:g} of B's scale 2^{e}, too near singular"
+        # inf past the float range: run_fqge, which passes e, ignores the overflow
+        raise ValueError(f"<B> = {np.ldexp(low, e):.3e} at the evaluated state; {cause}")
     return b
 
 

@@ -526,7 +526,10 @@ def distinct_values(eigenvalues) -> list:
     values, breaks = _cluster_breaks(eigenvalues)
     if values.size == 0:
         return []
-    return [float(np.mean(part)) for part in np.split(values, np.flatnonzero(breaks) + 1)]
+    with np.errstate(over="ignore"):
+        means = [(float(np.mean(p)), p) for p in np.split(values, np.flatnonzero(breaks) + 1)]
+    # where a sum is past the float range, twice the mean of the halves (exact)
+    return [m if math.isfinite(m) else 2.0 * float(np.mean(0.5 * p)) for m, p in means]
 
 
 def ground_multiplicity(eigenvalues) -> int:

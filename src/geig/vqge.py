@@ -450,8 +450,8 @@ def _descend(value_and_grad: Callable, theta0: np.ndarray, config: OptConfig) ->
                 theta = theta - config.lr * g
             if not np.isfinite(theta).all():
                 raise ValueError(f"step {s}: the update at lr = {config.lr:.3e} is not finite")
-    flat = grads.reshape(config.iters + 1, rows, n * layers)
-    norms = np.sqrt(overlaps(flat, flat))
+        flat = grads.reshape(config.iters + 1, rows, n * layers)
+        norms = np.sqrt(overlaps(flat, flat))  # inf past the float range
     best = np.argmin(values, axis=0)
     return [
         OptTrace(losses, grad_norms, grids, float(losses[k]), AnsatzParams(n, layers, grids[k]))

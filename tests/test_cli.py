@@ -872,9 +872,9 @@ class TestNonFiniteSummary:
         "scale, flags", [(1e155, ["--line-search"]), (1e200, [])], ids=["line-search", "fixed-step"]
     )
     def test_fqge_converges_where_its_norms_would_overflow(self, tmp_path, scale, flags):
-        """The squares of the entries of A psi overflow: ||A psi||, ||B psi||
-        and ||r|| are taken again on the scaled vectors, so the run converges
-        to the ground value."""
+        """The squares of the entries of A psi would overflow at this scale:
+        fqge runs on the unit pencil, so the run converges to the ground
+        value."""
         proc = self.run_fqge_at_scale(tmp_path, scale, flags)
         assert proc.returncode == 0 and proc.stderr == ""
         summary = json.loads(proc.stdout)
@@ -883,8 +883,8 @@ class TestNonFiniteSummary:
 
     @pytest.mark.parametrize("scale", [1e100, 1e140, 1e150])
     def test_line_search_converges_where_its_products_would_overflow(self, tmp_path, scale):
-        """The 2x2 line-search pencil is solved on each side scaled by a
-        power of two, so squares of entries near 1e150 do not overflow."""
+        """The squares of the 2x2 line-search pencil's entries would overflow
+        near 1e150: on the unit pencil they are near 1."""
         proc = self.run_fqge_at_scale(tmp_path, scale, ["--line-search"])
         assert proc.returncode == 0 and proc.stderr == ""
         summary = json.loads(proc.stdout)
@@ -972,6 +972,70 @@ class TestFqgeAtNormScales:
         if summary["status"] == "converged":
             assert abs(summary["eigenvalue"] - ground) <= 1e-9 * abs(ground), summary
 
+    @pytest.mark.parametrize(
+        "a, b, flags",
+        [
+            (1e-20, 1e-20, []),
+            (1e-20, 1e-20, ["--line-search"]),
+            (1e-300, 1e-300, []),
+            (1e-300, 1e-300, ["--line-search"]),
+            (1e-160, 1.0, ["--line-search"]),
+            (1e-170, 1.0, ["--line-search"]),
+            (1e308, 1e308, ["--line-search"]),
+        ],
+        ids=[
+            "both-1e-20-fixed-step",
+            "both-1e-20-line-search",
+            "both-1e-300-fixed-step",
+            "both-1e-300-line-search",
+            "A-1e-160-line-search",
+            "A-1e-170-line-search",
+            "both-1e308-line-search",
+        ],
+    )
+    def test_converges_at_any_side_scale(self, capsys, tmp_path, a, b, flags):
+        """fqge runs on the unit pencil: a B of small scale is not refused
+        by the <B> floor, a line-search step's products stay in the float
+        range, and so does the LCU norm at 1e308."""
+        problem, ground = scaled_pencil(a, b)
+        path = tmp_path / "scaled.json"
+        path.write_text(json.dumps(problem))
+        summary = summary_of(capsys, ["fqge", *flags, str(path)])
+        assert summary["status"] == "converged"
+        assert abs(summary["eigenvalue"] - ground) <= 1e-9 * abs(ground), summary
+
+    @pytest.mark.parametrize("flags", [[], ["--line-search"]], ids=["fixed-step", "line-search"])
+    def test_eigenvalues_past_the_float_range(self, capsys, tmp_path, flags):
+        """At A = 1e300, B = 1e-300 the eigenvalues are near 1e600: the fixed
+        step overflows, and the line search ends in the summary check; either
+        way one JSON line, which names the pencil's own step."""
+        problem, _ = scaled_pencil(1e300, 1e-300)
+        path = tmp_path / "scaled.json"
+        path.write_text(json.dumps(problem))
+        payload = error_of(capsys, ["fqge", *flags, str(path)])
+        if flags:
+            assert payload["message"] == "summary field 'eigenvalue' is -inf, not a finite number"
+        else:
+            assert payload["message"] == "step 1: the step overflows at |delta| = 1.000e-01"
+
+    @pytest.mark.parametrize("flags", [[], ["--line-search"]], ids=["fixed-step", "line-search"])
+    def test_a_b_near_singular_for_its_scale_is_refused_by_name(self, capsys, tmp_path, flags):
+        """B = 1e13 II - (1e13 - 1) ZI is positive definite, but <B> = 1 at
+        |00> is below 1e-12 of B's scale 2^44: the unit pencil's floor
+        refuses it, and the message names the pencil's own <B> and says
+        which floor it failed."""
+        problem = {
+            "n": 2,
+            "A": [{"coeff": 1.0, "ops": "ZI"}, {"coeff": 1.0, "ops": "XX"}],
+            "B": [{"coeff": 1e13, "ops": "II"}, {"coeff": -(1e13 - 1.0), "ops": "ZI"}],
+        }
+        path = tmp_path / "near_singular.json"
+        path.write_text(json.dumps(problem))
+        assert error_of(capsys, ["fqge", *flags, str(path)])["message"] == (
+            "<B> = 1.000e+00 at the evaluated state; "
+            "that is at most 1e-12 of B's scale 2^44, too near singular"
+        )
+
 
 class TestPencilsAtTheFloatLimit:
     """An fqge residual scale past the float range, a diagonal of B whose
@@ -1014,15 +1078,41 @@ class TestPencilsAtTheFloatLimit:
         nearest = summary["reference"]["nearest_eigenvalue"]
         assert abs(nearest - summary["eigenvalue"]) <= 1e-12 * abs(nearest)
 
+    def test_vqge_reference_block_near_1e308(self, capsys, tmp_path):
+        """On the same pencil the cluster means of +-1e308, the gradient
+        norms and the distances to the levels stay finite, without a
+        warning: a finite reference block and an empty stderr."""
+        path = tmp_path / "limit.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "n": 2,
+                    "A": [{"coeff": 1.5e308, "ops": "ZI"}, {"coeff": 1.0, "ops": "XX"}],
+                    "B": [{"coeff": 1.5, "ops": "II"}],
+                }
+            )
+        )
+        summary = summary_of(capsys, ["vqge", "--r", "1", str(path)])
+        ref = summary["reference"]
+        np.testing.assert_allclose(ref["distinct"], [-1e308, 1e308], rtol=1e-12)
+        assert np.isfinite(ref["abs_errors"]).all()
+
     @pytest.mark.parametrize(
         "argv",
         [["reference"], ["fqge"], ["fqge", "--line-search"], ["vqge", "--r", "1"]],
         ids=["reference", "fqge", "fqge-line-search", "vqge"],
     )
     def test_diagonal_past_the_range_names_the_side(self, capsys, tmp_path, argv):
-        """B = c II + 0.5c IZ at c = 1.7e308: 1.5c is past the float range."""
-        problem, _ = scaled_pencil(1.7e308, 1.7e308)
+        """B = c II + 0.5c IZ at c = 1.7e308: 1.5c is past the float range.
+        fqge runs on the unit pencil, whose diagonal is near 1, and
+        converges to the ground value."""
+        problem, ground = scaled_pencil(1.7e308, 1.7e308)
         path = tmp_path / "limit.json"
         path.write_text(json.dumps(problem))
+        if argv[0] == "fqge":
+            summary = summary_of(capsys, [*argv, str(path)])
+            assert summary["status"] == "converged"
+            assert abs(summary["eigenvalue"] - ground) <= 1e-9 * abs(ground), summary
+            return
         payload = error_of(capsys, [*argv, str(path)])
         assert payload["message"] == "the terms of B add past the float range on a basis state"

@@ -76,6 +76,12 @@ class TestPauliSum:
         assert len(s) == 1
         assert s.coeffs == (0.75,)
 
+    def test_keeps_the_callers_strings(self):
+        zi, xx = PauliString.from_ops("ZI"), PauliString.from_ops("XX")
+        s = PauliSum(2, [(0.5, xx), (1.0, zi), (0.25, PauliString.from_ops("ZI"))])
+        assert s.terms == ((1.25, zi), (0.5, xx))
+        assert s.terms[0][1] is zi and s.terms[1][1] is xx
+
     def test_drops_exact_zero_terms(self):
         s = PauliSum(1, [(1.0, "X"), (-1.0, "X"), (2.0, "I")])
         assert [p.ops for p in s.strings] == ["I"]

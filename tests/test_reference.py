@@ -669,6 +669,13 @@ class TestDistinct:
         assert count_distinct([]) == 0
         assert distinct_values([]) == []
 
+    def test_cluster_whose_sum_overflows(self):
+        """The mean of a cluster at +-1e308 is taken over its halves, without
+        a warning: it is the level itself, not inf."""
+        assert distinct_values([-1e308, -1e308, 1e308, 1e308]) == [-1e308, 1e308]
+        (mean,) = distinct_values([1.7e308, 1.7e308 * (1 + 1e-15)])
+        assert abs(mean - 1.7e308) <= 1e-15 * 1.7e308
+
     def test_small_scale_levels_stay_distinct(self):
         """The gap is relative: four levels near +-1e-12 are four clusters."""
         pencil = Pencil(

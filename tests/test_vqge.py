@@ -249,6 +249,15 @@ class TestOptimize:
         )
         assert trace.best_value == trace.losses.min()
 
+    def test_gradient_norms_past_the_float_range(self):
+        """A gradient entry of 1e200 has a square past the float range: the
+        trace records its norm as inf, with no warning, and the run ends
+        normally."""
+        p0 = AnsatzParams(1, 1, np.zeros((1, 1)))
+        grad = np.full((1, 1), 1e200)
+        trace = optimize(lambda p: 0.0, lambda p: grad, p0, OptConfig(lr=1e-300, iters=2, method="gd"))
+        assert trace.grad_norms.tolist() == [np.inf] * 3
+
     def test_tie_goes_to_the_first_step(self):
         p0 = random_params(2, 3, np.random.default_rng(19))
         trace = optimize(lambda p: 1.0, lambda p: np.ones((2, 3)), p0, OptConfig(iters=5))
