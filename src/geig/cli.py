@@ -309,16 +309,11 @@ def cmd_fqge(args) -> dict:
             f"(d={d_max} unitaries, {ancillas} ancilla qubits)"
         ),
     }
-    # the oracle of the unit pencil the solver ran on, which holds the one
-    # compiled table; its levels times 2^e are the pencil's
-    unit, e, _ = pencil.unit
-    ref = _reference_or_none(unit)
+    ref = _reference_or_none(pencil)
     if ref is not None:
-        with np.errstate(over="ignore"):  # a level past the float range is inf
-            levels = np.ldexp(ref.eigenvalues, e).tolist()
         # Python floats: a distance past the float range is inf, with no warning
         value = float(result.eigenvalue)
-        nearest = min(levels, key=lambda lam: abs(value - lam))
+        nearest = min(ref.eigenvalues.tolist(), key=lambda lam: abs(value - lam))
         k = ground_multiplicity(ref.eigenvalues)
         if k == 1:
             ground = ref.eigenvectors[:, 0]

@@ -15,9 +15,10 @@ the next state's images are the step's combination of the images it
 holds, and the row that ends the run is evaluated on psi's own.  Each
 iterate keeps its raw row and builds its ``StateVector`` only when
 ``state`` is read.  The explicit combination (``build_lcu`` / ``apply_g``)
-is kept as a public oracle.  Both it and the LCU size reported per step
-come from coefficient vectors over the strings of A and B, built once per
-solve.  The solver reads the problem only through ``geig.pencil``: its
+is kept as a public oracle; it and ``loss_state`` read the unit pencil too
+and take the pencil's own step and value.  Both it and the LCU size
+reported per step come from coefficient vectors over the strings of A and
+B, built once per solve.  The solver reads the problem only through ``geig.pencil``: its
 unit pencil, ``apply``, the <B> check and the quotient.  The scale rule
 lives in ``Pencil.unit``: on the unit pencil no norm or product here
 overflows at any coefficient scale, and only ``_norm`` keeps a guard, for a
@@ -109,14 +110,18 @@ class FqgeResult:
 
 def _norm(v: np.ndarray) -> float:
     """||v|| by ``np.linalg.norm``; at or below 1e-140, where its squares
-    underflow, the norm of v over 2^e, the power of two of its largest
-    |entry| (at least 2^-1022, so 2^-e is finite and scales exactly), times
-    2^e, so a nonzero v never reads 0.  On the unit pencil no norm
-    overflows, but A psi is tiny for a state near A's null space."""
+    underflow, or where they overflow, the norm of v over 2^e, the power of
+    two of its largest |entry| (at least 2^-1022, so 2^-e is finite and
+    scales exactly), times 2^e (inf past the float range), so a nonzero v
+    never reads 0 and a finite norm never reads inf.  On the unit pencil no
+    state's norm overflows, but A psi is tiny for a state near A's null
+    space, and the LCU coefficients of a capped step along a tiny direction
+    are huge.  numpy warns of an overflow it meets: callers hold an errstate
+    that ignores it."""
     out = float(np.linalg.norm(v))
-    if out <= 1e-140:  # NaN is not
+    if out <= 1e-140 or out == math.inf:  # NaN is neither
         e = max(math.frexp(float(np.max(np.abs(v))))[1], -1022)
-        out = math.ldexp(float(np.linalg.norm(v * 2.0**-e)), e)
+        out = float(np.ldexp(np.linalg.norm(v * 2.0**-e), e))
     return out
 
 
@@ -129,8 +134,10 @@ def _residual(a_psi, b_psi, f: float) -> tuple:
 
 
 def loss_state(state: StateVector, pencil) -> float:
-    """Rayleigh quotient <psi|A|psi>/<psi|B|psi> on an explicit state."""
-    return rayleigh_quotient(*pencil.apply(state.amps)[2:])
+    """Rayleigh quotient <psi|A|psi>/<psi|B|psi> on an explicit state: that
+    of ``pencil.unit`` = (unit, e, b) times 2^e."""
+    unit, e, eb = pencil.unit
+    return np.ldexp(rayleigh_quotient(*unit.apply(state.amps)[2:], eb), e)
 
 
 def _lcu_basis(pencil) -> tuple:
@@ -154,30 +161,39 @@ def _lcu_coeffs(basis: tuple, delta, f_value: float, b: float) -> np.ndarray:
 
 
 def _lcu_size(g: np.ndarray) -> tuple:
-    """(C, d) of a coefficient vector: C = sqrt(sum |g_j|^2), d = the
-    number of nonzero g_j."""
-    return float(np.sqrt(np.vdot(g, g).real)), int(np.count_nonzero(g))
+    """(C, d) of a coefficient vector: C = sqrt(sum |g_j|^2), by ``_norm``
+    where those squares overflow, and d = the number of nonzero g_j."""
+    c = float(np.sqrt(np.vdot(g, g).real))
+    return (_norm(g) if c == math.inf else c), int(np.count_nonzero(g))
 
 
 def build_lcu(state: StateVector, pencil, delta: complex, f_value: float) -> LcuOperator:
     """Expand G = I - 2*delta*(A - F B)/<B> over Pauli strings, merging
-    duplicates and dropping exact zeros."""
-    b = check_b(pencil.apply(state.amps)[3])
-    basis = _lcu_basis(pencil)
-    g = _lcu_coeffs(basis, delta, f_value, b)
+    duplicates and dropping exact zeros.  It is built on ``pencil.unit`` =
+    (unit, e, b), where the same G has the step delta 2^e and the value
+    F 2^-e: every coefficient is the one of the pencil itself, bit for bit
+    wherever nothing leaves the float range."""
+    unit, e, eb = pencil.unit
+    b = check_b(unit.apply(state.amps)[3], eb)
+    basis = _lcu_basis(unit)
+    g = _lcu_coeffs(basis, delta * np.ldexp(1.0, e), np.ldexp(f_value, -e), b)
     keys, kept = basis[0], np.flatnonzero(g)
     coeffs = tuple(complex(g[j]) for j in kept)
     strings = tuple(PauliString(pencil.n, *keys[j]) for j in kept)
-    return LcuOperator(coeffs, strings, *_lcu_size(g))
+    with np.errstate(over="ignore"):  # squares of g past the float range: C by ``_norm``
+        return LcuOperator(coeffs, strings, *_lcu_size(g))
 
 
 def _post_select(raw: np.ndarray, norm_c: float, d: int, where: str = "") -> tuple:
     """(||G psi||, ||G psi||^2 / (C^2 d)) of an unnormalized output G psi:
-    its norm and the post-selection success probability."""
+    its norm and the post-selection success probability, taken as
+    (||G psi|| / C)^2 / d where C^2 overflows."""
     out_norm = float(np.linalg.norm(raw))
     if out_norm == 0.0:
         raise RuntimeError(f"{where}LCU output has zero norm; the state is annihilated by G")
-    return out_norm, out_norm**2 / (norm_c**2 * d)
+    if math.isfinite(norm_c * norm_c):
+        return out_norm, out_norm**2 / (norm_c**2 * d)
+    return out_norm, (out_norm / norm_c) ** 2 / d
 
 
 def apply_g(lcu: LcuOperator, state: StateVector):
@@ -202,7 +218,7 @@ def _line_search(psi: np.ndarray, direction: np.ndarray, applied: tuple, scale: 
     combined from A psi, B psi and that part's images, or None where no
     direction is searched."""
     a_psi, b_psi, a00, b00 = applied
-    f00 = rayleigh_quotient(a00, b00)
+    f00 = a00 / b00  # the caller checked b00
     c = np.vdot(psi, direction)
     w = direction - c * psi
     wn = _norm(w)

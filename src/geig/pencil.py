@@ -7,10 +7,9 @@ integer check every configuration shares.
 ``Pencil.unit`` is the pencil at unit scale: each side divided by an even
 power of two, which is exact, so the unit pencil's eigenvalues are the
 pencil's times one power of two, bit for bit wherever nothing under- or
-overflows.  A solver that runs on it needs no guard against overflow, and
-its <B> floor is 1e-12 of B's scale.  ``fqge`` runs on it;
-``vqge`` and ``geig reference`` run on the pencil itself, since Adam's
-epsilon and gradient descent's step are not scale-covariant."""
+overflows.  Both solvers and the dense oracle run on it and scale back
+only what carries scale, so none needs a guard against overflow, and the
+<B> floor is 1e-12 of B's scale for every command."""
 
 from __future__ import annotations
 
@@ -92,13 +91,13 @@ class Pencil:
         return dense_compiled(self._compiled)
 
 
-def check_b(b, e: int = 0):
+def check_b(b, e: int):
     """Return <B> (a float, or an array with one entry per state) after
     checking that it is above 1e-12, as it is for every state when B is
     positive definite and not near singular.  NaN fails the one comparison
-    too.  ``b`` may be a bracket of B / 2^e, the B of ``Pencil.unit``: the
-    floor is then 1e-12 of B's scale 2^e, and the message names the
-    pencil's own bracket 2^e b."""
+    too.  ``b`` is a bracket of B / 2^e, the B of ``Pencil.unit``, and e
+    B's exponent: the floor is 1e-12 of B's scale 2^e, and the message
+    names the pencil's own bracket 2^e b."""
     low = b if isinstance(b, float) else b.min()
     if not low > _B_FLOOR:
         cause = "B is not positive definite"
@@ -106,7 +105,7 @@ def check_b(b, e: int = 0):
             cause = "the bracket is not finite"
         elif low > 0.0 and e != 0:
             cause = f"that is at most {_B_FLOOR:g} of B's scale 2^{e}, too near singular"
-        # inf past the float range: run_fqge, which passes e, ignores the overflow
+        # inf past the float range, silently where the caller ignores the overflow
         raise ValueError(f"<B> = {np.ldexp(low, e):.3e} at the evaluated state; {cause}")
     return b
 
@@ -119,6 +118,6 @@ def check_int(name: str, value, minimum: int) -> None:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
 
 
-def rayleigh_quotient(a, b):
-    """F = <A>/<B>, after the <B> positivity check; floats or arrays."""
-    return a / check_b(b)
+def rayleigh_quotient(a, b, e: int):
+    """F = <A>/<B>, after ``check_b(b, e)``; floats or arrays."""
+    return a / check_b(b, e)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -457,21 +457,25 @@ class EigenDecomposition:
 
     The eigenvectors are computed from the stored reduction, and ``eta1``
     from a reduction of B, on first read, so a caller that reads only
-    eigenvalues never pays for either.
+    eigenvalues never pays for either.  With ``_exponent`` b, the stored B
+    is the pencil's over 2^b: eta1 is scaled back by 2^b and the
+    eigenvectors by 2^(-b/2) (b even), both exactly.
     """
 
     eigenvalues: np.ndarray
     _reduced: _Tridiagonal = field(repr=False)
     _factor: _Factor = field(repr=False)
     _b: np.ndarray = field(repr=False)
+    _exponent: int = field(default=0, repr=False)
 
     @functools.cached_property
     def eigenvectors(self) -> np.ndarray:
-        return self._factor.back(self._reduced.eigenvectors())
+        vecs = self._factor.back(self._reduced.eigenvectors())
+        return np.ldexp(vecs.view(np.float64), -self._exponent // 2).view(np.complex128)
 
     @functools.cached_property
     def eta1(self) -> float:
-        return _Tridiagonal(self._b).smallest()
+        return math.ldexp(_Tridiagonal(self._b).smallest(), self._exponent)
 
 
 def generalized_eig_dense(a: np.ndarray, b: np.ndarray) -> EigenDecomposition:
@@ -497,12 +501,17 @@ def generalized_eig_dense(a: np.ndarray, b: np.ndarray) -> EigenDecomposition:
 
 def generalized_eig(pencil) -> EigenDecomposition:
     """Oracle decomposition of a Pauli-sum pencil via dense reconstruction
-    from the pencil's one compiled table.
+    of ``pencil.unit`` = (unit, e, b) from its one compiled table.
 
+    The unit pencil's eigenvalues times 2^e, its eta1 times 2^b and its
+    eigenvectors times 2^(-b/2) are returned: the pencil's own, bit for bit
+    wherever nothing leaves the float range (a level past it is inf).
     Refuses n above ``pauli.DEFAULT_DENSE_CAP`` before anything is allocated.
     """
-    a, b = pencil.dense()
-    return generalized_eig_dense(a, b)
+    unit, e, b = pencil.unit
+    out = generalized_eig_dense(*unit.dense())
+    with np.errstate(over="ignore"):
+        return replace(out, eigenvalues=np.ldexp(out.eigenvalues, e), _exponent=b)
 
 
 def _cluster_breaks(eigenvalues) -> tuple[np.ndarray, np.ndarray]:
@@ -514,7 +523,8 @@ def _cluster_breaks(eigenvalues) -> tuple[np.ndarray, np.ndarray]:
     if values.size == 0:
         return values, np.zeros(0, dtype=bool)
     width = DEFAULT_CLUSTER_GAP * max(abs(values[0]), abs(values[-1]))
-    with np.errstate(over="ignore"):  # a gap past the float range is a break
+    # a gap past the float range is a break; two levels at one inf are none
+    with np.errstate(over="ignore", invalid="ignore"):
         return values, np.diff(values) > width
 
 
@@ -526,10 +536,10 @@ def distinct_values(eigenvalues) -> list:
     values, breaks = _cluster_breaks(eigenvalues)
     if values.size == 0:
         return []
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # NaN for a cluster of both infs
         means = [(float(np.mean(p)), p) for p in np.split(values, np.flatnonzero(breaks) + 1)]
-    # where a sum is past the float range, twice the mean of the halves (exact)
-    return [m if math.isfinite(m) else 2.0 * float(np.mean(0.5 * p)) for m, p in means]
+        # where a sum is past the float range, twice the mean of the halves (exact)
+        return [m if math.isfinite(m) else 2.0 * float(np.mean(0.5 * p)) for m, p in means]
 
 
 def ground_multiplicity(eigenvalues) -> int:

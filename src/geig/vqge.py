@@ -27,11 +27,15 @@ gather the Pauli kets, one stacked product each family of overlaps, and
 one sampler call per row all the draws the row's loss and gradient need.
 Weighted sums and gradient entries run on arrays in the scalar loop's
 order of operations, so each row rounds and draws as the term-by-term
-evaluation of its level alone does."""
+evaluation of its level alone does.
+
+Both modes run on ``Pencil.unit``, whose losses and gradients are the
+pencil's times 2^-e: the descent scales its two constants that carry
+scale with them, so the angles are the pencil's own, and the losses,
+gradient norms, eigenvalues and B-normalized states are scaled back."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
@@ -157,19 +161,21 @@ def _weighted_sums(estimates: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
 
 
 def _penalties(pencil: Pencil, records: Sequence[DeflationRecord], real: bool = False) -> list:
-    """(gamma, B x, <x|B|x>) per deflation record, x the record's raw
-    amplitudes, or their real part with ``real``."""
+    """(gamma, B x, <x|B|x>) per deflation record on ``pencil.unit``, x
+    the record's raw amplitudes, or their real part with ``real``, and
+    gamma the record's times 2^-e, the unit pencil's."""
+    unit, e, eb = pencil.unit
     out = []
     for rec in records:
-        _, bx, _, m = pencil.apply(rec.state.amps.real if real else rec.state.amps)
-        out.append((rec.gamma, bx, check_b(m)))
+        _, bx, _, m = unit.apply(rec.state.amps.real if real else rec.state.amps)
+        out.append((np.ldexp(rec.gamma, -e), bx, check_b(m, eb)))
     return out
 
 
-def _psi_and_gradient(circuit, theta: np.ndarray, start: np.ndarray, grad: bool) -> tuple:
-    """psi = U(theta[r]) start for every row, shape (R, 2^n), and with
-    ``grad`` the function chi -> 2 Re<d psi/d theta[r, i, t]|chi>, shape
-    (R, n, L), for co-states chi (R, 2^n); without ``grad``, None.
+def _psi_and_gradient(circuit, theta: np.ndarray, start: np.ndarray) -> tuple:
+    """psi = U(theta[r]) start for every row, shape (R, 2^n), and the
+    function chi -> 2 Re<d psi/d theta[r, i, t]|chi>, shape (R, n, L), for
+    co-states chi (R, 2^n).
 
     While a row's circuits hold at most ``_SHIFT_ROW_ENTRIES`` amplitudes,
     theta and its pi-shifted grids run as one batch: psi is a contiguous
@@ -181,8 +187,6 @@ def _psi_and_gradient(circuit, theta: np.ndarray, start: np.ndarray, grad: bool)
     alone.
     """
     rows, n, layers = theta.shape
-    if not grad:
-        return circuit.run(theta, start), None
     if (1 + n * layers) << n <= _SHIFT_ROW_ENTRIES:
         states = circuit.run(pi_shifted(theta), start).reshape(rows, 1 + n * layers, -1)
 
@@ -203,10 +207,11 @@ def _exact_objective(
     entangler="linear",
     sign=1.0,
 ) -> Callable:
-    """The exact deflated loss ``sign * F_j`` as a batched function
-    ``theta (R, n, L) -> (values (R,), grads (R, n, L) or None)``, with one
-    ``sign`` for every row or an (R,) array of them (+1 or -1, so that rows
-    minimizing and rows maximizing F share a batch).
+    """The exact deflated loss ``sign * F_j`` of ``pencil.unit``, 2^-e
+    times the pencil's, as a batched function ``theta (R, n, L) ->
+    (values (R,), grads (R, n, L))``, with one ``sign`` for every row or an
+    (R,) array of them (+1 or -1, so that rows minimizing and rows
+    maximizing F share a batch).
 
     The circuit pass gives psi, hence A psi, B psi, F = a/b and each
     penalty gamma |t|^2 / (m b) with t = <Bx|psi> and m = <x|B|x>; Bx and m
@@ -225,7 +230,8 @@ def _exact_objective(
     imaginary part, every row (psi, A psi, B psi, Bx, chi) is float64.
     """
     circuit = compile_ansatz(pencil.n, entangler)
-    real = pencil.real and not any(v.amps.imag.any() for v in (v_in, *(r.state for r in records)))
+    unit, _, eb = pencil.unit
+    real = unit.real and not any(v.amps.imag.any() for v in (v_in, *(r.state for r in records)))
     penalties = _penalties(pencil, records, real)
     if penalties:
         # the records stacked: gamma (X, 1), Bx (X, 1, 2^n) and m (X, 1)
@@ -233,10 +239,10 @@ def _exact_objective(
         scales = (gammas / ms)[..., None]
     start = v_in.amps.real if real else v_in.amps
 
-    def value_and_grad(theta: np.ndarray, grad: bool = True) -> tuple:
-        psi, gradient = _psi_and_gradient(circuit, theta, start, grad)
-        a_psi, b_psi, a, b = pencil.apply(psi)
-        value = f = rayleigh_quotient(a, b)
+    def value_and_grad(theta: np.ndarray) -> tuple:
+        psi, gradient = _psi_and_gradient(circuit, theta, start)
+        a_psi, b_psi, a, b = unit.apply(psi)
+        value = f = rayleigh_quotient(a, b, eb)
         chi = a_psi - f[:, None] * b_psi
         if penalties:
             t = overlaps(bxs, psi)
@@ -248,8 +254,6 @@ def _exact_objective(
             for term in scales * (t[..., None] * bxs - (t_sq / b)[..., None] * b_psi):
                 chi += term
         value = value * sign
-        if not grad:
-            return value, None
         chi *= (sign / b)[:, None]
         return value, gradient(chi)
 
@@ -259,8 +263,9 @@ def _exact_objective(
 def _shot_objective(
     pencil: Pencil, records: Sequence, v_in: StateVector, entangler, sign, shots: int, rngs
 ) -> Callable:
-    """The deflated loss ``sign * F_j`` from Hadamard tests, with its
-    gradient by the pi-shift rule, as a batched function
+    """The deflated loss ``sign * F_j`` of ``pencil.unit``, 2^-e times the
+    pencil's, from Hadamard tests, with its gradient by the pi-shift rule,
+    as a batched function
     ``theta (R, n, L) -> (values (R,), grads (R, n, L))``, with one
     ``sign`` for every row or an (R,) array of them and one generator per
     row in ``rngs``: levels with the same records share a batch while each
@@ -281,22 +286,24 @@ def _shot_objective(
     order, and the values and gradient entries are (R, ...) arrays in the
     scalar rule's order of operations, so each row rounds and draws as a
     term-by-term loop on its own.  An error raised in a batch (a <B> that
-    is not positive, or whose square overflows) may report a value from
-    any row.
+    is not positive) may report a value from any row.  On the unit pencil a
+    sampled <B> is at most the sum of B's |coefficients|, below 2 4^n, so
+    no square or gradient entry overflows.
     """
     circuit = compile_ansatz(pencil.n, entangler)
+    unit, _, eb = pencil.unit
     n_x = len(records)
-    gathers = term_gathers(pencil.A.strings + pencil.B.strings, pencil.n)
-    b_gathers = tuple(part[len(pencil.A) :] for part in gathers)
+    gathers = term_gathers(unit.A.strings + unit.B.strings, unit.n)
+    b_gathers = tuple(part[len(unit.A) :] for part in gathers)
     penalties = [(gamma, m) for gamma, _, m in _penalties(pencil, records)]
     scales = np.array([gamma / m for gamma, m in penalties])
     norms = np.array([norm(rec.state) for rec in records])
     units = np.array([rec.state.amps / x_norm for rec, x_norm in zip(records, norms)])
-    step = max(1, _KET_BLOCK_ENTRIES // (max(len(pencil.B), 1) << pencil.n))  # states per block
+    step = max(1, _KET_BLOCK_ENTRIES // (max(len(unit.B), 1) << unit.n))  # states per block
     signs = np.asarray(sign, dtype=float).reshape(-1, 1, 1)
     # each group (the A sum, the B sum, each record's B sum) left-padded to
     # one width by zero coefficients over the zero column appended last
-    groups = [pencil.A.coeffs] + [pencil.B.coeffs] * (1 + n_x)
+    groups = [unit.A.coeffs] + [unit.B.coeffs] * (1 + n_x)
     width = max(map(len, groups))
     columns = np.full((len(groups), width), sum(map(len, groups)))
     coeffs = np.zeros((len(groups), width))
@@ -325,29 +332,24 @@ def _shot_objective(
             row_est[:, :-1] = sample_overlaps(row_exact, shots, rng)
         sums = _weighted_sums(est.take(columns, axis=-1), coeffs)
         a, b, t = sums[..., 0].real, sums[..., 1].real, sums[..., 2:] * norms
-        values = rayleigh_quotient(a[:, 0], b[:, 0])
+        values = rayleigh_quotient(a[:, 0], b[:, 0], eb)
         if n_x:
             for (gamma, m), t_sq in zip(penalties, _abs_sq(t[:, 0]).T):
                 values += gamma * t_sq / (m * b[:, 0])
         values *= signs[:, 0, 0]
         a0, b0, t0 = a[:, 1, None], b[:, 1, None], t[:, 1, None]
-        check_b(b0)
-        for b_row in b0.ravel().tolist():
-            if not math.isfinite(b_row * b_row):
-                raise ValueError(f"<B> = {b_row:.3e} at the evaluated state; its square overflows")
+        check_b(b0, eb)
         b0_sq = np.array([[b_row**2] for b_row in b0.ravel().tolist()])
         da, db, t_plus = a[:, 2:], b[:, 2:], t[:, 2:]
-        # an entry that overflows is inf, silently, as in scalar arithmetic
-        with np.errstate(over="ignore", invalid="ignore"):
-            entries = (da * b0 - a0 * db) / b0_sq
-            if n_x:
-                # Re(conj(t) t_plus) in real parts, as the scalar product rounds it
-                dt2 = t0.real * t_plus.real - (-t0.imag) * t_plus.imag
-                t_sq = _abs_sq(t0)
-                terms = scales * (dt2 * b0[..., None] - t_sq * db[..., None])
-                terms /= b0_sq[..., None]
-                parts = np.concatenate((entries[..., None], terms), axis=-1)
-                entries = np.add.accumulate(parts, axis=-1)[..., -1]
+        entries = (da * b0 - a0 * db) / b0_sq
+        if n_x:
+            # Re(conj(t) t_plus) in real parts, as the scalar product rounds it
+            dt2 = t0.real * t_plus.real - (-t0.imag) * t_plus.imag
+            t_sq = _abs_sq(t0)
+            terms = scales * (dt2 * b0[..., None] - t_sq * db[..., None])
+            terms /= b0_sq[..., None]
+            parts = np.concatenate((entries[..., None], terms), axis=-1)
+            entries = np.add.accumulate(parts, axis=-1)[..., -1]
         grads = signs * entries.reshape(rows, layers, n).transpose(0, 2, 1).copy()
         return values, grads
 
@@ -359,14 +361,15 @@ def _abs_sq(t: np.ndarray) -> np.ndarray:
     return np.array([abs(z) ** 2 for z in t.ravel().tolist()]).reshape(t.shape)
 
 
-def _at(p: AnsatzParams, pencil: Pencil, records, v_in, entangler, grad):
-    """The value of loss_fj at one angle grid, or with ``grad`` its
-    gradient, by the fused exact pass."""
+def _at(p: AnsatzParams, pencil: Pencil, records, v_in, entangler) -> tuple:
+    """(value, gradient) of loss_fj at one angle grid by the fused exact
+    pass on ``pencil.unit``, both scaled back by 2^e."""
     v_in = zero_state(pencil.n) if v_in is None else v_in
     if p.n != v_in.n:
         raise ValueError(f"qubit counts differ: params {p.n}, state {v_in.n}")
-    values, grads = _exact_objective(pencil, records, v_in, entangler)(p.theta[None], grad)
-    return grads[0] if grad else float(values[0])
+    values, grads = _exact_objective(pencil, records, v_in, entangler)(p.theta[None])
+    e = pencil.unit[1]
+    return float(np.ldexp(values[0], e)), np.ldexp(grads[0], e)
 
 
 def loss_f(p: AnsatzParams, pencil: Pencil, v_in=None, entangler="linear") -> float:
@@ -389,7 +392,7 @@ def loss_fj(
     lower bound F_j >= lambda_j valid for every trial state; the minimum
     over states is exactly lambda_j.
     """
-    return _at(p, pencil, records, v_in, entangler, grad=False)
+    return _at(p, pencil, records, v_in, entangler)[0]
 
 
 def grad_f(p: AnsatzParams, pencil: Pencil, v_in=None, entangler="linear") -> np.ndarray:
@@ -408,18 +411,25 @@ def grad_fj(
 ) -> np.ndarray:
     """Gradient of loss_fj (quotient rule plus the normalized-penalty
     derivative); equals grad_f when records is empty."""
-    return _at(p, pencil, records, v_in, entangler, grad=True)
+    return _at(p, pencil, records, v_in, entangler)[1]
 
 
-def _descend(value_and_grad: Callable, theta0: np.ndarray, config: OptConfig) -> list:
+def _descend(value_and_grad: Callable, theta0: np.ndarray, config: OptConfig, e: int) -> list:
     """Adam (or plain gradient descent) on R angle grids at once.
 
     ``value_and_grad`` maps theta (R, n, L) to (values (R,), grads
-    (R, n, L)); grads may be None when a value is not finite.  Every step's
-    values, angles and gradients go into (S, R, ...) arrays; after the loop
-    the gradient norms come from one ``overlaps`` call, which rounds as
-    ``np.linalg.norm`` of each row does, and the best iterate of each row
-    from one argmin (its first minimum).  Returns one OptTrace per row.
+    (R, n, L)) of a loss on ``Pencil.unit``, 2^-e times the pencil's (e
+    even); grads may be None when a value is not finite.  The two constants
+    that carry scale move with it: gradient descent's step is lr 2^e and
+    Adam's epsilon eps 2^-e, against which m_hat and sqrt(v_hat) scale by
+    exactly 2^-e, so every angle is the one the descent on the pencil
+    itself takes, bit for bit wherever nothing leaves the float range.
+    Every step's values, angles and gradients go into (S, R, ...) arrays;
+    after the loop the gradient norms come from one ``overlaps`` call,
+    which rounds as ``np.linalg.norm`` of each row does, and the best
+    iterate of each row from one argmin (its first minimum).  Returns one
+    OptTrace per row, its losses and gradient norms scaled back by 2^e
+    (inf past the float range).
     """
     rows, n, layers = theta0.shape
     values = np.empty((config.iters + 1, rows))
@@ -432,6 +442,7 @@ def _descend(value_and_grad: Callable, theta0: np.ndarray, config: OptConfig) ->
         raise ValueError("angles must be finite")
     # an overflow ends in the check of the loss or of the update, not in a warning
     with np.errstate(over="ignore", invalid="ignore"):
+        lr, eps = np.ldexp(config.lr, e), np.ldexp(_ADAM_EPS, -e)
         for s in range(config.iters + 1):
             values[s], g = value_and_grad(theta)
             finite = np.isfinite(values[s])
@@ -445,14 +456,15 @@ def _descend(value_and_grad: Callable, theta0: np.ndarray, config: OptConfig) ->
                 v = _ADAM_BETA2 * v + (1.0 - _ADAM_BETA2) * g**2
                 m_hat = m / (1.0 - _ADAM_BETA1 ** (s + 1))
                 v_hat = v / (1.0 - _ADAM_BETA2 ** (s + 1))
-                theta = theta - config.lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
+                theta = theta - config.lr * m_hat / (np.sqrt(v_hat) + eps)
             else:
-                theta = theta - config.lr * g
+                theta = theta - lr * g
             if not np.isfinite(theta).all():
                 raise ValueError(f"step {s}: the update at lr = {config.lr:.3e} is not finite")
         flat = grads.reshape(config.iters + 1, rows, n * layers)
-        norms = np.sqrt(overlaps(flat, flat))  # inf past the float range
-    best = np.argmin(values, axis=0)
+        norms = np.ldexp(np.sqrt(overlaps(flat, flat)), e)
+        best = np.argmin(values, axis=0)
+        values = np.ldexp(values, e)
     return [
         OptTrace(losses, grad_norms, grids, float(losses[k]), AnsatzParams(n, layers, grids[k]))
         for losses, grad_norms, grids, k in zip(values.T, norms.T, thetas.swapaxes(0, 1), best)
@@ -460,7 +472,10 @@ def _descend(value_and_grad: Callable, theta0: np.ndarray, config: OptConfig) ->
 
 
 def _b_normalized(state: StateVector, pencil: Pencil) -> StateVector:
-    factor = 1.0 / np.sqrt(check_b(pencil.apply(state.amps)[3]))
+    """The state over sqrt(<B>): the factor of ``pencil.unit`` times
+    2^(-b/2), B's exponent b being even."""
+    unit, _, eb = pencil.unit
+    factor = np.ldexp(1.0 / np.sqrt(check_b(unit.apply(state.amps)[3], eb)), -eb // 2)
     if abs(factor - 1.0) < 1e-12:
         return state
     return scale(state, factor)
@@ -488,9 +503,16 @@ def solve_spectrum(pencil: Pencil, r: int, config: SolveConfig = SolveConfig()) 
     the one the levels would give descending alone.  An error raised in a
     shared batch (a <B> that is not positive, a non-finite loss) may report
     a value from either level's rows.
+
+    Every level runs on ``pencil.unit``: ``_descend`` scales its constants
+    and the losses back by 2^e, and each state is B-normalized from the
+    unit pencil's bracket scaled back, so that a pencil at any scale whose
+    levels are in the float range gives the levels, traces and states it
+    would give at unit scale, times the powers of two.
     """
     check_levels(r, pencil.n)
     n = pencil.n
+    e = pencil.unit[1]
     v_in = zero_state(n)
     entangler = config.entangler
     restarts = config.restarts
@@ -514,13 +536,13 @@ def solve_spectrum(pencil: Pencil, r: int, config: SolveConfig = SolveConfig()) 
                 pencil, records, v_in, entangler, signs, config.shots, rngs
             )
             theta0 = np.array([[p0.theta for p0 in starts(j)] for j, _, _ in specs])
-            batches = [_descend(objective, theta0[:, k], config.opt) for k in range(restarts)]
+            batches = [_descend(objective, theta0[:, k], config.opt, e) for k in range(restarts)]
             traces = [batch[j] for j in range(len(specs)) for batch in batches]
         else:
             signs = np.repeat([sign for _, sign, _ in specs], restarts)
             objective = _exact_objective(pencil, records, v_in, entangler, signs)
             theta0 = np.stack([p0.theta for level_idx, _, _ in specs for p0 in starts(level_idx)])
-            traces = _descend(objective, theta0, config.opt)
+            traces = _descend(objective, theta0, config.opt, e)
         levels = []
         for j, (_, sign, kind) in enumerate(specs):
             level_traces = tuple(traces[j * restarts : (j + 1) * restarts])

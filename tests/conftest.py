@@ -121,8 +121,9 @@ def optimize(
     p0: AnsatzParams,
     config: OptConfig = OptConfig(),
 ) -> OptTrace:
-    """Adam (or plain gradient descent) on the given loss; records every
-    step and reports the first best iterate seen over the whole run."""
+    """Adam (or plain gradient descent) on the given loss, at its own
+    scale (exponent 0); records every step and reports the first best
+    iterate seen over the whole run."""
 
     def value_and_grad(theta: np.ndarray) -> tuple:
         params = AnsatzParams(p0.n, p0.L, theta[0])
@@ -131,14 +132,14 @@ def optimize(
             return np.array([value]), None
         return np.array([value]), np.asarray(grad_fn(params), dtype=float)[None]
 
-    return _descend(value_and_grad, p0.theta[None], config)[0]
+    return _descend(value_and_grad, p0.theta[None], config, 0)[0]
 
 
 def residual(state: StateVector, pencil) -> float:
     """Relative residual ||(A - F B)psi|| / (||A psi|| + |F| ||B psi||),
     bounded in [0, 1]."""
     a_psi, b_psi, a, b = pencil.apply(state.amps)
-    return _residual(a_psi, b_psi, rayleigh_quotient(a, b))[2]
+    return _residual(a_psi, b_psi, rayleigh_quotient(a, b, 0))[2]
 
 
 def line_search(state: StateVector, direction: StateVector, pencil):
@@ -150,5 +151,5 @@ def line_search(state: StateVector, direction: StateVector, pencil):
     """
     psi = (state if state.normalized else normalize(state)).amps
     a_psi, b_psi, a, b = applied = pencil.apply(psi)
-    scale = _residual(a_psi, b_psi, rayleigh_quotient(a, b))[1]
+    scale = _residual(a_psi, b_psi, rayleigh_quotient(a, b, 0))[1]
     return _line_search(psi, direction.amps, applied, scale, pencil)[:2]

@@ -83,7 +83,8 @@ class TestFusedPass:
             psi = apply_ansatz(p, v_in, entangler).amps
             assert grads.shape == (1, n, layers)
             np.testing.assert_allclose(grads[0], want_g, rtol=0, atol=TOL)
-            assert abs(values[0] - dense_loss(psi, a, b, records)) <= TOL
+            # the objective's loss is the unit pencil's, 2^-e times the pencil's
+            assert abs(np.ldexp(values[0], pencil.unit[1]) - dense_loss(psi, a, b, records)) <= TOL
 
     @pytest.mark.parametrize("n, layers, entangler", [(2, 2, "linear"), (3, 3, "ring"), (4, 2, [(3, 0)])])
     def test_batch_rows_equal_single_rows(self, n, layers, entangler):
@@ -104,19 +105,24 @@ class TestFusedPass:
         pencil, _, _ = random_pencil(rng, 3)
         records = random_records(rng, 3, 1)
         p = random_params(3, 2, rng)
+        e = pencil.unit[1]
+        assert e != 0
         objective = _exact_objective(pencil, records, zero_state(3))
         values, grads = objective(p.theta[None])
-        assert loss_fj(p, pencil, records) == values[0]
-        np.testing.assert_array_equal(grad_fj(p, pencil, records), grads[0])
+        assert loss_fj(p, pencil, records) == np.ldexp(values[0], e)
+        np.testing.assert_array_equal(grad_fj(p, pencil, records), np.ldexp(grads[0], e))
         values, grads = _exact_objective(pencil, (), zero_state(3))(p.theta[None])
-        assert loss_f(p, pencil) == values[0]
-        np.testing.assert_array_equal(grad_f(p, pencil), grads[0])
+        assert loss_f(p, pencil) == np.ldexp(values[0], e)
+        np.testing.assert_array_equal(grad_f(p, pencil), np.ldexp(grads[0], e))
 
-    def test_loss_only_skips_gradient(self):
+    def test_loss_reads_the_value_of_the_fused_pass(self):
+        """loss_f takes the value of the one pass that also gives the
+        gradient; on the demo, a unit pencil, it is that value itself."""
         pencil = two_qubit_pencil()
+        assert pencil.unit[1] == 0
         p = random_params(2, 2, np.random.default_rng(8))
-        values, grads = _exact_objective(pencil, (), zero_state(2))(p.theta[None], grad=False)
-        assert grads is None
+        values, grads = _exact_objective(pencil, (), zero_state(2))(p.theta[None])
+        assert grads.shape == (1, 2, 2)
         assert values[0] == loss_f(p, pencil)
 
     def test_b_checked_on_every_row(self):
@@ -134,19 +140,21 @@ class TestFusedPass:
 
 def loop_exact_objective(pencil, records, v_in, entangler="linear", sign=1.0):
     """``_exact_objective`` with one pass of the record loop per deflation
-    record, the reference of the stacked form.  Its circuit pass (psi and
-    the gradient of 2 Re<d psi|chi>) is ``_psi_and_gradient``, the one
-    ``_exact_objective`` takes, so both take the same gradient on either
-    side of its size bound; the records' arithmetic is the loop's."""
+    record, the reference of the stacked form, on ``pencil.unit`` as the
+    objective runs.  Its circuit pass (psi and the gradient of
+    2 Re<d psi|chi>) is ``_psi_and_gradient``, the one ``_exact_objective``
+    takes, so both take the same gradient on either side of its size bound;
+    the records' arithmetic is the loop's."""
     circuit = compile_ansatz(pencil.n, entangler)
-    real = pencil.real and not any(v.amps.imag.any() for v in (v_in, *(r.state for r in records)))
+    unit, _, eb = pencil.unit
+    real = unit.real and not any(v.amps.imag.any() for v in (v_in, *(r.state for r in records)))
     penalties = _penalties(pencil, records, real)
     start = v_in.amps.real if real else v_in.amps
 
-    def value_and_grad(theta: np.ndarray, grad: bool = True) -> tuple:
-        psi, gradient = _psi_and_gradient(circuit, theta, start, grad)
-        a_psi, b_psi, a, b = pencil.apply(psi)
-        value = f = rayleigh_quotient(a, b)
+    def value_and_grad(theta: np.ndarray) -> tuple:
+        psi, gradient = _psi_and_gradient(circuit, theta, start)
+        a_psi, b_psi, a, b = unit.apply(psi)
+        value = f = rayleigh_quotient(a, b, eb)
         chi = a_psi - f[:, None] * b_psi
         for gamma, bx, m in penalties:
             t = overlaps(bx, psi)
@@ -154,8 +162,6 @@ def loop_exact_objective(pencil, records, v_in, entangler="linear", sign=1.0):
             value = value + gamma * t_sq / (m * b)
             chi += (gamma / m) * (t[:, None] * bx - (t_sq / b)[:, None] * b_psi)
         value = value * sign
-        if not grad:
-            return value, None
         chi *= (sign / b)[:, None]
         return value, gradient(chi)
 
@@ -202,13 +208,9 @@ class TestStackedRecords:
         sign = np.array([1.0, -1.0, 1.0, -1.0])
         got = _exact_objective(pencil, records, v_in, "linear", sign)
         want = loop_exact_objective(pencil, records, v_in, "linear", sign)
-        for grad in (True, False):
-            (values, grads), (want_values, want_grads) = got(theta, grad), want(theta, grad)
-            assert values.tobytes() == want_values.tobytes()
-            if grad:
-                assert grads.tobytes() == want_grads.tobytes()
-            else:
-                assert grads is None and want_grads is None
+        (values, grads), (want_values, want_grads) = got(theta), want(theta)
+        assert values.tobytes() == want_values.tobytes()
+        assert grads.tobytes() == want_grads.tobytes()
 
 
 class TestShiftedBatch:
@@ -255,9 +257,8 @@ class TestShiftedBatch:
 
     @pytest.mark.parametrize("n, layers", [(2, 2), (3, 2), (4, 2), (2, 7)])
     def test_circuits_run_per_call(self, n, layers, monkeypatch):
-        """Below the bound a gradient call runs theta and its n L shifted
-        grids as one batch and no sweep; above it, theta alone and one
-        sweep.  A value-only call runs theta alone on either side."""
+        """Below the bound a call runs theta and its n L shifted grids as
+        one batch and no sweep; above it, theta alone and one sweep."""
         runs, sweeps = [], []
         run, vjp = CompiledAnsatz.run, CompiledAnsatz.vjp
 
@@ -279,10 +280,6 @@ class TestShiftedBatch:
         below = shifted(n, layers)
         assert runs == [(5 * (1 + n * layers) if below else 5, n, layers)]
         assert sweeps == ([] if below else [1])
-        runs.clear()
-        sweeps.clear()
-        assert objective(theta, grad=False)[1] is None
-        assert runs == [(5, n, layers)] and sweeps == []
 
     def test_shifted_grids_layer_major(self):
         """Grid 1 + k of a row has pi on qubit k % n of layer k // n, and the
@@ -421,11 +418,12 @@ class TestBatchedDescent:
             return values, g
 
         theta0 = np.stack([random_params(n, 2, rng).theta for _ in range(3)])
-        traces = _descend(recording, theta0, OptConfig(iters=20))
+        e = pencil.unit[1]
+        traces = _descend(recording, theta0, OptConfig(iters=20), e)
         assert len(grads) == 21
         for s, g in enumerate(grads):
             for r, trace in enumerate(traces):
-                assert trace.grad_norms[s] == np.linalg.norm(g[r])
+                assert trace.grad_norms[s] == np.ldexp(np.linalg.norm(g[r]), e)
 
     def test_non_finite_loss_reports_its_step(self):
         calls = {"n": 0}
@@ -438,4 +436,4 @@ class TestBatchedDescent:
             return values, np.ones_like(theta)
 
         with pytest.raises(RuntimeError, match="non-finite loss nan at step 2"):
-            _descend(value_and_grad, np.zeros((2, 1, 1)), OptConfig(iters=5))
+            _descend(value_and_grad, np.zeros((2, 1, 1)), OptConfig(iters=5), 0)

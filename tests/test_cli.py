@@ -892,8 +892,10 @@ class TestNonFiniteSummary:
         assert abs(summary["eigenvalue"] + np.sqrt(2.0)) <= 1e-12
 
     def test_vqge_shot_gradient_names_b(self, tmp_path):
-        """The pi-shift gradient divides by <B>^2, which overflows at this
-        scale; the error names <B> instead of leaking an OverflowError."""
+        """The pi-shift gradient divides by <B>^2, which overflowed at this
+        scale on the pencil itself.  On the unit pencil <B>^2 is below
+        (2 4^n)^2, so the run ends with a finite summary and nothing on
+        stderr."""
         problem = {
             "n": 2,
             "A": [{"coeff": 1e200, "ops": "ZI"}, {"coeff": 1e200, "ops": "XX"}],
@@ -908,11 +910,9 @@ class TestNonFiniteSummary:
             text=True,
             timeout=120,
         )
-        assert proc.returncode == 1
-        assert proc.stdout == ""
-        payload = json.loads(proc.stderr.strip().splitlines()[-1])
-        assert payload["error"] == "ValueError"
-        assert payload["message"].startswith("<B> = 1.000e+200")
+        assert proc.returncode == 0 and proc.stderr == ""
+        summary = json.loads(proc.stdout)
+        assert np.isfinite(summary["eigenvalues"]).all()
 
     def test_walker_names_the_field(self):
         nan, inf = float("nan"), float("inf")
@@ -1037,6 +1037,112 @@ class TestFqgeAtNormScales:
         )
 
 
+SHOT_FLAGS = ["--r", "2", "--shots", "2000", "--restarts", "2", "--iters", "100"]
+
+
+class TestVqgeAndTheOracleOnTheUnitPencil:
+    """``geig vqge`` and ``geig reference`` run on ``Pencil.unit``, as fqge
+    does: the pencil's scale no longer decides which inputs a command
+    accepts.  FOUND numbers name the entries of CHANGES.md; the tolerances
+    are relative to numpy's ground value: 1e-12 for the oracle, 1e-9 for
+    exact vqge and 0.06 for the shot command."""
+
+    @pytest.mark.parametrize("c", [1.7e308, 1e-20, 1e-300])
+    @pytest.mark.parametrize(
+        "argv, rtol",
+        [(["reference"], 1e-12), (["vqge", "--r", "1"], 1e-9), (["vqge", *SHOT_FLAGS], 0.06)],
+        ids=["reference", "vqge", "vqge-shots"],
+    )
+    def test_both_sides_at_the_range_ends(self, capsys, tmp_path, argv, rtol, c):
+        """FOUND 69 (c = 1.7e308: B's terms add past the float range on a
+        basis state) and the vqge half of FOUND 27 (c = 1e-20 and 1e-300:
+        the absolute <B> floor refused a positive definite B)."""
+        problem, ground = scaled_pencil(c, c)
+        path = tmp_path / "scaled.json"
+        path.write_text(json.dumps(problem))
+        summary = summary_of(capsys, [*argv, str(path)])
+        assert abs(summary["eigenvalues"][0] - ground) <= rtol * abs(ground), summary
+
+    @pytest.mark.parametrize(
+        "problem",
+        [
+            {
+                "n": 2,
+                "A": [{"coeff": 1.5e308, "ops": "ZI"}, {"coeff": 1.0, "ops": "XX"}],
+                "B": [{"coeff": 1.5, "ops": "II"}],
+            },
+            scaled_pencil(1e175, 1.0)[0],
+        ],
+        ids=["found-70", "a-alone-1e175"],
+    )
+    def test_a_far_above_b(self, capsys, tmp_path, problem):
+        """FOUND 70 and A alone at 1e175: Adam on the pencil itself ended
+        11% and 22% off; on the unit pencil its steps are the pencil's own
+        covariant ones."""
+        path = tmp_path / "a_far_above_b.json"
+        path.write_text(json.dumps(problem))
+        summary = summary_of(capsys, ["vqge", "--r", "1", str(path)])
+        ground = summary["reference"]["eigenvalues"][0]
+        assert abs(summary["eigenvalues"][0] - ground) <= 1e-9 * abs(ground), summary
+        (a, scale_a), (b, scale_b) = (unit_dense(problem, side) for side in "AB")
+        inv_l = np.linalg.inv(np.linalg.cholesky(b))
+        truth = np.linalg.eigvalsh(inv_l @ a @ inv_l.T)[0] * (scale_a / scale_b)
+        assert abs(ground - truth) <= 1e-12 * abs(truth)
+
+    @pytest.mark.parametrize(
+        "argv", [["reference"], ["vqge", "--r", "1"], ["vqge", *SHOT_FLAGS]],
+        ids=["reference", "vqge", "vqge-shots"],
+    )
+    def test_eigenvalues_past_the_float_range(self, capsys, tmp_path, argv):
+        """A = 1e300 against B = 1e-300: the levels are near 1e600, so the
+        summary check names the first -inf field in one JSON line, and no
+        warning from the factor, the Sturm rows or the scaling reaches
+        stderr."""
+        problem, _ = scaled_pencil(1e300, 1e-300)
+        path = tmp_path / "past.json"
+        path.write_text(json.dumps(problem))
+        payload = error_of(capsys, [*argv, str(path)])
+        assert payload["message"] == "summary field 'eigenvalues[0]' is -inf, not a finite number"
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="FOUND 31: Adam's epsilon 1e-8, scaled as the pencil's own, stalls the "
+        "descent when A is tiny against B (ROADMAP item 3)",
+    )
+    @pytest.mark.parametrize(
+        "a, b", [(1e-30, 1.0), (1.0, 1e175)], ids=["a-alone-1e-30", "b-alone-1e175"]
+    )
+    @pytest.mark.parametrize(
+        "argv, rtol",
+        [(["vqge", "--r", "1"], 1e-6), (["vqge", *SHOT_FLAGS], 0.05)],
+        ids=["exact", "shots"],
+    )
+    def test_a_tiny_against_b(self, capsys, tmp_path, argv, rtol, a, b):
+        """The scale sweep's rule for these pencils: exit 0 within 1e-6
+        (5e-2 with shots).  Both exit 0 about 20% off today; the fix of
+        FOUND 31 deletes this expected failure."""
+        problem, ground = scaled_pencil(a, b)
+        path = tmp_path / "a_tiny.json"
+        path.write_text(json.dumps(problem))
+        summary = summary_of(capsys, [*argv, str(path)])
+        assert abs(summary["eigenvalues"][0] - ground) <= rtol * abs(ground), summary
+
+
+def unit_dense(problem: dict, side: str) -> tuple:
+    """(matrix, scale): one real side of a problem dict built by numpy's
+    Kronecker products with each coefficient over the side's largest
+    |coefficient|, and that coefficient."""
+    paulis = {"I": np.eye(2), "X": np.array([[0.0, 1.0], [1.0, 0.0]]), "Z": np.diag([1.0, -1.0])}
+    scale = max(abs(t["coeff"]) for t in problem[side])
+    out = np.zeros((2 ** problem["n"],) * 2)
+    for term in problem[side]:
+        m = np.eye(1)
+        for ch in term["ops"]:
+            m = np.kron(m, paulis[ch])
+        out += (term["coeff"] / scale) * m
+    return out, scale
+
+
 class TestPencilsAtTheFloatLimit:
     """An fqge residual scale past the float range, a diagonal of B whose
     terms add past it, and oracle levels near 1e308: each command converges
@@ -1104,15 +1210,16 @@ class TestPencilsAtTheFloatLimit:
     )
     def test_diagonal_past_the_range_names_the_side(self, capsys, tmp_path, argv):
         """B = c II + 0.5c IZ at c = 1.7e308: 1.5c is past the float range.
-        fqge runs on the unit pencil, whose diagonal is near 1, and
-        converges to the ground value."""
+        Every command runs on the unit pencil, whose diagonal is near 1:
+        fqge converges to the ground value, and the oracle and vqge give it
+        within their tolerances."""
         problem, ground = scaled_pencil(1.7e308, 1.7e308)
         path = tmp_path / "limit.json"
         path.write_text(json.dumps(problem))
+        summary = summary_of(capsys, [*argv, str(path)])
         if argv[0] == "fqge":
-            summary = summary_of(capsys, [*argv, str(path)])
             assert summary["status"] == "converged"
             assert abs(summary["eigenvalue"] - ground) <= 1e-9 * abs(ground), summary
             return
-        payload = error_of(capsys, [*argv, str(path)])
-        assert payload["message"] == "the terms of B add past the float range on a basis state"
+        rtol = 1e-12 if argv[0] == "reference" else 1e-9
+        assert abs(summary["eigenvalues"][0] - ground) <= rtol * abs(ground), summary

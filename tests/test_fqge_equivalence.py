@@ -87,7 +87,7 @@ def _direction(a_psi, b_psi, f: float, b: float) -> np.ndarray:
 
 def _line_search(psi: np.ndarray, direction: np.ndarray, applied: tuple, pencil):
     a_psi, b_psi, a00, b00 = applied
-    f00 = rayleigh_quotient(a00, b00)
+    f00 = rayleigh_quotient(a00, b00, 0)
     w = direction - np.vdot(psi, direction) * psi
     wn = float(np.linalg.norm(w))
     if wn <= 1e-14 * (2.0 / b00) * _residual_scale(a_psi, b_psi, f00):
@@ -142,7 +142,7 @@ def earlier_run_fqge(pencil, initial: StateVector, cfg: FqgeConfig = FqgeConfig(
     s = 1
     while True:
         a_psi, b_psi, a, b = applied = pencil.apply(psi)
-        value = rayleigh_quotient(a, b)
+        value = rayleigh_quotient(a, b, 0)
         res = _relative_residual(a_psi, b_psi, value)
         direction = _direction(a_psi, b_psi, value, b)
         delta = cfg.delta if real else complex(cfg.delta)
@@ -237,7 +237,7 @@ def assert_same_run(pencil, initial, cfg):
     # the reported eigenvalue and residual are those of the returned state
     last = got.iterates[-1]
     a_psi, b_psi, a, b = pencil.apply(last.amps)
-    value = rayleigh_quotient(a, b)
+    value = rayleigh_quotient(a, b, 0)
     assert_bitwise(last.value, value, "last value")
     assert_bitwise(last.residual, _relative_residual(a_psi, b_psi, value), "last residual")
     assert_bitwise(got.eigenvalue, last.value, "eigenvalue")
@@ -330,7 +330,7 @@ def test_public_views_bitwise():
     cases += [(random_pencil(rng, 3)[0], random_state(rng, 3)) for _ in range(4)]
     for pencil, state in cases:
         a_psi, b_psi, a, b = applied = pencil.apply(state.amps)
-        f = rayleigh_quotient(a, b)
+        f = rayleigh_quotient(a, b, 0)
         assert_bitwise(residual(state, pencil), _relative_residual(a_psi, b_psi, f), "residual")
         direction = StateVector(state.n, _direction(a_psi, b_psi, f, b), normalized=False)
         got = line_search(state, direction, pencil)

@@ -36,7 +36,8 @@ def sequential_spectrum(pencil: Pencil, r: int, config: SolveConfig) -> list:
             for k in range(config.restarts)
         ]
         objective = _exact_objective(pencil, records, v_in, config.entangler, sign)
-        traces = _descend(objective, np.stack([p0.theta for p0 in starts]), config.opt)
+        theta0 = np.stack([p0.theta for p0 in starts])
+        traces = _descend(objective, theta0, config.opt, pencil.unit[1])
         best_k = int(np.argmin([trace.best_value for trace in traces]))
         value, params = traces[best_k].best_value, traces[best_k].best_params
         state = apply_ansatz(params, v_in, config.entangler)
@@ -78,9 +79,9 @@ def descents(monkeypatch) -> list:
     """The row count of every ``_descend`` call that follows."""
     rows = []
 
-    def counting(value_and_grad, theta0, config):
+    def counting(value_and_grad, theta0, config, e):
         rows.append(theta0.shape[0])
-        return _descend(value_and_grad, theta0, config)
+        return _descend(value_and_grad, theta0, config, e)
 
     monkeypatch.setattr(vqge, "_descend", counting)
     return rows
