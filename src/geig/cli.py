@@ -317,6 +317,9 @@ def cmd_fqge(args) -> dict:
         k = ground_multiplicity(ref.eigenvalues)
         if k == 1:
             ground = ref.eigenvectors[:, 0]
+            # over the power of two of its largest entry first, which is
+            # exact, so the norm's squares stay normal at every scale of B
+            ground = ground * math.ldexp(1.0, -math.frexp(float(np.max(np.abs(ground))))[1])
             fidelity = abs(np.vdot(ground / np.linalg.norm(ground), result.state.amps)) ** 2
         else:  # the weight on the whole degenerate ground level, from an orthonormal basis
             basis = np.linalg.qr(ref.eigenvectors[:, :k])[0]

@@ -57,12 +57,22 @@ class Pencil:
         its eta1 2^b times unit's and an eigenvector 2^(-b/2) times unit's,
         bit for bit wherever nothing leaves the float range.  A coefficient
         more than 2^1022 below its side's largest rounds into the subnormals
-        or to zero, far below that side's rounding."""
+        or to zero, far below that side's rounding.
+
+        A side at exponent 0 is already canonical and at unit scale, so it
+        is reused as it is, and a pencil with both at 0 is its own unit
+        pencil, sharing its compiled table."""
         largest = (max(map(abs, side.coeffs), default=0.0) for side in (self.A, self.B))
         a, b = (math.frexp(x)[1] & ~1 for x in largest)
-        sides = ((self.A, a), (self.B, b))
-        unit = Pencil(*(PauliSum(s.n, [(math.ldexp(c, -k), p) for c, p in s.terms]) for s, k in sides))
-        return unit, a - b, b
+        if a == b == 0:
+            return self, 0, 0
+
+        def scaled(side: PauliSum, k: int) -> PauliSum:
+            if k == 0:
+                return side
+            return PauliSum(side.n, [(math.ldexp(c, -k), p) for c, p in side.terms])
+
+        return Pencil(scaled(self.A, a), scaled(self.B, b)), a - b, b
 
     @property
     def real(self) -> bool:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -1003,6 +1004,22 @@ class TestFqgeAtNormScales:
         summary = summary_of(capsys, ["fqge", *flags, str(path)])
         assert summary["status"] == "converged"
         assert abs(summary["eigenvalue"] - ground) <= 1e-9 * abs(ground), summary
+
+    @pytest.mark.parametrize("flags", [[], ["--line-search"]], ids=["fixed-step", "line-search"])
+    def test_fidelity_at_the_top_of_the_float_range(self, capsys, tmp_path, flags):
+        """FOUND 76: at c = 1.7e308 the oracle's ground vector has entries
+        near 2^-512, whose squares are subnormal; it is scaled by a power of
+        two before its norm, so ``fidelity_ground`` is, bit for bit, that of
+        c 2^-1000, whose unit pencil is the same."""
+        references = []
+        for c in (1.7e308, math.ldexp(1.7e308, -1000)):
+            problem, _ = scaled_pencil(c, c)
+            path = tmp_path / "scaled.json"
+            path.write_text(json.dumps(problem))
+            references.append(summary_of(capsys, ["fqge", *flags, str(path)])["reference"])
+        top, ordinary = references
+        assert top["fidelity_ground"] == ordinary["fidelity_ground"] > 0.9999
+        assert top == ordinary
 
     @pytest.mark.parametrize("flags", [[], ["--line-search"]], ids=["fixed-step", "line-search"])
     def test_eigenvalues_past_the_float_range(self, capsys, tmp_path, flags):

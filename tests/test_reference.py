@@ -1,5 +1,8 @@
 import functools
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -157,6 +160,121 @@ class TestSharedBracketBisection:
         reference._bisect(d, e, np.arange(d.size))
         assert max(sizes) <= reference._SWEEP_POINTS
         assert len(sizes) <= 12
+
+
+# d and e of a few integers, so that eigenvalues tie and couplings are exactly zero
+_ENTRIES = st.one_of(st.integers(-3, 3).map(float), st.floats(-4.0, 4.0))
+_COUPLINGS = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 4.0))
+
+
+@st.composite
+def _drawn_tridiagonals(draw):
+    """(d, e) of order 1 to 12 at 2^-900 to 2^500, where e * e is still
+    finite."""
+    size = draw(st.integers(1, 12))
+    d = np.array(draw(st.lists(_ENTRIES, min_size=size, max_size=size)))
+    e = np.array(draw(st.lists(_COUPLINGS, min_size=size - 1, max_size=size - 1)))
+    exponent = draw(st.integers(-900, 500))
+    return np.ldexp(d, exponent), np.ldexp(e, exponent)
+
+
+def _seed_of(d, e, indices):
+    """``_seed_brackets`` as ``_bisect`` calls it."""
+    e2 = e * e
+    pivmin = reference._TINY * max(1.0, float(np.max(e2, initial=0.0)))
+    buf = np.empty(d.size * max(reference._SWEEP_POINTS, len(indices)))
+    return reference._seed_brackets(d, e, e2, np.asarray(indices), pivmin, buf)
+
+
+def _poisoned(kind):
+    """A stand-in for ``np.linalg.eigvalsh`` whose values are wrong by
+    ``kind``, or which fails."""
+    true = np.linalg.eigvalsh
+
+    def eigvalsh(t):
+        if kind == "fails":
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        values = true(t)
+        norm = np.max(np.abs(values))
+        return {
+            "shifted": values + 1e-3 * norm,
+            "rolled": np.roll(values, 1),
+            "reversed": values[::-1].copy(),
+            "nan": np.full_like(values, np.nan),
+            "inf-half": np.where(np.arange(values.size) % 2, np.inf, values),
+        }[kind]
+
+    return eigvalsh
+
+
+class TestSeededBisection:
+    """``_bisect`` starts each index from a bracket about LAPACK's
+    eigenvalue that one sweep of Sturm counts certifies, else from the
+    Gershgorin bracket.  The computed count is monotone, so it ends on the
+    double the per-bracket bisection from the Gershgorin bracket ends on,
+    whatever LAPACK proposes."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_drawn_tridiagonals())
+    def test_equals_per_bracket_bisection(self, tridiagonal):
+        d, e = tridiagonal
+        indices = np.arange(d.size)
+        want = _per_bracket_bisect(d, e, indices)
+        assert reference._bisect(d, e, indices).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", ["shifted", "rolled", "reversed", "nan", "inf-half", "fails"])
+    @pytest.mark.parametrize("label", ["ising5-reduced", "diagonal", "zero-coupling", "kron-z"])
+    def test_poisoned_hints_give_the_same_bytes(self, monkeypatch, label, kind):
+        d, e = _tridiagonals()[label]
+        indices = np.arange(d.size)
+        want = reference._bisect(d, e, indices)
+        calls = []
+        poisoned = _poisoned(kind)
+
+        def counting(t):
+            calls.append(t.shape)
+            return poisoned(t)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        assert reference._bisect(d, e, indices).tobytes() == want.tobytes()
+        assert calls == [(d.size, d.size)]
+
+    @pytest.mark.parametrize("kind", ["nan", "fails"])
+    def test_no_hint_falls_back_to_gershgorin(self, monkeypatch, kind):
+        d, e = _tridiagonals()["ising4-reduced"]
+        bound = 2.0 * reference._gershgorin(d, e)
+        monkeypatch.setattr(np.linalg, "eigvalsh", _poisoned(kind))
+        lo, hi = _seed_of(d, e, np.arange(d.size))
+        assert np.all(lo == reference._to_key(-bound)) and np.all(hi == reference._to_key(bound))
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_no_index_of_an_ising_pencil_falls_back(self, n):
+        d, e = _tridiagonals()[f"ising{n}-reduced"]
+        bound = 2.0 * reference._gershgorin(d, e)
+        lo, hi = _seed_of(d, e, np.arange(d.size))
+        assert np.all(lo > reference._to_key(-bound)) and np.all(hi < reference._to_key(bound))
+
+    def test_ends_past_the_buffer_are_certified_in_two_sweeps(self, monkeypatch):
+        """400 indices have 800 bracket ends, more than the 768 columns of
+        the pivot buffer: the seed counts at the lower and at the upper ends
+        in two sweeps of 400, and the values keep their bytes."""
+        rng = np.random.default_rng(400)
+        d = rng.integers(-3, 4, 400).astype(float)
+        e = np.abs(rng.normal(size=399))
+        e[rng.uniform(size=399) < 0.25] = 0.0
+        indices = np.arange(d.size)
+        sizes = []
+        count = reference._sturm_count
+
+        def counting(d, e2, x, pivmin, buf):
+            assert buf.size >= d.size * x.size
+            sizes.append(x.size)
+            return count(d, e2, x, pivmin, buf)
+
+        monkeypatch.setattr(reference, "_sturm_count", counting)
+        got = reference._bisect(d, e, indices)
+        assert sizes[:2] == [400, 400] and max(sizes) <= reference._SWEEP_POINTS
+        assert got.tobytes() == _per_bracket_bisect(d, e, indices).tobytes()
 
 
 def _clamped_sturm_count(d, e2, x, pivmin):
@@ -386,6 +504,41 @@ class TestSymmetrizationAtTheFloatLimit:
         want = np.array([-1.0, -1.0, 1.0, 1.0]) * 1e308
         assert np.all(np.abs(np.array(summary["eigenvalues"]) - want) <= 1e-12 * 1e308)
         assert summary["distinct"] == 2
+
+
+class TestDiagonalPencilRunsSilently:
+    """``geig reference`` on a diagonal pencil, whose T has zero couplings:
+    the seeds are its exact eigenvalues and the Sturm probes meet zero
+    pivots, so sweeps take the clamped fallback.  Run as a subprocess
+    without ``PYTHONWARNINGS``, so that any numpy warning would reach
+    stderr."""
+
+    def test_clamped_sturm_fallback_runs_silently(self, tmp_path):
+        problem = {
+            "n": 3,
+            "A": [
+                {"coeff": 1, "ops": "ZII"},
+                {"coeff": 0.5, "ops": "IZI"},
+                {"coeff": 0.25, "ops": "IIZ"},
+            ],
+            "B": [{"coeff": 2, "ops": "III"}],
+        }
+        path = tmp_path / "reducible.json"
+        path.write_text(json.dumps(problem))
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "geig", "reference", str(path)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env=env,
+        )
+        assert proc.returncode == 0 and proc.stderr == ""
+        summary = json.loads(proc.stdout)
+        want = BENCH_PROBLEMS.dense_spectrum(problem, with_eta1=True)
+        assert len(summary["eigenvalues"]) == 8
+        assert np.max(np.abs(np.subtract(summary["eigenvalues"], want.eigenvalues))) <= 1e-12
+        assert abs(summary["eta1"] - want.eta1) <= 1e-12
 
 
 class TestTridiagonalOracle:

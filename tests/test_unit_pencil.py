@@ -51,8 +51,21 @@ class TestUnitPencil:
             assert [math.ldexp(c, k) for c, _ in side.terms] == [c for c, _ in own.terms]
 
     def test_a_unit_pencil_is_its_own(self):
+        """FOUND 77: the pencil itself, so its compiled table is shared."""
         pencil = two_qubit_pencil()
         assert pencil.unit == (pencil, 0, 0)
+        assert pencil.unit[0] is pencil
+        assert pencil.unit[0]._compiled is pencil._compiled
+
+    def test_a_side_at_exponent_0_is_reused(self):
+        """FOUND 77: on the 7-qubit benchmark pencil only A is rescaled, and
+        B is reused as it is."""
+        pencil = ising(7, 1)
+        unit, e, b = pencil.unit
+        assert (e, b) == (2, 0)
+        assert unit.B is pencil.B and unit.A != pencil.A
+        flipped = Pencil(pencil.B, pencil.A).unit
+        assert flipped[0].A is pencil.B and flipped[1:] == (-2, 2)
 
     def test_a_side_with_no_terms_has_exponent_0(self):
         pencil = Pencil(PauliSum(2, [(0.0, "ZI")]), PauliSum(2, [(8.0, "II")]))
