@@ -1,6 +1,7 @@
-"""Shared helpers: the two-qubit demonstration pencil, random
-positive-definite pencil generators and the dense-cap refusal check used
-across the test modules, and verbatim copies of ``pauli.apply_string``,
+"""Shared helpers: the two-qubit demonstration pencil, the benchmark's
+seeded pencils and summary gates, random positive-definite pencil
+generators and the dense-cap refusal check used across the test
+modules, and verbatim copies of ``pauli.apply_string``,
 ``vqge.optimize``, ``fqge.line_search`` and ``fqge.residual``, which the
 package no longer exports, as the one-string, one-restart and one-state
 references that several modules compare against."""
@@ -22,18 +23,21 @@ from geig.statevector import StateVector, normalize
 from geig.vqge import OptConfig, OptTrace, Pencil, _descend
 
 
-def _bench_problems():
-    """The benchmark's seeded pencils and numpy spectrum, imported from
-    ``bench/problems.py`` without putting ``bench/`` on the path."""
-    path = Path(__file__).resolve().parents[1] / "bench" / "problems.py"
-    spec = importlib.util.spec_from_file_location("bench_problems", path)
+def _bench_module(name: str):
+    """``bench/<name>.py`` imported under its own name without putting
+    ``bench/`` on the path."""
+    path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses look their module up
     spec.loader.exec_module(module)
     return module
 
 
-BENCH_PROBLEMS = _bench_problems()
+# the seeded pencils and numpy spectrum, and the gates on their summaries
+# (``workloads`` imports ``problems`` by name)
+BENCH_PROBLEMS = _bench_module("problems")
+BENCH_WORKLOADS = _bench_module("workloads")
 
 
 # 1*II + 0.4*ZI + 0.4*IZ + 0.2*XX against 1*II + 0.3*ZI + 0.4*IZ + 0.2*ZZ
