@@ -2,18 +2,20 @@
 
 The oracle's own Sturm counts decide every eigenvalue it returns, so it
 stays independent of the solvers it validates; LAPACK (``eigvalsh``) only
-proposes where the bisection starts.  A hand-rolled Cholesky factor of B,
-blocked in panels as LAPACK's ``zpotrf``, reduces the pencil to one
-Hermitian matrix by blocked triangular solves with the factor (``ztrsm``).
+proposes where the bisection's first probes go.  A hand-rolled Cholesky
+factor of B, blocked in panels as LAPACK's ``zpotrf``, reduces the pencil
+to one Hermitian matrix by blocked triangular solves with the factor
+(``ztrsm``).
 Householder reflections bring that to a real symmetric tridiagonal matrix T
 (Golub & Van Loan 8.3, the pattern of LAPACK's ``zhetrd``).  All
 eigenvalues of T come at once from Sturm-count bisection vectorised over
 the distinct brackets, which eigenvalues in one bracket share (GvL 8.4,
-``dstebz``); equal brackets are found as neighbours along the ascending
-indices.  Each index starts from a narrow bracket about LAPACK's eigenvalue
-of T where one sweep of Sturm counts certifies it, and from the Gershgorin
-bracket elsewhere: the computed count is monotone in the shift, so the
-bisection ends on the same double from either.  A Sturm row costs one
+``dstebz``).  Every index starts from the Gershgorin bracket, and each
+sweep counts at one ascending row of probes and narrows every bracket to
+the probes around its index: the computed count is monotone in the shift,
+so a probe narrows whichever bracket it falls in.  The first row is
+LAPACK's eigenvalues of T, each moved a little down and up; later rows
+split each distinct open bracket evenly.  A Sturm row costs one
 divide and one subtract: the pivot clamp of ``dstebz`` runs only for a
 sweep whose unclamped pass met a pivot below the clamp or a NaN above the
 last row, and gives the same counts as the unclamped pass wherever that
@@ -49,14 +51,14 @@ _SIGN = np.int64(-0x8000_0000_0000_0000)
 # at 8 (40 interleaved rounds, one BLAS thread, 1-vCPU host).  No value beat
 # 768 at both sizes by more than the quartile spread (2-7 ms), so it stays
 _SWEEP_POINTS = 768
-# Half-width of a LAPACK-seeded bisection bracket, relative to the bound 2 G
-# of the Gershgorin bracket (G the Gershgorin bound of T): 512 eps G.  The
-# largest error of ``np.linalg.eigvalsh`` measured on the reduced T was
-# 17 / 23 / 30 / 46 eps G for the Ising pencils (seeds 1-3) at 7 / 8 / 9 / 10
-# qubits, and 59 eps G on a random complex Hermitian matrix of order 1024.
-# A radius four times wider took one or two more sweeps at 7 to 10 qubits;
-# an index the counts refuse only bisects from the Gershgorin bracket.
-_SEED_RADIUS = 256 * _EPS
+# Half-width of the first sweep's probes about LAPACK's eigenvalues, relative
+# to the bound 2 G of the Gershgorin bracket (G the Gershgorin bound of T):
+# 512 eps G.  The largest error of ``np.linalg.eigvalsh`` measured on the
+# reduced T was 17 / 23 / 30 / 46 eps G for the Ising pencils (seeds 1-3) at
+# 7 / 8 / 9 / 10 qubits, and 59 eps G on a random complex Hermitian matrix of
+# order 1024.  A radius four times wider took one or two more sweeps at 7 to
+# 10 qubits; an eigenvalue outside its probes only takes more sweeps.
+_HINT_RADIUS = 256 * _EPS
 _PANEL = 32  # Householder reflectors per blocked update, and Cholesky columns per panel
 _INVERSE_STEPS = 3
 # shifts sit this far (relative to ||T||) below their eigenvalues, so that
@@ -215,46 +217,17 @@ def _clamped_pivots(q: np.ndarray, e2: np.ndarray, pivmin: float, t: np.ndarray)
         np.copysign(t, row, out=row)
 
 
-def _seed_brackets(
-    d: np.ndarray,
-    e: np.ndarray,
-    e2: np.ndarray,
-    indices: np.ndarray,
-    pivmin: float,
-    buf: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Key brackets (lo, hi), one per ascending index i of the tridiagonal
-    (d, e) with e2 = e * e, each certified by the Sturm counts:
-    count(lo) <= i < count(hi).
-
-    LAPACK's eigenvalue g_i of T (``np.linalg.eigvalsh`` of T as a dense
-    matrix) proposes [g_i - r, g_i + r], r = ``_SEED_RADIUS`` times the
-    bound 2 G of the Gershgorin bracket (-2 G, 2 G).  One sweep counts at
-    the 2k ends of the k brackets, or two when they do not fit ``buf``, the
-    pivot buffer of ``_bisect``.  An index whose bracket the counts refuse,
-    whose end is not finite, or of a T that LAPACK fails on starts from the
-    Gershgorin bracket.
-    """
-    bound = 2.0 * _gershgorin(d, e)
+def _hints(d: np.ndarray, e: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """LAPACK's eigenvalues of the tridiagonal (d, e) at ``indices``
+    (``np.linalg.eigvalsh`` of T as a dense matrix), or none where it
+    fails."""
     t = np.zeros((d.size, d.size))  # eigvalsh reads only the lower triangle
     t.flat[:: d.size + 1] = d
     t.flat[d.size :: d.size + 1] = e
     try:
-        hints = np.linalg.eigvalsh(t)[indices]
+        return np.linalg.eigvalsh(t)[indices]
     except np.linalg.LinAlgError:
-        hints = np.full(indices.shape, np.nan)
-    del t  # dim^2 doubles, not kept through the sweeps
-    radius = _SEED_RADIUS * bound
-    with np.errstate(over="ignore", invalid="ignore"):
-        ends = np.concatenate([hints - radius, hints + radius])
-    ends = np.where(np.isfinite(ends), ends, np.repeat([-bound, bound], indices.size))
-    keys = _to_key(ends)
-    width = buf.size // d.size
-    parts = [keys] if keys.size <= width else np.split(keys, 2)
-    counts = np.concatenate([_sturm_count(d, e2, _from_key(p), pivmin, buf) for p in parts])
-    lo, hi = np.split(keys, 2)
-    certified = (counts[: indices.size] <= indices) & (indices < counts[indices.size :])
-    return np.where(certified, lo, _to_key(-bound)), np.where(certified, hi, _to_key(bound))
+        return np.zeros(0)
 
 
 def _bisect(d: np.ndarray, e: np.ndarray, indices: np.ndarray) -> np.ndarray:
@@ -262,47 +235,61 @@ def _bisect(d: np.ndarray, e: np.ndarray, indices: np.ndarray) -> np.ndarray:
     tridiagonal (d, e), each the largest double whose Sturm count is at most
     its index.
 
-    The computed count is monotone in x (Demmel, Dhillon & Ren 1995), so
-    that double is the same from any bracket whose counts certify it: each
-    index starts from the LAPACK-seeded bracket of ``_seed_brackets``, or
-    from the Gershgorin bracket where the counts refuse the seed.  LAPACK
-    only proposes where to look; the Sturm counts decide every value.
+    Every index starts from the Gershgorin bracket (-2 G, 2 G).  Each sweep
+    counts once at one ascending row of probes, in parts of the pivot
+    buffer's width, and narrows every bracket to the probes around its
+    index: the counts ascend along the row, since the computed count is
+    monotone in x (Demmel, Dhillon & Ren 1995), so a probe narrows whichever
+    bracket it falls in.  The first row is LAPACK's eigenvalue of T at each
+    index (``_hints``), moved ``_HINT_RADIUS`` times 2 G down and up; LAPACK
+    only proposes where to look, and the Sturm counts decide every value.
+    The brackets then are disjoint or equal and in index order, and each
+    later row splits every distinct open bracket evenly, ``_SWEEP_POINTS``
+    probes in all; a closed bracket gets none.
 
     The brackets are split on the ordered integer keys of the doubles, not
     on their values, so every bracket reaches adjacent doubles in at most 64
     halvings at every scale, and an eigenvalue far below ||T|| keeps its
-    relative accuracy.  Eigenvalues whose brackets coincide share the
-    probes of one sweep; a closed bracket gets none.
+    relative accuracy.
     """
     indices = np.asarray(indices, dtype=np.int64)
     e2 = e * e
     pivmin = _TINY * max(1.0, float(np.max(e2, initial=0.0)))
-    buf = np.empty(d.size * max(_SWEEP_POINTS, indices.size))  # every sweep's pivots
-    lo, hi = _seed_brackets(d, e, e2, indices, pivmin, buf)
+    columns = max(_SWEEP_POINTS, indices.size)
+    buf = np.empty(d.size * columns)  # every sweep's pivots
+    bound = 2.0 * _gershgorin(d, e)
+    lo = np.full(indices.shape, _to_key(-bound))
+    hi = np.full(indices.shape, _to_key(bound))
+    hints = _hints(d, e, indices)
+    radius = _HINT_RADIUS * bound
+    # sorted as doubles: the first int64 sort of a process maps numpy's int64 sort code
+    row = np.sort(np.concatenate([hints - radius, hints + radius]))
+    probe = _to_key(row[(row > -bound) & (row < bound)])
     while True:
+        counts = np.empty(probe.size, dtype=np.int16)
+        for k in range(0, probe.size, columns):
+            part = _from_key(probe[k : k + columns])
+            counts[k : k + columns] = _sturm_count(d, e2, part, pivmin, buf)
+        # the probes around each index, with the ends of the key range past the row
+        around = np.concatenate([[np.iinfo(np.int64).min], probe, [np.iinfo(np.int64).max]])
+        below = np.searchsorted(counts, indices, side="right")
+        lo = np.maximum(lo, around[below])
+        hi = np.minimum(hi, around[below + 1])
         # keys differ by up to 2^64, so widths and offsets are taken in uint64
         live = hi.view(np.uint64) - lo.view(np.uint64) > 1
         if not live.any():
             return _from_key(lo)
-        # equal brackets that are neighbours along the ascending indices
-        # share probes: the ties of one seed, and the brackets that one
-        # shared bracket split into, which are disjoint or equal and stay in
-        # index order.  Seeded brackets may overlap; each probes its own.
-        low, high = lo[live], hi[live]
-        first = np.ones(low.size, dtype=bool)
-        first[1:] = (low[1:] != low[:-1]) | (high[1:] != high[:-1])
-        which = np.cumsum(first) - 1
-        start, stop = low[first], high[first]
+        # open brackets are disjoint or equal, so a new lower end starts a new one
+        start, stop = lo[live], hi[live]
+        first = np.ones(start.size, dtype=bool)
+        first[1:] = start[1:] != start[:-1]
+        start, stop = start[first], stop[first]
         points = max(1, _SWEEP_POINTS // start.size)
         width = stop.view(np.uint64) - start.view(np.uint64)
         step = np.maximum(width // np.uint64(points + 1), np.uint64(1))
         offsets = np.arange(1, points + 1, dtype=np.uint64)
         probe = (start.view(np.uint64)[:, None] + step[:, None] * offsets).view(np.int64)
-        probe = np.minimum(probe, (stop - 1)[:, None])
-        counts = _sturm_count(d, e2, _from_key(probe).ravel(), pivmin, buf).reshape(probe.shape)
-        below = np.sum(counts[which] <= indices[live, None], axis=1)
-        lo[live] = np.where(below > 0, probe[which, np.maximum(below - 1, 0)], lo[live])
-        hi[live] = np.where(below < points, probe[which, np.minimum(below, points - 1)], hi[live])
+        probe = np.minimum(probe, (stop - 1)[:, None]).ravel()
 
 
 def _bisect_smallest(d: np.ndarray, e: np.ndarray) -> float:

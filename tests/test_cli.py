@@ -4,11 +4,13 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 import time
 import warnings
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -432,6 +434,41 @@ class TestSchemas:
             "decompose_summary.schema.json",
         ):
             jsonschema.Draft202012Validator.check_schema(load_schema(name))
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def quick_start_examples() -> dict:
+    """The one ``geig`` command of each bash block of the README's quick
+    start that a JSON block follows, mapped to that block."""
+    text = README.read_text().split("## Command-line quick start", 1)[1].split("\n## ", 1)[0]
+    pairs = re.findall(r"```bash\n(geig [^\n]*)\n```\s*```json\n(.*?)```", text, re.DOTALL)
+    assert len(pairs) == text.count("```json"), "a JSON block without its command"
+    return {command: json.loads(block) for command, block in pairs}
+
+
+def assert_shown(shown, got, path="summary"):
+    """Every key of ``shown``, nested, equals its value in ``got`` exactly."""
+    if isinstance(shown, dict):
+        for key, value in shown.items():
+            assert key in got, f"{path}.{key}"
+            assert_shown(value, got[key], f"{path}.{key}")
+    else:
+        assert shown == got, path
+
+
+QUICK_START_COMMANDS = ["geig reference", "geig fqge --line-search"]
+
+
+class TestReadmeQuickStart:
+    def test_each_json_block_follows_its_command(self):
+        assert list(quick_start_examples()) == QUICK_START_COMMANDS
+
+    @pytest.mark.parametrize("command", QUICK_START_COMMANDS)
+    def test_shown_values_are_the_output(self, capsys, command):
+        shown = quick_start_examples()[command]
+        assert_shown(shown, summary_of(capsys, shlex.split(command)[1:]))
 
 
 class TestReferenceCommand:

@@ -7,7 +7,10 @@ other than ``self`` or ``cls`` unless it defines that name itself.  The
 package's ``__all__`` lists each public name ``__init__`` imports, once,
 and every name it lists resolves on the package.  Every function it lists
 has a caller outside the tests of its own behaviour: the package itself
-(``__init__`` aside), a demo or the acceptance tests calls or imports it."""
+(``__init__`` aside), a demo or the acceptance tests calls or imports it.
+The dense oracle stays independent of LAPACK's eigensolvers: ``reference``
+imports nothing from scipy and names numpy's ``eigvalsh`` only in its hint
+helper, and no other of numpy's dense eigensolvers at all."""
 
 import ast
 import inspect
@@ -106,6 +109,35 @@ def foreign_private_reads(tree: ast.Module) -> list:
         and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
         and node.attr not in own
     ]
+
+
+EIGENSOLVERS = {"eig", "eigh", "eigvals", "eigvalsh"}
+
+
+def eigensolver_uses(tree: ast.Module) -> list:
+    """(enclosing function, name) of every name of numpy's dense
+    eigensolvers a parsed module uses, as an attribute, a name or an
+    import, and ``(function, "scipy")`` for every import of scipy; the
+    module level is function ``None``."""
+    out = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) and child.attr in EIGENSOLVERS:
+                out.append((owner, child.attr))
+            elif isinstance(child, ast.Name) and child.id in EIGENSOLVERS:
+                out.append((owner, child.id))
+            elif isinstance(child, ast.Import):
+                out.extend((owner, "scipy") for a in child.names if a.name.split(".")[0] == "scipy")
+            elif isinstance(child, ast.ImportFrom):
+                if (child.module or "").split(".")[0] == "scipy":
+                    out.append((owner, "scipy"))
+                out.extend((owner, a.name) for a in child.names if a.name in EIGENSOLVERS)
+            function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if function else owner)
+
+    visit(tree, None)
+    return out
 
 
 TREES = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
@@ -207,3 +239,26 @@ def test_every_exported_function_has_a_caller():
     used = set().union(*(called_or_imported(ast.parse(path.read_text())) for path in users))
     functions = {name for name in geig.__all__ if inspect.isfunction(getattr(geig, name))}
     assert sorted(functions - used) == []
+
+
+def test_the_oracle_asks_lapack_only_for_hints():
+    """LAPACK only proposes where the oracle's bisection looks; its Sturm
+    counts decide every value."""
+    assert eigensolver_uses(TREES["reference"]) == [("_hints", "eigvalsh")]
+
+
+def test_the_eigensolver_check_sees_each_form():
+    tree = ast.parse(
+        "import scipy.linalg\n"
+        "from numpy.linalg import eigh\n"
+        "def f(m):\n"
+        "    from scipy import linalg\n"
+        "    return np.linalg.eigvals(m), eig(m), m.eigenvalues\n"
+    )
+    assert eigensolver_uses(tree) == [
+        (None, "scipy"),
+        (None, "eigh"),
+        ("f", "scipy"),
+        ("f", "eigvals"),
+        ("f", "eig"),
+    ]

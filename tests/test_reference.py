@@ -178,14 +178,6 @@ def _drawn_tridiagonals(draw):
     return np.ldexp(d, exponent), np.ldexp(e, exponent)
 
 
-def _seed_of(d, e, indices):
-    """``_seed_brackets`` as ``_bisect`` calls it."""
-    e2 = e * e
-    pivmin = reference._TINY * max(1.0, float(np.max(e2, initial=0.0)))
-    buf = np.empty(d.size * max(reference._SWEEP_POINTS, len(indices)))
-    return reference._seed_brackets(d, e, e2, np.asarray(indices), pivmin, buf)
-
-
 def _poisoned(kind):
     """A stand-in for ``np.linalg.eigvalsh`` whose values are wrong by
     ``kind``, or which fails."""
@@ -207,12 +199,43 @@ def _poisoned(kind):
     return eigvalsh
 
 
+def _sturm_sizes(monkeypatch) -> list:
+    """The probe count of every later ``reference._sturm_count`` call, each
+    checked to fit its pivot buffer."""
+    sizes = []
+    count = reference._sturm_count
+
+    def counting(d, e2, x, pivmin, buf):
+        assert buf.size >= d.size * x.size
+        sizes.append(x.size)
+        return count(d, e2, x, pivmin, buf)
+
+    monkeypatch.setattr(reference, "_sturm_count", counting)
+    return sizes
+
+
+# Sturm-count calls of ``_bisect`` on the reduced T of ``ising_problem(n, seed)``,
+# seeds 1 / 2 / 3, when each index was seeded in a sweep of its own
+_ISING_STURM_CALLS = {
+    2: (3, 3, 3),
+    3: (3, 3, 3),
+    4: (5, 5, 5),
+    5: (5, 4, 4),
+    6: (6, 6, 6),
+    7: (7, 7, 7),
+    8: (10, 10, 10),
+    9: (17, 17, 17),
+    10: (19, 19, 19),
+}
+
+
 class TestSeededBisection:
-    """``_bisect`` starts each index from a bracket about LAPACK's
-    eigenvalue that one sweep of Sturm counts certifies, else from the
-    Gershgorin bracket.  The computed count is monotone, so it ends on the
-    double the per-bracket bisection from the Gershgorin bracket ends on,
-    whatever LAPACK proposes."""
+    """``_bisect`` starts every index from the Gershgorin bracket, and its
+    first sweep counts at LAPACK's eigenvalues of T, each moved a little
+    down and up.  A probe narrows whichever bracket it falls in, and the
+    computed count is monotone, so it ends on the double the per-bracket
+    bisection from the Gershgorin bracket ends on, whatever LAPACK
+    proposes."""
 
     @settings(max_examples=300, deadline=None)
     @given(_drawn_tridiagonals())
@@ -239,42 +262,50 @@ class TestSeededBisection:
         assert reference._bisect(d, e, indices).tobytes() == want.tobytes()
         assert calls == [(d.size, d.size)]
 
-    @pytest.mark.parametrize("kind", ["nan", "fails"])
-    def test_no_hint_falls_back_to_gershgorin(self, monkeypatch, kind):
-        d, e = _tridiagonals()["ising4-reduced"]
-        bound = 2.0 * reference._gershgorin(d, e)
-        monkeypatch.setattr(np.linalg, "eigvalsh", _poisoned(kind))
-        lo, hi = _seed_of(d, e, np.arange(d.size))
-        assert np.all(lo == reference._to_key(-bound)) and np.all(hi == reference._to_key(bound))
-
-    @pytest.mark.parametrize("n", range(2, 9))
-    def test_no_index_of_an_ising_pencil_falls_back(self, n):
+    @pytest.mark.parametrize("kind", ["rolled", "reversed"])
+    @pytest.mark.parametrize("n", [5, 7])
+    def test_mis_paired_hints_cost_no_sweep(self, monkeypatch, n, kind):
+        """LAPACK's values paired with the wrong indices make the same first
+        row as the true ones, so they take no more Sturm counts."""
         d, e = _tridiagonals()[f"ising{n}-reduced"]
-        bound = 2.0 * reference._gershgorin(d, e)
-        lo, hi = _seed_of(d, e, np.arange(d.size))
-        assert np.all(lo > reference._to_key(-bound)) and np.all(hi < reference._to_key(bound))
+        indices = np.arange(d.size)
+        calls = _sturm_sizes(monkeypatch)
+        want = reference._bisect(d, e, indices)
+        true_calls = len(calls)
+        calls.clear()
+        monkeypatch.setattr(np.linalg, "eigvalsh", _poisoned(kind))
+        assert reference._bisect(d, e, indices).tobytes() == want.tobytes()
+        assert len(calls) <= true_calls
 
-    def test_ends_past_the_buffer_are_certified_in_two_sweeps(self, monkeypatch):
-        """400 indices have 800 bracket ends, more than the 768 columns of
-        the pivot buffer: the seed counts at the lower and at the upper ends
-        in two sweeps of 400, and the values keep their bytes."""
+    def test_a_long_first_row_is_counted_in_parts(self, monkeypatch):
+        """400 indices give 800 probes in the first row, more than the 768
+        columns of the pivot buffer: the row is counted in parts of at most
+        the buffer's width, and the values keep their bytes."""
         rng = np.random.default_rng(400)
         d = rng.integers(-3, 4, 400).astype(float)
         e = np.abs(rng.normal(size=399))
         e[rng.uniform(size=399) < 0.25] = 0.0
         indices = np.arange(d.size)
-        sizes = []
-        count = reference._sturm_count
-
-        def counting(d, e2, x, pivmin, buf):
-            assert buf.size >= d.size * x.size
-            sizes.append(x.size)
-            return count(d, e2, x, pivmin, buf)
-
-        monkeypatch.setattr(reference, "_sturm_count", counting)
+        sizes = _sturm_sizes(monkeypatch)
         got = reference._bisect(d, e, indices)
-        assert sizes[:2] == [400, 400] and max(sizes) <= reference._SWEEP_POINTS
+        assert sizes[:2] == [reference._SWEEP_POINTS, 800 - reference._SWEEP_POINTS]
+        assert max(sizes) <= reference._SWEEP_POINTS
         assert got.tobytes() == _per_bracket_bisect(d, e, indices).tobytes()
+
+    @pytest.mark.parametrize("n", list(_ISING_STURM_CALLS))
+    def test_sturm_calls_on_the_ising_pencils(self, monkeypatch, n):
+        """The Sturm counts of all eigenvalues of the reduced T of the
+        benchmark's Ising pencils (seeds 1-3) take at most the sweeps
+        they took when each index was seeded in a sweep of its own."""
+        reduced = [
+            generalized_eig(parse_problem(BENCH_PROBLEMS.ising_problem(n, seed)))._reduced
+            for seed in (1, 2, 3)
+        ]
+        calls = _sturm_sizes(monkeypatch)
+        for seed, (tri, most) in enumerate(zip(reduced, _ISING_STURM_CALLS[n]), start=1):
+            calls.clear()
+            reference._bisect(tri.d, tri.e, np.arange(tri.d.size))
+            assert len(calls) <= most, seed
 
 
 def _clamped_sturm_count(d, e2, x, pivmin):
