@@ -5,6 +5,7 @@ traces, and a single-line JSON error contract on stderr."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -315,14 +316,15 @@ def cmd_fqge(args) -> dict:
         value = float(result.eigenvalue)
         nearest = min(ref.eigenvalues.tolist(), key=lambda lam: abs(value - lam))
         k = ground_multiplicity(ref.eigenvalues)
+        vecs = ref.leading_eigenvectors(k)  # the ground level's columns alone
         if k == 1:
-            ground = ref.eigenvectors[:, 0]
+            ground = vecs[:, 0]
             # over the power of two of its largest entry first, which is
             # exact, so the norm's squares stay normal at every scale of B
             ground = ground * math.ldexp(1.0, -math.frexp(float(np.max(np.abs(ground))))[1])
             fidelity = abs(np.vdot(ground / np.linalg.norm(ground), result.state.amps)) ** 2
         else:  # the weight on the whole degenerate ground level, from an orthonormal basis
-            basis = np.linalg.qr(ref.eigenvectors[:, :k])[0]
+            basis = np.linalg.qr(vecs)[0]
             fidelity = min(1.0, np.linalg.norm(basis.conj().T @ result.state.amps) ** 2)
         summary["reference"] = {
             "nearest_eigenvalue": nearest,
@@ -372,6 +374,7 @@ def cmd_decompose(args) -> dict:
     }
 
 
+@functools.cache  # built once per process: parsing leaves the tree as it was
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="geig",

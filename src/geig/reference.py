@@ -13,18 +13,22 @@ the distinct brackets, which eigenvalues in one bracket share (GvL 8.4,
 ``dstebz``).  Every index starts from the Gershgorin bracket, and each
 sweep counts at one ascending row of probes and narrows every bracket to
 the probes around its index: the computed count is monotone in the shift,
-so a probe narrows whichever bracket it falls in.  The first row is
-LAPACK's eigenvalues of T, each moved a little down and up; later rows
-split each distinct open bracket evenly.  A Sturm row costs one
-divide and one subtract: the pivot clamp of ``dstebz`` runs only for a
-sweep whose unclamped pass met a pivot below the clamp or a NaN above the
-last row, and gives the same counts as the unclamped pass wherever that
-met none (``dlaneg``).  The smallest eigenvalue of B (``eta1``) is one
-eigenvalue, so it is bisected alone, by scalar Sturm passes that stop at
-the first negative pivot, to the same double.
-Eigenvectors come from inverse iteration on T (``dstein``) and are computed
-only when they are read.  The reduction costs O(dim^3); the CLI caps the
-oracle at 10 qubits by default (``GEIG_DENSE_CAP``, at most
+so a probe narrows whichever bracket it falls in, and where the probes go
+sets only how many sweeps a value takes, never the value.  The first row
+is three rings of probes about each of LAPACK's eigenvalues of T; later
+rows give each distinct open bracket a share of probes set by its own
+width, so that all of them close in about the same sweep.  A Sturm row
+costs one divide and one subtract: the pivot clamp of ``dstebz`` runs only
+for a sweep whose unclamped pass met a pivot below the clamp or a NaN
+above the last row, and gives the same counts as the unclamped pass
+wherever that met none (``dlaneg``).  The smallest eigenvalue of B
+(``eta1``) is one eigenvalue, so it is bisected alone, by scalar Sturm
+passes that stop at the first negative pivot, to the same double.
+Eigenvectors come from inverse iteration on T (``dstein``), computed only
+when they are read and only for the lowest eigenvalues a caller asks for
+(``EigenDecomposition.leading_eigenvectors``): ``geig fqge`` builds the
+ground level's columns alone.  The reduction costs O(dim^3); the CLI caps
+the oracle at 10 qubits by default (``GEIG_DENSE_CAP``, at most
 ``pauli.DEFAULT_DENSE_CAP``).
 """
 
@@ -51,14 +55,18 @@ _SIGN = np.int64(-0x8000_0000_0000_0000)
 # at 8 (40 interleaved rounds, one BLAS thread, 1-vCPU host).  No value beat
 # 768 at both sizes by more than the quartile spread (2-7 ms), so it stays
 _SWEEP_POINTS = 768
-# Half-width of the first sweep's probes about LAPACK's eigenvalues, relative
-# to the bound 2 G of the Gershgorin bracket (G the Gershgorin bound of T):
-# 512 eps G.  The largest error of ``np.linalg.eigvalsh`` measured on the
-# reduced T was 17 / 23 / 30 / 46 eps G for the Ising pencils (seeds 1-3) at
-# 7 / 8 / 9 / 10 qubits, and 59 eps G on a random complex Hermitian matrix of
-# order 1024.  A radius four times wider took one or two more sweeps at 7 to
-# 10 qubits; an eigenvalue outside its probes only takes more sweeps.
+# Half-width of the first sweep's outer ring of probes about LAPACK's
+# eigenvalues, relative to the bound 2 G of the Gershgorin bracket (G the
+# Gershgorin bound of T): 512 eps G.  The largest error of
+# ``np.linalg.eigvalsh`` measured on the reduced T was 17 / 23 / 30 / 46 eps G
+# for the Ising pencils (seeds 1-3) at 7 / 8 / 9 / 10 qubits, and 59 eps G on
+# a random complex Hermitian matrix of order 1024.  A radius four times wider
+# took one or two more sweeps at 7 to 10 qubits; an eigenvalue outside its
+# probes only takes more sweeps.  Each further ring is 8 times narrower
+# (64 and 8 eps G), so a hint within 8 eps G leaves a bracket of a few
+# doubles where one ring left one of a thousand.
 _HINT_RADIUS = 256 * _EPS
+_HINT_RINGS = 3
 _PANEL = 32  # Householder reflectors per blocked update, and Cholesky columns per panel
 _INVERSE_STEPS = 3
 # shifts sit this far (relative to ||T||) below their eigenvalues, so that
@@ -240,12 +248,22 @@ def _bisect(d: np.ndarray, e: np.ndarray, indices: np.ndarray) -> np.ndarray:
     buffer's width, and narrows every bracket to the probes around its
     index: the counts ascend along the row, since the computed count is
     monotone in x (Demmel, Dhillon & Ren 1995), so a probe narrows whichever
-    bracket it falls in.  The first row is LAPACK's eigenvalue of T at each
-    index (``_hints``), moved ``_HINT_RADIUS`` times 2 G down and up; LAPACK
-    only proposes where to look, and the Sturm counts decide every value.
-    The brackets then are disjoint or equal and in index order, and each
-    later row splits every distinct open bracket evenly, ``_SWEEP_POINTS``
-    probes in all; a closed bracket gets none.
+    bracket it falls in.  The value each bracket closes on is therefore the
+    same wherever the probes go, and the schedule below only sets how many
+    sweeps that takes.
+
+    The first row holds ``_HINT_RINGS`` rings about LAPACK's eigenvalue of T
+    at each index (``_hints``): the value moved ``_HINT_RADIUS`` times 2 G
+    down and up, then 8 and 64 times closer.  LAPACK only proposes where to
+    look, and the Sturm counts decide every value.  The brackets then are
+    disjoint or equal and in index order, and each later row gives every
+    distinct open bracket a share of probes set by its own key width W_i:
+    ``max(1, ceil(W_i^(1/S)) - 1)`` evenly spaced probes, for the smallest
+    number of sweeps S at which the shares add up to at most
+    ``_SWEEP_POINTS`` (one each when none does).  A bracket of p probes is
+    at most W_i / (p + 1) wide after the sweep, so every bracket closes in
+    about S sweeps, where an even share spends most probes on brackets
+    that are nearly closed.  A closed bracket gets none.
 
     The brackets are split on the ordered integer keys of the doubles, not
     on their values, so every bracket reaches adjacent doubles in at most 64
@@ -261,9 +279,9 @@ def _bisect(d: np.ndarray, e: np.ndarray, indices: np.ndarray) -> np.ndarray:
     lo = np.full(indices.shape, _to_key(-bound))
     hi = np.full(indices.shape, _to_key(bound))
     hints = _hints(d, e, indices)
-    radius = _HINT_RADIUS * bound
+    radii = _HINT_RADIUS * bound * 8.0 ** -np.arange(_HINT_RINGS)
     # sorted as doubles: the first int64 sort of a process maps numpy's int64 sort code
-    row = np.sort(np.concatenate([hints - radius, hints + radius]))
+    row = np.sort(np.concatenate([hints - r for r in radii] + [hints + r for r in radii]))
     probe = _to_key(row[(row > -bound) & (row < bound)])
     while True:
         counts = np.empty(probe.size, dtype=np.int16)
@@ -284,12 +302,34 @@ def _bisect(d: np.ndarray, e: np.ndarray, indices: np.ndarray) -> np.ndarray:
         first = np.ones(start.size, dtype=bool)
         first[1:] = start[1:] != start[:-1]
         start, stop = start[first], stop[first]
-        points = max(1, _SWEEP_POINTS // start.size)
         width = stop.view(np.uint64) - start.view(np.uint64)
-        step = np.maximum(width // np.uint64(points + 1), np.uint64(1))
-        offsets = np.arange(1, points + 1, dtype=np.uint64)
-        probe = (start.view(np.uint64)[:, None] + step[:, None] * offsets).view(np.int64)
-        probe = np.minimum(probe, (stop - 1)[:, None]).ravel()
+        points = _shares(width)
+        step = np.maximum(width // (points + 1).astype(np.uint64), np.uint64(1))
+        # bracket i's probes: start_i + step_i * (1 .. points_i), below stop_i
+        owner = np.repeat(np.arange(start.size), points)
+        rank = np.arange(owner.size) - np.repeat(np.cumsum(points) - points, points) + 1
+        probe = start.view(np.uint64)[owner] + step[owner] * rank.astype(np.uint64)
+        probe = np.minimum(probe.view(np.int64), stop[owner] - 1)
+
+
+def _shares(width: np.ndarray) -> np.ndarray:
+    """Probes for each open bracket of the given key widths (all above 1):
+    ``max(1, ceil(W_i^(1/S)) - 1)`` for the smallest S in 1..64 at which
+    they add up to at most ``_SWEEP_POINTS``, or one each when none does.
+    The sum falls as S grows, so S is found by halving the range."""
+    logs = np.log2(width.astype(np.float64))
+
+    def over(sweeps: int) -> np.ndarray:
+        return np.maximum(np.ceil(np.exp2(logs / sweeps)) - 1.0, 1.0).astype(np.int64)
+
+    low, high = 1, 64  # 64 sweeps take every width below 2^64 to one probe
+    while low < high:
+        mid = (low + high) // 2
+        if over(mid).sum() <= _SWEEP_POINTS:
+            high = mid
+        else:
+            low = mid + 1
+    return over(low)
 
 
 def _bisect_smallest(d: np.ndarray, e: np.ndarray) -> float:
@@ -326,9 +366,17 @@ def _bisect_smallest(d: np.ndarray, e: np.ndarray) -> float:
     return float(_from_key(np.int64(lo)))
 
 
+def _clusters(values: np.ndarray, norm: float) -> np.ndarray:
+    """Where the ascending ``values`` break into clusters of eigenvalues
+    closer than ``_ORTHO_GAP`` times ``norm``: the index each later cluster
+    starts at."""
+    return np.flatnonzero(np.diff(values) > _ORTHO_GAP * norm) + 1
+
+
 def _inverse_iteration(d: np.ndarray, e: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Orthonormal eigenvector columns of the unreduced tridiagonal (d, e)
-    for its ascending eigenvalues ``values``.
+    for its lowest eigenvalues ``values``, ascending; the last must end a
+    cluster of ``_clusters``.
 
     Each column solves (T - s) y = b a few times from a fixed random start,
     with the shift s just below its eigenvalue, through one LU factorization
@@ -336,7 +384,9 @@ def _inverse_iteration(d: np.ndarray, e: np.ndarray, values: np.ndarray) -> np.n
     row step together.  A pivot below eps ||T|| is raised to it.  After
     every solve the columns of each cluster of eigenvalues closer than
     1e-3 ||T|| are re-orthonormalized, which keeps the vectors of an exactly
-    degenerate eigenvalue orthonormal.
+    degenerate eigenvalue orthonormal.  The starts are the leading columns
+    of one draw for all of T's eigenvalues, and every step acts on each
+    column or cluster alone, so a column is the one all eigenvalues give.
     """
     size = d.size
     norm = _gershgorin(d, e)
@@ -366,13 +416,13 @@ def _inverse_iteration(d: np.ndarray, e: np.ndarray, values: np.ndarray) -> np.n
         upper = np.where(sw, 0.0, ext[i + 1]) - mult[i] * u2[i]
     u0[size - 1] = np.copysign(np.maximum(np.abs(diag), floor), diag)
 
-    cuts = np.flatnonzero(np.diff(values) > _ORTHO_GAP * norm) + 1
+    cuts = _clusters(values, norm)
     clusters = [
         (start, stop)
         for start, stop in zip(np.r_[0, cuts], np.r_[cuts, values.size])
         if stop - start > 1
     ]
-    y = np.random.default_rng(size).uniform(-1.0, 1.0, (size, values.size))
+    y = np.random.default_rng(size).uniform(-1.0, 1.0, (size, size))[:, : values.size].copy()
     for _ in range(_INVERSE_STEPS):
         for i in range(size - 1):
             top = np.where(swap[i], y[i + 1], y[i])
@@ -382,7 +432,9 @@ def _inverse_iteration(d: np.ndarray, e: np.ndarray, values: np.ndarray) -> np.n
         y[size - 2] = (y[size - 2] - u1[size - 2] * y[size - 1]) / u0[size - 2]
         for i in range(size - 3, -1, -1):
             y[i] = (y[i] - u1[i] * y[i + 1] - u2[i] * y[i + 2]) / u0[i]
-        y /= np.sqrt(np.sum(y * y, axis=0))
+        # the squares added row after row, as ``np.sum(axis=0)`` adds them for
+        # two columns or more; for one column it would add them pairwise
+        y /= np.sqrt(np.add.accumulate(y * y, axis=0)[-1])
         for start, stop in clusters:
             y[:, start:stop] = np.linalg.qr(y[:, start:stop])[0]
     return y
@@ -464,28 +516,39 @@ class _Tridiagonal:
         """Smallest eigenvalue of M, by the one-point bisection."""
         return float(np.ldexp(_bisect_smallest(self.d, self.e), self.exponent))
 
-    def eigenvectors(self) -> np.ndarray:
-        """Orthonormal eigenvector columns of M, in the order of
-        ``eigenvalues``.
+    def eigenvectors(self, count: int) -> np.ndarray:
+        """Orthonormal eigenvector columns of M for its ``count`` lowest
+        eigenvalues, in the order of ``eigenvalues``.
 
         T is split at its exactly-zero off-diagonals; a 1x1 block is its own
-        eigenvector, a larger block goes through inverse iteration.
+        eigenvector, a larger block goes through inverse iteration for its
+        lowest eigenvalues up to the end of the last one's cluster, so the
+        re-orthonormalization acts on the columns it acts on for all
+        eigenvalues.  The reflectors act on the ``count`` columns alone.
         """
         dim = self.d.size
         cuts = np.flatnonzero(self.e == 0.0) + 1
-        z = np.zeros((dim, dim))
-        found = []
-        for start, stop in zip(np.r_[0, cuts], np.r_[cuts, dim]):
-            d, e = self.d[start:stop], self.e[start : stop - 1]
+        blocks = list(zip(np.r_[0, cuts], np.r_[cuts, dim]))
+        found = [
+            self.values if stop - start == dim
+            else self.d[start:stop] if stop - start == 1
+            else _bisect(self.d[start:stop], self.e[start : stop - 1], np.arange(stop - start))
+            for start, stop in blocks
+        ]
+        # where the count lowest eigenvalues sit in the blocks' values, in
+        # order; each block's values ascend, so a block gives a leading run
+        order = np.argsort(np.concatenate(found), kind="stable")[:count]
+        z = np.zeros((dim, order.size))
+        for (start, stop), values in zip(blocks, found):
+            (picked,) = np.nonzero((order >= start) & (order < stop))
             if stop - start == 1:
-                values, block = d, np.ones((1, 1))
-            else:
-                values = self.values if stop - start == dim else _bisect(d, e, np.arange(d.size))
-                block = _inverse_iteration(d, e, values)
-            z[start:stop, start:stop] = block
-            found.append(values)
-        order = np.argsort(np.concatenate(found), kind="stable")
-        vecs = self.phases[:, None] * z[:, order]
+                z[start, picked] = 1.0
+            elif picked.size:
+                d, e = self.d[start:stop], self.e[start : stop - 1]
+                ends = np.append(_clusters(values, _gershgorin(d, e)), values.size)
+                end = ends[np.searchsorted(ends, picked.size)]
+                z[start:stop, picked] = _inverse_iteration(d, e, values[:end])[:, : picked.size]
+        vecs = self.phases[:, None] * z
         for top, vs in reversed(self.panels):
             # the panel's reflectors in compact WY form I - V S V^H (LAPACK zlarft)
             gram = vs.conj().T @ vs
@@ -503,10 +566,14 @@ class EigenDecomposition:
     smallest eigenvalue of B.
 
     The eigenvectors are computed from the stored reduction, and ``eta1``
-    from a reduction of B, on first read, so a caller that reads only
-    eigenvalues never pays for either.  With ``_exponent`` b, the stored B
-    is the pencil's over 2^b: eta1 is scaled back by 2^b and the
-    eigenvectors by 2^(-b/2) (b even), both exactly.
+    from a reduction of B, only when read, so a caller that reads only
+    eigenvalues never pays for either.  ``leading_eigenvectors(k)`` builds
+    the columns of the k lowest eigenvalues alone, each the column
+    ``eigenvectors`` (all of them, once) holds, up to the rounding of the
+    products that apply the reflectors and the factor to fewer columns.
+    With ``_exponent`` b, the stored B is the pencil's over 2^b: eta1 is
+    scaled back by 2^b and the eigenvectors by 2^(-b/2) (b even), both
+    exactly.
     """
 
     eigenvalues: np.ndarray
@@ -517,7 +584,11 @@ class EigenDecomposition:
 
     @functools.cached_property
     def eigenvectors(self) -> np.ndarray:
-        vecs = self._factor.back(self._reduced.eigenvectors())
+        return self.leading_eigenvectors(self.eigenvalues.size)
+
+    def leading_eigenvectors(self, k: int) -> np.ndarray:
+        """B-orthonormal eigenvector columns of the k lowest eigenvalues."""
+        vecs = self._factor.back(self._reduced.eigenvectors(k))
         return np.ldexp(vecs.view(np.float64), -self._exponent // 2).view(np.complex128)
 
     @functools.cached_property

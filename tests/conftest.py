@@ -1,4 +1,5 @@
-"""Shared helpers: the two-qubit demonstration pencil, the benchmark's
+"""Shared helpers: the two-qubit demonstration pencil, a problem with a
+degenerate ground level, the benchmark's
 seeded pencils and summary gates, random positive-definite pencil
 generators and the dense-cap refusal check used across the test
 modules, and verbatim copies of ``pauli.apply_string``,
@@ -56,6 +57,15 @@ DENSE_B = np.diag([1.9, 0.7, 0.9, 0.5])
 
 # block determinants of the pencil: {|00>,|11>} and {|01>,|10>}
 BLOCK_QUADS = [(0.95, -1.28, 0.32), (0.63, -1.6, 0.96)]
+
+
+# ZI + 0.3 XI against II + 0.2 ZI: the second qubit is free, so every level
+# is doubly degenerate
+DEGENERATE_GROUND = {
+    "n": 2,
+    "A": [{"coeff": 1.0, "ops": "ZI"}, {"coeff": 0.3, "ops": "XI"}],
+    "B": [{"coeff": 1.0, "ops": "II"}, {"coeff": 0.2, "ops": "ZI"}],
+}
 
 
 def two_qubit_pencil() -> Pencil:

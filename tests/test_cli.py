@@ -947,6 +947,40 @@ class TestErrorContract:
             main([])
         assert info.value.code == 2
 
+    def test_one_parser_answers_as_a_fresh_one(self, capsys, monkeypatch, tmp_path):
+        """``main`` parses with the one tree ``build_parser`` builds per
+        process; a sequence of calls through it (a usage error, each
+        command, then a bad --method) prints and returns what a parser
+        built for each call gives."""
+        matrix = tmp_path / "z.json"
+        matrix.write_text(json.dumps([[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [-1.0, 0.0]]]))
+        calls = [
+            ["--bogus"],
+            ["vqge", "--iters", "3", "--restarts", "1"],
+            ["fqge", "--line-search"],
+            ["reference"],
+            ["decompose", str(matrix)],
+            ["vqge", "--method", "newton"],
+        ]
+
+        def outcomes():
+            got = []
+            for argv in calls:
+                try:
+                    rc = main(argv)
+                except SystemExit as stop:
+                    rc = stop.code
+                got.append((rc, *capsys.readouterr()))
+            return got
+
+        build_parser()  # the one tree exists before the sequence starts
+        shared = outcomes()
+        assert [rc for rc, _, _ in shared] == [2, 0, 0, 0, 0, 2]
+        with monkeypatch.context() as patch:
+            patch.setattr("geig.cli.build_parser", build_parser.__wrapped__)
+            assert outcomes() == shared
+        assert build_parser() is build_parser()
+
     def test_unknown_method_rejected_by_parser(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["vqge", "--method", "newton"])

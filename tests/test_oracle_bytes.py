@@ -25,16 +25,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import BENCH_PROBLEMS
+from conftest import BENCH_PROBLEMS, DEGENERATE_GROUND
 from geig.cli import main
-
-# ZI + 0.3 XI against II + 0.2 ZI: the second qubit is free, so every level
-# is doubly degenerate
-DEGENERATE = {
-    "n": 2,
-    "A": [{"coeff": 1.0, "ops": "ZI"}, {"coeff": 0.3, "ops": "XI"}],
-    "B": [{"coeff": 1.0, "ops": "II"}, {"coeff": 0.2, "ops": "ZI"}],
-}
 
 ISING = [(n, s) for n in range(2, 9) for s in (1, 2, 3)] + [(9, 1), (10, 1)]
 DEGENERATE_RUNS = [(initial, line_search) for initial in (0, 1) for line_search in (False, True)]
@@ -72,7 +64,7 @@ GOLDEN_ISING = {
 }
 
 # (initial, line search) -> digest of the ``geig fqge`` summary on
-# DEGENERATE, and its ``fidelity_ground`` (recorded as GOLDEN_ISING)
+# DEGENERATE_GROUND, and its ``fidelity_ground`` (recorded as GOLDEN_ISING)
 GOLDEN_DEGENERATE = {
     (0, False): ('89798cab061ca825', 1.0),
     (0, True): ('8eddd0ecfe26903c', 1.0),
@@ -112,7 +104,7 @@ def records() -> dict:
             Path(path).write_text(json.dumps(BENCH_PROBLEMS.ising_problem(n, seed)))
             reference = digest(stdout_of(["reference", path]))
             out[str((n, seed))] = [reference, *fqge_record([path, "--line-search"])]
-        Path(path).write_text(json.dumps(DEGENERATE))
+        Path(path).write_text(json.dumps(DEGENERATE_GROUND))
         for initial, line_search in DEGENERATE_RUNS:
             argv = [path, "--initial", str(initial)] + ["--line-search"] * line_search
             out[str((initial, line_search))] = fqge_record(argv)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from conftest import (
     BENCH_PROBLEMS,
     BLOCK_QUADS,
+    DEGENERATE_GROUND,
     DENSE_B,
     quad_roots,
     random_hermitian,
@@ -178,6 +179,34 @@ def _drawn_tridiagonals(draw):
     return np.ldexp(d, exponent), np.ldexp(e, exponent)
 
 
+@st.composite
+def _binade_tridiagonals(draw):
+    """(d, e) and ascending indices of a tridiagonal whose eigenvalues span
+    up to 12 decades: a geometric spectrum of drawn signs from 1 down to
+    1e-12 or above, either as the graded tridiagonal of d = that spectrum
+    and e_i a drawn fraction of sqrt(|d_i d_i+1|), or as the reduction of
+    Q diag(spectrum) Q^T for a random orthogonal Q.  The block is repeated
+    1 to 3 times with zero couplings between the copies, so that each
+    eigenvalue of a repeated block repeats exactly."""
+    size = draw(st.integers(2, 12))
+    signs = np.array(draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=size, max_size=size)))
+    values = signs * np.geomspace(1.0, 10.0 ** -draw(st.floats(1.0, 12.0)), size)
+    if draw(st.booleans()):
+        d = values
+        e = draw(st.floats(0.0, 0.5)) * np.sqrt(np.abs(values[1:] * values[:-1]))
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        q = np.linalg.qr(rng.normal(size=(size, size)))[0]
+        m = q @ np.diag(values) @ q.T
+        tri = reference._Tridiagonal((m + m.T) / 2)
+        d, e = np.ldexp(tri.d, tri.exponent), np.ldexp(tri.e, tri.exponent)
+    copies = draw(st.integers(1, 3))
+    d = np.tile(d, copies)
+    e = np.concatenate([np.append(e, 0.0)] * copies)[:-1]
+    picked = draw(st.lists(st.integers(0, d.size - 1), min_size=1, unique=True))
+    return d, e, np.sort(picked)
+
+
 def _poisoned(kind):
     """A stand-in for ``np.linalg.eigvalsh`` whose values are wrong by
     ``kind``, or which fails."""
@@ -215,17 +244,19 @@ def _sturm_sizes(monkeypatch) -> list:
 
 
 # Sturm-count calls of ``_bisect`` on the reduced T of ``ising_problem(n, seed)``,
-# seeds 1 / 2 / 3, when each index was seeded in a sweep of its own
+# seeds 1 / 2 / 3, with three rings of hint probes and shares set by each
+# bracket's width (one ring and even shares took 3 3 3, 3 3 3, 5 5 5, 5 4 4,
+# 6 6 6, 7 7 7, 10 10 10, 17 17 17 and 19 19 19)
 _ISING_STURM_CALLS = {
-    2: (3, 3, 3),
-    3: (3, 3, 3),
-    4: (5, 5, 5),
-    5: (5, 4, 4),
-    6: (6, 6, 6),
-    7: (7, 7, 7),
-    8: (10, 10, 10),
-    9: (17, 17, 17),
-    10: (19, 19, 19),
+    2: (2, 3, 3),
+    3: (2, 2, 2),
+    4: (3, 3, 3),
+    5: (3, 3, 3),
+    6: (4, 4, 4),
+    7: (4, 4, 4),
+    8: (7, 7, 7),
+    9: (11, 11, 11),
+    10: (16, 16, 16),
 }
 
 
@@ -244,6 +275,17 @@ class TestSeededBisection:
         indices = np.arange(d.size)
         want = _per_bracket_bisect(d, e, indices)
         assert reference._bisect(d, e, indices).tobytes() == want.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(_binade_tridiagonals())
+    def test_equals_per_bracket_bisection_across_binades(self, tridiagonal):
+        """Where the eigenvalues span many binades the open brackets differ
+        most in key width, so the shares of one sweep differ most from an
+        even split; the values do not move, for all indices or some."""
+        d, e, picked = tridiagonal
+        for indices in (np.arange(d.size), picked):
+            want = _per_bracket_bisect(d, e, indices)
+            assert reference._bisect(d, e, indices).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("kind", ["shifted", "rolled", "reversed", "nan", "inf-half", "fails"])
     @pytest.mark.parametrize("label", ["ising5-reduced", "diagonal", "zero-coupling", "kron-z"])
@@ -278,9 +320,10 @@ class TestSeededBisection:
         assert len(calls) <= true_calls
 
     def test_a_long_first_row_is_counted_in_parts(self, monkeypatch):
-        """400 indices give 800 probes in the first row, more than the 768
-        columns of the pivot buffer: the row is counted in parts of at most
-        the buffer's width, and the values keep their bytes."""
+        """400 indices give 2400 probes in the first row (two per ring and
+        index), more than the 768 columns of the pivot buffer: the row is
+        counted in parts of at most the buffer's width, and the values keep
+        their bytes."""
         rng = np.random.default_rng(400)
         d = rng.integers(-3, 4, 400).astype(float)
         e = np.abs(rng.normal(size=399))
@@ -288,15 +331,17 @@ class TestSeededBisection:
         indices = np.arange(d.size)
         sizes = _sturm_sizes(monkeypatch)
         got = reference._bisect(d, e, indices)
-        assert sizes[:2] == [reference._SWEEP_POINTS, 800 - reference._SWEEP_POINTS]
+        first, width = 2 * reference._HINT_RINGS * d.size, reference._SWEEP_POINTS
+        parts = [width] * (first // width) + [first % width]
+        assert sizes[: len(parts)] == parts
         assert max(sizes) <= reference._SWEEP_POINTS
         assert got.tobytes() == _per_bracket_bisect(d, e, indices).tobytes()
 
     @pytest.mark.parametrize("n", list(_ISING_STURM_CALLS))
     def test_sturm_calls_on_the_ising_pencils(self, monkeypatch, n):
         """The Sturm counts of all eigenvalues of the reduced T of the
-        benchmark's Ising pencils (seeds 1-3) take at most the sweeps
-        they took when each index was seeded in a sweep of its own."""
+        benchmark's Ising pencils (seeds 1-3) take at most the calls
+        recorded in ``_ISING_STURM_CALLS``."""
         reduced = [
             generalized_eig(parse_problem(BENCH_PROBLEMS.ising_problem(n, seed)))._reduced
             for seed in (1, 2, 3)
@@ -626,8 +671,37 @@ class TestTridiagonalOracle:
         np.testing.assert_array_equal(values, np.sort(diag))
         np.testing.assert_array_equal(np.abs(vecs), np.eye(5)[:, np.argsort(diag, kind="stable")])
 
+    @pytest.mark.parametrize("label", ["demo", "ring6", "split"])
+    def test_leading_columns_are_those_of_all(self, label):
+        """``leading_eigenvectors(k)`` is the first k columns of
+        ``eigenvectors`` for every k, up to the rounding of the reflector
+        and factor products on fewer columns, and inverse iteration on the
+        leading eigenvalues of T up to a cluster's end gives those columns
+        of the full set bit for bit.  On "split" T has a zero coupling and
+        the eigenvalues of its two blocks interleave."""
+        if label == "split":
+            rng = np.random.default_rng(5)
+            m = np.zeros((8, 8))
+            for block in (slice(0, 3), slice(3, 8)):
+                half = rng.normal(size=(block.stop - block.start,) * 2)
+                m[block, block] = half + half.T
+            ref = generalized_eig_dense(m, np.eye(8))
+            assert np.count_nonzero(ref._reduced.e == 0.0) == 1
+        else:
+            ref = generalized_eig(two_qubit_pencil() if label == "demo" else _ring_pencil(6))
+        full = ref.eigenvectors
+        for k in range(1, full.shape[1] + 1):
+            np.testing.assert_allclose(ref.leading_eigenvectors(k), full[:, :k], rtol=0, atol=1e-14)
+        tri = ref._reduced
+        d, e, values = tri.d, tri.e, tri.values
+        if label != "split":
+            every = reference._inverse_iteration(d, e, values)
+            for end in reference._clusters(values, reference._gershgorin(d, e)):
+                got = reference._inverse_iteration(d, e, values[:end])
+                assert got.tobytes() == every[:, :end].tobytes()
+
     def test_reference_and_vqge_never_build_eigenvectors(self, monkeypatch, capsys, tmp_path):
-        def refuse(self):
+        def refuse(self, count):
             raise AssertionError("eigenvectors were built")
 
         monkeypatch.setattr(reference._Tridiagonal, "eigenvectors", refuse)
@@ -639,6 +713,40 @@ class TestTridiagonalOracle:
         # fqge reads the ground vector, so the patch is live
         assert main(["fqge"]) == 1
         assert "eigenvectors were built" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("problem, columns", [(None, 1), (DEGENERATE_GROUND, 2)])
+    def test_fqge_iterates_only_the_ground_cluster(
+        self, monkeypatch, capsys, tmp_path, problem, columns
+    ):
+        """fqge reads the ground level's vectors, so inverse iteration runs
+        on the ground level's ``_ORTHO_GAP`` cluster of T alone: one column
+        on the demo and two on a doubly degenerate ground level (T is
+        unreduced on both).  reference and vqge read no vector, so it does
+        not run for them."""
+        seen = []
+        iterate = reference._inverse_iteration
+
+        def spy(d, e, values):
+            seen.append(values.copy())
+            return iterate(d, e, values)
+
+        monkeypatch.setattr(reference, "_inverse_iteration", spy)
+        argv = []
+        if problem is not None:
+            path = tmp_path / "problem.json"
+            path.write_text(json.dumps(problem))
+            argv = [str(path)]
+        assert main(["reference", *argv]) == 0
+        assert main(["vqge", "--iters", "2", "--restarts", "1", *argv]) == 0
+        assert seen == []
+        for line_search in ([], ["--line-search"]):
+            assert main(["fqge", *argv, *line_search]) == 0
+        capsys.readouterr()
+        pencil = two_qubit_pencil() if problem is None else parse_problem(problem)
+        ref = generalized_eig(pencil)
+        assert ground_multiplicity(ref.eigenvalues) == columns
+        tri = ref._reduced
+        assert [values.tobytes() for values in seen] == [tri.values[:columns].tobytes()] * 2
 
     def test_only_reference_reduces_b_for_eta1(self, monkeypatch, capsys, tmp_path):
         def refuse(self):
