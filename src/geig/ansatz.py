@@ -5,9 +5,11 @@ identity dU/dtheta[i][t] = U(theta with pi added at [i][t]) / 2.
 ``CompiledAnsatz`` is the one circuit simulator: it runs the circuit on raw
 amplitude arrays for a whole batch of angle grids at once, and takes the
 gradient of any real function of the output by one reverse (adjoint) sweep.
-Both sweeps take their rotations from one ``ry_gates`` tensor, the reverse
-sweep as its transpose, and apply each with ``apply_ry``: one broadcast
-multiply and one add, which rounds exactly as the textbook c a0 - s a1.
+Both sweeps take their rotations from one pair of ``half_angles`` arrays
+and apply each with one kernel on whole rows: the gate on qubit q gathers
+every amplitude's partner across q's bit from a compiled index, signs it,
+and adds it scaled by s to c times the row, which on real rows rounds
+exactly as the textbook c a0 - s a1; the reverse sweep negates s.
 The reverse sweep buffers each gate's state pair with the gate's qubit bit
 moved first, and takes the gradient entries of a whole buffer of gates by
 one product and one sum, each entry rounding as a per-gate sum would.
@@ -33,10 +35,12 @@ from .statevector import StateVector
 
 _ENTANGLER_NAMES = ("linear", "ring")
 # amplitudes of (phi, lam) pairs that vjp buffers before it takes their
-# gradient entries (128 kB of float64).  Copying a pair into the buffer
-# costs more than the calls it saves once a pair holds more than about 8k
-# amplitudes (n = 10 with 10 rows or n = 12 with 4 measured 5-20% slower
-# than the per-gate sum), so a pair above half of this is read in place
+# gradient entries (128 kB of float64); a pair above half of this is read
+# in place.  Measured per vjp call, two layers, one BLAS thread, against
+# this budget: no buffer took 1.12x at n = 8 with 10 rows and 1.26x with
+# 4; 1 << 15 took 0.95-0.97x at n = 8, inside the spread, and 1.08x at
+# n = 12 with 4 rows; 1 << 17 took 1.42x at n = 10 with 10 rows and 1.43x
+# at n = 12, where copying a pair costs more than the calls it saves
 _SWEEP_BLOCK_ENTRIES = 1 << 14
 
 
@@ -102,35 +106,34 @@ def apply_ansatz(p: AnsatzParams, v_in: StateVector, entangler="linear") -> Stat
     return StateVector(p.n, out, normalized=v_in.normalized)
 
 
-def ry_gates(theta: np.ndarray) -> np.ndarray:
-    """The rotations Ry(theta[r, i, t]) = [[c, -s], [s, c]], c = cos(theta/2)
-    and s = sin(theta/2), as one gate tensor of shape (R, n, L, 1, 2, 2, 1):
-    entry [:, i, t] is the ``gate`` argument of ``apply_ry`` for qubit i in
-    layer t, and its transpose over the two 2-axes is the inverse rotation."""
-    half = theta / 2.0
-    gates = np.empty(theta.shape + (1, 2, 2, 1))
-    c, s = gates[..., 0, 0, 0, 0], gates[..., 0, 1, 0, 0]
-    np.cos(half, out=c)
-    np.sin(half, out=s)
-    gates[..., 0, 1, 1, 0] = c
-    np.negative(s, out=gates[..., 0, 0, 1, 0])
-    return gates
+def half_angles(theta: np.ndarray) -> tuple:
+    """cos and sin of theta[r, i, t] / 2 for an angle grid of shape (R, n, L),
+    each laid out (L, n, R, 1): entry [t, i] is the column of qubit i's
+    rotations in layer t, one per row, contiguous and broadcast against
+    rows of shape (R, 2^n)."""
+    half = np.divide(theta.transpose(2, 1, 0)[..., None], 2.0, order="C")
+    return np.cos(half), np.sin(half)
 
 
-def apply_ry(amps: np.ndarray, q: int, gate: np.ndarray) -> np.ndarray:
-    """A real 2 x 2 ``gate`` on qubit ``q`` of every row of a raw amplitude
-    array of shape (..., 2^n), as a new array.
+def _rotate(v: np.ndarray, partner: np.ndarray, sign: np.ndarray, c, s) -> np.ndarray:
+    """The rotation [[c, -s], [s, c]] on one qubit of every row of ``v``
+    (..., R, 2^n), as a new array: out[j] = c v[j] + s sign[j] v[partner[j]],
+    where ``partner`` flips the qubit's bit and ``sign`` is -1 where that
+    bit is clear and +1 where it is set.  ``c`` and ``s`` are (R, 1), one
+    pair per row; (c, -s) is the inverse rotation.
 
-    ``gate`` has shape (1, 2, 2, 1), or (R, 1, 2, 2, 1) with one matrix per
-    row, in which case a single row of amplitudes is spread across all R.
-    One broadcast multiply forms every product g[o, k] a_k and one add sums
-    the two halves: row o is g[o, 0] a_0 + g[o, 1] a_1.  For Ry that is
-    c a_0 + (-s) a_1, which rounds exactly as c a_0 - s a_1.
+    On real rows the clear half is c a0 + s (-a1), which rounds exactly as
+    c a0 - s a1, and the set half is c a1 + s a0.  On complex rows numpy
+    multiplies by c, s and sign as complex numbers with a zero imaginary
+    part; only the sign of a zero component can tell that apart from
+    rotating the real and imaginary parts alone.
     """
-    view = amps.reshape(amps.shape[:-1] + (1 << q, 1, 2, -1))
-    prod = view * gate
-    out = prod[..., 0, :] + prod[..., 1, :]
-    return out.reshape(out.shape[:-3] + (-1,))
+    w = v.take(partner, axis=-1)
+    w *= sign
+    w *= s
+    out = c * v
+    out += w
+    return out
 
 
 @cache
@@ -168,12 +171,17 @@ class CompiledAnsatz:
     (R, n, L) act on amplitude rows of shape (R, 2^n).
 
     ``perm`` is one layer's CNOT entangler as a gather index (the layer maps
-    row ``v`` to ``v[perm]``) and ``inverse`` undoes it.
+    row ``v`` to ``v[perm]``) and ``inverse`` undoes it.  Row i of
+    ``partners`` maps each basis index to the one across qubit i's bit, and
+    row i of ``signs`` is -1 where that bit is clear and +1 where it is set:
+    the tables of the Ry kernel on qubit i.
     """
 
     n: int
     perm: np.ndarray
     inverse: np.ndarray
+    partners: np.ndarray
+    signs: np.ndarray
 
     def _rows(self, theta: np.ndarray) -> int:
         """The row count R of an angle grid, which must be (R, n, L)."""
@@ -181,31 +189,33 @@ class CompiledAnsatz:
             raise ValueError(f"angle grid of shape {theta.shape} is not (R, {self.n}, L)")
         return theta.shape[0]
 
-    def run(self, theta: np.ndarray, v_in: np.ndarray, gates=None) -> np.ndarray:
+    def run(self, theta: np.ndarray, v_in: np.ndarray, angles=None) -> np.ndarray:
         """U(theta[r])|v_in> for every row r, shape (R, 2^n); ``v_in`` has
-        shape (2^n,), (1, 2^n) or (R, 2^n).  ``gates`` is ``ry_gates(theta)``
-        when the caller has built it already."""
+        shape (2^n,), (1, 2^n) or (R, 2^n).  ``angles`` is
+        ``half_angles(theta)`` when the caller has built it already."""
         rows = self._rows(theta)
         if v_in.shape[-1] != 1 << self.n or v_in.ndim == 2 and len(v_in) not in (1, rows):
             raise ValueError(
                 f"start of shape {v_in.shape} does not fit {rows} rows of {1 << self.n} amplitudes"
             )
-        gates = ry_gates(theta) if gates is None else gates
-        v = v_in
-        for t in range(theta.shape[2]):
-            for i in range(self.n):
-                v = apply_ry(v, i, gates[:, i, t])
+        c, s = half_angles(theta) if angles is None else angles
+        # the start on every row, in a float type the kernel scales in place
+        v = np.empty((rows, 1 << self.n), np.promote_types(v_in.dtype, np.float64))
+        v[...] = v_in
+        for layer in zip(c, s):
+            for gate in zip(self.partners, self.signs, *layer):
+                v = _rotate(v, *gate)
             v = v.take(self.perm, axis=-1)
         return v
 
-    def vjp(self, theta: np.ndarray, psi: np.ndarray, chi: np.ndarray, gates=None) -> np.ndarray:
+    def vjp(self, theta: np.ndarray, psi: np.ndarray, chi: np.ndarray, angles=None) -> np.ndarray:
         """2 Re<d psi/d theta[r, i, t]|chi> for every angle, shape (R, n, L),
         where ``psi`` = run(theta, v_in) and ``chi`` is held fixed, both of
-        shape (R, 2^n); ``gates`` is ``ry_gates(theta)`` when the caller has
-        built it.
+        shape (R, 2^n); ``angles`` is ``half_angles(theta)`` when the caller
+        has built it.
 
         One reverse sweep uncomputes psi and chi gate by gate with the
-        transposed (inverse) rotations; at each Ry the entry is
+        inverse rotations Ry(-theta); at each Ry the entry is
         Re<(-iY_i) phi|lam>, with phi the state just after the gate and lam
         the co-state pulled back to the same point (Jones and Gacon,
         arXiv:2009.02823).  No circuit is re-simulated, and the first gate
@@ -225,9 +235,9 @@ class CompiledAnsatz:
                 f"psi of shape {psi.shape} and chi of shape {chi.shape} do not fit "
                 f"{rows} rows of {1 << self.n} amplitudes"
             )
-        gates = ry_gates(theta) if gates is None else gates
-        inverses = gates.swapaxes(-3, -2)
-        w = np.array((psi, chi))
+        c, s = half_angles(theta) if angles is None else angles
+        s = -s  # Ry(-theta) undoes Ry(theta)
+        w = np.array((psi, chi), np.result_type(psi, chi, np.float64))
         count = self.n * layers
         per_block = min(count, max(1, _SWEEP_BLOCK_ENTRIES // w.size))
         if per_block > 1:
@@ -247,7 +257,7 @@ class CompiledAnsatz:
                         _gate_entries(block[:, : k + 1], sums[g - k : g + 1])
                 g += 1
                 if g < count:
-                    w = apply_ry(w, i, inverses[:, i, t])
+                    w = _rotate(w, self.partners[i], self.signs[i], c[t, i], s[t, i])
         return sums[::-1].reshape(layers, self.n, rows).transpose(2, 1, 0)
 
 
@@ -266,10 +276,13 @@ def _gate_entries(pairs: np.ndarray, out: np.ndarray) -> None:
 def compile_ansatz(n: int, entangler="linear") -> CompiledAnsatz:
     """The ansatz on ``n`` qubits with the entangler resolved into one
     permutation of basis indices per layer."""
-    perm = np.arange(1 << n, dtype=np.int64)
+    index = np.arange(1 << n, dtype=np.int64)
+    perm = index
     for c, tgt in entangler_pairs(n, entangler):
         perm = perm[cnot_index(n, c, tgt)]
-    return CompiledAnsatz(n, perm, np.argsort(perm))
+    bits = 1 << np.arange(n - 1, -1, -1, dtype=np.int64)[:, None]
+    signs = np.where(index & bits, 1.0, -1.0)
+    return CompiledAnsatz(n, perm, np.argsort(perm), index ^ bits, signs)
 
 
 def shift(p: AnsatzParams, t: int, i: int, delta: float) -> AnsatzParams:

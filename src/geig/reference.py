@@ -373,6 +373,18 @@ def _clusters(values: np.ndarray, norm: float) -> np.ndarray:
     return np.flatnonzero(np.diff(values) > _ORTHO_GAP * norm) + 1
 
 
+def _start_columns(size: int, k: int) -> np.ndarray:
+    """The leading k columns of ``default_rng(size).uniform(-1, 1, (size,
+    size))``, drawn row by row with the draws of the other columns skipped
+    by advancing the generator, not made."""
+    rng = np.random.default_rng(size)
+    out = np.empty((size, k))
+    for row in out:
+        row[:] = rng.uniform(-1.0, 1.0, k)
+        rng.bit_generator.advance(size - k)
+    return out
+
+
 def _inverse_iteration(d: np.ndarray, e: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Orthonormal eigenvector columns of the unreduced tridiagonal (d, e)
     for its lowest eigenvalues ``values``, ascending; the last must end a
@@ -422,7 +434,7 @@ def _inverse_iteration(d: np.ndarray, e: np.ndarray, values: np.ndarray) -> np.n
         for start, stop in zip(np.r_[0, cuts], np.r_[cuts, values.size])
         if stop - start > 1
     ]
-    y = np.random.default_rng(size).uniform(-1.0, 1.0, (size, size))[:, : values.size].copy()
+    y = _start_columns(size, values.size)
     for _ in range(_INVERSE_STEPS):
         for i in range(size - 1):
             top = np.where(swap[i], y[i + 1], y[i])

@@ -10,12 +10,13 @@ circuit, whose row and n L pi-shifted rows hold at most
 as one circuit batch, and each gradient entry is one overlap of a shifted
 state with the co-state: n L gate applications per step, the fewest where
 the cost of a numpy call dominates.  A larger circuit takes a forward sweep
-and one adjoint (reverse) sweep, both on one tensor of Ry gates, whose work
-grows with n L rather than with its square.  ``solve_spectrum`` runs all
-restarts of a level as one batch, and the min and max levels as one batch
-with a sign per row.  The solver reads the problem through ``geig.pencil``:
-the pencil's one compiled table, the <B> check and the quotient; the exact
-pass runs in float64 when that table and the states are real.
+and one adjoint (reverse) sweep, both on one pair of half-angle arrays,
+whose work grows with n L rather than with its square.  ``solve_spectrum``
+runs all restarts of a level as one batch, and the min and max levels as
+one batch with a sign per row.  The solver reads the problem through
+``geig.pencil``: the pencil's one compiled table, the <B> check and the
+quotient; the exact pass runs in float64 when that table and the states
+are real.
 
 Shot mode is ``solve_spectrum`` with ``SolveConfig.shots > 0``: every
 expectation is a sampled Hadamard test and gradients use the pi-shift
@@ -46,9 +47,9 @@ from .ansatz import (
     apply_ansatz,
     compile_ansatz,
     entangler_pairs,
+    half_angles,
     pi_shifted,
     random_params,
-    ry_gates,
 )
 from .measurement import sample_overlaps
 from .pauli import gather_kets, overlaps, term_gathers
@@ -61,10 +62,12 @@ from .statevector import StateVector, norm, scale, zero_state
 _KET_BLOCK_ENTRIES = 1 << 17
 # amplitudes per row, (1 + n L) 2^n, up to which an exact gradient comes
 # from theta and its n L pi-shifted grids run as one batch rather than from
-# the reverse sweep.  Measured per call on batches of 5 and 10 rows: the
-# batch took 0.69-0.92 of the sweep's time up to n = 3 at two layers (56)
-# and n = 2 at six (52, 0.84 and 1.16), 0.95-1.72 at 60 and 64, and
-# 0.97-1.25 at n = 4 with two layers (144)
+# the reverse sweep.  Measured per objective call on ising_problem(n, 1):
+# the batch took 0.63-0.77 of the sweep's time with 5 rows at every size up
+# to n = 4 with two layers (144), 0.73-0.88 with 10 rows up to n = 3 with
+# two (56) and 0.86-1.09 from 60 to 144, and with 20 rows 0.64-1.00 up to
+# 56 and 1.15-1.56 above.  The crossing at 10 rows lies near 60-100, but a
+# larger bound would change the bits of the gradients pinned in between
 _SHIFT_ROW_ENTRIES = 56
 # Adam's moment decays and denominator guard (Kingma & Ba 2015 defaults)
 _ADAM_BETA1 = 0.9
@@ -195,9 +198,9 @@ def _psi_and_gradient(circuit, theta: np.ndarray, start: np.ndarray) -> tuple:
             return entries.reshape(rows, layers, n).transpose(0, 2, 1)
 
         return np.ascontiguousarray(states[:, 0]), gradient
-    gates = ry_gates(theta)
-    psi = circuit.run(theta, start, gates)
-    return psi, lambda chi: circuit.vjp(theta, psi, chi, gates)
+    angles = half_angles(theta)
+    psi = circuit.run(theta, start, angles)
+    return psi, lambda chi: circuit.vjp(theta, psi, chi, angles)
 
 
 def _exact_objective(

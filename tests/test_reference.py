@@ -700,6 +700,14 @@ class TestTridiagonalOracle:
                 got = reference._inverse_iteration(d, e, values[:end])
                 assert got.tobytes() == every[:, :end].tobytes()
 
+    @pytest.mark.parametrize("size", [2, 3, 7, 64, 1024])
+    def test_start_columns_are_the_leading_columns_of_the_full_draw(self, size):
+        """The start of inverse iteration skips the draws it does not read:
+        1024 x 1024 uniforms (8 MB) for one column at 10 qubits."""
+        full = np.random.default_rng(size).uniform(-1.0, 1.0, (size, size))
+        for k in {1, 2, size // 2, size - 1, size}:
+            assert reference._start_columns(size, k).tobytes() == full[:, :k].tobytes()
+
     def test_reference_and_vqge_never_build_eigenvectors(self, monkeypatch, capsys, tmp_path):
         def refuse(self, count):
             raise AssertionError("eigenvectors were built")

@@ -1,13 +1,19 @@
-"""The multiply-add Ry kernel, ``CompiledAnsatz.run`` and ``.vjp`` against
-the subtract form they replaced, kept here verbatim as the reference: every
-output must be bitwise equal, for real and complex rows, however ``vjp``
-splits its gates into buffered blocks."""
+"""The Ry kernel on whole rows, ``CompiledAnsatz.run`` and ``.vjp`` against
+the subtract form, kept here verbatim as the reference: every output must
+have the reference's bytes on real rows, and on complex rows wherever it is
+not zero, however ``vjp`` splits its gates into buffered blocks.  On
+complex rows numpy multiplies a complex number by a real one as by a
+complex number with a zero imaginary part, so only the sign of a zero
+component may differ there."""
+
+import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import geig.ansatz
-from geig.ansatz import apply_ry, compile_ansatz, ry_gates
+from geig.ansatz import _rotate, compile_ansatz, half_angles
 
 
 def rotate_y(amps: np.ndarray, q: int, c, s) -> np.ndarray:
@@ -64,9 +70,55 @@ def reference_vjp(self, theta: np.ndarray, psi: np.ndarray, chi: np.ndarray) -> 
     return grad
 
 
-def rows_of(rng, shape, complex_rows: bool) -> np.ndarray:
+def rows_of(rng, shape, complex_rows: bool, zeros: bool = False) -> np.ndarray:
+    """Normal rows, with about a quarter of the components set to +0.0 or
+    -0.0 when ``zeros``."""
     out = rng.normal(size=shape)
-    return out + 1j * rng.normal(size=shape) if complex_rows else out
+    if complex_rows:
+        out = out + 1j * rng.normal(size=shape)
+    if zeros:
+        parts = out.view(np.float64) if complex_rows else out
+        parts[rng.random(parts.shape) < 0.25] = 0.0
+        parts[rng.random(parts.shape) < 0.125] = -0.0
+    return out
+
+
+def grid_of(rng, shape) -> np.ndarray:
+    """Uniform angles with exact zeros of both signs and +-pi among them."""
+    theta = rng.uniform(0.0, 2.0 * np.pi, size=shape)
+    flat = theta.reshape(-1)
+    special = np.array([0.0, -0.0, np.pi, -np.pi])
+    picks = rng.random(flat.shape) < 0.25
+    flat[picks] = rng.choice(special, size=picks.sum())
+    return theta
+
+
+def assert_same_bytes(got: np.ndarray, want: np.ndarray) -> None:
+    """Bitwise equality; np.testing.assert_array_equal passes -0.0 against 0.0."""
+    assert got.shape == want.shape and got.dtype == want.dtype
+    np.testing.assert_array_equal(
+        np.ascontiguousarray(got).view(np.int64), np.ascontiguousarray(want).view(np.int64)
+    )
+
+
+def assert_matches(got: np.ndarray, want: np.ndarray, complex_rows: bool) -> None:
+    """The reference's bytes, except that a zero component of an output
+    taken from complex rows may carry the other sign."""
+    if not complex_rows:
+        assert_same_bytes(got, want)
+        return
+    assert got.shape == want.shape and got.dtype == want.dtype
+    got, want = (np.ascontiguousarray(a).view(np.float64) for a in (got, want))
+    nonzero = want != 0.0
+    assert_same_bytes(got[nonzero], want[nonzero])
+    np.testing.assert_array_equal(got[~nonzero], 0.0)
+
+
+def kernel(amps: np.ndarray, q: int, c, s) -> np.ndarray:
+    """The circuit's Ry kernel on qubit ``q`` of the rows ``amps``, with
+    ``c`` and ``s`` shaped (R, 1, 1) as for ``rotate_y``."""
+    circuit = compile_ansatz(amps.shape[-1].bit_length() - 1)
+    return _rotate(amps, circuit.partners[q], circuit.signs[q], c[..., 0], s[..., 0])
 
 
 ENTANGLERS = ("linear", "ring", [(1, 0), (0, 1)])
@@ -76,63 +128,96 @@ class TestKernel:
     @pytest.mark.parametrize("complex_rows", [False, True])
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_bitwise_equal_rotate_y_on_every_qubit(self, n, complex_rows):
-        rng = np.random.default_rng(n)
-        for rows in (1, 5):
-            theta = rng.uniform(-7.0, 7.0, size=(rows, 1, 1))
-            gates = ry_gates(theta)[:, 0, 0]
-            c, s = _half_angles(theta[:, 0, 0])
-            amps = rows_of(rng, (rows, 1 << n), complex_rows)
+        rng = np.random.default_rng([n, complex_rows])
+        for rows, zeros in ((1, False), (5, False), (1, True), (5, True)):
+            c, s = _half_angles(grid_of(rng, (rows,)))
+            amps = rows_of(rng, (rows, 1 << n), complex_rows, zeros)
             for q in range(n):
                 want = rotate_y(amps, q, c, s)
-                np.testing.assert_array_equal(apply_ry(amps, q, gates), want)
-                # the transposed gate is the rotation by -theta
+                assert_matches(kernel(amps, q, c, s), want, complex_rows)
+                # (c, -s) is the rotation by -theta
                 want = rotate_y(amps, q, c, -s)
-                np.testing.assert_array_equal(apply_ry(amps, q, gates.swapaxes(-3, -2)), want)
+                assert_matches(kernel(amps, q, c, -s), want, complex_rows)
+
+    @pytest.mark.parametrize("q", [0, 1, 2])
+    def test_every_special_angle_on_real_rows_with_zeros(self, q):
+        """Every pairing of +-0.0 and +-1 amplitudes under the angles +-0.0
+        and +-pi, whose sines are signed zeros and +-1."""
+        values = np.array([0.0, -0.0, 1.0, -1.0])
+        pairs = np.stack(np.meshgrid(values, values, indexing="ij"), -1).reshape(-1, 2)
+        amps = np.zeros((len(pairs), 8))
+        amps[:, 0], amps[:, 4 >> q] = pairs[:, 0], pairs[:, 1]
+        for angle in (0.0, -0.0, np.pi, -np.pi):
+            c, s = _half_angles(np.full(len(pairs), angle))
+            assert_same_bytes(kernel(amps, q, c, s), rotate_y(amps, q, c, s))
+            assert_same_bytes(kernel(amps, q, c, -s), rotate_y(amps, q, c, -s))
+
+    def test_complex_rows_may_differ_in_the_sign_of_a_zero(self):
+        """On (-0.0, 1j) the reference's real part of c a0 - s a1 is
+        (-0.0 - 0.0) - (+0.0 - 0.0) = -0.0, the kernel's c a0 + s (-1 a1)
+        is -0.0 + (-0.0 - (-0.0)) = +0.0; the other three components are
+        bitwise the reference's."""
+        amps = np.array([[-0.0, 1j]])
+        c, s = _half_angles(np.array([0.7]))
+        got, want = kernel(amps, 0, c, s), rotate_y(amps, 0, c, s)
+        assert_matches(got, want, True)
+        assert_same_bytes(got.view(np.float64)[0, :1], np.array([0.0]))
+        assert_same_bytes(want.view(np.float64)[0, :1], np.array([-0.0]))
 
     def test_one_row_spreads_across_the_gates(self):
         rng = np.random.default_rng(3)
-        theta = rng.uniform(0.0, 6.0, size=(5, 1, 1))
-        amps = rows_of(rng, (8,), True)
-        out = apply_ry(amps, 1, ry_gates(theta)[:, 0, 0])
-        c, s = _half_angles(theta[:, 0, 0])
-        want = rotate_y(np.broadcast_to(amps, (5, 8)), 1, c, s)
+        c, s = _half_angles(rng.uniform(0.0, 6.0, size=5))
+        spread = np.broadcast_to(rows_of(rng, (8,), True), (5, 8))
+        out = kernel(spread, 1, c, s)
         assert out.shape == (5, 8)
-        np.testing.assert_array_equal(out, want)
+        assert_same_bytes(out, rotate_y(spread, 1, c, s))
 
-    def test_gates_are_the_ry_matrices(self):
-        theta = np.array([[[0.3, -1.1]], [[2.0, 5.5]]])
-        gates = ry_gates(theta)
-        assert gates.shape == (2, 1, 2, 1, 2, 2, 1)
-        c, s = np.cos(theta / 2.0), np.sin(theta / 2.0)
-        want = np.stack((c, -s, s, c), axis=-1).reshape(theta.shape + (2, 2))
-        np.testing.assert_array_equal(gates[..., 0, :, :, 0], want)
+    def test_half_angles_are_laid_out_layer_qubit_row(self):
+        theta = np.array([[[0.3, -1.1], [2.0, 5.5]], [[0.0, -0.0], [np.pi, 4.0]]])
+        c, s = half_angles(theta)
+        assert c.shape == s.shape == (2, 2, 2, 1)
+        want_c, want_s = (f(theta / 2.0).transpose(2, 1, 0)[..., None] for f in (np.cos, np.sin))
+        assert_same_bytes(c, want_c)
+        assert_same_bytes(s, want_s)
+        assert c[1, 0].flags.c_contiguous and s[1, 0].flags.c_contiguous
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    def test_tables_pair_each_index_across_the_qubit_bit(self, n):
+        circuit = compile_ansatz(n)
+        index = np.arange(1 << n)
+        for q in range(n):
+            bit = 1 << (n - 1 - q)
+            np.testing.assert_array_equal(circuit.partners[q], index ^ bit)
+            np.testing.assert_array_equal(circuit.signs[q], np.where(index & bit, 1.0, -1.0))
 
 
 class TestCircuit:
     @pytest.mark.parametrize("complex_rows", [False, True])
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 9, 10])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 9, 10, 11, 12])
     def test_run_and_vjp_bitwise_equal_the_reference(self, n, complex_rows):
         """From n = 9 an entry sums 2^(n-1) > 128 terms, where numpy's
         pairwise sum recurses; at n = 9 the sweep flushes its buffer several
-        times, and at n = 10 with 5 rows each gate is read in place."""
+        times, and from n = 10 with 5 rows (n = 11 and 12 with 4) each gate
+        is read in place.  Each entangler runs twice, the second time with
+        a quarter of the rows' components set to signed zeros."""
         rng = np.random.default_rng(10 + n)
-        for entangler in ENTANGLERS:
+        for entangler, zeros in itertools.product(ENTANGLERS, (False, True)):
             if not isinstance(entangler, str) and n < 2:
                 continue
             circuit = compile_ansatz(n, entangler)
-            for rows in (1, 5):
-                theta = rng.uniform(0.0, 2.0 * np.pi, size=(rows, n, 3))
-                gates = ry_gates(theta)
+            for rows in (1, 4) if n > 10 else (1, 5):
+                theta = grid_of(rng, (rows, n, 3))
+                angles = half_angles(theta)
                 # one start spread across the rows, then one start per row
                 for shape in ((1 << n,), (rows, 1 << n)):
-                    v_in = rows_of(rng, shape, complex_rows)
+                    v_in = rows_of(rng, shape, complex_rows, zeros)
                     psi = circuit.run(theta, v_in)
-                    np.testing.assert_array_equal(psi, reference_run(circuit, theta, v_in))
-                    np.testing.assert_array_equal(circuit.run(theta, v_in, gates), psi)
-                    chi = rows_of(rng, (rows, 1 << n), complex_rows)
-                    want = reference_vjp(circuit, theta, psi, chi)
-                    np.testing.assert_array_equal(circuit.vjp(theta, psi, chi), want)
-                    np.testing.assert_array_equal(circuit.vjp(theta, psi, chi, gates), want)
+                    assert_matches(psi, reference_run(circuit, theta, v_in), complex_rows)
+                    assert_same_bytes(circuit.run(theta, v_in, angles), psi)
+                    chi = rows_of(rng, (rows, 1 << n), complex_rows, zeros)
+                    got = circuit.vjp(theta, psi, chi)
+                    assert_matches(got, reference_vjp(circuit, theta, psi, chi), complex_rows)
+                    assert_same_bytes(circuit.vjp(theta, psi, chi, angles), got)
 
     def test_real_rows_against_complex_co_state(self):
         """A real psi with a complex chi (a complex pencil's co-state) takes
@@ -142,9 +227,7 @@ class TestCircuit:
         theta = rng.uniform(0.0, 2.0 * np.pi, size=(4, 3, 2))
         psi = circuit.run(theta, np.eye(8)[0])
         chi = rows_of(rng, (4, 8), True)
-        np.testing.assert_array_equal(
-            circuit.vjp(theta, psi, chi), reference_vjp(circuit, theta, psi, chi)
-        )
+        assert_same_bytes(circuit.vjp(theta, psi, chi), reference_vjp(circuit, theta, psi, chi))
 
     @pytest.mark.parametrize("complex_rows", [False, True])
     @pytest.mark.parametrize("budget", [1, 64, 96, 128, 1 << 20])
@@ -154,11 +237,31 @@ class TestCircuit:
         monkeypatch.setattr(geig.ansatz, "_SWEEP_BLOCK_ENTRIES", budget)
         rng = np.random.default_rng([budget, complex_rows])
         circuit = compile_ansatz(3, "ring")
-        theta = rng.uniform(0.0, 2.0 * np.pi, size=(2, 3, 3))
+        theta = grid_of(rng, (2, 3, 3))
         psi = circuit.run(theta, rows_of(rng, (2, 8), complex_rows))
         chi = rows_of(rng, (2, 8), complex_rows)
         want = reference_vjp(circuit, theta, psi, chi)
-        np.testing.assert_array_equal(circuit.vjp(theta, psi, chi), want)
+        assert_matches(circuit.vjp(theta, psi, chi), want, complex_rows)
+
+    @pytest.mark.parametrize("method, bound", [("run", 5.04), ("vjp", 9.05)])
+    def test_peak_memory_at_12_qubits(self, method, bound):
+        """The tracemalloc peak of one call on 4 real rows of 12 qubits, two
+        layers, in units of the rows' bytes: 3.54 for run and 6.54 for vjp,
+        bounded by the 5.04 and 9.05 of the broadcast kernel this kernel
+        replaced, whose (R, 2^q, 2, 2, rest) products were twice the rows."""
+        rng = np.random.default_rng(12)
+        circuit = compile_ansatz(12)
+        theta = rng.uniform(0.0, 2.0 * np.pi, size=(4, 12, 2))
+        v_in = rng.normal(size=(4, 1 << 12))
+        psi = circuit.run(theta, v_in)
+        args = (v_in,) if method == "run" else (psi, rng.normal(size=psi.shape))
+        tracemalloc.start()
+        try:
+            getattr(circuit, method)(theta, *args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * v_in.nbytes
 
     @pytest.mark.parametrize(
         "psi_shape, chi_shape",

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_state
-from geig.ansatz import apply_ry, cnot_index, ry_gates
+from geig.ansatz import _rotate, cnot_index, compile_ansatz, half_angles
 from geig.statevector import (
     StateVector,
     basis_state,
@@ -47,8 +47,9 @@ class TestStateVector:
 
 def ry(q, angle, v):
     """Ry(angle) on qubit ``q`` of one state, through the circuit kernel."""
-    gate = ry_gates(np.array([[[angle]]]))[0, 0, 0]
-    return apply_ry(v.amps, q, gate)
+    circuit = compile_ansatz(v.n)
+    c, s = half_angles(np.array([[[angle]]]))
+    return _rotate(v.amps[None], circuit.partners[q], circuit.signs[q], c[0, 0], s[0, 0])[0]
 
 
 def cnot(control, target, v):
